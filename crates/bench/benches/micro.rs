@@ -43,11 +43,15 @@ fn bench_crypto(h: &Harness) {
     h.bench("sha256_1KiB", || sha256(&data_1k));
     h.bench("sha256_64KiB", || sha256(&data_64k));
     h.bench("hmac_sha256_1KiB", || hmac_sha256(b"key", &data_1k));
+    h.bench("schnorr_keygen", || Keypair::from_seed(b"bench"));
     let keys = Keypair::from_seed(b"bench");
     let msg = b"transfer 100 credits to the resource broker";
     h.bench("schnorr_sign", || keys.sign(msg));
     let sig = keys.sign(msg);
     h.bench("schnorr_verify", || keys.public.verify(msg, &sig));
+    h.bench("schnorr_prepare", || keys.public.prepare());
+    let prepared = keys.public.prepare();
+    h.bench("schnorr_verify_prepared", || prepared.verify(msg, &sig));
 }
 
 fn bench_numeric(h: &Harness) {

@@ -7,24 +7,46 @@
 //!   `e = H(r ‖ y ‖ m) mod (p−1)`, `s = k − e·x mod (p−1)`; signature `(e, s)`.
 //! * verify: `r' = g^s·y^e`, accept iff `H(r' ‖ y ‖ m) ≡ e`.
 //!
+//! `g^k` and `g^s` go through the generator's comb table
+//! ([`field::pow_g`]). A verifier that checks many signatures under one
+//! key — the bank — holds a [`PreparedKey`] with a comb table of `y` as
+//! well; [`PublicKey::verify`] computes `y^e` by square-and-multiply.
+//!
 //! Binding the public key into the challenge hash prevents trivial
 //! cross-key signature replay, which matters for transfer tokens
 //! (`gm-grid::token`).
 
 use crate::field;
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::sha256::{sha256, Sha256};
 
-/// A secret signing key.
-#[derive(Clone, PartialEq, Eq)]
+/// A secret signing key, with the HMAC key its nonces are derived under.
+#[derive(Clone)]
 pub struct SecretKey {
     x: u128,
+    nonce_key: HmacKey,
 }
+
+impl PartialEq for SecretKey {
+    fn eq(&self, other: &SecretKey) -> bool {
+        self.x == other.x
+    }
+}
+
+impl Eq for SecretKey {}
 
 /// A public verification key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PublicKey {
     y: u128,
+}
+
+/// A public key with the 4-bit comb table of `y` (32 × 16 entries, 8 KiB,
+/// about 512 multiplications to build) for fast repeated verification.
+#[derive(Clone)]
+pub struct PreparedKey {
+    public: PublicKey,
+    y_comb: field::Comb,
 }
 
 /// A signing/verification key pair.
@@ -68,9 +90,12 @@ impl Keypair {
         b.copy_from_slice(&digest[..16]);
         // Ensure a non-trivial secret.
         let x = (u128::from_be_bytes(b) % (field::GROUP_ORDER - 2)) + 1;
-        let y = field::pow(field::G, x);
+        let y = field::pow_g(x);
         Keypair {
-            secret: SecretKey { x },
+            secret: SecretKey {
+                x,
+                nonce_key: HmacKey::new(&x.to_be_bytes()),
+            },
             public: PublicKey { y },
         }
     }
@@ -86,12 +111,12 @@ impl SecretKey {
     /// bound into the challenge).
     pub fn sign(&self, message: &[u8], public: &PublicKey) -> Signature {
         // Deterministic nonce from the secret key and message.
-        let k_mac = hmac_sha256(&self.x.to_be_bytes(), message);
+        let k_mac = self.nonce_key.mac(message);
         let mut kb = [0u8; 16];
         kb.copy_from_slice(&k_mac[..16]);
         let k = (u128::from_be_bytes(kb) % (field::GROUP_ORDER - 2)) + 1;
 
-        let r = field::pow(field::G, k);
+        let r = field::pow_g(k);
         let e = hash_to_scalar(&[&r.to_be_bytes(), &public.y.to_be_bytes(), message]);
         let s = field::scalar_sub(k, field::scalar_mul(e, self.x));
         Signature { e, s }
@@ -101,12 +126,15 @@ impl SecretKey {
 impl PublicKey {
     /// Verify `sig` over `message` against this public key.
     pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
-        if sig.e >= field::GROUP_ORDER || sig.s >= field::GROUP_ORDER {
-            return false;
+        verify_with(self.y, message, sig, |e| field::pow(self.y, e))
+    }
+
+    /// Build this key's comb table, for a verifier of many signatures.
+    pub fn prepare(&self) -> PreparedKey {
+        PreparedKey {
+            public: *self,
+            y_comb: field::Comb::new(self.y, 4),
         }
-        let r = field::mul(field::pow(field::G, sig.s), field::pow(self.y, sig.e));
-        let e = hash_to_scalar(&[&r.to_be_bytes(), &self.y.to_be_bytes(), message]);
-        e == sig.e
     }
 
     /// Serialize as 16 big-endian bytes.
@@ -128,6 +156,24 @@ impl PublicKey {
         let d = sha256(&self.to_bytes());
         crate::sha256::hex(&d[..8])
     }
+}
+
+impl PreparedKey {
+    /// Verify `sig` over `message`; agrees with [`PublicKey::verify`].
+    pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
+        verify_with(self.public.y, message, sig, |e| self.y_comb.pow(e))
+    }
+}
+
+/// The verification equation shared by [`PublicKey::verify`] and
+/// [`PreparedKey::verify`], which differ only in how they compute `y^e`.
+fn verify_with(y: u128, message: &[u8], sig: &Signature, y_pow: impl FnOnce(u128) -> u128) -> bool {
+    if sig.e >= field::GROUP_ORDER || sig.s >= field::GROUP_ORDER {
+        return false;
+    }
+    let r = field::mul(field::pow_g(sig.s), y_pow(sig.e));
+    let e = hash_to_scalar(&[&r.to_be_bytes(), &y.to_be_bytes(), message]);
+    e == sig.e
 }
 
 impl Signature {
@@ -265,6 +311,55 @@ mod tests {
         let sig = keys.sign(b"");
         assert!(keys.public.verify(b"", &sig));
         assert!(!keys.public.verify(b"x", &sig));
+    }
+
+    #[test]
+    fn prepared_key_agrees_with_public_key() {
+        gm_des::check::check("prepared_key_agrees_with_public_key", 64, |g| {
+            let seed = g.bytes(0, 40);
+            let a = kp(&seed);
+            let b = kp(&[seed.as_slice(), b"'"].concat());
+            let prepared = a.public.prepare();
+            let msg = g.bytes(0, 120);
+            let sig = a.sign(&msg);
+            let mut tampered_msg = msg.clone();
+            tampered_msg.push(g.u64() as u8);
+            let mut bytes = sig.to_bytes();
+            bytes[g.usize_in(0, 31)] ^= 1 << g.usize_in(0, 7);
+            let mut cases = vec![
+                (msg.clone(), sig),
+                (tampered_msg, sig),
+                (msg.clone(), b.sign(&msg)),
+                (
+                    msg.clone(),
+                    Signature {
+                        e: field::GROUP_ORDER,
+                        s: sig.s,
+                    },
+                ),
+                (
+                    msg.clone(),
+                    Signature {
+                        e: sig.e,
+                        s: field::GROUP_ORDER,
+                    },
+                ),
+                (
+                    msg.clone(),
+                    Signature {
+                        e: u128::MAX,
+                        s: u128::MAX,
+                    },
+                ),
+            ];
+            if let Some(flipped) = Signature::from_bytes(&bytes) {
+                cases.push((msg.clone(), flipped));
+            }
+            for (i, (m, s)) in cases.iter().enumerate() {
+                assert_eq!(prepared.verify(m, s), a.public.verify(m, s), "case {i}");
+                assert_eq!(prepared.verify(m, s), i == 0, "case {i}");
+            }
+        });
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use gm_crypto::{sha256, Keypair, PublicKey, Signature};
+use gm_crypto::{sha256, Keypair, PreparedKey, PublicKey, Signature};
 use gm_ledger::SharedJournal;
 
 use crate::ledger::{BankEvent, BankSnapshot, RecoverError, RecoveryReport, SnapshotAccount};
@@ -106,10 +106,15 @@ pub struct Receipt {
 }
 
 impl Receipt {
+    const TAG: &'static [u8] = b"tycoon-receipt-v1";
+
     /// Canonical byte encoding of the receipt body (what the bank signs).
     pub fn message_bytes(transfer_id: u64, from: AccountId, to: AccountId, amount: Credits) -> Vec<u8> {
-        let mut m = Vec::with_capacity(8 + 8 + 8 + 8 + 16);
-        m.extend_from_slice(b"tycoon-receipt-v1");
+        // The tag, three u64 fields and the i64 micro-credit amount.
+        let mut m = Vec::with_capacity(
+            Self::TAG.len() + 3 * std::mem::size_of::<u64>() + std::mem::size_of::<i64>(),
+        );
+        m.extend_from_slice(Self::TAG);
         m.extend_from_slice(&transfer_id.to_be_bytes());
         m.extend_from_slice(&from.0.to_be_bytes());
         m.extend_from_slice(&to.0.to_be_bytes());
@@ -126,6 +131,9 @@ impl Receipt {
 /// The central bank service.
 pub struct Bank {
     keypair: Keypair,
+    /// Comb table of the bank's own public key: every receipt the bank
+    /// checks (recovery replay, tokens, audits) is verified through it.
+    verifier: PreparedKey,
     accounts: HashMap<AccountId, Account>,
     next_account: u64,
     next_transfer: u64,
@@ -148,8 +156,10 @@ pub struct Bank {
 impl Bank {
     /// New bank with a signing key derived from `seed`.
     pub fn new(seed: &[u8]) -> Bank {
+        let keypair = Keypair::from_seed(seed);
         Bank {
-            keypair: Keypair::from_seed(seed),
+            verifier: keypair.public.prepare(),
+            keypair,
             accounts: HashMap::new(),
             next_account: 0,
             next_transfer: 0,
@@ -327,7 +337,7 @@ impl Bank {
                 signature,
             } => {
                 let msg = Receipt::message_bytes(id, AccountId(from), AccountId(to), amount);
-                if !self.keypair.public.verify(&msg, &signature) {
+                if !self.verifier.verify(&msg, &signature) {
                     return Err(RecoverError::SignatureMismatch { transfer_id: id });
                 }
                 if !self.accounts.contains_key(&AccountId(from))
@@ -397,6 +407,12 @@ impl Bank {
     /// The bank's receipt-verification key.
     pub fn public_key(&self) -> PublicKey {
         self.keypair.public
+    }
+
+    /// The bank's receipt-verification key with its comb table, for
+    /// verifying many receipts (the auditor's spot checks).
+    pub fn verifying_key(&self) -> &PreparedKey {
+        &self.verifier
     }
 
     /// Open a top-level account owned by `owner`.
@@ -541,7 +557,7 @@ impl Bank {
     /// Verify that a receipt was signed by this bank and is internally
     /// consistent.
     pub fn verify_receipt(&self, r: &Receipt) -> bool {
-        self.keypair.public.verify(&r.signed_bytes(), &r.signature)
+        self.verifier.verify(&r.signed_bytes(), &r.signature)
     }
 
     /// Sum of all balances (should always equal total minted money).
@@ -563,6 +579,15 @@ impl Bank {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn receipt_message_fills_its_reserved_capacity() {
+        for amount in [Credits::ZERO, Credits::from_whole(1_000_000_000)] {
+            let m = Receipt::message_bytes(u64::MAX, AccountId(3), AccountId(4), amount);
+            assert_eq!(m.len(), 49);
+            assert_eq!(m.len(), m.capacity());
+        }
+    }
 
     fn setup() -> (Bank, AccountId, AccountId) {
         let mut bank = Bank::new(b"test-bank");

@@ -441,35 +441,35 @@ impl ConservationAuditor {
         if replay.corrupt_records > 0 {
             report.journal_ok = false;
         }
-        let transfers: Vec<BankEvent> = replay
+        // The newest `spot_check` transfers, scanned from the tail;
+        // records that do not decode are skipped.
+        let key = bank.verifying_key();
+        let tail = replay
             .records
             .iter()
-            .filter_map(|p| BankEvent::decode(p))
-            .filter(|ev| matches!(ev, BankEvent::Transfer { .. }))
-            .collect();
-        let key = bank.public_key();
-        let start = transfers.len().saturating_sub(self.spot_check);
-        for ev in &transfers[start..] {
-            let BankEvent::Transfer {
-                id,
-                from,
-                to,
-                amount,
-                signature,
-            } = ev
-            else {
-                unreachable!("filtered to transfers");
-            };
+            .rev()
+            .filter_map(|p| match BankEvent::decode(p) {
+                Some(BankEvent::Transfer {
+                    id,
+                    from,
+                    to,
+                    amount,
+                    signature,
+                }) => Some((id, from, to, amount, signature)),
+                _ => None,
+            })
+            .take(self.spot_check);
+        for (id, from, to, amount, signature) in tail {
             report.transfers_checked += 1;
-            let msg = Receipt::message_bytes(*id, AccountId(*from), AccountId(*to), *amount);
-            if !key.verify(&msg, signature) {
+            let msg = Receipt::message_bytes(id, AccountId(from), AccountId(to), amount);
+            if !key.verify(&msg, &signature) {
                 report.signature_failures += 1;
             }
             // A receipt must not verify against any *other* transfer id:
             // forge the id and demand failure.
             let forged =
-                Receipt::message_bytes(id.wrapping_add(1), AccountId(*from), AccountId(*to), *amount);
-            if key.verify(&forged, signature) {
+                Receipt::message_bytes(id.wrapping_add(1), AccountId(from), AccountId(to), amount);
+            if key.verify(&forged, &signature) {
                 report.forgery_rejected = false;
             }
         }
@@ -584,6 +584,131 @@ mod tests {
             applied_requests: vec![],
         };
         assert_eq!(snap.encode(), snap.clone().encode());
+    }
+
+    /// The audit as it was before it scanned from the tail: decode every
+    /// record, collect every transfer, check the last `spot_check`.
+    fn audit_collect_all(spot_check: usize, bank: &Bank, journal: &SharedJournal) -> AuditReport {
+        let replay = journal.replay().unwrap();
+        let mut report = AuditReport {
+            conserved: bank.total_money() == bank.total_minted(),
+            journal_ok: replay.corrupt_records == 0,
+            transfers_checked: 0,
+            signature_failures: 0,
+            forgery_rejected: true,
+        };
+        let transfers: Vec<BankEvent> = replay
+            .records
+            .iter()
+            .filter_map(|p| BankEvent::decode(p))
+            .filter(|ev| matches!(ev, BankEvent::Transfer { .. }))
+            .collect();
+        let key = bank.public_key();
+        for ev in &transfers[transfers.len().saturating_sub(spot_check)..] {
+            let BankEvent::Transfer {
+                id,
+                from,
+                to,
+                amount,
+                signature,
+            } = ev
+            else {
+                unreachable!("filtered to transfers");
+            };
+            report.transfers_checked += 1;
+            let msg = Receipt::message_bytes(*id, AccountId(*from), AccountId(*to), *amount);
+            if !key.verify(&msg, signature) {
+                report.signature_failures += 1;
+            }
+            let forged = Receipt::message_bytes(
+                id.wrapping_add(1),
+                AccountId(*from),
+                AccountId(*to),
+                *amount,
+            );
+            if key.verify(&forged, signature) {
+                report.forgery_rejected = false;
+            }
+        }
+        report
+    }
+
+    #[test]
+    fn tail_scan_audit_matches_the_collect_all_audit() {
+        for transfers in [0u64, 5, 15, 16, 17, 40] {
+            let mut bank = Bank::new(b"tail-audit");
+            let journal = SharedJournal::new();
+            bank.attach_ledger(journal.clone());
+            let a = bank.open_account(key(b"a"), "a");
+            let b = bank.open_account(key(b"b"), "b");
+            bank.mint(a, Credits::from_whole(1_000)).unwrap();
+            for t in 0..transfers {
+                let r = bank
+                    .transfer(a, b, Credits::from_whole(1 + t as i64))
+                    .unwrap();
+                // Interleave every other kind of event between transfers.
+                match t % 4 {
+                    0 => bank.mint(b, Credits::from_whole(1)).unwrap(),
+                    1 => assert!(bank.record_token_spend(r.transfer_id)),
+                    2 => assert!(bank.record_request_applied(t)),
+                    _ => {
+                        bank.open_account(key(b"c"), "c");
+                    }
+                }
+            }
+            // Forge every fifth transfer and slip undecodable records in,
+            // so failures land both inside and outside the checked tail.
+            let replay = journal.replay().unwrap();
+            let forged = SharedJournal::new();
+            let mut seen = 0;
+            for payload in &replay.records {
+                match BankEvent::decode(payload) {
+                    Some(BankEvent::Transfer {
+                        id,
+                        from,
+                        to,
+                        amount,
+                        signature,
+                    }) => {
+                        seen += 1;
+                        let amount = if seen % 5 == 0 {
+                            amount + Credits::from_whole(1)
+                        } else {
+                            amount
+                        };
+                        forged.append(
+                            &BankEvent::Transfer {
+                                id,
+                                from,
+                                to,
+                                amount,
+                                signature,
+                            }
+                            .encode(),
+                        );
+                        if seen % 7 == 0 {
+                            forged.append(&[0xee, 1, 2]);
+                        }
+                    }
+                    _ => {
+                        forged.append(payload);
+                    }
+                }
+            }
+            for spot_check in [0, 1, 3, 16, 100] {
+                let auditor = ConservationAuditor { spot_check };
+                for j in [&journal, &forged] {
+                    assert_eq!(
+                        auditor.audit(&bank, Some(j)),
+                        audit_collect_all(spot_check, &bank, j),
+                        "{transfers} transfers, spot_check {spot_check}"
+                    );
+                }
+            }
+            let report = ConservationAuditor::default().audit(&bank, Some(&journal));
+            assert!(report.ok());
+            assert_eq!(report.transfers_checked, (transfers as usize).min(16));
+        }
     }
 
     #[test]

@@ -79,6 +79,13 @@ mc-demo:
 experiments:
     cargo run --release --example quickstart
 
+# The repository's benchmark (the command BENCHMARK.json declares): one
+# seeded workload (chaos_sweep, vcg_window or table1_paper), its outputs
+# checked against a reference run, every metric printed; the last line is
+# one JSON object. `just perf chaos_sweep 1000 45 1` adds the layer trace.
+perf WORKLOAD SEED="1" SECONDS="45" TRACE="0":
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --workload {{WORKLOAD}} --seed {{SEED}} --seconds {{SECONDS}} --trace {{TRACE}}
+
 # Timing benchmarks (in-repo harness; also prints quality metrics).
 bench:
     cargo bench --workspace
