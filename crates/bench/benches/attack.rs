@@ -15,96 +15,36 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use gm_bio::workload::BioWorkload;
-use gm_des::{FaultPlan, SimDuration, SimTime};
-use gm_grid::{AgentConfig, JobManager, VmConfig};
-use gm_tycoon::{GuardConfig, HostSpec, Market, UserId};
-use gridmarket::sched::{JobRequest, PolicyDriver};
-use gridmarket::{ChaosConfig, TycoonPolicy};
+use gm_bench::Overhead;
+use gm_experiments::mc::{chaos_driver, job_stream, tycoon_policy};
+use gm_tycoon::GuardConfig;
+use gridmarket::ChaosConfig;
 
-const SAMPLES: usize = 15;
-const BUDGET_PCT: f64 = 5.0;
 const SEED: u64 = 0xBE7C_47AC;
-
-/// The honest chaos stream of the default world (same stagger, work and
-/// budgets as the Monte-Carlo suite).
-fn honest_stream(cfg: &ChaosConfig) -> Vec<JobRequest> {
-    let workload = BioWorkload {
-        subjobs: cfg.subjobs,
-        chunk_minutes: cfg.chunk_minutes,
-        deadline_minutes: cfg.deadline_minutes,
-    };
-    (0..cfg.users)
-        .map(|i| JobRequest {
-            id: i,
-            user: UserId(i + 1),
-            subjobs: cfg.subjobs,
-            work_per_subjob: workload.work_mhz_secs_per_subjob(),
-            arrival: SimTime::ZERO + SimDuration::from_secs(30 * (u64::from(i) + 1)),
-            budget: cfg.funding,
-            deadline_secs: cfg.deadline_minutes as f64 * 60.0,
-        })
-        .collect()
-}
 
 /// Wall time (ms) of one full honest chaos run under `guard`.
 fn sample_run_ms(guard: GuardConfig) -> f64 {
     let cfg = ChaosConfig::default();
-    let hosts: Vec<HostSpec> =
-        gridmarket::scenario::jittered_hosts(SEED, cfg.hosts, cfg.heterogeneity);
-    let mut market = Market::new(&SEED.to_be_bytes());
-    market.set_interval_secs(10.0);
-    market.set_guard(guard);
-    for h in &hosts {
-        market.add_host(h.clone());
-    }
-    let jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
-    let mut policy = TycoonPolicy::new(market, jm);
-    let jobs = honest_stream(&cfg);
+    let mut driver = chaos_driver(SEED, &cfg);
+    let mut policy = tycoon_policy(SEED, driver.host_specs(), |market| market.set_guard(guard));
+    // The honest stream of the default world (the Monte-Carlo suite's).
+    let jobs = job_stream(&cfg);
 
     let t0 = Instant::now();
-    let r = PolicyDriver::new(hosts, 10.0)
-        .horizon(SimTime::ZERO + SimDuration::from_hours(cfg.horizon_hours))
-        .faults(FaultPlan::generate(SEED, cfg.fault_gen()))
-        .run(&mut policy, &jobs)
-        .expect("honest chaos run");
+    let r = driver.run(&mut policy, &jobs).expect("honest chaos run");
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     black_box(r.outcomes.len());
     ms
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn main() {
-    let save = std::env::args().any(|a| a == "--save");
-
-    // Interleave the two configurations so frequency drift and background
-    // noise hit both alike.
-    let mut open = Vec::with_capacity(SAMPLES);
-    let mut armed = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        open.push(sample_run_ms(GuardConfig::disabled()));
-        armed.push(sample_run_ms(GuardConfig::default()));
+    Overhead {
+        bench: "honest_chaos_run",
+        file: "attack",
+        params: &[],
+        what: "run",
+        unit: "ms",
+        sides: ["open", "guarded"],
     }
-    let open_med = median(&mut open);
-    let armed_med = median(&mut armed);
-    let overhead_pct = (armed_med - open_med) / open_med * 100.0;
-    let pass = overhead_pct < BUDGET_PCT;
-
-    println!(
-        "honest_chaos_run               open {open_med:>9.2} ms   guarded {armed_med:>9.2} ms   overhead {overhead_pct:>+6.2} %   budget <{BUDGET_PCT} %   {}",
-        if pass { "PASS" } else { "FAIL" }
-    );
-
-    if save {
-        let json = format!(
-            "{{\n  \"bench\": \"honest_chaos_run\",\n  \"samples\": {SAMPLES},\n  \"open_run_ms_median\": {open_med:.3},\n  \"guarded_run_ms_median\": {armed_med:.3},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"budget_pct\": {BUDGET_PCT:.1},\n  \"pass\": {pass}\n}}\n"
-        );
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_attack.json");
-        std::fs::write(path, json).expect("write BENCH_attack.json");
-        println!("saved {path}");
-    }
+    .run(|| sample_run_ms(GuardConfig::disabled()), || sample_run_ms(GuardConfig::default()));
 }

@@ -16,12 +16,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use gm_bench::Overhead;
 use gm_experiments::ext_gray::nospec_agent;
 use gm_grid::AgentConfig;
 use gridmarket::ChaosConfig;
 
-const SAMPLES: usize = 15;
-const BUDGET_PCT: f64 = 5.0;
 const SEED: u64 = 0x617A_717E;
 
 /// Wall time (ms) of one full chaos run under `agent`.
@@ -38,38 +37,14 @@ fn sample_run_ms(agent: AgentConfig) -> f64 {
     ms
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn main() {
-    let save = std::env::args().any(|a| a == "--save");
-
-    // Interleave the two configurations so frequency drift and background
-    // noise hit both alike.
-    let mut off = Vec::with_capacity(SAMPLES);
-    let mut armed = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        off.push(sample_run_ms(nospec_agent()));
-        armed.push(sample_run_ms(AgentConfig::default()));
+    Overhead {
+        bench: "gray_free_chaos_run",
+        file: "gray",
+        params: &[],
+        what: "run",
+        unit: "ms",
+        sides: ["off", "armed"],
     }
-    let off_med = median(&mut off);
-    let armed_med = median(&mut armed);
-    let overhead_pct = (armed_med - off_med) / off_med * 100.0;
-    let pass = overhead_pct < BUDGET_PCT;
-
-    println!(
-        "gray_free_chaos_run            off {off_med:>9.2} ms   armed {armed_med:>9.2} ms   overhead {overhead_pct:>+6.2} %   budget <{BUDGET_PCT} %   {}",
-        if pass { "PASS" } else { "FAIL" }
-    );
-
-    if save {
-        let json = format!(
-            "{{\n  \"bench\": \"gray_free_chaos_run\",\n  \"samples\": {SAMPLES},\n  \"off_run_ms_median\": {off_med:.3},\n  \"armed_run_ms_median\": {armed_med:.3},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"budget_pct\": {BUDGET_PCT:.1},\n  \"pass\": {pass}\n}}\n"
-        );
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gray.json");
-        std::fs::write(path, json).expect("write BENCH_gray.json");
-        println!("saved {path}");
-    }
+    .run(|| sample_run_ms(nospec_agent()), || sample_run_ms(AgentConfig::default()));
 }

@@ -102,9 +102,7 @@ fn main() {
         let json = format!(
             "{{\n  \"bench\": \"mc_chaos\",\n  \"seeds\": {SEEDS},\n  \"available_cores\": {cores},\n  \"efficiency_budget\": {EFFICIENCY_BUDGET},\n  \"rows\": [\n{entries}\n  ],\n  \"pass\": {pass}\n}}\n"
         );
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_mc.json");
-        std::fs::write(path, json).expect("write BENCH_mc.json");
-        println!("saved {path}");
+        gm_bench::save_json("mc", &json);
     }
 
     if !pass {

@@ -15,6 +15,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use gm_bench::Overhead;
 use gm_crypto::Keypair;
 use gm_telemetry::Registry;
 use gm_tycoon::{
@@ -22,8 +23,6 @@ use gm_tycoon::{
 };
 
 const TRANSFERS_PER_SAMPLE: u64 = 2_000;
-const SAMPLES: usize = 15;
-const BUDGET_PCT: f64 = 5.0;
 
 fn armed_config() -> NetConfig {
     // Everything on, nothing firing: perfect links, a mailbox bound far
@@ -62,38 +61,14 @@ fn sample_request_us(net: NetConfig) -> f64 {
     us
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn main() {
-    let save = std::env::args().any(|a| a == "--save");
-
-    // Interleave the two configurations so frequency drift and background
-    // noise hit both alike.
-    let mut bare = Vec::with_capacity(SAMPLES);
-    let mut armed = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        bare.push(sample_request_us(NetConfig::default()));
-        armed.push(sample_request_us(armed_config()));
+    Overhead {
+        bench: "bank_transfer_roundtrip",
+        file: "overload",
+        params: &[("transfers_per_sample", TRANSFERS_PER_SAMPLE)],
+        what: "request",
+        unit: "us",
+        sides: ["default", "armed"],
     }
-    let bare_med = median(&mut bare);
-    let armed_med = median(&mut armed);
-    let overhead_pct = (armed_med - bare_med) / bare_med * 100.0;
-    let pass = overhead_pct < BUDGET_PCT;
-
-    println!(
-        "bank_transfer_roundtrip        default {bare_med:>9.2} µs   armed {armed_med:>9.2} µs   overhead {overhead_pct:>+6.2} %   budget <{BUDGET_PCT} %   {}",
-        if pass { "PASS" } else { "FAIL" }
-    );
-
-    if save {
-        let json = format!(
-            "{{\n  \"bench\": \"bank_transfer_roundtrip\",\n  \"transfers_per_sample\": {TRANSFERS_PER_SAMPLE},\n  \"samples\": {SAMPLES},\n  \"default_request_us_median\": {bare_med:.3},\n  \"armed_request_us_median\": {armed_med:.3},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"budget_pct\": {BUDGET_PCT:.1},\n  \"pass\": {pass}\n}}\n"
-        );
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_overload.json");
-        std::fs::write(path, json).expect("write BENCH_overload.json");
-        println!("saved {path}");
-    }
+    .run(|| sample_request_us(NetConfig::default()), || sample_request_us(armed_config()));
 }

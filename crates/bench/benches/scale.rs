@@ -17,9 +17,9 @@
 //! the gate fails (what `just scale-matrix` passes); `--quick` drops the
 //! 100k size (and with it the gate) for fast local runs.
 
-use std::hint::black_box;
 use std::time::Instant;
 
+use gm_bench::{median, tick_us};
 use gm_crypto::Keypair;
 use gm_des::SimTime;
 use gm_tycoon::{Credits, HostId, HostSpec, Market, UserId};
@@ -80,23 +80,9 @@ fn build_market(hosts: u32) -> (Market, f64) {
     (market, t0.elapsed().as_secs_f64())
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 /// Median per-tick µs over `SAMPLES` timing windows of `ticks` ticks.
 fn sample_tick_us(market: &mut Market, now: &mut SimTime, ticks: u64) -> f64 {
-    let dt = gm_des::SimDuration::from_secs(10);
-    let mut samples = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let t0 = Instant::now();
-        for _ in 0..ticks {
-            black_box(market.tick(*now));
-            *now += dt;
-        }
-        samples.push(t0.elapsed().as_secs_f64() * 1e6 / ticks as f64);
-    }
+    let mut samples: Vec<f64> = (0..SAMPLES).map(|_| tick_us(market, now, ticks)).collect();
     median(&mut samples)
 }
 
@@ -104,11 +90,7 @@ fn run_size(hosts: u32, shards: usize) -> SizeResult {
     let (mut market, setup_secs) = build_market(hosts);
     let ticks = (HOST_TICKS_PER_SAMPLE / u64::from(hosts)).clamp(3, 400);
     let mut now = SimTime::ZERO;
-    let dt = gm_des::SimDuration::from_secs(10);
-    for _ in 0..3 {
-        black_box(market.tick(now));
-        now += dt;
-    }
+    tick_us(&mut market, &mut now, 3);
     let seq_tick_us = sample_tick_us(&mut market, &mut now, ticks);
     market.set_sharding(shards);
     let par_tick_us = sample_tick_us(&mut market, &mut now, ticks);
@@ -205,9 +187,7 @@ fn main() {
         let json = format!(
             "{{\n  \"bench\": \"market_scale\",\n  \"bids_per_host\": {bids},\n  \"samples\": {SAMPLES},\n  \"sizes\": [\n{sizes_json}\n  ],\n  \"gate\": {gate_json}\n}}\n"
         );
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
-        std::fs::write(path, json).expect("write BENCH_scale.json");
-        println!("saved {path}");
+        gm_bench::save_json("scale", &json);
     }
 
     if check {

@@ -5,15 +5,14 @@
 //! a bare market and once with a `gm_telemetry::Registry` attached (tick
 //! histogram, per-host spot gauges, bid/transfer counters). Reports the
 //! median per-tick time of each and the relative overhead, which the
-//! design budget caps at 5 %.
+//! design budget caps at 5 % (`gm_bench::Overhead`).
 //!
 //! `--save` (what `just bench-save` passes) writes the result to
 //! `BENCH_telemetry.json` at the repository root.
 
-use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
+use gm_bench::{tick_us, Overhead};
 use gm_crypto::Keypair;
 use gm_des::SimTime;
 use gm_telemetry::{Registry, WallClock};
@@ -21,9 +20,7 @@ use gm_tycoon::{Credits, HostId, HostSpec, Market, UserId};
 
 const HOSTS: u32 = 30;
 const USERS: u32 = 8;
-const TICKS_PER_SAMPLE: u32 = 200;
-const SAMPLES: usize = 15;
-const BUDGET_PCT: f64 = 5.0;
+const TICKS_PER_SAMPLE: u64 = 200;
 
 fn build_market(with_telemetry: bool) -> Market {
     let mut market = Market::new(b"telemetry-bench");
@@ -60,52 +57,23 @@ fn build_market(with_telemetry: bool) -> Market {
 fn sample_tick_us(with_telemetry: bool) -> f64 {
     let mut market = build_market(with_telemetry);
     let mut now = SimTime::ZERO;
-    let dt = gm_des::SimDuration::from_secs(10);
     // Warm caches and let the first allocations settle.
-    for _ in 0..20 {
-        black_box(market.tick(now));
-        now += dt;
-    }
-    let t0 = Instant::now();
-    for _ in 0..TICKS_PER_SAMPLE {
-        black_box(market.tick(now));
-        now += dt;
-    }
-    t0.elapsed().as_secs_f64() * 1e6 / f64::from(TICKS_PER_SAMPLE)
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
+    tick_us(&mut market, &mut now, 20);
+    tick_us(&mut market, &mut now, TICKS_PER_SAMPLE)
 }
 
 fn main() {
-    let save = std::env::args().any(|a| a == "--save");
-
-    // Interleave the two configurations so frequency drift and background
-    // noise hit both alike.
-    let mut bare = Vec::with_capacity(SAMPLES);
-    let mut instrumented = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        bare.push(sample_tick_us(false));
-        instrumented.push(sample_tick_us(true));
+    Overhead {
+        bench: "auction_tick",
+        file: "telemetry",
+        params: &[
+            ("hosts", HOSTS.into()),
+            ("users", USERS.into()),
+            ("ticks_per_sample", TICKS_PER_SAMPLE),
+        ],
+        what: "tick",
+        unit: "us",
+        sides: ["bare", "telemetry"],
     }
-    let bare_med = median(&mut bare);
-    let instr_med = median(&mut instrumented);
-    let overhead_pct = (instr_med - bare_med) / bare_med * 100.0;
-    let pass = overhead_pct < BUDGET_PCT;
-
-    println!(
-        "auction_tick_{HOSTS}hosts_{USERS}users        bare {bare_med:>9.2} µs   telemetry {instr_med:>9.2} µs   overhead {overhead_pct:>+6.2} %   budget <{BUDGET_PCT} %   {}",
-        if pass { "PASS" } else { "FAIL" }
-    );
-
-    if save {
-        let json = format!(
-            "{{\n  \"bench\": \"auction_tick\",\n  \"hosts\": {HOSTS},\n  \"users\": {USERS},\n  \"ticks_per_sample\": {TICKS_PER_SAMPLE},\n  \"samples\": {SAMPLES},\n  \"bare_tick_us_median\": {bare_med:.3},\n  \"telemetry_tick_us_median\": {instr_med:.3},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"budget_pct\": {BUDGET_PCT:.1},\n  \"pass\": {pass}\n}}\n"
-        );
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-        std::fs::write(path, json).expect("write BENCH_telemetry.json");
-        println!("saved {path}");
-    }
+    .run(|| sample_tick_us(false), || sample_tick_us(true));
 }

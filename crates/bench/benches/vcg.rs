@@ -136,9 +136,7 @@ fn main() {
             "{{\n  \"bench\": \"vcg\",\n  \"solve_budget_secs\": {SOLVE_BUDGET_SECS},\n  \"rows\": [\n{entries}\n  ],\n  \"vcg_full_pricing_ms\": {:.2},\n  \"welfare_vcg\": {vcg_w:.2},\n  \"welfare_tycoon\": {tycoon_w:.2},\n  \"welfare_gap\": {gap:.2},\n  \"pass\": {pass}\n}}\n",
             vcg_secs * 1e3
         );
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_vcg.json");
-        std::fs::write(path, json).expect("write BENCH_vcg.json");
-        println!("saved {path}");
+        gm_bench::save_json("vcg", &json);
     }
 
     if !pass {

@@ -46,7 +46,7 @@ pub mod report;
 pub mod scenario;
 
 pub use gm_core::{AllocationPolicy, PolicyDriver, PolicyError};
-pub use mc::{chaos_runner, chaos_scenario, ChaosConfig, ChaosMetrics};
+pub use mc::{chaos_runner, chaos_scenario, chaos_scenario_with, ChaosConfig, ChaosMetrics};
 pub use policy::{TycoonJobSetup, TycoonPolicy};
 pub use report::{group_rows, render_table, GroupRow};
 pub use scenario::{Scenario, ScenarioResult, UserReport, UserSetup};

@@ -17,6 +17,7 @@
 use gm_core::{jain_fairness, price_volatility, MonteCarlo};
 use gm_des::{FaultGenConfig, FaultPlan, SimDuration, SimTime};
 
+use crate::grid::AgentConfig;
 use crate::scenario::{Scenario, ScenarioResult};
 
 /// Knobs of one randomized chaos world. Everything is derived
@@ -262,11 +263,18 @@ impl ChaosMetrics {
 /// # Panics
 /// Panics (→ quarantine with this seed as the replay key) when the run
 /// errors out or violates a safety invariant: a [`crate::grid::GridError`],
-/// a recovery-bookkeeping violation, or a conservation residual at the
-/// machine-precision floor. Deadline misses and stalls are *metrics*, not
-/// panics — liveness degradation under chaos is data.
+/// a recovery-bookkeeping violation, or a conservation residual that is
+/// not exactly zero (every settlement is fixed-point). Deadline misses
+/// and stalls are *metrics*, not panics — liveness degradation under
+/// chaos is data.
 pub fn chaos_scenario(seed: u64, cfg: &ChaosConfig) -> ChaosMetrics {
-    let result = match cfg.scenario(seed).run() {
+    chaos_scenario_with(seed, cfg, AgentConfig::default())
+}
+
+/// [`chaos_scenario`] with the Tycoon agent overridden — e.g. the gray
+/// matrix's speculation-off control row. Same panics.
+pub fn chaos_scenario_with(seed: u64, cfg: &ChaosConfig, agent: AgentConfig) -> ChaosMetrics {
+    let result = match cfg.scenario(seed).agent(agent).run() {
         Ok(r) => r,
         Err(e) => panic!("grid error under chaos (seed {seed:#x}): {e}"),
     };
@@ -276,7 +284,7 @@ pub fn chaos_scenario(seed: u64, cfg: &ChaosConfig) -> ChaosMetrics {
     );
     let m = ChaosMetrics::of(&result, cfg.deadline_minutes);
     assert!(
-        m.conservation_residual < 1e-6,
+        m.conservation_residual == 0.0,
         "money not conserved (seed {seed:#x}): residual {}",
         m.conservation_residual
     );

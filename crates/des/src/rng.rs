@@ -113,6 +113,15 @@ impl Rng64 for SplitMix64 {
     }
 }
 
+/// Seeded back-off jitter: a factor uniform in `[1 − w/2, 1 + w/2)` for
+/// `w = jitter.min(1)`, hashed from `(salt, attempt)`. A pure function, so
+/// same-seed runs stay byte-identical while distinct salts (clients, jobs)
+/// de-synchronise their retries instead of thundering back together.
+pub fn jitter_factor(jitter: f64, salt: u64, attempt: u32) -> f64 {
+    let mut rng = SplitMix64::new(salt ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    1.0 + jitter.min(1.0) * (rng.next_f64() - 0.5)
+}
+
 /// PCG-XSH-RR 64/32 (O'Neill 2014). Small state, excellent quality.
 #[derive(Clone, Debug)]
 pub struct Pcg32 {

@@ -303,6 +303,8 @@ fn worker_loop(shared: Arc<Shared>) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::thread;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn executes_all_tasks() {
@@ -442,6 +444,13 @@ mod tests {
             });
         }
         wg.wait();
+        // The `Done` guard wakes the waiter while the panicking task is
+        // still unwinding, before the worker's `catch_unwind` counts it:
+        // give the count a bounded moment to land.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pool.tasks_panicked() == 0 && Instant::now() < deadline {
+            thread::yield_now();
+        }
         assert_eq!(pool.tasks_panicked(), 1);
         // Pool still alive and usable.
         assert_eq!(pool.par_map(vec![1, 2], |x| x * 2), vec![2, 4]);

@@ -1,88 +1,61 @@
-//! `mc` — the Monte-Carlo robustness CLI (DESIGN.md §13).
+//! `mc` — the Monte-Carlo robustness CLI (DESIGN.md §13, §16, §17).
 //!
 //! ```text
 //! mc chaos  [--seeds N] [--base-seed HEX] [--threads N] [--check]
+//! mc attack [--seeds N] [--base-seed HEX] [--threads N] [--check]
+//! mc gray   [--seeds N] [--base-seed HEX] [--threads N] [--check]
 //! mc report [--seeds N] [--base-seed HEX] [--threads N] [--paper-scale]
 //! ```
 //!
 //! `chaos` runs the per-policy random-fault sweep (Tycoon, the VCG
-//! optimization tier, and the four baselines, fanned out as one flat
-//! seed × policy batch) and prints Student-t confidence intervals plus
-//! every quarantined seed with its replay hint. `--check` turns it into
-//! a CI gate: exit 1 unless zero seeds were quarantined and both banked
-//! policies' conservation residuals are exactly 0. `report` re-runs the
-//! paper's figure experiments as seeded batches; `--paper-scale` (alias
-//! `--paper`) runs them at the paper's full §5 parameters instead of the
-//! quick CI sizes.
+//! optimization tier, and the four baselines); `attack` the
+//! *(policy × strategy)* adversarial matrix (tycoon defended and open
+//! against the six `gm-adversary` bidder strategies); `gray` the
+//! *(policy × gray scenario)* matrix (plus `tycoon_nospec`, the agent
+//! with health scoring and speculation off). Each prints Student-t
+//! results plus every quarantined seed with its replay hint. `--check`
+//! turns a matrix into its CI gate and exits 1 when the gate fails:
+//!
+//! * `chaos`: zero quarantined seeds, both banked policies' conservation
+//!   residuals exactly 0;
+//! * `attack`: zero quarantined runs, the honest cohort bit-identical
+//!   with defenses on and off, the guard reducing volatility and
+//!   honest-fairness degradation under at least two strategies;
+//! * `gray`: zero quarantined runs, money conserved exactly in every
+//!   banked cell, the gray-free column bit-identical armed vs off,
+//!   speculation cutting on-time misses on at least two scenarios.
+//!
+//! `report` re-runs the paper's figure experiments as seeded batches;
+//! `--paper-scale` (alias `--paper`) runs them at the paper's full §5
+//! parameters instead of the quick CI sizes. A bad command line exits 2.
 
-use gm_experiments::mc::{chaos, report, McArgs};
-use gm_experiments::Scale;
-
-fn parse_args() -> (String, McArgs, bool) {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mode = argv
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "chaos".to_owned());
-    let mut args = McArgs::default();
-    let mut check = false;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        let mut next_val = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .clone()
-        };
-        match a.as_str() {
-            "--seeds" => args.seeds = next_val("--seeds").parse().expect("--seeds: integer"),
-            "--base-seed" => {
-                let v = next_val("--base-seed");
-                let v = v.trim_start_matches("0x");
-                args.base_seed = u64::from_str_radix(v, 16).expect("--base-seed: hex");
-            }
-            "--threads" => {
-                args.threads = next_val("--threads").parse().expect("--threads: integer");
-            }
-            "--check" => check = true,
-            _ => {}
-        }
-    }
-    (mode, args, check)
-}
+use gm_experiments::matrix::{Gate, MatrixReport};
+use gm_experiments::mc::{self, Cli, Mode, USAGE};
+use gm_experiments::{ext_attack, ext_gray};
 
 fn main() {
-    let (mode, args, check) = parse_args();
-    match mode.as_str() {
-        "report" => {
-            let r = report(Scale::from_args(), args);
-            println!("{}", r.rendered);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let cli = Cli::parse(&argv).unwrap_or_else(|e| {
+        eprintln!("mc: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let (m, check): (MatrixReport, Gate) = match cli.mode {
+        Mode::Report => {
+            println!("{}", mc::report(cli.scale, cli.args).rendered);
+            return;
         }
-        "chaos" => {
-            let c = chaos(args);
-            println!("{}", c.rendered);
-            if check {
-                let quarantined = c.total_quarantined();
-                let residual = c.tycoon_conservation_max().unwrap_or(f64::NAN);
-                let vcg_residual = c.conservation_max("vcg").unwrap_or(f64::NAN);
-                if quarantined != 0 || residual != 0.0 || vcg_residual != 0.0 {
-                    eprintln!(
-                        "mc --check FAILED: {quarantined} quarantined seeds, \
-                         tycoon conservation residual max {residual}, \
-                         vcg conservation residual max {vcg_residual}"
-                    );
-                    std::process::exit(1);
-                }
-                println!(
-                    "mc --check OK: {} seeds x {} policies, 0 quarantined, conservation residual 0",
-                    args.seeds,
-                    c.policies.len()
-                );
+        Mode::Chaos => (mc::chaos(cli.args), mc::check_chaos),
+        Mode::Attack => (ext_attack::matrix(cli.args), ext_attack::check),
+        Mode::Gray => (ext_gray::matrix(cli.args), ext_gray::check),
+    };
+    println!("{}", m.rendered);
+    if cli.check {
+        match check(&m, &cli.args) {
+            Ok(line) => println!("{line}"),
+            Err(line) => {
+                eprintln!("{line}");
+                std::process::exit(1);
             }
-        }
-        other => {
-            eprintln!("unknown mode {other:?}; use `chaos` or `report`");
-            std::process::exit(2);
         }
     }
 }

@@ -20,19 +20,17 @@
 //! [`abs_sigma`]).
 
 use gm_adversary::{AdversaryInstruments, AttackContext, AttackKind};
-use gm_baselines::{FifoPolicy, GCommerceMarket, Placement, SharePolicy, WinnerTakesAllMarket};
 use gm_des::rng::Pcg32;
 use gm_des::{FaultPlan, SimDuration, SimTime};
-use gm_grid::{AgentConfig, JobManager, VmConfig};
-use gm_tycoon::{GuardConfig, HostSpec, Market};
-use gridmarket::sched::{
-    jain_fairness, seed_stream, AllocationPolicy, JobRequest, McBatch, McOutcome, McReport,
-    PolicyDriver, RunResult, ScenarioFailure,
-};
+use gm_tycoon::GuardConfig;
+use gridmarket::sched::{jain_fairness, JobRequest, RunResult};
 use gridmarket::telemetry::{ManualClock, Registry};
-use gridmarket::{chaos_runner, ChaosConfig, TycoonPolicy};
+use gridmarket::ChaosConfig;
 
-use crate::mc::{job_stream, McArgs};
+use crate::matrix::{Column, Layout, Matrix, MatrixReport, Rows};
+use crate::mc::{
+    baseline_policy, baseline_run, chaos_driver, job_stream, tycoon_policy, work_per_subjob, McArgs,
+};
 
 /// Domain-separation salt for the strategy RNG: the cohort's random
 /// draws must not correlate with the fault plan generated from the same
@@ -64,11 +62,6 @@ pub fn attack_cfg() -> ChaosConfig {
 /// salted stream — byte-identical for every policy that faces it.
 fn hostile_stream(kind: AttackKind, seed: u64, cfg: &ChaosConfig) -> Vec<JobRequest> {
     let plan = FaultPlan::generate(seed, cfg.fault_gen());
-    let workload = gm_bio::workload::BioWorkload {
-        subjobs: cfg.subjobs,
-        chunk_minutes: cfg.chunk_minutes,
-        deadline_minutes: cfg.deadline_minutes,
-    };
     // Unloaded honest batch makespan: each host runs its share of the
     // honest sub-jobs back to back at full speed. Strategies time their
     // strikes inside this window.
@@ -80,7 +73,7 @@ fn hostile_stream(kind: AttackKind, seed: u64, cfg: &ChaosConfig) -> Vec<JobRequ
         honest_funding: cfg.funding,
         honest_deadline_secs: cfg.deadline_minutes as f64 * 60.0,
         honest_makespan_secs: makespan,
-        work_per_subjob: workload.work_mhz_secs_per_subjob(),
+        work_per_subjob: work_per_subjob(cfg),
         subjobs: cfg.subjobs,
         horizon: SimTime::ZERO + SimDuration::from_hours(cfg.horizon_hours),
         arrivals: AttackContext::arrivals_from(&plan),
@@ -153,52 +146,28 @@ fn honest_rows(r: &RunResult, honest_jobs: u32, volatility: f64) -> Vec<(&'stati
 /// scored from the honest side. Also the only cell with live telemetry —
 /// the `adversary.*` cohort counters and the guard's own `market.guard.*`
 /// counters ride the same registry.
-fn tycoon_cell(
-    kind: AttackKind,
-    guard: GuardConfig,
-    seed: u64,
-    cfg: &ChaosConfig,
-) -> Vec<(&'static str, f64)> {
-    let hosts: Vec<HostSpec> =
-        gridmarket::scenario::jittered_hosts(seed, cfg.hosts, cfg.heterogeneity);
+fn tycoon_cell(kind: AttackKind, guard: GuardConfig, seed: u64, cfg: &ChaosConfig) -> Rows {
     let registry = Registry::new();
     let clock = ManualClock::new();
-    let mut market = Market::new(&seed.to_be_bytes());
-    market.set_interval_secs(10.0);
-    market.set_guard(guard);
-    market.attach_telemetry(&registry, std::sync::Arc::new(clock.clone()));
-    for h in &hosts {
-        market.add_host(h.clone());
-    }
-    let jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
-    let mut policy = TycoonPolicy::new(market, jm).with_clock(clock);
+    let mut driver = chaos_driver(seed, cfg).with_registry(&registry);
+    let mut policy = tycoon_policy(seed, driver.host_specs(), |market| {
+        market.set_guard(guard);
+        market.attach_telemetry(&registry, std::sync::Arc::new(clock.clone()));
+    })
+    .with_clock(clock);
 
     let mut jobs = job_stream(cfg);
     let cohort = hostile_stream(kind, seed, cfg);
     let pairs = if kind == AttackKind::ShillPair { cohort.len() / 3 } else { 0 };
     AdversaryInstruments::new(&registry).record_cohort(cohort.len(), pairs);
     jobs.extend(cohort);
-
-    let r = PolicyDriver::new(hosts, 10.0)
-        .horizon(SimTime::ZERO + SimDuration::from_hours(cfg.horizon_hours))
-        .faults(FaultPlan::generate(seed, cfg.fault_gen()))
-        .with_registry(&registry)
-        .run(&mut policy, &jobs)
-        .expect("valid attack job stream");
+    let r = driver.run(&mut policy, &jobs).expect("valid attack job stream");
 
     // Volatility over the *published* (breaker-damped) per-host price
     // trace — the signal external consumers actually see.
-    let mut vols: Vec<f64> = Vec::new();
-    for (_, series) in policy.market().price_trace().iter() {
-        if let Some(v) = abs_sigma(series.values()) {
-            vols.push(v);
-        }
-    }
-    let volatility = if vols.is_empty() {
-        0.0
-    } else {
-        vols.iter().sum::<f64>() / vols.len() as f64
-    };
+    let trace = policy.market().price_trace();
+    let vols: Vec<f64> = trace.iter().filter_map(|(_, series)| abs_sigma(series.values())).collect();
+    let volatility = if vols.is_empty() { 0.0 } else { vols.iter().sum::<f64>() / vols.len() as f64 };
     let audit = policy.market().audit_ledger();
     assert!(
         audit.ok(),
@@ -211,214 +180,105 @@ fn tycoon_cell(
     rows
 }
 
-/// One baseline cell: the identical honest + cohort stream through a
-/// guard-less policy tier.
-fn baseline_cell(
-    policy: &'static str,
-    kind: AttackKind,
-    seed: u64,
-    cfg: &ChaosConfig,
-) -> Vec<(&'static str, f64)> {
-    let mut boxed: Box<dyn AllocationPolicy + Send> = match policy {
-        "vcg" => Box::new(gm_optimal::VcgSlaPolicy::new(seed)),
-        "fifo" => Box::new(FifoPolicy::default()),
-        "share" => Box::new(SharePolicy::new(Placement::LeastLoaded)),
-        "gcommerce" => Box::new(GCommerceMarket::default().policy()),
-        "wta" => Box::new(WinnerTakesAllMarket::default().policy()),
-        other => unreachable!("unknown attack policy {other}"),
-    };
-    let hosts: Vec<HostSpec> =
-        gridmarket::scenario::jittered_hosts(seed, cfg.hosts, cfg.heterogeneity);
-    let mut jobs = job_stream(cfg);
-    jobs.extend(hostile_stream(kind, seed, cfg));
-    let r = PolicyDriver::new(hosts, 10.0)
-        .horizon(SimTime::ZERO + SimDuration::from_hours(cfg.horizon_hours))
-        .faults(FaultPlan::generate(seed, cfg.fault_gen()))
-        .run(boxed.as_mut(), &jobs)
-        .expect("valid attack job stream");
-    let prices: Vec<f64> = r.price_history.iter().map(|(_, p)| *p).collect();
-    let volatility = abs_sigma(&prices).unwrap_or(0.0);
-    honest_rows(&r, cfg.users, volatility)
-}
-
-/// One *(policy × strategy)* cell for one seed.
-fn attack_cell(
-    policy: &'static str,
-    kind: AttackKind,
-    seed: u64,
-    cfg: &ChaosConfig,
-) -> Vec<(&'static str, f64)> {
-    match policy {
-        "tycoon" => tycoon_cell(kind, GuardConfig::default(), seed, cfg),
-        "tycoon_open" => tycoon_cell(kind, GuardConfig::disabled(), seed, cfg),
-        other => baseline_cell(other, kind, seed, cfg),
-    }
-}
-
-/// One cell of the finished matrix: a Student-t report over the seeds.
-#[derive(Clone, Debug)]
-pub struct AttackCell {
-    /// Policy row (`tycoon`, `tycoon_open`, the baselines).
-    pub policy: &'static str,
-    /// Strategy column (see [`AttackKind`]).
-    pub strategy: &'static str,
-    /// Report over the completed seeds.
-    pub report: McReport,
-    /// Quarantined Monte-Carlo failures (seed, panic, replay hint).
-    pub failures: Vec<ScenarioFailure>,
-}
-
-/// The finished attack matrix.
-#[derive(Clone, Debug)]
-pub struct AttackMatrix {
-    /// All cells, policy-major in roster order.
-    pub cells: Vec<AttackCell>,
-    /// Rendered report.
-    pub rendered: String,
-}
-
-impl AttackMatrix {
-    /// Look up one cell.
-    pub fn cell(&self, policy: &str, strategy: &str) -> Option<&AttackCell> {
-        self.cells
-            .iter()
-            .find(|c| c.policy == policy && c.strategy == strategy)
-    }
-
-    /// A cell's mean for `metric`.
-    pub fn mean(&self, policy: &str, strategy: &str, metric: &str) -> Option<f64> {
-        self.cell(policy, strategy)
-            .and_then(|c| c.report.metric(metric))
-            .map(|s| s.mean)
-    }
-
-    /// Total quarantined Monte-Carlo runs (panics) across all cells.
-    pub fn total_quarantined(&self) -> usize {
-        self.cells.iter().map(|c| c.failures.len()).sum()
-    }
-
-    /// Attack strategies where the guard layer *measurably* helps: the
-    /// defended tycoon shows strictly lower published-price volatility
-    /// **and** strictly smaller honest-fairness degradation (relative to
-    /// each market's own honest baseline) than the open market.
-    pub fn defense_wins(&self) -> Vec<&'static str> {
-        let base_def = self.mean("tycoon", "honest", "fairness").unwrap_or(1.0);
-        let base_open = self.mean("tycoon_open", "honest", "fairness").unwrap_or(1.0);
-        AttackKind::ALL
-            .iter()
-            .filter(|k| **k != AttackKind::Honest)
-            .filter(|k| {
-                let s = k.name();
-                let (Some(vol_def), Some(vol_open)) = (
-                    self.mean("tycoon", s, "volatility"),
-                    self.mean("tycoon_open", s, "volatility"),
-                ) else {
-                    return false;
-                };
-                let (Some(fair_def), Some(fair_open)) = (
-                    self.mean("tycoon", s, "fairness"),
-                    self.mean("tycoon_open", s, "fairness"),
-                ) else {
-                    return false;
-                };
-                vol_def < vol_open && (base_def - fair_def) < (base_open - fair_open)
-            })
-            .map(|k| k.name())
-            .collect()
-    }
-}
-
-/// Run a sub-matrix: `policies × strategies`, all cells through one flat
-/// tagged Monte-Carlo fan-out, regrouped per cell afterwards.
-pub fn matrix_with(
-    args: McArgs,
-    policies: &[&'static str],
-    strategies: &[AttackKind],
-) -> AttackMatrix {
+/// One *(policy × strategy)* cell for one seed. A baseline runs the
+/// identical honest + cohort stream through a guard-less policy tier.
+fn attack_cell(policy: &'static str, strategy: &'static str, seed: u64) -> Rows {
+    let kind = *AttackKind::ALL
+        .iter()
+        .find(|k| k.name() == strategy)
+        .unwrap_or_else(|| unreachable!("unknown strategy {strategy}"));
     let cfg = attack_cfg();
-    let seeds = seed_stream(args.base_seed, args.seeds);
-    let mc = chaos_runner(args.threads).confidence(args.confidence);
-
-    let tags: Vec<(&'static str, AttackKind)> = policies
-        .iter()
-        .flat_map(|&p| strategies.iter().map(move |&k| (p, k)))
-        .collect();
-    let items: Vec<(u64, (&'static str, AttackKind))> = seeds
-        .iter()
-        .flat_map(|&s| tags.iter().map(move |&t| (s, t)))
-        .collect();
-    let batch = {
-        let cfg = cfg.clone();
-        mc.run_tagged(&items, move |seed, &(policy, kind)| {
-            attack_cell(policy, kind, seed, &cfg)
-        })
-    };
-
-    type CellRows = Vec<(&'static str, f64)>;
-    let n = tags.len();
-    let confidence = batch.confidence();
-    let mut grouped: Vec<Vec<McOutcome<CellRows>>> = (0..n).map(|_| Vec::new()).collect();
-    for o in batch.outcomes {
-        let cell = o.index % n;
-        let seed_index = o.index / n;
-        grouped[cell].push(McOutcome {
-            seed: o.seed,
-            index: seed_index,
-            result: o.result.map_err(|mut f| {
-                f.index = seed_index;
-                f
-            }),
-        });
-    }
-    // Regroup policy-major: cells of one policy stay adjacent in the
-    // report regardless of the fan-out interleaving.
-    let cells: Vec<AttackCell> = grouped
-        .into_iter()
-        .zip(tags)
-        .map(|(outcomes, (policy, kind))| {
-            let b = McBatch::from_outcomes(outcomes, confidence);
-            AttackCell {
-                policy,
-                strategy: kind.name(),
-                report: b.report(Clone::clone),
-                failures: b.failures().cloned().collect(),
-            }
-        })
-        .collect();
-
-    let mut rendered = format!(
-        "Adversarial attack matrix: {} seeds (base {:#x}), {} threads\n\
-         world: {} hosts, {} honest users x {} credits, aggression {}x, 2 cohort arrivals/run\n\
-         tycoon = default guard (DESIGN.md \u{a7}16), tycoon_open = defenses disabled\n\n",
-        args.seeds, args.base_seed, args.threads, cfg.hosts, cfg.users, cfg.funding, AGGRESSION
-    );
-    rendered.push_str(&format!(
-        "{:<14} {:<18} {:>9} {:>11} {:>9} {:>10} {:>9}\n",
-        "policy", "strategy", "fairness", "welfare", "miss", "volatility", "advnodes"
-    ));
-    for c in &cells {
-        let m = |name: &str| c.report.metric(name).map(|s| s.mean).unwrap_or(f64::NAN);
-        rendered.push_str(&format!(
-            "{:<14} {:<18} {:>9.3} {:>11.2} {:>9.3} {:>10.4} {:>9.3}\n",
-            c.policy,
-            c.strategy,
-            m("fairness"),
-            m("honest_welfare"),
-            m("honest_miss_rate"),
-            m("volatility"),
-            m("adversary_nodes"),
-        ));
-        for f in &c.failures {
-            rendered.push_str(&format!("  QUARANTINED {f}\n"));
+    match policy {
+        "tycoon" => tycoon_cell(kind, GuardConfig::default(), seed, &cfg),
+        "tycoon_open" => tycoon_cell(kind, GuardConfig::disabled(), seed, &cfg),
+        other => {
+            let cohort = hostile_stream(kind, seed, &cfg);
+            let r = baseline_run(baseline_policy(other, seed).as_mut(), seed, &cfg, cohort);
+            let prices: Vec<f64> = r.price_history.iter().map(|(_, p)| *p).collect();
+            honest_rows(&r, cfg.users, abs_sigma(&prices).unwrap_or(0.0))
         }
     }
-    AttackMatrix { cells, rendered }
+}
+
+/// The strategy columns, report order (the names of [`AttackKind::ALL`]).
+pub fn strategies() -> Vec<&'static str> {
+    AttackKind::ALL.iter().map(AttackKind::name).collect()
+}
+
+/// The honest-side table: the mean of each column per cell.
+const TABLE: [Column; 5] = [
+    Column::fixed("fairness", "fairness", 9, 3),
+    Column::fixed("welfare", "honest_welfare", 11, 2),
+    Column::fixed("miss", "honest_miss_rate", 9, 3),
+    Column::fixed("volatility", "volatility", 10, 4),
+    Column::fixed("advnodes", "adversary_nodes", 9, 3),
+];
+
+/// Run a sub-matrix: `policies × strategies` (strategy names, see
+/// [`strategies`]).
+pub fn matrix_with(args: McArgs, policies: &[&'static str], strategies: &[&'static str]) -> MatrixReport {
+    let cfg = attack_cfg();
+    Matrix {
+        title: "Adversarial attack matrix",
+        world: format!(
+            "world: {} hosts, {} honest users x {} credits, aggression {}x, 2 cohort arrivals/run\n\
+             tycoon = default guard (DESIGN.md \u{a7}16), tycoon_open = defenses disabled\n",
+            cfg.hosts, cfg.users, cfg.funding, AGGRESSION
+        ),
+        rows: policies,
+        cols: strategies,
+        cell: attack_cell,
+        layout: Layout::Table { head: "strategy", width: 18, metrics: &TABLE },
+    }
+    .run(args)
 }
 
 /// The full attack matrix: every policy row against every strategy
-/// column (`just attack-matrix`).
-pub fn matrix(args: McArgs) -> AttackMatrix {
-    matrix_with(args, &ATTACK_POLICIES, &AttackKind::ALL)
+/// column (`mc attack`, `just attack-matrix`).
+pub fn matrix(args: McArgs) -> MatrixReport {
+    matrix_with(args, &ATTACK_POLICIES, &strategies())
+}
+
+/// Attack strategies where the guard layer *measurably* helps: the
+/// defended tycoon shows strictly lower published-price volatility
+/// **and** strictly smaller honest-fairness degradation (relative to
+/// each market's own honest baseline) than the open market.
+pub fn defense_wins(m: &MatrixReport) -> Vec<&'static str> {
+    strategies()
+        .into_iter()
+        .filter(|&s| {
+            // Fairness lost against the same market's honest column.
+            let lost = |row| {
+                Some(m.mean(row, "honest", "fairness").unwrap_or(1.0) - m.mean(row, s, "fairness")?)
+            };
+            s != "honest"
+                && m.beats("tycoon", "tycoon_open", s, "volatility")
+                && matches!((lost("tycoon"), lost("tycoon_open")), (Some(d), Some(o)) if d < o)
+        })
+        .collect()
+}
+
+/// The attack matrix's `--check` gate: zero quarantined runs, the honest
+/// cohort scoring bit-identically with defenses on and off (every
+/// metric's mean and max — the false-positive gate), and the guard
+/// winning under at least two attack strategies. `Ok` carries the
+/// success line, `Err` the failure line.
+pub fn check(m: &MatrixReport, args: &McArgs) -> Result<String, String> {
+    let quarantined = m.total_quarantined();
+    let wins = defense_wins(m);
+    let honest_gate = m.rows_identical("tycoon", "tycoon_open", "honest");
+    if quarantined != 0 || wins.len() < 2 || !honest_gate {
+        return Err(format!(
+            "attack --check FAILED: {quarantined} quarantined runs, \
+             defense wins {wins:?} (need >= 2), honest-cohort gate {honest_gate}"
+        ));
+    }
+    Ok(format!(
+        "attack --check OK: {} seeds x {} cells, 0 quarantined, \
+         honest cohort bit-identical with defenses on/off, defense wins: {wins:?}",
+        args.seeds,
+        m.cells.len()
+    ))
 }
 
 #[cfg(test)]
@@ -426,27 +286,20 @@ mod tests {
     use super::*;
 
     fn tiny() -> McArgs {
-        McArgs {
-            seeds: 3,
-            base_seed: 0xA77AC,
-            threads: 4,
-            confidence: 0.95,
-        }
+        McArgs { seeds: 3, base_seed: 0xA77AC, threads: 4, ..McArgs::default() }
     }
 
     /// The tycoon-only duel behind the acceptance criterion, small
     /// enough for the test suite.
-    fn duel(strategies: &[AttackKind]) -> AttackMatrix {
-        let mut with_honest = vec![AttackKind::Honest];
-        with_honest.extend_from_slice(strategies);
-        matrix_with(tiny(), &["tycoon", "tycoon_open"], &with_honest)
+    fn duel(strategies: &[&'static str]) -> MatrixReport {
+        matrix_with(tiny(), &["tycoon", "tycoon_open"], &[&["honest"], strategies].concat())
     }
 
     #[test]
     fn defenses_reduce_volatility_and_fairness_degradation_under_attack() {
-        let m = duel(&[AttackKind::BudgetHoard, AttackKind::ShillPair]);
+        let m = duel(&["budget_hoard", "shill_pair"]);
         assert_eq!(m.total_quarantined(), 0, "{}", m.rendered);
-        let wins = m.defense_wins();
+        let wins = defense_wins(&m);
         assert!(
             wins.contains(&"budget_hoard") && wins.contains(&"shill_pair"),
             "defenses must win on both attack strategies, got {wins:?}\n{}",
@@ -493,31 +346,16 @@ mod tests {
         // market's bit for bit.
         let m = duel(&[]);
         assert_eq!(m.total_quarantined(), 0, "{}", m.rendered);
-        let def = m.cell("tycoon", "honest").expect("defended honest cell");
-        let open = m.cell("tycoon_open", "honest").expect("open honest cell");
-        for name in [
-            "fairness",
-            "honest_welfare",
-            "honest_miss_rate",
-            "adversary_nodes",
-            "volatility",
-            "revenue",
-        ] {
-            let d = def.report.metric(name).expect(name);
-            let o = open.report.metric(name).expect(name);
-            assert_eq!(d.mean.to_bits(), o.mean.to_bits(), "metric {name} drifted");
-            assert_eq!(d.max.to_bits(), o.max.to_bits(), "metric {name} drifted");
-        }
+        assert!(m.rows_identical("tycoon", "tycoon_open", "honest"), "{}", m.rendered);
         assert_eq!(m.mean("tycoon", "honest", "quarantined"), Some(0.0));
     }
 
     #[test]
     fn matrix_is_deterministic_across_thread_counts() {
-        let strategies = [AttackKind::Honest, AttackKind::ZeroIntelligence];
+        let strategies = ["honest", "zero_intelligence"];
         let a = matrix_with(McArgs { threads: 1, ..tiny() }, &["tycoon", "fifo"], &strategies);
         let b = matrix_with(McArgs { threads: 4, ..tiny() }, &["tycoon", "fifo"], &strategies);
-        let strip = |s: &str| s.split_once('\n').map(|(_, rest)| rest.to_owned()).unwrap_or_default();
-        assert_eq!(strip(&a.rendered), strip(&b.rendered));
+        assert_eq!(a.body(), b.body());
     }
 
     #[test]
@@ -529,8 +367,9 @@ mod tests {
         assert_eq!(m.total_quarantined(), 0, "{}", m.rendered);
         assert_eq!(m.cells.len(), ATTACK_POLICIES.len() * AttackKind::ALL.len());
         for c in &m.cells {
-            assert_eq!(c.report.completed, 1, "cell {}/{}", c.policy, c.strategy);
+            assert_eq!(c.report.completed, 1, "cell {}/{}", c.row, c.col);
             assert!(c.report.metric("fairness").is_some());
         }
+        m.assert_golden("attack");
     }
 }

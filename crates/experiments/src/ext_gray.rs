@@ -10,7 +10,7 @@
 //! health scoring and speculative re-dispatch switched off — so the
 //! matrix isolates exactly what the gray-resilience layer buys.
 //!
-//! The CI gate (`gray --check`, `just gray-matrix`) demands: zero
+//! The CI gate ([`check`]: `mc gray --check`, `just gray-matrix`) demands: zero
 //! quarantined runs, money conserved to an exactly-zero residual in
 //! every banked cell (twin cancellation refunds escrow exactly once,
 //! bank outages included), the `none` column bit-identical between
@@ -20,9 +20,9 @@
 
 use gm_grid::{AgentConfig, SpeculationConfig};
 use gm_tycoon::HealthConfig;
-use gridmarket::sched::{seed_stream, McBatch, McOutcome, McReport, ScenarioFailure};
-use gridmarket::{chaos_runner, ChaosConfig, ChaosMetrics};
+use gridmarket::{chaos_scenario_with, ChaosConfig};
 
+use crate::matrix::{Column, Layout, Matrix, MatrixReport, Rows};
 use crate::mc::{chaos_cell, McArgs};
 
 /// The policy roster of the matrix, report order. `tycoon` runs the
@@ -33,23 +33,6 @@ pub const GRAY_POLICIES: [&str; 7] =
 
 /// The gray-scenario columns, report order. `none` is the control.
 pub const GRAY_SCENARIOS: [&str; 4] = ["none", "slowdown", "stall", "flapping"];
-
-/// The metric columns every Tycoon-family cell carries
-/// ([`ChaosMetrics::rows`]); the `none`-column parity gate compares all
-/// of them bit for bit.
-const TYCOON_METRICS: [&str; 11] = [
-    "conservation_residual",
-    "fairness",
-    "volatility",
-    "deadline_miss_rate",
-    "ontime_miss_rate",
-    "redispatched",
-    "stalled_jobs",
-    "faults_injected",
-    "makespan_hours",
-    "welfare",
-    "revenue",
-];
 
 /// The chaos world of one gray column. The shared base keeps the bank
 /// chaos (one outage + one journaled restart per run — the conservation
@@ -111,233 +94,96 @@ pub fn nospec_agent() -> AgentConfig {
     }
 }
 
-/// Run one Tycoon scenario under `agent` and score it — the
-/// [`gridmarket::chaos_scenario`] contract with an agent override.
-///
-/// # Panics
-/// Panics (→ quarantine) on a grid error, a recovery-invariant
-/// violation, or a conservation residual that is not *exactly* zero:
-/// the gray matrix holds twin-escrow refunds to the same fixed-point
-/// exactness as every other settlement path.
-fn tycoon_gray_cell(seed: u64, cfg: &ChaosConfig, agent: AgentConfig) -> Vec<(&'static str, f64)> {
-    let result = match cfg.scenario(seed).agent(agent).run() {
-        Ok(r) => r,
-        Err(e) => panic!("grid error under gray chaos (seed {seed:#x}): {e}"),
-    };
-    assert!(
-        result.recovery_invariant_ok,
-        "recovery invariant violated (seed {seed:#x}): a sub-job was both completed and re-dispatched"
-    );
-    let m = ChaosMetrics::of(&result, cfg.deadline_minutes);
-    assert!(
-        m.conservation_residual == 0.0,
-        "money not conserved under gray chaos (seed {seed:#x}): residual {}",
-        m.conservation_residual
-    );
-    m.rows()
-}
-
-/// One (seed × policy × scenario) cell: the named metric row.
-fn gray_cell(policy: &'static str, scenario: &'static str, seed: u64) -> Vec<(&'static str, f64)> {
+/// One (seed × policy × scenario) cell: the named metric row. The
+/// Tycoon rows panic (→ quarantine) on a conservation residual that is
+/// not *exactly* zero ([`gridmarket::chaos_scenario`]): the gray matrix
+/// holds twin-escrow refunds to the same fixed-point exactness as every
+/// other settlement path.
+fn gray_cell(policy: &'static str, scenario: &'static str, seed: u64) -> Rows {
     let cfg = gray_cfg(scenario);
     match policy {
-        "tycoon" => tycoon_gray_cell(seed, &cfg, AgentConfig::default()),
-        "tycoon_nospec" => tycoon_gray_cell(seed, &cfg, nospec_agent()),
+        "tycoon_nospec" => chaos_scenario_with(seed, &cfg, nospec_agent()).rows(),
         other => chaos_cell(other, seed, &cfg),
     }
 }
 
-/// One cell of the finished matrix: a Student-t report over the seeds.
-#[derive(Clone, Debug)]
-pub struct GrayCell {
-    /// Policy row (see [`GRAY_POLICIES`]).
-    pub policy: &'static str,
-    /// Gray-scenario column (see [`GRAY_SCENARIOS`]).
-    pub scenario: &'static str,
-    /// Report over the completed seeds.
-    pub report: McReport,
-    /// Quarantined Monte-Carlo failures (seed, panic, replay hint).
-    pub failures: Vec<ScenarioFailure>,
-}
+/// The table: the mean of each column per cell.
+const TABLE: [Column; 6] = [
+    Column::fixed("miss", "deadline_miss_rate", 7, 3),
+    Column::fixed("ontime", "ontime_miss_rate", 8, 3),
+    Column::fixed("welfare", "welfare", 9, 2),
+    Column::fixed("makespan", "makespan_hours", 9, 3),
+    Column::fixed("redisp", "redispatched", 10, 2),
+    Column::exp("residual", "conservation_residual", 9, 2),
+];
 
-/// The finished gray matrix.
-#[derive(Clone, Debug)]
-pub struct GrayMatrix {
-    /// All cells, policy-major in roster order.
-    pub cells: Vec<GrayCell>,
-    /// Rendered report.
-    pub rendered: String,
-}
-
-impl GrayMatrix {
-    /// Look up one cell.
-    pub fn cell(&self, policy: &str, scenario: &str) -> Option<&GrayCell> {
-        self.cells
-            .iter()
-            .find(|c| c.policy == policy && c.scenario == scenario)
-    }
-
-    /// A cell's mean for `metric`.
-    pub fn mean(&self, policy: &str, scenario: &str, metric: &str) -> Option<f64> {
-        self.cell(policy, scenario)
-            .and_then(|c| c.report.metric(metric))
-            .map(|s| s.mean)
-    }
-
-    /// Total quarantined Monte-Carlo runs (panics) across all cells.
-    pub fn total_quarantined(&self) -> usize {
-        self.cells.iter().map(|c| c.failures.len()).sum()
-    }
-
-    /// Gray scenarios where speculation *measurably* helps: the armed
-    /// agent's mean on-time miss rate is strictly below the
-    /// speculation-off agent's on the same seeds.
-    pub fn speculation_wins(&self) -> Vec<&'static str> {
-        GRAY_SCENARIOS
-            .iter()
-            .filter(|s| **s != "none")
-            .filter(|s| {
-                match (
-                    self.mean("tycoon", s, "ontime_miss_rate"),
-                    self.mean("tycoon_nospec", s, "ontime_miss_rate"),
-                ) {
-                    (Some(armed), Some(off)) => armed < off,
-                    _ => false,
-                }
-            })
-            .copied()
-            .collect()
-    }
-
-    /// False-positive gate: on the gray-free control column, the armed
-    /// agent and the speculation-off agent must score bit-identically —
-    /// arming the subsystem may not perturb runs without gray faults.
-    pub fn none_parity_ok(&self) -> bool {
-        let (Some(armed), Some(off)) = (
-            self.cell("tycoon", "none"),
-            self.cell("tycoon_nospec", "none"),
-        ) else {
-            return false;
-        };
-        TYCOON_METRICS.iter().all(|name| {
-            match (armed.report.metric(name), off.report.metric(name)) {
-                (Some(a), Some(b)) => {
-                    a.mean.to_bits() == b.mean.to_bits() && a.max.to_bits() == b.max.to_bits()
-                }
-                _ => false,
-            }
-        })
-    }
-
-    /// Conservation gate: every banked cell (the Tycoon family and the
-    /// VCG tier) holds `|minted − money|` to an exactly-zero maximum
-    /// across all seeds — twin cancellation refunds escrow exactly once,
-    /// bank outages and journaled restarts included.
-    pub fn conservation_ok(&self) -> bool {
-        self.cells
-            .iter()
-            .filter(|c| matches!(c.policy, "tycoon" | "tycoon_nospec" | "vcg"))
-            .all(|c| {
-                c.report
-                    .metric("conservation_residual")
-                    .is_some_and(|s| s.max == 0.0)
-            })
-    }
-}
-
-/// Run a sub-matrix: `policies × scenarios`, all cells through one flat
-/// tagged Monte-Carlo fan-out, regrouped per cell afterwards.
-pub fn matrix_with(
-    args: McArgs,
-    policies: &[&'static str],
-    scenarios: &[&'static str],
-) -> GrayMatrix {
-    let seeds = seed_stream(args.base_seed, args.seeds);
-    let mc = chaos_runner(args.threads).confidence(args.confidence);
-
-    let tags: Vec<(&'static str, &'static str)> = policies
-        .iter()
-        .flat_map(|&p| scenarios.iter().map(move |&s| (p, s)))
-        .collect();
-    let items: Vec<(u64, (&'static str, &'static str))> = seeds
-        .iter()
-        .flat_map(|&s| tags.iter().map(move |&t| (s, t)))
-        .collect();
-    let batch = mc.run_tagged(&items, move |seed, &(policy, scenario)| {
-        gray_cell(policy, scenario, seed)
-    });
-
-    type CellRows = Vec<(&'static str, f64)>;
-    let n = tags.len();
-    let confidence = batch.confidence();
-    let mut grouped: Vec<Vec<McOutcome<CellRows>>> = (0..n).map(|_| Vec::new()).collect();
-    for o in batch.outcomes {
-        let cell = o.index % n;
-        let seed_index = o.index / n;
-        grouped[cell].push(McOutcome {
-            seed: o.seed,
-            index: seed_index,
-            result: o.result.map_err(|mut f| {
-                f.index = seed_index;
-                f
-            }),
-        });
-    }
-    let cells: Vec<GrayCell> = grouped
-        .into_iter()
-        .zip(tags)
-        .map(|(outcomes, (policy, scenario))| {
-            let b = McBatch::from_outcomes(outcomes, confidence);
-            GrayCell {
-                policy,
-                scenario,
-                report: b.report(Clone::clone),
-                failures: b.failures().cloned().collect(),
-            }
-        })
-        .collect();
-
+/// Run a sub-matrix: `policies × scenarios`.
+pub fn matrix_with(args: McArgs, policies: &[&'static str], scenarios: &[&'static str]) -> MatrixReport {
     let base = gray_cfg("none");
-    let mut rendered = format!(
-        "Gray-failure matrix: {} seeds (base {:#x}), {} threads\n\
-         world: {} hosts, {} users x {} credits, {}-min deadline, bank chaos on\n\
-         tycoon = health + speculation armed (DESIGN.md \u{a7}17), tycoon_nospec = layer off\n\n",
-        args.seeds,
-        args.base_seed,
-        args.threads,
-        base.hosts,
-        base.users,
-        base.funding,
-        base.deadline_minutes
-    );
-    rendered.push_str(&format!(
-        "{:<14} {:<10} {:>7} {:>8} {:>9} {:>9} {:>10} {:>9}\n",
-        "policy", "scenario", "miss", "ontime", "welfare", "makespan", "redisp", "residual"
-    ));
-    for c in &cells {
-        let m = |name: &str| c.report.metric(name).map(|s| s.mean).unwrap_or(f64::NAN);
-        rendered.push_str(&format!(
-            "{:<14} {:<10} {:>7.3} {:>8.3} {:>9.2} {:>9.3} {:>10.2} {:>9.2e}\n",
-            c.policy,
-            c.scenario,
-            m("deadline_miss_rate"),
-            m("ontime_miss_rate"),
-            m("welfare"),
-            m("makespan_hours"),
-            m("redispatched"),
-            m("conservation_residual"),
-        ));
-        for f in &c.failures {
-            rendered.push_str(&format!("  QUARANTINED {f}\n"));
-        }
+    Matrix {
+        title: "Gray-failure matrix",
+        world: format!(
+            "world: {} hosts, {} users x {} credits, {}-min deadline, bank chaos on\n\
+             tycoon = health + speculation armed (DESIGN.md \u{a7}17), tycoon_nospec = layer off\n",
+            base.hosts, base.users, base.funding, base.deadline_minutes
+        ),
+        rows: policies,
+        cols: scenarios,
+        cell: gray_cell,
+        layout: Layout::Table { head: "scenario", width: 10, metrics: &TABLE },
     }
-    GrayMatrix { cells, rendered }
+    .run(args)
 }
 
 /// The full gray matrix: every policy row against every gray-scenario
-/// column (`just gray-matrix`).
-pub fn matrix(args: McArgs) -> GrayMatrix {
+/// column (`mc gray`, `just gray-matrix`).
+pub fn matrix(args: McArgs) -> MatrixReport {
     matrix_with(args, &GRAY_POLICIES, &GRAY_SCENARIOS)
+}
+
+/// Gray scenarios where speculation *measurably* helps: the armed
+/// agent's mean on-time miss rate is strictly below the speculation-off
+/// agent's on the same seeds.
+pub fn speculation_wins(m: &MatrixReport) -> Vec<&'static str> {
+    GRAY_SCENARIOS
+        .into_iter()
+        .filter(|&s| s != "none" && m.beats("tycoon", "tycoon_nospec", s, "ontime_miss_rate"))
+        .collect()
+}
+
+/// Conservation gate: every banked cell (the Tycoon family and the VCG
+/// tier) holds `|minted − money|` to an exactly-zero maximum across all
+/// seeds — twin cancellation refunds escrow exactly once, bank outages
+/// and journaled restarts included.
+pub fn conservation_ok(m: &MatrixReport) -> bool {
+    m.zero_max(&["tycoon", "tycoon_nospec", "vcg"], "conservation_residual")
+}
+
+/// The gray matrix's `--check` gate: zero quarantined runs, money
+/// conserved exactly in every banked cell, the gray-free control column
+/// bit-identical between the armed and the speculation-off agent
+/// (arming the subsystem must not perturb gray-free runs), and
+/// speculation winning on at least two gray scenarios. `Ok` carries the
+/// success line, `Err` the failure line.
+pub fn check(m: &MatrixReport, args: &McArgs) -> Result<String, String> {
+    let quarantined = m.total_quarantined();
+    let wins = speculation_wins(m);
+    let parity = m.rows_identical("tycoon", "tycoon_nospec", "none");
+    let conserved = conservation_ok(m);
+    if quarantined != 0 || wins.len() < 2 || !parity || !conserved {
+        return Err(format!(
+            "gray --check FAILED: {quarantined} quarantined runs, \
+             speculation wins {wins:?} (need >= 2), none-column parity \
+             {parity}, conservation {conserved}"
+        ));
+    }
+    Ok(format!(
+        "gray --check OK: {} seeds x {} cells, 0 quarantined, money \
+         conserved exactly, gray-free column bit-identical armed vs \
+         off, speculation wins: {wins:?}",
+        args.seeds,
+        m.cells.len()
+    ))
 }
 
 #[cfg(test)]
@@ -345,17 +191,12 @@ mod tests {
     use super::*;
 
     fn tiny() -> McArgs {
-        McArgs {
-            seeds: 4,
-            base_seed: 0x6EA7,
-            threads: 4,
-            confidence: 0.95,
-        }
+        McArgs { seeds: 4, base_seed: 0x6EA7, threads: 4, ..McArgs::default() }
     }
 
     /// The armed-vs-off duel behind the acceptance criterion, small
     /// enough for the test suite.
-    fn duel(scenarios: &[&'static str]) -> GrayMatrix {
+    fn duel(scenarios: &[&'static str]) -> MatrixReport {
         matrix_with(tiny(), &["tycoon", "tycoon_nospec"], scenarios)
     }
 
@@ -363,8 +204,8 @@ mod tests {
     fn speculation_cuts_ontime_misses_under_gray_faults() {
         let m = duel(&GRAY_SCENARIOS);
         assert_eq!(m.total_quarantined(), 0, "{}", m.rendered);
-        assert!(m.conservation_ok(), "{}", m.rendered);
-        let wins = m.speculation_wins();
+        assert!(conservation_ok(&m), "{}", m.rendered);
+        let wins = speculation_wins(&m);
         assert!(
             wins.len() >= 2,
             "speculation must strictly cut the on-time miss rate on >= 2 \
@@ -378,7 +219,7 @@ mod tests {
         let m = duel(&["none"]);
         assert_eq!(m.total_quarantined(), 0, "{}", m.rendered);
         assert!(
-            m.none_parity_ok(),
+            m.rows_identical("tycoon", "tycoon_nospec", "none"),
             "arming health + speculation must not perturb gray-free runs\n{}",
             m.rendered
         );
@@ -389,8 +230,7 @@ mod tests {
         let scenarios = ["none", "slowdown"];
         let a = matrix_with(McArgs { threads: 1, ..tiny() }, &["tycoon", "fifo"], &scenarios);
         let b = matrix_with(McArgs { threads: 4, ..tiny() }, &["tycoon", "fifo"], &scenarios);
-        let strip = |s: &str| s.split_once('\n').map(|(_, rest)| rest.to_owned()).unwrap_or_default();
-        assert_eq!(strip(&a.rendered), strip(&b.rendered));
+        assert_eq!(a.body(), b.body());
     }
 
     #[test]
@@ -401,10 +241,11 @@ mod tests {
         let m = matrix(args);
         assert_eq!(m.total_quarantined(), 0, "{}", m.rendered);
         assert_eq!(m.cells.len(), GRAY_POLICIES.len() * GRAY_SCENARIOS.len());
-        assert!(m.conservation_ok(), "{}", m.rendered);
+        assert!(conservation_ok(&m), "{}", m.rendered);
         for c in &m.cells {
-            assert_eq!(c.report.completed, 1, "cell {}/{}", c.policy, c.scenario);
+            assert_eq!(c.report.completed, 1, "cell {}/{}", c.row, c.col);
             assert!(c.report.metric("deadline_miss_rate").is_some());
         }
+        m.assert_golden("gray");
     }
 }

@@ -22,13 +22,10 @@
 //!   prices its front segment against everyone else's marginal value
 //!   and delivers exactly the part that pays.
 
-use gm_baselines::{FifoPolicy, GCommerceMarket, Placement, SharePolicy, WinnerTakesAllMarket};
 use gm_des::{SimDuration, SimTime};
-use gm_grid::{AgentConfig, JobManager, VmConfig};
 use gm_optimal::{SlaCurve, VcgSlaPolicy};
-use gm_tycoon::{HostSpec, Market, UserId};
+use gm_tycoon::{HostSpec, UserId};
 use gridmarket::sched::{jain_fairness, AllocationPolicy, JobRequest, PolicyDriver, RunResult};
-use gridmarket::TycoonPolicy;
 
 use crate::Scale;
 
@@ -142,20 +139,10 @@ pub fn run_seeded(scale: Scale, seed: u64) -> VcgComparison {
         let mut vcg = VcgSlaPolicy::new(seed).with_curve(SWEEP_JOB, sweep_curve(&jobs));
         rows.push(score("vcg", &drive(&mut vcg)));
     }
-    {
-        let mut market = Market::new(&seed.to_be_bytes());
-        market.set_interval_secs(10.0);
-        for h in &hosts {
-            market.add_host(h.clone());
-        }
-        let jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
-        let mut ty = TycoonPolicy::new(market, jm);
-        rows.push(score("tycoon", &drive(&mut ty)));
+    rows.push(score("tycoon", &drive(&mut crate::mc::tycoon_policy(seed, &hosts, |_| {}))));
+    for name in ["fifo", "share", "gcommerce", "wta"] {
+        rows.push(score(name, &drive(crate::mc::baseline_policy(name, seed).as_mut())));
     }
-    rows.push(score("fifo", &drive(&mut FifoPolicy::default())));
-    rows.push(score("share", &drive(&mut SharePolicy::new(Placement::LeastLoaded))));
-    rows.push(score("gcommerce", &drive(&mut GCommerceMarket::default().policy())));
-    rows.push(score("wta", &drive(&mut WinnerTakesAllMarket::default().policy())));
 
     let mut rendered = String::from(
         "Extension: optimization tier (VCG welfare LP) vs market and queue tiers\n\

@@ -12,10 +12,9 @@
 
 use gm_baselines::{GCommerceMarket, JobRequest, WinnerTakesAllMarket};
 use gm_des::SimTime;
-use gm_grid::{AgentConfig, JobManager, VmConfig};
 use gm_numeric::stats::Moments;
-use gm_tycoon::{HostSpec, Market, UserId};
-use gridmarket::{PolicyDriver, TycoonPolicy};
+use gm_tycoon::{HostSpec, UserId};
+use gridmarket::PolicyDriver;
 
 use crate::Scale;
 
@@ -95,13 +94,7 @@ pub fn run_seeded(scale: Scale, seed: u64) -> Volatility {
     let horizon = SimTime::from_secs((hours * 3600.0) as u64);
 
     // (a) Tycoon spot prices (host 0) through the shared driver.
-    let mut market = Market::new(&seed.to_be_bytes());
-    market.set_interval_secs(10.0);
-    for h in &hosts {
-        market.add_host(h.clone());
-    }
-    let jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
-    let mut ty = TycoonPolicy::new(market, jm);
+    let mut ty = crate::mc::tycoon_policy(seed, &hosts, |_| {});
     PolicyDriver::new(hosts.clone(), 10.0)
         .horizon(horizon)
         .run(&mut ty, &jobs)

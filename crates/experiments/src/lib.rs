@@ -24,7 +24,10 @@
 //!
 //! [`mc`] runs all of the above as Monte-Carlo populations: the
 //! per-policy chaos sweep behind `just mc-chaos` and the seeded figure
-//! report behind `just mc-report` (DESIGN.md §13). Every figure module
+//! report behind `just mc-report` (DESIGN.md §13). The chaos sweep, the
+//! attack matrix ([`ext_attack`], DESIGN.md §16) and the gray matrix
+//! ([`ext_gray`], §17) are each one [`matrix::Matrix`] declaration,
+//! run and gated by the `mc` binary. Every figure module
 //! exposes a `run_seeded(scale, seed)` variant for this; the plain
 //! `run(scale)` entry points delegate to it with the historical seed, so
 //! single-seed outputs are unchanged.
@@ -39,6 +42,7 @@ pub mod ext_scaling;
 pub mod ext_sweep;
 pub mod ext_vcg;
 pub mod ext_volatility;
+pub mod matrix;
 pub mod mc;
 pub mod fig3;
 pub mod fig4;
@@ -60,9 +64,9 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from a CLI argument (`--paper` or its `--paper-scale` alias
-    /// selects full scale — the latter is what `just mc-report` forwards
-    /// for the fig3–fig7 Monte-Carlo batches).
+    /// Parse from a CLI argument of the single-experiment binaries
+    /// (`--paper` or its `--paper-scale` alias selects full scale; the
+    /// `mc` binary parses the same two flags with [`mc::Cli`]).
     pub fn from_args() -> Scale {
         if std::env::args().any(|a| a == "--paper" || a == "--paper-scale") {
             Scale::Paper

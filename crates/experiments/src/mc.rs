@@ -7,27 +7,26 @@
 //!   runs the *same* job stream through every allocation policy (Tycoon
 //!   market, the VCG optimization tier and the four baselines) via the
 //!   shared `PolicyDriver`, then reports per-policy Student-t confidence
-//!   intervals plus the quarantined failing seeds with replay hints. The
-//!   whole sweep is one flat *(seed × policy)* fan-out over the worker
-//!   pool ([`MonteCarlo::run_tagged`](gridmarket::sched::MonteCarlo)) —
-//!   a slow policy on one seed no longer serializes the other five —
-//!   regrouped per policy afterwards, byte-identical at any thread
-//!   count.
+//!   intervals plus the quarantined failing seeds with replay hints. It
+//!   is a one-column [`Matrix`]; the attack and gray matrices reuse its
+//!   world ([`chaos_driver`]) and policy roster ([`chaos_cell`]).
 //! * [`report`] — `just mc-report`: re-expresses the paper's figure
 //!   experiments (Fig. 3–7, the funding sweep, the volatility
 //!   comparison) as seeded Monte-Carlo batches, so each headline scalar
 //!   ships with an interval instead of a single-seed point estimate.
+//!
+//! [`Cli`] is the one command-line parser of the `mc` binary, shared by
+//! every mode.
 
 use gm_baselines::{FifoPolicy, GCommerceMarket, Placement, SharePolicy, WinnerTakesAllMarket};
 use gm_bio::workload::BioWorkload;
 use gm_des::{FaultPlan, SimDuration, SimTime};
-use gm_tycoon::{HostSpec, UserId};
-use gridmarket::sched::{
-    seed_stream, AllocationPolicy, JobRequest, McBatch, McOutcome, McReport, PolicyDriver,
-    RunResult, ScenarioFailure,
-};
-use gridmarket::{chaos_runner, chaos_scenario, ChaosConfig};
+use gm_grid::{AgentConfig, JobManager, VmConfig};
+use gm_tycoon::{HostSpec, Market, UserId};
+use gridmarket::sched::{seed_stream, AllocationPolicy, JobRequest, McReport, PolicyDriver, RunResult};
+use gridmarket::{chaos_runner, chaos_scenario, ChaosConfig, TycoonPolicy};
 
+use crate::matrix::{Layout, Matrix, MatrixReport, Rows};
 use crate::Scale;
 
 /// Parameters of one Monte-Carlo sweep.
@@ -54,63 +53,99 @@ impl Default for McArgs {
     }
 }
 
-/// One policy's slice of the chaos sweep.
-#[derive(Clone, Debug)]
-pub struct PolicyChaos {
-    /// Policy name (driver-registered).
-    pub policy: &'static str,
-    /// Student-t report over the completed seeds.
-    pub report: McReport,
-    /// Quarantined failures (seed, panic, replay hint).
-    pub failures: Vec<ScenarioFailure>,
+/// What the `mc` binary runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mode {
+    /// The per-policy chaos sweep ([`chaos`]).
+    Chaos,
+    /// The adversarial attack matrix ([`crate::ext_attack::matrix`]).
+    Attack,
+    /// The gray-failure matrix ([`crate::ext_gray::matrix`]).
+    Gray,
+    /// The seeded figure report ([`report`]).
+    Report,
 }
 
-/// Structured result of the per-policy chaos sweep.
-#[derive(Clone, Debug)]
-pub struct McChaos {
-    /// Per-policy reports, Tycoon first.
-    pub policies: Vec<PolicyChaos>,
-    /// Rendered report.
-    pub rendered: String,
+/// A parsed `mc` command line.
+#[derive(Clone, Copy, Debug)]
+pub struct Cli {
+    /// The mode (first positional argument; `chaos` when absent).
+    pub mode: Mode,
+    /// Seed count, base seed and threads.
+    pub args: McArgs,
+    /// `--check`: gate the matrix modes.
+    pub check: bool,
+    /// `--paper-scale` (alias `--paper`): the report at full §5 scale.
+    pub scale: Scale,
 }
 
-impl McChaos {
-    /// Total quarantined scenarios across all policies.
-    pub fn total_quarantined(&self) -> usize {
-        self.policies.iter().map(|p| p.failures.len()).sum()
-    }
+/// Every mode by its command-line name.
+const MODES: [(&str, Mode); 4] = [
+    ("chaos", Mode::Chaos),
+    ("attack", Mode::Attack),
+    ("gray", Mode::Gray),
+    ("report", Mode::Report),
+];
 
-    /// A policy's conservation-residual column max (banked policies —
-    /// `tycoon` and `vcg` — only; the invariant says exactly 0).
-    pub fn conservation_max(&self, policy: &str) -> Option<f64> {
-        self.policies
-            .iter()
-            .find(|p| p.policy == policy)
-            .and_then(|p| p.report.metric("conservation_residual"))
-            .map(|s| s.max)
-    }
+/// The `mc` usage line.
+pub const USAGE: &str = "usage: mc [chaos|attack|gray|report] [--seeds N] [--base-seed HEX] \
+                         [--threads N] [--check] [--paper-scale]";
 
-    /// The Tycoon conservation residual column (the invariant: max 0).
-    pub fn tycoon_conservation_max(&self) -> Option<f64> {
-        self.conservation_max("tycoon")
+impl Cli {
+    /// Parse the arguments after the program name. An unknown flag or
+    /// mode, a missing or unparsable value, or a flag the mode does not
+    /// use is an error, never silently ignored.
+    pub fn parse(argv: &[String]) -> Result<Cli, String> {
+        fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+            let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+            v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
+        }
+        let mut mode = None;
+        let mut cli = Cli { mode: Mode::Chaos, args: McArgs::default(), check: false, scale: Scale::Quick };
+        let mut it = argv.iter();
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--seeds" => cli.args.seeds = value(a, it.next())?,
+                "--threads" => {
+                    cli.args.threads = value(a, it.next())?;
+                    if cli.args.threads == 0 {
+                        return Err("--threads: need at least 1".to_owned());
+                    }
+                }
+                "--base-seed" => {
+                    let v: String = value(a, it.next())?;
+                    cli.args.base_seed = u64::from_str_radix(v.trim_start_matches("0x"), 16)
+                        .map_err(|_| format!("--base-seed: cannot parse {v:?} as hex"))?;
+                }
+                "--check" => cli.check = true,
+                "--paper" | "--paper-scale" => cli.scale = Scale::Paper,
+                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+                m if mode.is_none() => {
+                    let found = MODES.iter().find(|(name, _)| *name == m);
+                    mode = Some(found.ok_or_else(|| format!("unknown mode {m:?}"))?.1);
+                }
+                extra => return Err(format!("unexpected argument {extra:?}")),
+            }
+        }
+        cli.mode = mode.unwrap_or(Mode::Chaos);
+        match (cli.mode == Mode::Report, cli.check, cli.scale == Scale::Paper) {
+            (true, true, _) => Err("--check applies to chaos, attack and gray".to_owned()),
+            (false, _, true) => Err("--paper-scale applies to report only".to_owned()),
+            _ => Ok(cli),
+        }
     }
 }
 
 /// The job stream every baseline runs under — byte-for-byte the stream
 /// [`ChaosConfig::scenario`] builds internally (same stagger, work,
 /// budgets), so the only experimental variable is the policy.
-pub(crate) fn job_stream(cfg: &ChaosConfig) -> Vec<JobRequest> {
-    let workload = BioWorkload {
-        subjobs: cfg.subjobs,
-        chunk_minutes: cfg.chunk_minutes,
-        deadline_minutes: cfg.deadline_minutes,
-    };
+pub fn job_stream(cfg: &ChaosConfig) -> Vec<JobRequest> {
     (0..cfg.users)
         .map(|i| JobRequest {
             id: i,
             user: UserId(i + 1),
             subjobs: cfg.subjobs,
-            work_per_subjob: workload.work_mhz_secs_per_subjob(),
+            work_per_subjob: work_per_subjob(cfg),
             arrival: SimTime::ZERO + SimDuration::from_secs(30 * (u64::from(i) + 1)),
             budget: cfg.funding,
             deadline_secs: cfg.deadline_minutes as f64 * 60.0,
@@ -118,20 +153,63 @@ pub(crate) fn job_stream(cfg: &ChaosConfig) -> Vec<JobRequest> {
         .collect()
 }
 
-/// Run one baseline policy under the seed's generated fault plan, on the
-/// seed's jittered hardware — the *identical* world the Tycoon scenario
-/// sees, policy being the only variable. (Capacity-oblivious baselines
-/// ignore the delivered fault events by design; the heterogeneity still
-/// gives every seed a distinct world.)
-fn baseline_run(policy: &mut dyn AllocationPolicy, seed: u64, cfg: &ChaosConfig) -> RunResult {
-    let hosts: Vec<HostSpec> =
-        gridmarket::scenario::jittered_hosts(seed, cfg.hosts, cfg.heterogeneity);
-    let jobs = job_stream(cfg);
+/// Work per chaos sub-job (MHz·s): one `chunk_minutes` chunk at the
+/// reference vCPU, the calibration [`ChaosConfig::scenario`] uses.
+pub(crate) fn work_per_subjob(cfg: &ChaosConfig) -> f64 {
+    let chunk = BioWorkload { chunk_minutes: cfg.chunk_minutes, ..BioWorkload::paper_default() };
+    chunk.work_mhz_secs_per_subjob()
+}
+
+/// The seed's chaos world as a [`PolicyDriver`]: the seed's jittered
+/// hardware, the config's horizon and the seed's generated fault plan —
+/// the *identical* world the Tycoon scenario sees, so the policy is the
+/// only variable. (Capacity-oblivious baselines ignore the delivered
+/// fault events by design; the heterogeneity still gives every seed a
+/// distinct world.)
+pub fn chaos_driver(seed: u64, cfg: &ChaosConfig) -> PolicyDriver {
+    let hosts = gridmarket::scenario::jittered_hosts(seed, cfg.hosts, cfg.heterogeneity);
     PolicyDriver::new(hosts, 10.0)
         .horizon(SimTime::ZERO + SimDuration::from_hours(cfg.horizon_hours))
         .faults(FaultPlan::generate(seed, cfg.fault_gen()))
-        .run(policy, &jobs)
-        .expect("valid chaos job stream")
+}
+
+/// A Tycoon market keyed by `seed`, ticking every 10 s over `hosts`,
+/// as a driver policy with the default agent and VM model. `tune`
+/// adjusts the market (guard, telemetry) before the hosts join.
+pub fn tycoon_policy(seed: u64, hosts: &[HostSpec], tune: impl FnOnce(&mut Market)) -> TycoonPolicy {
+    let mut market = Market::new(&seed.to_be_bytes());
+    market.set_interval_secs(10.0);
+    tune(&mut market);
+    for h in hosts {
+        market.add_host(h.clone());
+    }
+    let jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
+    TycoonPolicy::new(market, jm)
+}
+
+/// A bankless baseline or the VCG tier, by roster name.
+pub(crate) fn baseline_policy(name: &str, seed: u64) -> Box<dyn AllocationPolicy + Send> {
+    match name {
+        "vcg" => Box::new(gm_optimal::VcgSlaPolicy::new(seed)),
+        "fifo" => Box::new(FifoPolicy::default()),
+        "share" => Box::new(SharePolicy::new(Placement::LeastLoaded)),
+        "gcommerce" => Box::new(GCommerceMarket::default().policy()),
+        "wta" => Box::new(WinnerTakesAllMarket::default().policy()),
+        other => unreachable!("unknown baseline policy {other}"),
+    }
+}
+
+/// Run `policy` in the seed's chaos world over the honest
+/// [`job_stream`] followed by `extra` jobs (e.g. an attack cohort).
+pub(crate) fn baseline_run(
+    policy: &mut dyn AllocationPolicy,
+    seed: u64,
+    cfg: &ChaosConfig,
+    extra: Vec<JobRequest>,
+) -> RunResult {
+    let mut jobs = job_stream(cfg);
+    jobs.extend(extra);
+    chaos_driver(seed, cfg).run(policy, &jobs).expect("valid chaos job stream")
 }
 
 /// The metric row shared by every bankless policy (no conservation
@@ -139,7 +217,7 @@ fn baseline_run(policy: &mut dyn AllocationPolicy, seed: u64, cfg: &ChaosConfig)
 /// policies). Welfare and revenue come from the shared value model
 /// ([`gm_core::workload::on_time_value`]), so the columns compare
 /// directly across every policy in the sweep.
-fn baseline_rows(r: &RunResult) -> Vec<(&'static str, f64)> {
+fn baseline_rows(r: &RunResult) -> Rows {
     let nodes: Vec<f64> = r.outcomes.iter().map(|o| o.avg_nodes).collect();
     let missed = r.outcomes.iter().filter(|o| o.finished_at.is_none()).count();
     vec![
@@ -160,9 +238,9 @@ fn baseline_rows(r: &RunResult) -> Vec<(&'static str, f64)> {
 /// the VCG bank settles through the same journaled [`gm_tycoon::Bank`]
 /// machinery, so the sweep holds it to the identical exactly-zero
 /// residual invariant.
-fn vcg_chaos_run(seed: u64, cfg: &ChaosConfig) -> Vec<(&'static str, f64)> {
+fn vcg_chaos_run(seed: u64, cfg: &ChaosConfig) -> Rows {
     let mut policy = gm_optimal::VcgSlaPolicy::new(seed);
-    let r = baseline_run(&mut policy, seed, cfg);
+    let r = baseline_run(&mut policy, seed, cfg, Vec::new());
     let residual = policy.conservation_residual();
     assert!(
         residual == 0.0,
@@ -177,81 +255,50 @@ fn vcg_chaos_run(seed: u64, cfg: &ChaosConfig) -> Vec<(&'static str, f64)> {
 pub const CHAOS_POLICIES: [&str; 6] = ["tycoon", "vcg", "fifo", "share", "gcommerce", "wta"];
 
 /// One (seed × policy) cell of the sweep: the named metric row.
-pub(crate) fn chaos_cell(policy: &'static str, seed: u64, cfg: &ChaosConfig) -> Vec<(&'static str, f64)> {
-    let mut baseline: Box<dyn AllocationPolicy + Send> = match policy {
-        "tycoon" => return chaos_scenario(seed, cfg).rows(),
-        "vcg" => return vcg_chaos_run(seed, cfg),
-        "fifo" => Box::new(FifoPolicy::default()),
-        "share" => Box::new(SharePolicy::new(Placement::LeastLoaded)),
-        "gcommerce" => Box::new(GCommerceMarket::default().policy()),
-        "wta" => Box::new(WinnerTakesAllMarket::default().policy()),
-        other => unreachable!("unknown chaos policy {other}"),
-    };
-    baseline_rows(&baseline_run(baseline.as_mut(), seed, cfg))
+pub(crate) fn chaos_cell(policy: &'static str, seed: u64, cfg: &ChaosConfig) -> Rows {
+    match policy {
+        "tycoon" => chaos_scenario(seed, cfg).rows(),
+        "vcg" => vcg_chaos_run(seed, cfg),
+        other => baseline_rows(&baseline_run(baseline_policy(other, seed).as_mut(), seed, cfg, Vec::new())),
+    }
 }
 
-/// The chaos sweep: every seed generates a random fault world; every
-/// policy runs the identical job stream through it. All
-/// `seeds × policies` cells go through the pool as one flat tagged
-/// fan-out, then regroup into per-policy batches (indices rewritten
-/// back to seed positions, so replay hints and failure indices read the
-/// same as a plain per-policy run).
-pub fn chaos(args: McArgs) -> McChaos {
+/// The chaos sweep: every seed generates a random fault world
+/// ([`ChaosConfig::default`]); every policy runs the identical job
+/// stream through it. One column, one report section per policy.
+pub fn chaos(args: McArgs) -> MatrixReport {
     let cfg = ChaosConfig::default();
-    let seeds = seed_stream(args.base_seed, args.seeds);
-    let mc = chaos_runner(args.threads).confidence(args.confidence);
-
-    let n = CHAOS_POLICIES.len();
-    let items: Vec<(u64, &'static str)> = seeds
-        .iter()
-        .flat_map(|&s| CHAOS_POLICIES.iter().map(move |&p| (s, p)))
-        .collect();
-    let batch = {
-        let cfg = cfg.clone();
-        mc.run_tagged(&items, move |seed, policy| chaos_cell(policy, seed, &cfg))
-    };
-
-    type PolicyRows = Vec<(&'static str, f64)>;
-    let confidence = batch.confidence();
-    let mut grouped: Vec<Vec<McOutcome<PolicyRows>>> = (0..n).map(|_| Vec::new()).collect();
-    for o in batch.outcomes {
-        let policy = o.index % n;
-        let seed_index = o.index / n;
-        grouped[policy].push(McOutcome {
-            seed: o.seed,
-            index: seed_index,
-            result: o.result.map_err(|mut f| {
-                f.index = seed_index;
-                f
-            }),
-        });
+    Matrix {
+        title: "Monte-Carlo chaos sweep",
+        world: format!(
+            "world: {} hosts, {} users x {} credits, random faults per seed\n",
+            cfg.hosts, cfg.users, cfg.funding
+        ),
+        rows: &CHAOS_POLICIES,
+        cols: &["chaos"],
+        cell: |policy, _, seed| chaos_cell(policy, seed, &ChaosConfig::default()),
+        layout: Layout::Sections,
     }
-    let policies: Vec<PolicyChaos> = grouped
-        .into_iter()
-        .zip(CHAOS_POLICIES)
-        .map(|(outcomes, policy)| {
-            let b = McBatch::from_outcomes(outcomes, confidence);
-            PolicyChaos {
-                policy,
-                report: b.report(Clone::clone),
-                failures: b.failures().cloned().collect(),
-            }
-        })
-        .collect();
+    .run(args)
+}
 
-    let mut rendered = format!(
-        "Monte-Carlo chaos sweep: {} seeds (base {:#x}), {} threads\n\
-         world: {} hosts, {} users x {} credits, random faults per seed\n\n",
-        args.seeds, args.base_seed, args.threads, cfg.hosts, cfg.users, cfg.funding
-    );
-    for p in &policies {
-        rendered.push_str(&format!("== policy: {} ==\n{}", p.policy, p.report.render()));
-        for f in &p.failures {
-            rendered.push_str(&format!("  QUARANTINED {f}\n"));
-        }
-        rendered.push('\n');
+/// The chaos sweep's `--check` gate: zero seeds quarantined and both
+/// banked policies' conservation residuals exactly 0. `Ok` carries the
+/// success line, `Err` the failure line.
+pub fn check_chaos(m: &MatrixReport, args: &McArgs) -> Result<String, String> {
+    let quarantined = m.total_quarantined();
+    let conserved = m.zero_max(&["tycoon", "vcg"], "conservation_residual");
+    if quarantined != 0 || !conserved {
+        return Err(format!(
+            "mc --check FAILED: {quarantined} quarantined seeds, \
+             tycoon and vcg conservation residuals exactly 0: {conserved}"
+        ));
     }
-    McChaos { policies, rendered }
+    Ok(format!(
+        "mc --check OK: {} seeds x {} policies, 0 quarantined, conservation residual 0",
+        args.seeds,
+        m.cells.len()
+    ))
 }
 
 /// One figure's Monte-Carlo report.
@@ -272,115 +319,94 @@ pub struct McFigs {
     pub rendered: String,
 }
 
+/// One figure experiment at `(scale, seed)`, reduced to its headline
+/// scalars.
+type Headline = fn(Scale, u64) -> Rows;
+
+/// The figure experiments, report order: the same `run_seeded` entry
+/// points the single-seed binaries call.
+const FIGURES: [(&str, Headline); 7] = [
+    ("fig3", |scale, s| {
+        let f = crate::fig3::run_seeded(scale, s);
+        let mid = f.budgets_per_day.len() / 2;
+        vec![
+            ("price_mean", f.price_mean),
+            ("price_std", f.price_std),
+            ("cap90_mid_budget_mhz", f.curves[1].1[mid].capacity_mhz),
+        ]
+    }),
+    ("fig4", |scale, s| {
+        let f = crate::fig4::run_seeded(scale, s);
+        vec![
+            ("eps_ar", f.eps_ar),
+            ("eps_naive", f.eps_naive),
+            ("ar_edge", f.eps_naive - f.eps_ar),
+        ]
+    }),
+    ("fig5", |scale, s| {
+        let f = crate::fig5::run_seeded(scale, s);
+        vec![
+            ("std_risk_free", f.std_risk_free),
+            ("std_equal", f.std_equal),
+            ("std_reduction", 1.0 - f.std_risk_free / f.std_equal),
+        ]
+    }),
+    ("fig6", |scale, s| {
+        let f = crate::fig6::run_seeded(scale, s);
+        vec![
+            ("skew_short_window", f.windows[0].skewness),
+            ("skew_long_window", f.windows[2].skewness),
+        ]
+    }),
+    ("fig7", |scale, s| {
+        let f = crate::fig7::run_seeded(scale, s);
+        let max_tv = f.dists.iter().map(|d| d.tv_distance).fold(0.0, f64::max);
+        let mean_tv =
+            f.dists.iter().map(|d| d.tv_distance).sum::<f64>() / f.dists.len().max(1) as f64;
+        vec![("max_tv_distance", max_tv), ("mean_tv_distance", mean_tv)]
+    }),
+    ("sweep", |scale, s| {
+        let f = crate::ext_sweep::run_seeded(scale, s);
+        let lo = &f.points.first().expect("sweep points").report;
+        let hi = &f.points.last().expect("sweep points").report;
+        let done = f
+            .points
+            .iter()
+            .filter(|p| p.report.completed_subjobs == p.report.subjobs)
+            .count() as f64;
+        vec![
+            (
+                "funding_nodes_ratio",
+                if lo.avg_nodes > 0.0 { hi.avg_nodes / lo.avg_nodes } else { 0.0 },
+            ),
+            ("done_rate", done / f.points.len().max(1) as f64),
+        ]
+    }),
+    ("volatility", |scale, s| {
+        let f = crate::ext_volatility::run_seeded(scale, s);
+        vec![
+            ("tycoon_cov", f.tycoon_cov),
+            ("gcommerce_cov", f.gcommerce_cov),
+            ("posted_edge", f.tycoon_step_err - f.gcommerce_step_err),
+        ]
+    }),
+];
+
 /// Re-run every figure experiment over a seed stream and report each
 /// headline scalar with a confidence interval. This is the paper's whole
 /// evaluation as a population instead of an anecdote: the same
 /// `run_seeded` entry points the single-seed binaries call, just many
 /// seeds through the Monte-Carlo runner.
-#[allow(clippy::too_many_lines)]
 pub fn report(scale: Scale, args: McArgs) -> McFigs {
     let seeds = seed_stream(args.base_seed, args.seeds);
     let mc = chaos_runner(args.threads).confidence(args.confidence);
-    let mut figs: Vec<FigMc> = Vec::new();
-    {
-        let batch = mc.run(&seeds, move |s| crate::fig3::run_seeded(scale, s));
-        figs.push(FigMc {
-            name: "fig3",
-            report: batch.report(|f| {
-                let mid = f.budgets_per_day.len() / 2;
-                vec![
-                    ("price_mean", f.price_mean),
-                    ("price_std", f.price_std),
-                    ("cap90_mid_budget_mhz", f.curves[1].1[mid].capacity_mhz),
-                ]
-            }),
-        });
-    }
-    {
-        let batch = mc.run(&seeds, move |s| crate::fig4::run_seeded(scale, s));
-        figs.push(FigMc {
-            name: "fig4",
-            report: batch.report(|f| {
-                vec![
-                    ("eps_ar", f.eps_ar),
-                    ("eps_naive", f.eps_naive),
-                    ("ar_edge", f.eps_naive - f.eps_ar),
-                ]
-            }),
-        });
-    }
-    {
-        let batch = mc.run(&seeds, move |s| crate::fig5::run_seeded(scale, s));
-        figs.push(FigMc {
-            name: "fig5",
-            report: batch.report(|f| {
-                vec![
-                    ("std_risk_free", f.std_risk_free),
-                    ("std_equal", f.std_equal),
-                    ("std_reduction", 1.0 - f.std_risk_free / f.std_equal),
-                ]
-            }),
-        });
-    }
-    {
-        let batch = mc.run(&seeds, move |s| crate::fig6::run_seeded(scale, s));
-        figs.push(FigMc {
-            name: "fig6",
-            report: batch.report(|f| {
-                vec![
-                    ("skew_short_window", f.windows[0].skewness),
-                    ("skew_long_window", f.windows[2].skewness),
-                ]
-            }),
-        });
-    }
-    {
-        let batch = mc.run(&seeds, move |s| crate::fig7::run_seeded(scale, s));
-        figs.push(FigMc {
-            name: "fig7",
-            report: batch.report(|f| {
-                let max_tv = f.dists.iter().map(|d| d.tv_distance).fold(0.0, f64::max);
-                let mean_tv = f.dists.iter().map(|d| d.tv_distance).sum::<f64>()
-                    / f.dists.len().max(1) as f64;
-                vec![("max_tv_distance", max_tv), ("mean_tv_distance", mean_tv)]
-            }),
-        });
-    }
-    {
-        let batch = mc.run(&seeds, move |s| crate::ext_sweep::run_seeded(scale, s));
-        figs.push(FigMc {
-            name: "sweep",
-            report: batch.report(|f| {
-                let lo = &f.points.first().expect("sweep points").report;
-                let hi = &f.points.last().expect("sweep points").report;
-                let done = f
-                    .points
-                    .iter()
-                    .filter(|p| p.report.completed_subjobs == p.report.subjobs)
-                    .count() as f64;
-                vec![
-                    (
-                        "funding_nodes_ratio",
-                        if lo.avg_nodes > 0.0 { hi.avg_nodes / lo.avg_nodes } else { 0.0 },
-                    ),
-                    ("done_rate", done / f.points.len().max(1) as f64),
-                ]
-            }),
-        });
-    }
-    {
-        let batch = mc.run(&seeds, move |s| crate::ext_volatility::run_seeded(scale, s));
-        figs.push(FigMc {
-            name: "volatility",
-            report: batch.report(|f| {
-                vec![
-                    ("tycoon_cov", f.tycoon_cov),
-                    ("gcommerce_cov", f.gcommerce_cov),
-                    ("posted_edge", f.tycoon_step_err - f.gcommerce_step_err),
-                ]
-            }),
-        });
-    }
+    let figs: Vec<FigMc> = FIGURES
+        .iter()
+        .map(|&(name, headline)| FigMc {
+            name,
+            report: mc.run(&seeds, move |s| headline(scale, s)).report(Clone::clone),
+        })
+        .collect();
 
     let mut rendered = format!(
         "Monte-Carlo figure report: {} seeds per figure (base {:#x}), {} threads\n\n",
@@ -397,43 +423,63 @@ mod tests {
     use super::*;
 
     fn tiny() -> McArgs {
-        McArgs {
-            seeds: 4,
-            base_seed: 0xABCD,
-            threads: 2,
-            confidence: 0.95,
-        }
+        McArgs { seeds: 4, base_seed: 0xABCD, threads: 2, ..McArgs::default() }
     }
 
     #[test]
     fn chaos_sweep_covers_all_policies_with_zero_quarantines() {
         let c = chaos(tiny());
-        let names: Vec<&str> = c.policies.iter().map(|p| p.policy).collect();
+        let names: Vec<&str> = c.cells.iter().map(|p| p.row).collect();
         assert_eq!(names, CHAOS_POLICIES);
         assert_eq!(c.total_quarantined(), 0, "{}", c.rendered);
-        assert_eq!(c.tycoon_conservation_max(), Some(0.0), "money leak");
-        assert_eq!(c.conservation_max("vcg"), Some(0.0), "VCG money leak");
-        for p in &c.policies {
-            assert_eq!(p.report.completed, 4, "policy {}", p.policy);
+        assert!(c.zero_max(&["tycoon", "vcg"], "conservation_residual"), "money leak");
+        assert!(check_chaos(&c, &tiny()).is_ok());
+        for p in &c.cells {
+            assert_eq!(p.report.completed, 4, "policy {}", p.row);
             assert!(p.report.metric("fairness").is_some());
             assert!(
                 p.report.metric("welfare").is_some() && p.report.metric("revenue").is_some(),
                 "policy {} must report the shared welfare/revenue columns",
-                p.policy
+                p.row
             );
         }
-        assert!(c.rendered.contains("== policy: tycoon =="));
-        assert!(c.rendered.contains("== policy: vcg =="));
+        c.assert_golden("chaos");
     }
 
     #[test]
     fn chaos_sweep_is_deterministic_across_thread_counts() {
         let a = chaos(McArgs { threads: 1, ..tiny() });
         let b = chaos(McArgs { threads: 4, ..tiny() });
-        // Thread count appears in the header; everything below it must
-        // be byte-identical.
-        let strip = |s: &str| s.split_once('\n').map(|(_, rest)| rest.to_owned()).unwrap_or_default();
-        assert_eq!(strip(&a.rendered), strip(&b.rendered));
+        assert_eq!(a.body(), b.body());
+    }
+
+    fn parse(line: &str) -> Result<Cli, String> {
+        Cli::parse(&line.split_whitespace().map(str::to_owned).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn cli_parses_every_mode_and_rejects_bad_flags() {
+        let c = parse("").expect("defaults");
+        assert_eq!((c.mode, c.args.seeds, c.check), (Mode::Chaos, 64, false));
+        let c = parse("attack --seeds 16 --base-seed 0xA77AC --threads 2 --check").expect("attack");
+        assert_eq!((c.mode, c.args.seeds, c.args.base_seed, c.args.threads), (Mode::Attack, 16, 0xA77AC, 2));
+        assert!(c.check);
+        assert_eq!(parse("--seeds 8 gray").expect("flags first").mode, Mode::Gray);
+        assert_eq!(parse("report --paper").expect("paper").scale, Scale::Paper);
+        assert_eq!(parse("report --paper-scale").expect("paper-scale").scale, Scale::Paper);
+        for bad in [
+            "--seed 16",
+            "chaos --seeds",
+            "chaos --seeds many",
+            "chaos --threads 0",
+            "chaos --base-seed xyz",
+            "attack gray",
+            "sweep",
+            "report --check",
+            "chaos --paper",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

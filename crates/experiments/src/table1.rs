@@ -52,17 +52,23 @@ pub fn subjobs(scale: Scale) -> u32 {
 
 /// Run the experiment.
 pub fn run(scale: Scale) -> Table1 {
+    funded(scale, &[100.0; 5], "Table 1. Equal Distribution of Funds")
+}
+
+/// The Tables 1/2 run: one user per `fundings` entry on [`scenario`],
+/// grouped as users 1–2 and 3–5, rendered under `title`.
+pub(crate) fn funded(scale: Scale, fundings: &[f64], title: &str) -> Table1 {
     let mut s = scenario(scale);
-    for i in 0..5 {
+    for (i, &funding) in fundings.iter().enumerate() {
         s = s.user(
-            UserSetup::new(100.0)
+            UserSetup::new(funding)
                 .subjobs(subjobs(scale))
                 .label(&format!("user{}", i + 1)),
         );
     }
-    let result = s.run().expect("table1 scenario");
+    let result = s.run().expect("table scenario");
     let groups = group_rows(&result.users, &[(0, 1, "1-2"), (2, 4, "3-5")]);
-    let mut rendered = render_table("Table 1. Equal Distribution of Funds", &groups);
+    let mut rendered = render_table(title, &groups);
     rendered.push('\n');
     rendered.push_str(&render_users(&result.users));
     Table1 {

@@ -6,11 +6,8 @@
 //! (latency) is better. We also see that these users pay a higher price
 //! for their resource usage, as expected."
 
-use gridmarket::report::{group_rows, render_table, render_users};
-use gridmarket::scenario::UserSetup;
 use gridmarket::GroupRow;
 
-use crate::table1::{scenario, subjobs};
 use crate::Scale;
 
 /// Structured result of the Table 2 experiment.
@@ -26,24 +23,12 @@ pub struct Table2 {
 
 /// Run the experiment.
 pub fn run(scale: Scale) -> Table2 {
-    let mut s = scenario(scale);
     let fundings = [100.0, 100.0, 500.0, 500.0, 500.0];
-    for (i, &funding) in fundings.iter().enumerate() {
-        s = s.user(
-            UserSetup::new(funding)
-                .subjobs(subjobs(scale))
-                .label(&format!("user{}", i + 1)),
-        );
-    }
-    let result = s.run().expect("table2 scenario");
-    let groups = group_rows(&result.users, &[(0, 1, "1-2"), (2, 4, "3-5")]);
-    let mut rendered = render_table("Table 2. Two-Point Distribution of Funds", &groups);
-    rendered.push('\n');
-    rendered.push_str(&render_users(&result.users));
+    let t = crate::table1::funded(scale, &fundings, "Table 2. Two-Point Distribution of Funds");
     Table2 {
-        groups,
-        users: result.users,
-        rendered,
+        groups: t.groups,
+        users: t.users,
+        rendered: t.rendered,
     }
 }
 

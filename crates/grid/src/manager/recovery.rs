@@ -2,7 +2,7 @@
 //! exponential-backoff re-dispatch machinery, and the dispatch/requeue
 //! bookkeeping invariant.
 
-use gm_des::{Rng64, SimDuration, SimTime, SplitMix64};
+use gm_des::{SimDuration, SimTime};
 use gm_tycoon::{Credits, HostId, Market, UserId};
 
 use super::funding::{capped_bids, ESCROW_INTERVALS};
@@ -59,8 +59,8 @@ impl RetryPolicy {
     /// [`RetryPolicy::delay_after`] with deterministic per-caller jitter.
     ///
     /// `salt` identifies the retrying client (the job id here); the
-    /// jitter factor is a pure function of `(salt, failures)` via
-    /// SplitMix64, so same-seed runs stay byte-identical while distinct
+    /// jitter factor is [`gm_des::rng::jitter_factor`] of
+    /// `(salt, failures)`, so same-seed runs stay byte-identical while distinct
     /// jobs spread across `[1 − jitter/2, 1 + jitter/2)` of the base
     /// delay. The result never exceeds [`RetryPolicy::backoff_cap`].
     pub fn delay_for(&self, failures: u32, salt: u64) -> SimDuration {
@@ -68,9 +68,7 @@ impl RetryPolicy {
         if self.jitter <= 0.0 {
             return base;
         }
-        let mut rng = SplitMix64::new(salt ^ u64::from(failures).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let u = rng.next_f64();
-        let factor = 1.0 + self.jitter.min(1.0) * (u - 0.5);
+        let factor = gm_des::rng::jitter_factor(self.jitter, salt, failures);
         let us = (base.as_micros() as f64 * factor).round() as u64;
         SimDuration::from_micros(us.min(self.backoff_cap.as_micros()))
     }
@@ -447,5 +445,15 @@ mod tests {
         }
         // Spread: the 32 salts must not all collapse onto one delay.
         assert!(distinct.len() > 16, "only {} distinct delays", distinct.len());
+        // Delays recorded before the factor moved to `gm_des::rng`.
+        for (failures, salt, us) in [
+            (1, 0, 9_657_640),
+            (3, 7, 33_188_084),
+            (3, 8, 39_742_484),
+            (5, 12_345, 181_638_357),
+            (9, u64::MAX, 600_000_000),
+        ] {
+            assert_eq!(p.delay_for(failures, salt).as_micros(), us, "failures {failures} salt {salt}");
+        }
     }
 }

@@ -41,6 +41,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use gm_des::{Rng64, SplitMix64};
+
 use crate::bank::AccountId;
 
 /// Knobs of the market guard layer. [`GuardConfig::default`] is **armed**
@@ -258,17 +260,8 @@ impl MarketGuard {
 fn backoff_secs(cfg: &GuardConfig, account: AccountId, strike: u32) -> u32 {
     let base = cfg.backoff_base_secs.max(1);
     let exp = base.saturating_mul(1u32 << (strike - 1).min(10));
-    let jitter = splitmix(cfg.jitter_seed ^ account.0 ^ (u64::from(strike) << 32)) % u64::from(base);
-    exp.saturating_add(jitter as u32)
-}
-
-/// One round of SplitMix64 (kept local: the guard needs a single stateless
-/// hash, not an RNG stream).
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let hash = SplitMix64::new(cfg.jitter_seed ^ account.0 ^ (u64::from(strike) << 32)).next_u64();
+    exp.saturating_add((hash % u64::from(base)) as u32)
 }
 
 #[cfg(test)]
@@ -321,6 +314,10 @@ mod tests {
         assert_ne!(a, other, "different accounts must desynchronize");
         assert!(a >= cfg.backoff_base_secs);
         assert!(a < cfg.backoff_base_secs * 2);
+        // Advice recorded before the hash moved to `gm_des::SplitMix64`.
+        for (acct, strike, secs) in [(3, 1, 38), (4, 1, 29), (7, 2, 59), (7, 3, 94), (u64::MAX, 11, 20_482)] {
+            assert_eq!(backoff_secs(&cfg, AccountId(acct), strike), secs, "account {acct} strike {strike}");
+        }
     }
 
     #[test]

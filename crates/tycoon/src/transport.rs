@@ -599,19 +599,15 @@ impl<V> ReplayCache<V> {
 
 // ---------------------------------------------------------------- jitter
 
-/// Seeded back-off jitter: scales `base` by a factor uniform in
-/// `[1 − jitter/2, 1 + jitter/2)`, derived from `(salt, attempt)` exactly
-/// like the grid's `RetryPolicy::delay_for`, so overloaded clients
+/// Seeded back-off jitter: scales `base` by
+/// [`gm_des::rng::jitter_factor`] of `(salt, attempt)` — the factor the
+/// grid's `RetryPolicy::delay_for` uses — so overloaded clients
 /// de-synchronise deterministically instead of thundering back together.
 pub fn jittered_backoff(base: Duration, jitter: f64, salt: u64, attempt: u32) -> Duration {
     if jitter <= 0.0 {
         return base;
     }
-    let mut rng = SplitMix64::new(
-        salt ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
-    let factor = 1.0 + jitter.min(1.0) * (rng.next_f64() - 0.5);
-    Duration::from_secs_f64(base.as_secs_f64() * factor)
+    Duration::from_secs_f64(base.as_secs_f64() * gm_des::rng::jitter_factor(jitter, salt, attempt))
 }
 
 #[cfg(test)]
@@ -817,5 +813,15 @@ mod tests {
             assert!(d >= Duration::from_millis(75) && d < Duration::from_millis(125));
         }
         assert_eq!(jittered_backoff(base, 0.0, 9, 1), base);
+        // Delays recorded before the factor moved to `gm_des::rng`.
+        for (salt, attempt, ns) in [
+            (9, 1, 75_839_415),
+            (9, 2, 120_350_074),
+            (1234, 0, 111_533_326),
+            (1234, 31, 101_210_225),
+            (u64::MAX, 7, 102_953_864),
+        ] {
+            assert_eq!(jittered_backoff(base, 0.5, salt, attempt).as_nanos(), ns, "salt {salt} attempt {attempt}");
+        }
     }
 }

@@ -130,7 +130,7 @@ bench-save-scale:
 # with defenses on and off, and the guard wins on >= 2 attack strategies.
 attack-matrix:
     cargo test -q --test adversary
-    cargo run --release -p gm-experiments --bin attack -- --seeds 16 --check
+    cargo run --release -p gm-experiments --bin mc -- attack --seeds 16 --check
 
 # Re-measure the guard-layer overhead budget (DESIGN.md §16) and write
 # the result to BENCH_attack.json at the repo root.
@@ -146,7 +146,7 @@ bench-save-attack:
 # gray scenarios.
 gray-matrix:
     cargo test -q --test chaos
-    cargo run --release -p gm-experiments --bin gray -- --seeds 16 --check
+    cargo run --release -p gm-experiments --bin mc -- gray --seeds 16 --check
 
 # Re-measure the gray-resilience overhead budget (DESIGN.md §17) and
 # write the result to BENCH_gray.json at the repo root.
