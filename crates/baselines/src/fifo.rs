@@ -6,61 +6,26 @@
 //!
 //! The scheduling rules live in [`FifoPolicy`] (an
 //! [`AllocationPolicy`]); the tick loop is `gm_core`'s shared
-//! [`PolicyDriver`], so FIFO runs under the exact same arrival stream and
-//! clock as every other policy.
+//! [`PolicyDriver`](gm_core::PolicyDriver), so FIFO runs under the exact
+//! same arrival stream and clock as every other policy.
 
-use gm_core::policy::{AllocationPolicy, PolicyDriver, PolicyError, TickCtx};
+use gm_core::policy::{AllocationPolicy, PolicyError, TickCtx};
+use gm_core::{JobOutcome, JobRequest};
 use gm_des::SimTime;
-use gm_tycoon::{HostSpec, UserId};
 
-use crate::common::{JobOutcome, JobRequest, RunResult};
-
-/// The batch-queue scheduler (configuration + convenience runner).
-pub struct FifoBatchQueue {
-    /// Allocation tick in seconds.
-    pub interval_secs: f64,
-}
-
-impl Default for FifoBatchQueue {
-    fn default() -> Self {
-        FifoBatchQueue { interval_secs: 10.0 }
-    }
-}
-
-impl FifoBatchQueue {
-    /// The policy object to hand to a [`PolicyDriver`].
-    pub fn policy(&self) -> FifoPolicy {
-        FifoPolicy::default()
-    }
-
-    /// Run the workload to completion (or `horizon`) through the shared
-    /// driver.
-    pub fn run(&self, hosts: &[HostSpec], jobs: &[JobRequest], horizon: SimTime) -> RunResult {
-        let mut policy = self.policy();
-        PolicyDriver::new(hosts.to_vec(), self.interval_secs)
-            .horizon(horizon)
-            .run(&mut policy, jobs)
-            .expect("invalid job")
-    }
-}
+use crate::JobRecord;
 
 struct SubJobRun {
     track: usize,
     remaining: f64,
 }
 
-struct JobTrack {
-    id: u32,
-    user: UserId,
-    arrival: SimTime,
-    budget: f64,
-    deadline_secs: f64,
+struct Track {
+    job: JobRecord,
+    /// Sub-jobs still waiting for a slot.
     pending: u32,
+    /// Sub-jobs holding a slot.
     running: u32,
-    finished: u32,
-    total: u32,
-    nodes_stat: (u64, f64, usize),
-    finished_at: Option<SimTime>,
 }
 
 /// FIFO batch-queue scheduling as an [`AllocationPolicy`].
@@ -71,9 +36,7 @@ pub struct FifoPolicy {
     slots: Vec<Option<SubJobRun>>,
     vcpu_mhz: Vec<f64>,
     /// Admitted jobs in `(arrival, id)` order — the queue.
-    tracks: Vec<JobTrack>,
-    /// Per-track work per sub-job (all sub-jobs of a job are equal).
-    work: Vec<f64>,
+    tracks: Vec<Track>,
 }
 
 impl AllocationPolicy for FifoPolicy {
@@ -94,68 +57,42 @@ impl AllocationPolicy for FifoPolicy {
     }
 
     fn admit(&mut self, _ctx: &TickCtx, req: &JobRequest) -> Result<(), PolicyError> {
-        self.tracks.push(JobTrack {
-            id: req.id,
-            user: req.user,
-            arrival: req.arrival,
-            budget: req.budget,
-            deadline_secs: req.deadline_secs,
-            pending: req.subjobs,
-            running: 0,
-            finished: 0,
-            total: req.subjobs,
-            nodes_stat: (0, 0.0, 0),
-            finished_at: None,
-        });
-        // Remember per-subjob work on the queue itself: all subjobs of a
-        // request are equally sized, so the track index is enough.
-        self.work.push(req.work_per_subjob);
+        self.tracks.push(Track { job: JobRecord::new(req), pending: req.subjobs, running: 0 });
         Ok(())
     }
 
     fn place(&mut self, _ctx: &TickCtx) {
-        for ti in 0..self.tracks.len() {
-            while self.tracks[ti].pending > 0 {
-                match self.slots.iter().position(Option::is_none) {
-                    Some(free) => {
-                        self.slots[free] = Some(SubJobRun {
-                            track: ti,
-                            remaining: self.work[ti],
-                        });
-                        self.tracks[ti].pending -= 1;
-                        self.tracks[ti].running += 1;
-                    }
-                    None => break,
-                }
+        for (ti, t) in self.tracks.iter_mut().enumerate() {
+            while t.pending > 0 {
+                let Some(free) = self.slots.iter().position(Option::is_none) else { break };
+                let remaining = t.job.req.work_per_subjob;
+                self.slots[free] = Some(SubJobRun { track: ti, remaining });
+                t.pending -= 1;
+                t.running += 1;
             }
         }
     }
 
     fn advance(&mut self, ctx: &TickCtx) {
-        let dt = ctx.interval();
-        for (s_idx, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(run) = slot {
-                let cap = self.vcpu_mhz[s_idx];
-                run.remaining -= cap * ctx.interval_secs;
-                if run.remaining <= 0.0 {
-                    let t = &mut self.tracks[run.track];
-                    t.running -= 1;
-                    t.finished += 1;
-                    if t.finished == t.total {
-                        t.finished_at = Some(ctx.now + dt);
-                    }
-                    *slot = None;
+        for (slot, cap) in self.slots.iter_mut().zip(&self.vcpu_mhz) {
+            let Some(run) = slot else { continue };
+            run.remaining -= cap * ctx.interval_secs;
+            if run.remaining <= 0.0 {
+                let t = &mut self.tracks[run.track];
+                t.running -= 1;
+                if t.running == 0 && t.pending == 0 {
+                    t.job.finished_at = Some(ctx.tick_end());
                 }
+                *slot = None;
             }
         }
     }
 
     fn settle(&mut self, _ctx: &TickCtx) {
-        for t in self.tracks.iter_mut() {
-            if t.finished < t.total && (t.running > 0 || t.pending < t.total) {
-                t.nodes_stat.0 += 1;
-                t.nodes_stat.1 += t.running as f64;
-                t.nodes_stat.2 = t.nodes_stat.2.max(t.running as usize);
+        // Sampled from the first dispatch until the job finishes.
+        for t in &mut self.tracks {
+            if t.job.finished_at.is_none() && t.pending < t.job.req.subjobs {
+                t.job.nodes.sample(f64::from(t.running));
             }
         }
     }
@@ -165,43 +102,19 @@ impl AllocationPolicy for FifoPolicy {
     }
 
     fn all_settled(&self) -> bool {
-        self.tracks.iter().all(|t| t.finished == t.total)
+        self.tracks.iter().all(|t| t.job.finished_at.is_some())
     }
 
     fn outcomes(&self, now: SimTime) -> Vec<JobOutcome> {
-        self.tracks
-            .iter()
-            .map(|t| JobOutcome {
-                id: t.id,
-                user: t.user,
-                finished_at: t.finished_at,
-                makespan_secs: t.finished_at.unwrap_or(now).since(t.arrival).as_secs_f64(),
-                value: gm_core::workload::on_time_value(
-                    t.budget,
-                    t.deadline_secs,
-                    t.arrival,
-                    t.finished_at,
-                ),
-                cost: 0.0,
-                max_nodes: t.nodes_stat.2,
-                avg_nodes: if t.nodes_stat.0 == 0 {
-                    0.0
-                } else {
-                    t.nodes_stat.1 / t.nodes_stat.0 as f64
-                },
-            })
-            .collect()
+        self.tracks.iter().map(|t| t.job.outcome(now)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{hosts, run};
     use gm_tycoon::UserId;
-
-    fn hosts(n: u32) -> Vec<HostSpec> {
-        (0..n).map(HostSpec::testbed).collect()
-    }
 
     fn job(id: u32, subjobs: u32, work_secs_at_full: f64, arrival_s: u64) -> JobRequest {
         JobRequest {
@@ -215,11 +128,14 @@ mod tests {
         }
     }
 
+    fn fifo(n_hosts: u32, jobs: &[JobRequest], horizon_s: u64) -> gm_core::RunResult {
+        run(FifoPolicy::default(), &hosts(n_hosts), jobs, horizon_s)
+    }
+
     #[test]
     fn single_job_fits_in_slots() {
-        let q = FifoBatchQueue::default();
         // 2 hosts × 2 cpus = 4 slots; 4 subjobs of 100 s each.
-        let result = q.run(&hosts(2), &[job(0, 4, 100.0, 0)], SimTime::from_secs(10_000));
+        let result = fifo(2, &[job(0, 4, 100.0, 0)], 10_000);
         assert!(result.all_finished());
         let o = &result.outcomes[0];
         assert!((o.makespan_secs - 100.0).abs() <= 10.0, "{}", o.makespan_secs);
@@ -228,9 +144,8 @@ mod tests {
 
     #[test]
     fn queueing_doubles_makespan_when_oversubscribed() {
-        let q = FifoBatchQueue::default();
         // 4 slots, 8 subjobs → two waves.
-        let result = q.run(&hosts(2), &[job(0, 8, 100.0, 0)], SimTime::from_secs(10_000));
+        let result = fifo(2, &[job(0, 8, 100.0, 0)], 10_000);
         let o = &result.outcomes[0];
         assert!(result.all_finished());
         assert!((o.makespan_secs - 200.0).abs() <= 20.0, "{}", o.makespan_secs);
@@ -238,11 +153,9 @@ mod tests {
 
     #[test]
     fn fifo_order_is_respected() {
-        let q = FifoBatchQueue::default();
         // Job 0 saturates all 4 slots for ~100 s; job 1 arrives later and
         // must wait even though it is tiny.
-        let jobs = [job(0, 4, 100.0, 0), job(1, 1, 10.0, 10)];
-        let result = q.run(&hosts(2), &jobs, SimTime::from_secs(10_000));
+        let result = fifo(2, &[job(0, 4, 100.0, 0), job(1, 1, 10.0, 10)], 10_000);
         let t0 = result.outcomes[0].finished_at.unwrap();
         let t1 = result.outcomes[1].finished_at.unwrap();
         assert!(t1 > t0, "late tiny job must finish after the hog: {t0:?} {t1:?}");
@@ -250,8 +163,7 @@ mod tests {
 
     #[test]
     fn unfinished_jobs_reported_at_horizon() {
-        let q = FifoBatchQueue::default();
-        let result = q.run(&hosts(1), &[job(0, 1, 1e9, 0)], SimTime::from_secs(100));
+        let result = fifo(1, &[job(0, 1, 1e9, 0)], 100);
         assert!(!result.all_finished());
         assert!(result.outcomes[0].finished_at.is_none());
         assert!(result.outcomes[0].makespan_secs >= 100.0);
@@ -259,8 +171,7 @@ mod tests {
 
     #[test]
     fn no_price_history() {
-        let q = FifoBatchQueue::default();
-        let r = q.run(&hosts(1), &[job(0, 1, 10.0, 0)], SimTime::from_secs(1000));
+        let r = fifo(1, &[job(0, 1, 10.0, 0)], 1000);
         assert!(r.price_history.is_empty());
         assert!(r.price_volatility().is_none());
     }

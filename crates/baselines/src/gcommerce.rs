@@ -12,93 +12,53 @@
 //! slot is yours for the interval at the posted price.
 //!
 //! The market rules live in [`GCommercePolicy`]; the tick loop is
-//! `gm_core`'s shared [`PolicyDriver`]. The posted price is sampled at
-//! the *start* of each tick (pre-adjustment), matching the original
-//! G-commerce predictability analysis.
+//! `gm_core`'s shared [`PolicyDriver`](gm_core::PolicyDriver). The
+//! posted price is sampled at the *start* of each tick (pre-adjustment),
+//! matching the original G-commerce predictability analysis.
 
-use gm_core::policy::{AllocationPolicy, PolicyDriver, PolicyError, TickCtx};
+use gm_core::policy::{AllocationPolicy, PolicyError, TickCtx};
+use gm_core::{JobOutcome, JobRequest};
 use gm_des::SimTime;
-use gm_tycoon::{HostSpec, UserId};
 
-use crate::common::{JobOutcome, JobRequest, RunResult};
+use crate::JobRecord;
 
-/// The commodity-market scheduler (configuration + convenience runner).
-pub struct GCommerceMarket {
-    /// Allocation tick in seconds.
-    pub interval_secs: f64,
-    /// Initial posted price per slot-interval.
-    pub initial_price: f64,
-    /// Multiplicative price adjustment gain per interval.
-    pub adjustment_gain: f64,
-    /// Price floor.
-    pub min_price: f64,
-}
+/// Posted price per slot-interval when the market opens.
+const INITIAL_PRICE: f64 = 0.01;
+/// Multiplicative price adjustment gain per interval.
+const ADJUSTMENT_GAIN: f64 = 0.05;
+/// Price floor.
+const MIN_PRICE: f64 = 1e-6;
 
-impl Default for GCommerceMarket {
-    fn default() -> Self {
-        GCommerceMarket {
-            interval_secs: 10.0,
-            initial_price: 0.01,
-            adjustment_gain: 0.05,
-            min_price: 1e-6,
-        }
-    }
-}
-
-impl GCommerceMarket {
-    /// The policy object to hand to a [`PolicyDriver`].
-    pub fn policy(&self) -> GCommercePolicy {
-        GCommercePolicy {
-            price: self.initial_price,
-            adjustment_gain: self.adjustment_gain,
-            min_price: self.min_price,
-            posted: self.initial_price,
-            demand: 0,
-            tracks: Vec::new(),
-        }
-    }
-
-    /// Run the workload until completion or `horizon` through the shared
-    /// driver.
-    pub fn run(&self, hosts: &[HostSpec], jobs: &[JobRequest], horizon: SimTime) -> RunResult {
-        let mut policy = self.policy();
-        PolicyDriver::new(hosts.to_vec(), self.interval_secs)
-            .horizon(horizon)
-            .run(&mut policy, jobs)
-            .expect("invalid job")
-    }
-}
-
-struct JobTrack {
-    id: u32,
-    user: UserId,
-    arrival: SimTime,
-    budget: f64,
-    deadline_secs: f64,
-    subjobs: u32,
+struct Track {
+    job: JobRecord,
     /// Remaining work of subjobs not currently holding a slot (paused
     /// subjobs keep their progress — checkpointed, not lost).
     queued: Vec<f64>,
     /// Remaining work of subjobs currently holding slots.
     running: Vec<f64>,
-    finished: u32,
-    spent: f64,
     budget_left: f64,
-    finished_at: Option<SimTime>,
-    nodes_stat: (u64, f64, usize),
 }
 
 /// The G-commerce posted-price market as an [`AllocationPolicy`].
 pub struct GCommercePolicy {
     price: f64,
-    adjustment_gain: f64,
-    min_price: f64,
     /// Price as posted at the start of the current tick (what buyers saw
     /// and what the price history records).
     posted: f64,
     /// Demand measured at the posted price this tick (drives adjustment).
     demand: usize,
-    tracks: Vec<JobTrack>,
+    tracks: Vec<Track>,
+}
+
+impl Default for GCommercePolicy {
+    fn default() -> Self {
+        GCommercePolicy {
+            price: INITIAL_PRICE,
+            posted: INITIAL_PRICE,
+            demand: 0,
+            tracks: Vec::new(),
+        }
+    }
 }
 
 impl GCommercePolicy {
@@ -116,20 +76,11 @@ impl AllocationPolicy for GCommercePolicy {
     }
 
     fn admit(&mut self, _ctx: &TickCtx, req: &JobRequest) -> Result<(), PolicyError> {
-        self.tracks.push(JobTrack {
-            id: req.id,
-            user: req.user,
-            arrival: req.arrival,
-            budget: req.budget,
-            deadline_secs: req.deadline_secs,
-            subjobs: req.subjobs,
+        self.tracks.push(Track {
+            job: JobRecord::new(req),
             queued: vec![req.work_per_subjob; req.subjobs as usize],
             running: Vec::new(),
-            finished: 0,
-            spent: 0.0,
             budget_left: req.budget,
-            finished_at: None,
-            nodes_stat: (0, 0.0, 0),
         });
         Ok(())
     }
@@ -197,41 +148,35 @@ impl AllocationPolicy for GCommercePolicy {
             }
             let cost = price * t.running.len() as f64;
             t.budget_left -= cost;
-            t.spent += cost;
+            t.job.spent += cost;
         }
     }
 
     fn advance(&mut self, ctx: &TickCtx) {
         let vcpu_mhz = Self::vcpu_mhz(ctx);
-        let dt = ctx.interval();
         for t in self.tracks.iter_mut() {
             for r in t.running.iter_mut() {
                 *r -= vcpu_mhz * ctx.interval_secs;
             }
-            let before = t.running.len();
             t.running.retain(|r| *r > 0.0);
-            let done = before - t.running.len();
-            t.finished += done as u32;
-            if t.finished == t.subjobs && t.finished_at.is_none() {
-                t.finished_at = Some(ctx.now + dt);
+            if t.running.is_empty() && t.queued.is_empty() && t.job.finished_at.is_none() {
+                t.job.finished_at = Some(ctx.tick_end());
             }
         }
     }
 
     fn settle(&mut self, ctx: &TickCtx) {
+        // Sampled every tick from admission until the job finishes.
         for t in self.tracks.iter_mut() {
-            if t.finished < t.subjobs {
-                let active = t.running.len();
-                t.nodes_stat.0 += 1;
-                t.nodes_stat.1 += active as f64;
-                t.nodes_stat.2 = t.nodes_stat.2.max(active);
+            if t.job.finished_at.is_none() {
+                t.job.nodes.sample(t.running.len() as f64);
             }
         }
         // Supply/demand price adjustment for the next tick.
         let slots = ctx.total_slots();
         let imbalance = (self.demand as f64 - slots as f64) / slots as f64;
-        self.price *= 1.0 + self.adjustment_gain * imbalance.clamp(-1.0, 1.0);
-        self.price = self.price.max(self.min_price);
+        self.price *= 1.0 + ADJUSTMENT_GAIN * imbalance.clamp(-1.0, 1.0);
+        self.price = self.price.max(MIN_PRICE);
     }
 
     fn price(&self, _ctx: &TickCtx) -> Option<f64> {
@@ -239,43 +184,19 @@ impl AllocationPolicy for GCommercePolicy {
     }
 
     fn all_settled(&self) -> bool {
-        self.tracks.iter().all(|t| t.finished == t.subjobs)
+        self.tracks.iter().all(|t| t.job.finished_at.is_some())
     }
 
     fn outcomes(&self, now: SimTime) -> Vec<JobOutcome> {
-        self.tracks
-            .iter()
-            .map(|t| JobOutcome {
-                id: t.id,
-                user: t.user,
-                finished_at: t.finished_at,
-                makespan_secs: t.finished_at.unwrap_or(now).since(t.arrival).as_secs_f64(),
-                value: gm_core::workload::on_time_value(
-                    t.budget,
-                    t.deadline_secs,
-                    t.arrival,
-                    t.finished_at,
-                ),
-                cost: t.spent,
-                max_nodes: t.nodes_stat.2,
-                avg_nodes: if t.nodes_stat.0 == 0 {
-                    0.0
-                } else {
-                    t.nodes_stat.1 / t.nodes_stat.0 as f64
-                },
-            })
-            .collect()
+        self.tracks.iter().map(|t| t.job.outcome(now)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{hosts, run};
     use gm_tycoon::UserId;
-
-    fn hosts(n: u32) -> Vec<HostSpec> {
-        (0..n).map(HostSpec::testbed).collect()
-    }
 
     fn job(id: u32, subjobs: u32, work_secs: f64, budget: f64) -> JobRequest {
         JobRequest {
@@ -289,19 +210,21 @@ mod tests {
         }
     }
 
+    fn market(n_hosts: u32, jobs: &[JobRequest], horizon_s: u64) -> gm_core::RunResult {
+        run(GCommercePolicy::default(), &hosts(n_hosts), jobs, horizon_s)
+    }
+
     #[test]
     fn funded_job_completes() {
-        let m = GCommerceMarket::default();
-        let r = m.run(&hosts(2), &[job(0, 4, 100.0, 1000.0)], SimTime::from_secs(10_000));
+        let r = market(2, &[job(0, 4, 100.0, 1000.0)], 10_000);
         assert!(r.all_finished());
         assert!(r.outcomes[0].cost > 0.0);
     }
 
     #[test]
     fn price_rises_under_excess_demand() {
-        let m = GCommerceMarket::default();
         // 1 host (2 slots), 20 wanted slots → sustained excess demand.
-        let r = m.run(&hosts(1), &[job(0, 20, 500.0, 1e9)], SimTime::from_secs(2_000));
+        let r = market(1, &[job(0, 20, 500.0, 1e9)], 2_000);
         let first = r.price_history.first().unwrap().1;
         let last = r.price_history.last().unwrap().1;
         assert!(last > first * 2.0, "price should rise: {first} → {last}");
@@ -309,24 +232,16 @@ mod tests {
 
     #[test]
     fn price_decays_when_idle() {
-        let m = GCommerceMarket::default();
-        let r = m.run(&hosts(4), &[job(0, 1, 10.0, 100.0)], SimTime::from_secs(3_000));
-        // After the tiny job finishes… horizon ends at completion; instead
-        // run with a no-op long horizon by adding an unfunded job.
-        let r2 = m.run(
-            &hosts(4),
-            &[job(0, 1, 10.0, 100.0), job(1, 1, 1e12, 0.0)],
-            SimTime::from_secs(3_000),
-        );
-        let last = r2.price_history.last().unwrap().1;
-        assert!(last < m.initial_price, "idle market must cool: {last}");
-        drop(r);
+        // The tiny job finishes early; an unfunded job keeps the run going
+        // with no demand the market can serve.
+        let r = market(4, &[job(0, 1, 10.0, 100.0), job(1, 1, 1e12, 0.0)], 3_000);
+        let last = r.price_history.last().unwrap().1;
+        assert!(last < INITIAL_PRICE, "idle market must cool: {last}");
     }
 
     #[test]
     fn broke_job_starves() {
-        let m = GCommerceMarket::default();
-        let r = m.run(&hosts(2), &[job(0, 2, 100.0, 0.0)], SimTime::from_secs(2_000));
+        let r = market(2, &[job(0, 2, 100.0, 0.0)], 2_000);
         assert!(!r.all_finished());
         assert_eq!(r.outcomes[0].max_nodes, 0);
     }
@@ -335,14 +250,12 @@ mod tests {
     fn posted_price_is_less_volatile_than_burst_auctions() {
         // Sanity for the G-commerce predictability claim: the posted price
         // series moves by at most `gain` per step.
-        let m = GCommerceMarket::default();
         let jobs: Vec<JobRequest> = (0..5).map(|i| job(i, 10, 300.0, 1e6)).collect();
-        let r = m.run(&hosts(3), &jobs, SimTime::from_secs(20_000));
+        let r = market(3, &jobs, 20_000);
         for w in r.price_history.windows(2) {
             let ratio = w[1].1 / w[0].1;
             assert!(
-                (1.0 - m.adjustment_gain - 1e-9..=1.0 + m.adjustment_gain + 1e-9)
-                    .contains(&ratio),
+                (1.0 - ADJUSTMENT_GAIN - 1e-9..=1.0 + ADJUSTMENT_GAIN + 1e-9).contains(&ratio),
                 "price jumped by {ratio}"
             );
         }
@@ -350,11 +263,10 @@ mod tests {
 
     #[test]
     fn richer_job_outlasts_poorer_under_contention() {
-        let m = GCommerceMarket::default();
         // Over-subscribed market: prices climb until the poor job can't buy.
         let rich = job(0, 6, 2_000.0, 1e9);
         let poor = job(1, 6, 2_000.0, 0.05);
-        let r = m.run(&hosts(1), &[rich, poor], SimTime::from_secs(200_000));
+        let r = market(1, &[rich, poor], 200_000);
         let rich_done = r.outcomes[0].finished_at;
         let poor_done = r.outcomes[1].finished_at;
         match (rich_done, poor_done) {

@@ -5,13 +5,13 @@
 //! Placement is least-loaded or round-robin.
 //!
 //! The scheduling rules live in [`SharePolicy`]; the tick loop is
-//! `gm_core`'s shared [`PolicyDriver`].
+//! `gm_core`'s shared [`PolicyDriver`](gm_core::PolicyDriver).
 
-use gm_core::policy::{AllocationPolicy, PolicyDriver, PolicyError, TickCtx};
+use gm_core::policy::{AllocationPolicy, PolicyError, TickCtx};
+use gm_core::{JobOutcome, JobRequest};
 use gm_des::SimTime;
-use gm_tycoon::{HostSpec, UserId};
 
-use crate::common::{JobOutcome, JobRequest, RunResult};
+use crate::JobRecord;
 
 /// Sub-job placement strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,56 +22,17 @@ pub enum Placement {
     RoundRobin,
 }
 
-/// The equal-share scheduler (configuration + convenience runner).
-pub struct ShareScheduler {
-    /// Allocation tick in seconds.
-    pub interval_secs: f64,
-    /// Placement strategy.
-    pub placement: Placement,
-}
-
-impl Default for ShareScheduler {
-    fn default() -> Self {
-        ShareScheduler {
-            interval_secs: 10.0,
-            placement: Placement::LeastLoaded,
-        }
-    }
-}
-
-impl ShareScheduler {
-    /// The policy object to hand to a [`PolicyDriver`].
-    pub fn policy(&self) -> SharePolicy {
-        SharePolicy::new(self.placement)
-    }
-
-    /// Run the workload to completion (or `horizon`) through the shared
-    /// driver.
-    pub fn run(&self, hosts: &[HostSpec], jobs: &[JobRequest], horizon: SimTime) -> RunResult {
-        let mut policy = self.policy();
-        PolicyDriver::new(hosts.to_vec(), self.interval_secs)
-            .horizon(horizon)
-            .run(&mut policy, jobs)
-            .expect("invalid job")
-    }
-}
-
 struct Resident {
     track: usize,
     remaining: f64,
 }
 
-struct JobTrack {
-    id: u32,
-    user: UserId,
-    arrival: SimTime,
-    budget: f64,
-    deadline_secs: f64,
-    subjobs: u32,
+struct Track {
+    job: JobRecord,
+    /// Sub-jobs not yet placed on a host.
     pending: u32,
-    finished: u32,
-    finished_at: Option<SimTime>,
-    nodes_stat: (u64, f64, usize),
+    /// Sub-jobs not yet finished.
+    left: u32,
 }
 
 /// Equal processor sharing as an [`AllocationPolicy`].
@@ -79,8 +40,7 @@ pub struct SharePolicy {
     placement: Placement,
     /// Per-host resident sub-jobs (time-sharing: unbounded).
     residents: Vec<Vec<Resident>>,
-    tracks: Vec<JobTrack>,
-    work: Vec<f64>,
+    tracks: Vec<Track>,
     rr_next: usize,
 }
 
@@ -91,7 +51,6 @@ impl SharePolicy {
             placement,
             residents: Vec::new(),
             tracks: Vec::new(),
-            work: Vec::new(),
             rr_next: 0,
         }
     }
@@ -110,27 +69,16 @@ impl AllocationPolicy for SharePolicy {
     }
 
     fn admit(&mut self, _ctx: &TickCtx, req: &JobRequest) -> Result<(), PolicyError> {
-        self.tracks.push(JobTrack {
-            id: req.id,
-            user: req.user,
-            arrival: req.arrival,
-            budget: req.budget,
-            deadline_secs: req.deadline_secs,
-            subjobs: req.subjobs,
-            pending: req.subjobs,
-            finished: 0,
-            finished_at: None,
-            nodes_stat: (0, 0.0, 0),
-        });
-        self.work.push(req.work_per_subjob);
+        let job = JobRecord::new(req);
+        self.tracks.push(Track { job, pending: req.subjobs, left: req.subjobs });
         Ok(())
     }
 
     fn place(&mut self, _ctx: &TickCtx) {
         // Time sharing has no slot limit: everything admitted lands on a
         // host immediately.
-        for ti in 0..self.tracks.len() {
-            while self.tracks[ti].pending > 0 {
+        for (ti, t) in self.tracks.iter_mut().enumerate() {
+            while t.pending > 0 {
                 let h = match self.placement {
                     Placement::LeastLoaded => self
                         .residents
@@ -145,19 +93,16 @@ impl AllocationPolicy for SharePolicy {
                         h
                     }
                 };
-                self.residents[h].push(Resident {
-                    track: ti,
-                    remaining: self.work[ti],
-                });
-                self.tracks[ti].pending -= 1;
+                let remaining = t.job.req.work_per_subjob;
+                self.residents[h].push(Resident { track: ti, remaining });
+                t.pending -= 1;
             }
         }
     }
 
     fn advance(&mut self, ctx: &TickCtx) {
-        let dt = ctx.interval();
-        for (h_idx, host) in ctx.hosts.iter().enumerate() {
-            let n = self.residents[h_idx].len();
+        for (host, residents) in ctx.hosts.iter().zip(&mut self.residents) {
+            let n = residents.len();
             if n == 0 {
                 continue;
             }
@@ -166,36 +111,33 @@ impl AllocationPolicy for SharePolicy {
             let share = 1.0 / n as f64;
             let cpu_fraction = (share * host.cpus as f64).min(1.0);
             let cap = cpu_fraction * host.vcpu_capacity_mhz();
-            for r in self.residents[h_idx].iter_mut() {
+            for r in residents.iter_mut() {
                 r.remaining -= cap * ctx.interval_secs;
             }
-            let tracks = &mut self.tracks;
-            self.residents[h_idx].retain(|r| {
-                if r.remaining <= 0.0 {
-                    let t = &mut tracks[r.track];
-                    t.finished += 1;
-                    if t.finished == t.subjobs {
-                        t.finished_at = Some(ctx.now + dt);
-                    }
-                    false
-                } else {
-                    true
+            residents.retain(|r| {
+                if r.remaining > 0.0 {
+                    return true;
                 }
+                let t = &mut self.tracks[r.track];
+                t.left -= 1;
+                if t.left == 0 {
+                    t.job.finished_at = Some(ctx.tick_end());
+                }
+                false
             });
         }
     }
 
     fn settle(&mut self, _ctx: &TickCtx) {
+        // Sampled every tick from admission until the job finishes.
         for (ti, t) in self.tracks.iter_mut().enumerate() {
-            if t.finished < t.subjobs {
+            if t.job.finished_at.is_none() {
                 let active: usize = self
                     .residents
                     .iter()
                     .map(|r| r.iter().filter(|x| x.track == ti).count())
                     .sum();
-                t.nodes_stat.0 += 1;
-                t.nodes_stat.1 += active as f64;
-                t.nodes_stat.2 = t.nodes_stat.2.max(active);
+                t.job.nodes.sample(active as f64);
             }
         }
     }
@@ -205,43 +147,19 @@ impl AllocationPolicy for SharePolicy {
     }
 
     fn all_settled(&self) -> bool {
-        self.tracks.iter().all(|t| t.finished == t.subjobs)
+        self.tracks.iter().all(|t| t.job.finished_at.is_some())
     }
 
     fn outcomes(&self, now: SimTime) -> Vec<JobOutcome> {
-        self.tracks
-            .iter()
-            .map(|t| JobOutcome {
-                id: t.id,
-                user: t.user,
-                finished_at: t.finished_at,
-                makespan_secs: t.finished_at.unwrap_or(now).since(t.arrival).as_secs_f64(),
-                value: gm_core::workload::on_time_value(
-                    t.budget,
-                    t.deadline_secs,
-                    t.arrival,
-                    t.finished_at,
-                ),
-                cost: 0.0,
-                max_nodes: t.nodes_stat.2,
-                avg_nodes: if t.nodes_stat.0 == 0 {
-                    0.0
-                } else {
-                    t.nodes_stat.1 / t.nodes_stat.0 as f64
-                },
-            })
-            .collect()
+        self.tracks.iter().map(|t| t.job.outcome(now)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{hosts, run};
     use gm_tycoon::UserId;
-
-    fn hosts(n: u32) -> Vec<HostSpec> {
-        (0..n).map(HostSpec::testbed).collect()
-    }
 
     fn job(id: u32, subjobs: u32, work_secs: f64) -> JobRequest {
         JobRequest {
@@ -255,10 +173,13 @@ mod tests {
         }
     }
 
+    fn share(n_hosts: u32, jobs: &[JobRequest], horizon_s: u64) -> gm_core::RunResult {
+        run(SharePolicy::new(Placement::LeastLoaded), &hosts(n_hosts), jobs, horizon_s)
+    }
+
     #[test]
     fn lone_job_runs_at_full_speed() {
-        let s = ShareScheduler::default();
-        let r = s.run(&hosts(4), &[job(0, 4, 100.0)], SimTime::from_secs(10_000));
+        let r = share(4, &[job(0, 4, 100.0)], 10_000);
         assert!(r.all_finished());
         assert!((r.outcomes[0].makespan_secs - 100.0).abs() <= 10.0);
     }
@@ -267,9 +188,7 @@ mod tests {
     fn two_jobs_on_dual_cpu_hosts_dont_contend() {
         // 2 users × 4 subjobs on 4 dual-CPU hosts: each host has 2
         // residents, each gets a full CPU.
-        let s = ShareScheduler::default();
-        let jobs = [job(0, 4, 100.0), job(1, 4, 100.0)];
-        let r = s.run(&hosts(4), &jobs, SimTime::from_secs(10_000));
+        let r = share(4, &[job(0, 4, 100.0), job(1, 4, 100.0)], 10_000);
         for o in &r.outcomes {
             assert!((o.makespan_secs - 100.0).abs() <= 10.0, "{}", o.makespan_secs);
         }
@@ -279,9 +198,8 @@ mod tests {
     fn four_jobs_halve_throughput() {
         // 4 users × 4 subjobs on 4 dual-CPU hosts: 4 residents per host,
         // each gets 2/4 = 0.5 CPU.
-        let s = ShareScheduler::default();
         let jobs: Vec<JobRequest> = (0..4).map(|i| job(i, 4, 100.0)).collect();
-        let r = s.run(&hosts(4), &jobs, SimTime::from_secs(10_000));
+        let r = share(4, &jobs, 10_000);
         for o in &r.outcomes {
             assert!((o.makespan_secs - 200.0).abs() <= 20.0, "{}", o.makespan_secs);
         }
@@ -289,32 +207,26 @@ mod tests {
 
     #[test]
     fn round_robin_spreads_over_hosts() {
-        let s = ShareScheduler {
-            interval_secs: 10.0,
-            placement: Placement::RoundRobin,
-        };
-        let r = s.run(&hosts(4), &[job(0, 4, 50.0)], SimTime::from_secs(10_000));
+        let policy = SharePolicy::new(Placement::RoundRobin);
+        let r = run(policy, &hosts(4), &[job(0, 4, 50.0)], 10_000);
         assert_eq!(r.outcomes[0].max_nodes, 4, "one subjob per host");
     }
 
     #[test]
     fn least_loaded_balances() {
-        let s = ShareScheduler::default();
-        let jobs = [job(0, 8, 50.0)];
-        let r = s.run(&hosts(4), &jobs, SimTime::from_secs(10_000));
         // 8 subjobs over 4 hosts = 2 per host; everyone gets a full CPU.
+        let r = share(4, &[job(0, 8, 50.0)], 10_000);
         assert!((r.outcomes[0].makespan_secs - 50.0).abs() <= 10.0);
     }
 
     #[test]
     fn equal_share_ignores_budgets() {
         // Identical shapes, wildly different budgets → identical outcomes.
-        let s = ShareScheduler::default();
         let mut a = job(0, 4, 100.0);
         a.budget = 1.0;
         let mut b = job(1, 4, 100.0);
         b.budget = 1000.0;
-        let r = s.run(&hosts(2), &[a, b], SimTime::from_secs(100_000));
+        let r = share(2, &[a, b], 100_000);
         let m0 = r.outcomes[0].makespan_secs;
         let m1 = r.outcomes[1].makespan_secs;
         assert!((m0 - m1).abs() < 1e-9, "budget must not matter: {m0} {m1}");

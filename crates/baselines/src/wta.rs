@@ -8,14 +8,14 @@
 //! its bid.
 //!
 //! The auction rules live in [`WtaPolicy`]; the tick loop is `gm_core`'s
-//! shared [`PolicyDriver`]. A price sample (mean winning bid) is recorded
-//! only on ticks where at least one host cleared.
+//! shared [`PolicyDriver`](gm_core::PolicyDriver). A price sample (mean
+//! winning bid) is recorded only on ticks where at least one host cleared.
 
-use gm_core::policy::{AllocationPolicy, PolicyDriver, PolicyError, TickCtx};
+use gm_core::policy::{AllocationPolicy, PolicyError, TickCtx};
+use gm_core::{JobOutcome, JobRequest};
 use gm_des::SimTime;
-use gm_tycoon::{HostSpec, UserId};
 
-use crate::common::{JobOutcome, JobRequest, RunResult};
+use crate::JobRecord;
 
 /// How the winning bidder is charged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,91 +28,17 @@ pub enum Pricing {
     SecondPrice,
 }
 
-/// The winner-takes-all market (configuration + convenience runner).
-pub struct WinnerTakesAllMarket {
-    /// Allocation tick in seconds.
-    pub interval_secs: f64,
-    /// Charging rule.
-    pub pricing: Pricing,
-}
-
-impl Default for WinnerTakesAllMarket {
-    fn default() -> Self {
-        WinnerTakesAllMarket {
-            interval_secs: 10.0,
-            pricing: Pricing::FirstPrice,
-        }
-    }
-}
-
-impl WinnerTakesAllMarket {
-    /// A Spawn-style sealed-bid second-price market.
-    pub fn spawn_style() -> WinnerTakesAllMarket {
-        WinnerTakesAllMarket {
-            interval_secs: 10.0,
-            pricing: Pricing::SecondPrice,
-        }
-    }
-
-    /// The policy object to hand to a [`PolicyDriver`].
-    pub fn policy(&self) -> WtaPolicy {
-        WtaPolicy {
-            pricing: self.pricing,
-            tracks: Vec::new(),
-            winners: Vec::new(),
-            clearing: None,
-            active_now: Vec::new(),
-        }
-    }
-
-    /// Run the workload until completion or `horizon` through the shared
-    /// driver. Also returns the price history (winning bids averaged
-    /// across hosts).
-    pub fn run(&self, hosts: &[HostSpec], jobs: &[JobRequest], horizon: SimTime) -> RunResult {
-        let mut policy = self.policy();
-        PolicyDriver::new(hosts.to_vec(), self.interval_secs)
-            .horizon(horizon)
-            .run(&mut policy, jobs)
-            .expect("invalid job")
-    }
-
-    /// Capacity received per job (MHz·seconds) — input for fairness
-    /// comparisons.
-    pub fn capacity_received(
-        &self,
-        hosts: &[HostSpec],
-        jobs: &[JobRequest],
-        horizon: SimTime,
-    ) -> Vec<f64> {
-        // Re-run tracking capacity. (Cheap; keeps the public API small.)
-        let mut track: Vec<f64> = vec![0.0; jobs.len()];
-        let result = self.run(hosts, jobs, horizon);
-        // Approximate from average nodes × makespan × vCPU.
-        for (i, o) in result.outcomes.iter().enumerate() {
-            let vcpu = hosts[0].vcpu_capacity_mhz();
-            track[i] = o.avg_nodes * o.makespan_secs * vcpu;
-        }
-        track
-    }
-}
-
-struct JobTrack {
-    id: u32,
-    user: UserId,
-    arrival: SimTime,
-    deadline_secs: f64,
-    budget: f64,
+struct Track {
+    job: JobRecord,
+    /// Remaining work per sub-job.
     remaining: Vec<f64>,
     budget_left: f64,
-    spent: f64,
-    finished_at: Option<SimTime>,
-    nodes_stat: (u64, f64, usize),
 }
 
 /// Per-host winner-takes-all auctions as an [`AllocationPolicy`].
 pub struct WtaPolicy {
     pricing: Pricing,
-    tracks: Vec<JobTrack>,
+    tracks: Vec<Track>,
     /// This tick's auction results: per host, the winning track and the
     /// charged rate (set in `place`, consumed in `advance`).
     winners: Vec<Option<(usize, f64)>>,
@@ -122,23 +48,29 @@ pub struct WtaPolicy {
     active_now: Vec<usize>,
 }
 
+impl WtaPolicy {
+    /// New market charging winners by `pricing`.
+    pub fn new(pricing: Pricing) -> Self {
+        WtaPolicy {
+            pricing,
+            tracks: Vec::new(),
+            winners: Vec::new(),
+            clearing: None,
+            active_now: Vec::new(),
+        }
+    }
+}
+
 impl AllocationPolicy for WtaPolicy {
     fn name(&self) -> &'static str {
         "wta"
     }
 
     fn admit(&mut self, _ctx: &TickCtx, req: &JobRequest) -> Result<(), PolicyError> {
-        self.tracks.push(JobTrack {
-            id: req.id,
-            user: req.user,
-            arrival: req.arrival,
-            deadline_secs: req.deadline_secs,
-            budget: req.budget,
+        self.tracks.push(Track {
+            job: JobRecord::new(req),
             remaining: vec![req.work_per_subjob; req.subjobs as usize],
             budget_left: req.budget,
-            spent: 0.0,
-            finished_at: None,
-            nodes_stat: (0, 0.0, 0),
         });
         Ok(())
     }
@@ -154,15 +86,15 @@ impl AllocationPolicy for WtaPolicy {
         }
         let mut bids: Vec<Bid> = Vec::new();
         for (ti, t) in self.tracks.iter().enumerate() {
-            if t.finished_at.is_some() {
+            if t.job.finished_at.is_some() {
                 continue;
             }
             let unfinished = t.remaining.iter().filter(|r| **r > 0.0).count();
             if unfinished == 0 || t.budget_left <= 0.0 {
                 continue;
             }
-            let rate =
-                (t.budget_left / t.deadline_secs.max(ctx.interval_secs)) * ctx.interval_secs;
+            let deadline_secs = t.job.req.deadline_secs;
+            let rate = (t.budget_left / deadline_secs.max(ctx.interval_secs)) * ctx.interval_secs;
             bids.push(Bid {
                 track: ti,
                 rate_per_host: rate / unfinished as f64,
@@ -215,7 +147,7 @@ impl AllocationPolicy for WtaPolicy {
             let Some((ti, rate)) = *w else { continue };
             let t = &mut self.tracks[ti];
             t.budget_left -= rate;
-            t.spent += rate;
+            t.job.spent += rate;
             let host = &ctx.hosts[h_idx];
             let cap = host.vcpu_capacity_mhz() * ctx.interval_secs;
             let mut cpus = host.cpus as usize;
@@ -234,16 +166,14 @@ impl AllocationPolicy for WtaPolicy {
     }
 
     fn settle(&mut self, ctx: &TickCtx) {
-        let dt = ctx.interval();
+        // Sampled every tick from admission until the job finishes.
         for (ti, t) in self.tracks.iter_mut().enumerate() {
-            if t.finished_at.is_none() && t.remaining.iter().all(|r| *r <= 0.0) {
-                t.finished_at = Some(ctx.now + dt);
+            if t.job.finished_at.is_none() && t.remaining.iter().all(|r| *r <= 0.0) {
+                t.job.finished_at = Some(ctx.tick_end());
             }
-            if t.finished_at.is_none() {
+            if t.job.finished_at.is_none() {
                 let active = self.active_now.get(ti).copied().unwrap_or(0);
-                t.nodes_stat.0 += 1;
-                t.nodes_stat.1 += active as f64;
-                t.nodes_stat.2 = t.nodes_stat.2.max(active);
+                t.job.nodes.sample(active as f64);
             }
         }
     }
@@ -253,44 +183,20 @@ impl AllocationPolicy for WtaPolicy {
     }
 
     fn all_settled(&self) -> bool {
-        self.tracks.iter().all(|t| t.finished_at.is_some())
+        self.tracks.iter().all(|t| t.job.finished_at.is_some())
     }
 
     fn outcomes(&self, now: SimTime) -> Vec<JobOutcome> {
-        self.tracks
-            .iter()
-            .map(|t| JobOutcome {
-                id: t.id,
-                user: t.user,
-                finished_at: t.finished_at,
-                makespan_secs: t.finished_at.unwrap_or(now).since(t.arrival).as_secs_f64(),
-                value: gm_core::workload::on_time_value(
-                    t.budget,
-                    t.deadline_secs,
-                    t.arrival,
-                    t.finished_at,
-                ),
-                cost: t.spent,
-                max_nodes: t.nodes_stat.2,
-                avg_nodes: if t.nodes_stat.0 == 0 {
-                    0.0
-                } else {
-                    t.nodes_stat.1 / t.nodes_stat.0 as f64
-                },
-            })
-            .collect()
+        self.tracks.iter().map(|t| t.job.outcome(now)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::jain_fairness;
+    use crate::testkit::{hosts, run};
+    use gm_core::RunResult;
     use gm_tycoon::UserId;
-
-    fn hosts(n: u32) -> Vec<HostSpec> {
-        (0..n).map(HostSpec::testbed).collect()
-    }
 
     fn job(id: u32, subjobs: u32, work_secs: f64, budget: f64) -> JobRequest {
         JobRequest {
@@ -304,10 +210,13 @@ mod tests {
         }
     }
 
+    fn auction(p: Pricing, n_hosts: u32, jobs: &[JobRequest], horizon_s: u64) -> RunResult {
+        run(WtaPolicy::new(p), &hosts(n_hosts), jobs, horizon_s)
+    }
+
     #[test]
     fn lone_bidder_wins_everything() {
-        let m = WinnerTakesAllMarket::default();
-        let r = m.run(&hosts(2), &[job(0, 4, 100.0, 100.0)], SimTime::from_secs(10_000));
+        let r = auction(Pricing::FirstPrice, 2, &[job(0, 4, 100.0, 100.0)], 10_000);
         assert!(r.all_finished());
         assert_eq!(r.outcomes[0].max_nodes, 4, "2 hosts × 2 cpus");
     }
@@ -316,10 +225,9 @@ mod tests {
     fn highest_bidder_shuts_out_the_rest() {
         // Same shape, 10× budget: on a single host, the poor job gets
         // nothing until the rich one finishes.
-        let m = WinnerTakesAllMarket::default();
         let rich = job(0, 2, 500.0, 1000.0);
         let poor = job(1, 2, 500.0, 100.0);
-        let r = m.run(&hosts(1), &[rich, poor], SimTime::from_secs(100_000));
+        let r = auction(Pricing::FirstPrice, 1, &[rich, poor], 100_000);
         let tr = r.outcomes[0].finished_at.expect("rich finishes");
         if let Some(tp) = r.outcomes[1].finished_at {
             assert!(tr < tp, "rich must finish strictly first");
@@ -333,12 +241,14 @@ mod tests {
     fn wta_is_less_fair_than_equal_budgets_imply() {
         // Two equal-work jobs, budgets 3:1, measured over a horizon where
         // they still contend: the loser is starved entirely (with
-        // proportional share both would run at 3:1 shares).
-        let m = WinnerTakesAllMarket::default();
-        let a = job(0, 2, 2_000.0, 300.0);
-        let b = job(1, 2, 2_000.0, 100.0);
-        let caps = m.capacity_received(&hosts(1), &[a, b], SimTime::from_secs(2_000));
-        let fairness = jain_fairness(&caps);
+        // proportional share both would run at 3:1 shares). Capacity
+        // received is approximated as average nodes × makespan × vCPU.
+        let (a, b) = (job(0, 2, 2_000.0, 300.0), job(1, 2, 2_000.0, 100.0));
+        let r = auction(Pricing::FirstPrice, 1, &[a, b], 2_000);
+        let vcpu = hosts(1)[0].vcpu_capacity_mhz();
+        let caps: Vec<f64> =
+            r.outcomes.iter().map(|o| o.avg_nodes * o.makespan_secs * vcpu).collect();
+        let fairness = gm_core::jain_fairness(&caps);
         assert!(
             fairness < 0.9,
             "winner-takes-all should be visibly unfair: {fairness} ({caps:?})"
@@ -347,8 +257,7 @@ mod tests {
 
     #[test]
     fn broke_bidder_never_runs() {
-        let m = WinnerTakesAllMarket::default();
-        let r = m.run(&hosts(1), &[job(0, 1, 100.0, 0.0)], SimTime::from_secs(5_000));
+        let r = auction(Pricing::FirstPrice, 1, &[job(0, 1, 100.0, 0.0)], 5_000);
         assert!(!r.all_finished());
         assert_eq!(r.outcomes[0].max_nodes, 0);
     }
@@ -356,26 +265,19 @@ mod tests {
     #[test]
     fn second_price_lone_bidder_pays_nothing() {
         // Vickrey with one bidder and no reserve: the clearing price is 0.
-        let m = WinnerTakesAllMarket::spawn_style();
-        let r = m.run(&hosts(1), &[job(0, 1, 100.0, 360.0)], SimTime::from_secs(5_000));
+        let r = auction(Pricing::SecondPrice, 1, &[job(0, 1, 100.0, 360.0)], 5_000);
         assert!(r.all_finished());
         assert_eq!(r.outcomes[0].cost, 0.0);
     }
 
     #[test]
     fn second_price_charges_runner_up_bid() {
-        let m = WinnerTakesAllMarket::spawn_style();
         // rich bids 1.0/interval, poor bids 0.25/interval.
-        let rich = job(0, 1, 500.0, 360.0);
-        let poor = job(1, 1, 500.0, 90.0);
-        let r = m.run(&hosts(1), &[rich, poor], SimTime::from_secs(50_000));
+        let jobs = [job(0, 1, 500.0, 360.0), job(1, 1, 500.0, 90.0)];
+        let r = auction(Pricing::SecondPrice, 1, &jobs, 50_000);
         // While contending, the rich winner pays the poor bid (0.25), so
         // its total spend is well under first-price.
-        let first = WinnerTakesAllMarket::default().run(
-            &hosts(1),
-            &[job(0, 1, 500.0, 360.0), job(1, 1, 500.0, 90.0)],
-            SimTime::from_secs(50_000),
-        );
+        let first = auction(Pricing::FirstPrice, 1, &jobs, 50_000);
         assert!(
             r.outcomes[0].cost < first.outcomes[0].cost,
             "second price {} should undercut first price {}",
@@ -387,8 +289,7 @@ mod tests {
 
     #[test]
     fn price_history_tracks_winning_bids() {
-        let m = WinnerTakesAllMarket::default();
-        let r = m.run(&hosts(1), &[job(0, 1, 100.0, 360.0)], SimTime::from_secs(5_000));
+        let r = auction(Pricing::FirstPrice, 1, &[job(0, 1, 100.0, 360.0)], 5_000);
         assert!(!r.price_history.is_empty());
         // bid per interval = budget/deadline × interval = 360/3600×10 = 1.0
         let (_, p0) = r.price_history[0];

@@ -10,11 +10,11 @@
 //! stream through the one shared `PolicyDriver`, so the only difference
 //! is the pricing mechanism itself.
 
-use gm_baselines::{GCommerceMarket, JobRequest, WinnerTakesAllMarket};
+use gm_baselines::{GCommercePolicy, Pricing, WtaPolicy};
 use gm_des::SimTime;
 use gm_numeric::stats::Moments;
-use gm_tycoon::{HostSpec, UserId};
-use gridmarket::PolicyDriver;
+use gm_tycoon::{HostSpec, UserId, DEFAULT_INTERVAL_SECS};
+use gridmarket::sched::{AllocationPolicy, JobRequest, PolicyDriver, RunResult};
 
 use crate::Scale;
 
@@ -93,12 +93,16 @@ pub fn run_seeded(scale: Scale, seed: u64) -> Volatility {
         .collect();
     let horizon = SimTime::from_secs((hours * 3600.0) as u64);
 
+    let drive = |policy: &mut dyn AllocationPolicy| -> RunResult {
+        PolicyDriver::new(hosts.clone(), DEFAULT_INTERVAL_SECS)
+            .horizon(horizon)
+            .run(policy, &jobs)
+            .expect("valid jobs")
+    };
+
     // (a) Tycoon spot prices (host 0) through the shared driver.
     let mut ty = crate::mc::tycoon_policy(seed, &hosts, |_| {});
-    PolicyDriver::new(hosts.clone(), 10.0)
-        .horizon(horizon)
-        .run(&mut ty, &jobs)
-        .expect("tycoon run");
+    drive(&mut ty);
     let tycoon_prices: Vec<f64> = ty
         .market()
         .price_trace()
@@ -107,11 +111,11 @@ pub fn run_seeded(scale: Scale, seed: u64) -> Volatility {
         .unwrap_or_default();
     let tycoon_cov = cov(&tycoon_prices).unwrap_or(f64::NAN);
 
-    let gc = GCommerceMarket::default().run(&hosts, &jobs, horizon);
+    let gc = drive(&mut GCommercePolicy::default());
     let gc_prices: Vec<f64> = gc.price_history.iter().map(|(_, p)| *p).collect();
     let gcommerce_cov = cov(&gc_prices).unwrap_or(f64::NAN);
 
-    let wta = WinnerTakesAllMarket::default().run(&hosts, &jobs, horizon);
+    let wta = drive(&mut WtaPolicy::new(Pricing::FirstPrice));
     let wta_prices: Vec<f64> = wta.price_history.iter().map(|(_, p)| *p).collect();
     let wta_cov = cov(&wta_prices);
 

@@ -18,7 +18,7 @@
 //! [`Cli`] is the one command-line parser of the `mc` binary, shared by
 //! every mode.
 
-use gm_baselines::{FifoPolicy, GCommerceMarket, Placement, SharePolicy, WinnerTakesAllMarket};
+use gm_baselines::{FifoPolicy, GCommercePolicy, Placement, Pricing, SharePolicy, WtaPolicy};
 use gm_bio::workload::BioWorkload;
 use gm_des::{FaultPlan, SimDuration, SimTime};
 use gm_grid::{AgentConfig, JobManager, VmConfig};
@@ -193,8 +193,8 @@ pub(crate) fn baseline_policy(name: &str, seed: u64) -> Box<dyn AllocationPolicy
         "vcg" => Box::new(gm_optimal::VcgSlaPolicy::new(seed)),
         "fifo" => Box::new(FifoPolicy::default()),
         "share" => Box::new(SharePolicy::new(Placement::LeastLoaded)),
-        "gcommerce" => Box::new(GCommerceMarket::default().policy()),
-        "wta" => Box::new(WinnerTakesAllMarket::default().policy()),
+        "gcommerce" => Box::new(GCommercePolicy::default()),
+        "wta" => Box::new(WtaPolicy::new(Pricing::FirstPrice)),
         other => unreachable!("unknown baseline policy {other}"),
     }
 }

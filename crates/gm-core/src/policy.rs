@@ -17,7 +17,7 @@
 //! streams and fault plans — the A/B comparison in the paper's Tables
 //! 1/2 is apples to apples by construction.
 
-use gm_des::{FaultEvent, FaultPlan, SimDuration, SimTime};
+use gm_des::{FaultEvent, FaultPlan, NodeStat, SimDuration, SimTime};
 use gm_telemetry::{Counter, Registry};
 use gm_tycoon::HostSpec;
 
@@ -325,15 +325,9 @@ impl PolicyDriver {
         let outcomes = requests
             .iter()
             .map(|req| {
-                by_id.remove(&req.id).unwrap_or(JobOutcome {
-                    id: req.id,
-                    user: req.user,
-                    finished_at: None,
-                    makespan_secs: now.since(req.arrival).as_secs_f64(),
-                    value: 0.0,
-                    cost: 0.0,
-                    max_nodes: 0,
-                    avg_nodes: 0.0,
+                by_id.remove(&req.id).unwrap_or_else(|| {
+                    let nodes = NodeStat::default();
+                    JobOutcome::new(req.id, req.user, req.arrival, None, now, 0.0, 0.0, &nodes)
                 })
             })
             .collect();

@@ -1,10 +1,13 @@
 //! Policy-neutral workload and outcome types.
 //!
-//! These used to live in `gm_baselines::common`; they moved here so the
-//! Tycoon market and the conventional baselines report through one type
-//! universe (the `baselines::common` paths remain as re-exports).
+//! Every allocator — the Tycoon market, the VCG tier and the
+//! conventional baselines — takes [`JobRequest`]s and reports one
+//! [`JobOutcome`] per job, built by [`JobOutcome::new`] from the job's
+//! [`NodeStat`], inside one [`RunResult`]. The makespan and average-node
+//! arithmetic therefore exists once, and policies differ only in how
+//! they allocate.
 
-use gm_des::SimTime;
+use gm_des::{NodeStat, SimTime};
 use gm_tycoon::UserId;
 
 use crate::policy::PolicyError;
@@ -102,8 +105,41 @@ pub struct JobOutcome {
     pub cost: f64,
     /// Peak concurrent sub-jobs.
     pub max_nodes: usize,
-    /// Average concurrent sub-jobs over the job's active lifetime.
+    /// Average concurrent sub-jobs over the ticks the policy sampled.
+    /// Which ticks those are differs per policy (see [`NodeStat`]): FIFO
+    /// from first dispatch; equal share, G-commerce and WTA every
+    /// unfinished tick from admission, zeros included; VCG only ticks
+    /// that delivered work; Tycoon while the job is `Running`.
     pub avg_nodes: f64,
+}
+
+impl JobOutcome {
+    /// The outcome of a job that arrived at `arrival`, reported when the
+    /// run's clock reads `now`: the makespan runs to `finished_at`, or to
+    /// `now` for a job that did not finish, and the node columns come
+    /// from `nodes`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        id: u32,
+        user: UserId,
+        arrival: SimTime,
+        finished_at: Option<SimTime>,
+        now: SimTime,
+        value: f64,
+        cost: f64,
+        nodes: &NodeStat,
+    ) -> JobOutcome {
+        JobOutcome {
+            id,
+            user,
+            finished_at,
+            makespan_secs: finished_at.unwrap_or(now).since(arrival).as_secs_f64(),
+            value,
+            cost,
+            max_nodes: nodes.peak(),
+            avg_nodes: nodes.avg(),
+        }
+    }
 }
 
 /// Result of one policy run.
@@ -121,7 +157,9 @@ impl RunResult {
         self.outcomes.iter().all(|o| o.finished_at.is_some())
     }
 
-    /// Makespan of the whole batch (max over finished jobs), seconds.
+    /// Makespan of the whole batch, seconds: the largest
+    /// `makespan_secs` over *all* outcomes, so a job that did not finish
+    /// counts with its makespan clipped at the horizon (0 for no jobs).
     pub fn batch_makespan_secs(&self) -> f64 {
         self.outcomes
             .iter()
@@ -166,6 +204,46 @@ mod tests {
             price_history: vec![],
         };
         assert!(empty.price_volatility().is_none());
+    }
+
+    #[test]
+    fn batch_makespan_counts_unfinished_jobs_at_the_horizon() {
+        let empty = RunResult {
+            outcomes: vec![],
+            price_history: vec![],
+        };
+        assert!(empty.all_finished());
+        assert_eq!(empty.batch_makespan_secs(), 0.0);
+        // One job done after 100 s, one still running when the clock
+        // stops at 500 s: the batch makespan is the unfinished job's 400 s.
+        let (now, nodes) = (SimTime::from_secs(500), NodeStat::default());
+        let job = |arrival_s, done: Option<u64>| {
+            let (arrival, done) = (SimTime::from_secs(arrival_s), done.map(SimTime::from_secs));
+            JobOutcome::new(0, UserId(1), arrival, done, now, 0.0, 0.0, &nodes)
+        };
+        let r = RunResult {
+            outcomes: vec![job(0, Some(100)), job(100, None)],
+            price_history: vec![],
+        };
+        assert!(!r.all_finished());
+        assert_eq!(r.outcomes[0].makespan_secs, 100.0);
+        assert_eq!(r.batch_makespan_secs(), 400.0);
+    }
+
+    #[test]
+    fn outcome_takes_nodes_from_the_stat() {
+        let mut nodes = NodeStat::default();
+        nodes.sample(2.0);
+        nodes.sample(4.0);
+        let now = SimTime::from_secs(60);
+        let o = JobOutcome::new(3, UserId(2), SimTime::ZERO, None, now, 5.0, 1.0, &nodes);
+        assert_eq!((o.makespan_secs, o.value, o.cost), (60.0, 5.0, 1.0));
+        assert_eq!((o.avg_nodes, o.max_nodes), (3.0, 4));
+    }
+
+    #[test]
+    fn even_outcomes_are_perfectly_fair() {
+        assert!((crate::jain_fairness(&[1.0, 1.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Job and sub-job state: identifiers, lifecycle phases, the xRSL →
 //! [`Job`] submission mapping, and the error type of the grid layer.
 
-use gm_des::{SimDuration, SimTime};
+use gm_des::{NodeStat, SimDuration, SimTime};
 use gm_tycoon::{AccountId, BidHandle, Credits, HostId, UserId};
 
 use crate::datatransfer::StagedFile;
@@ -188,8 +188,8 @@ pub struct Job {
     /// Runtime environments the VMs need.
     pub envs: Vec<String>,
     pub(super) slots: Vec<Slot>,
-    /// Concurrency bookkeeping: (samples, sum, max).
-    pub(super) nodes_stat: (u64, f64, usize),
+    /// Concurrency, sampled every pre-tick while the job is `Running`.
+    pub(super) nodes: NodeStat,
     pub(super) initial_funding: Credits,
     /// Per-sub-job stage-in duration (fixed cost + data transfer).
     pub(super) stage_in: SimDuration,
@@ -213,16 +213,12 @@ pub struct Job {
 impl Job {
     /// Average concurrent nodes over the job's lifetime.
     pub fn avg_nodes(&self) -> f64 {
-        if self.nodes_stat.0 == 0 {
-            0.0
-        } else {
-            self.nodes_stat.1 / self.nodes_stat.0 as f64
-        }
+        self.nodes.avg()
     }
 
     /// Maximum concurrent nodes observed.
     pub fn max_nodes(&self) -> usize {
-        self.nodes_stat.2
+        self.nodes.peak()
     }
 
     /// Makespan so far (or final, when finished).
@@ -343,7 +339,7 @@ impl Job {
             charged: Credits::ZERO,
             envs: parsed.envs,
             slots: Vec::new(),
-            nodes_stat: (0, 0.0, 0),
+            nodes: NodeStat::default(),
             initial_funding: token.amount(),
             stage_in: staging.stage_in,
             stage_out: staging.stage_out,

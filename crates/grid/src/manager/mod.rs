@@ -298,9 +298,7 @@ impl JobManager {
                     self.speculate(market, &mut job, now);
                     // Concurrency sample for the Nodes metric.
                     let active = job.slots.iter().filter(|s| s.subjob.is_some()).count();
-                    job.nodes_stat.0 += 1;
-                    job.nodes_stat.1 += active as f64;
-                    job.nodes_stat.2 = job.nodes_stat.2.max(active);
+                    job.nodes.sample(active as f64);
                 }
             }
             self.jobs.insert(id, job);

@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use gm_core::policy::{AllocationPolicy, PolicyError, TickCtx};
 use gm_core::{JobOutcome, JobRequest};
 use gm_crypto::Keypair;
-use gm_des::{FaultEvent, FaultKind, SimTime};
+use gm_des::{FaultEvent, FaultKind, NodeStat, SimTime};
 use gm_ledger::SharedJournal;
 use gm_tycoon::{AccountId, Bank, Credits, UserId};
 
@@ -64,8 +64,8 @@ struct JobState {
     charged: Credits,
     finished_at: Option<SimTime>,
     account: AccountId,
-    /// `(samples, active_nodes_sum, peak)` concurrency statistics.
-    nodes_stat: (u64, f64, usize),
+    /// Concurrency, sampled on ticks that delivered work.
+    nodes: NodeStat,
 }
 
 impl JobState {
@@ -507,7 +507,7 @@ impl AllocationPolicy for VcgSlaPolicy {
                 charged: Credits::ZERO,
                 finished_at: None,
                 account,
-                nodes_stat: (0, 0.0, 0),
+                nodes: NodeStat::default(),
             },
         );
         Ok(())
@@ -565,9 +565,7 @@ impl AllocationPolicy for VcgSlaPolicy {
                 job.finished_at = Some(tick_end);
             }
             if applied > 0.0 && job.finished_at.is_none() {
-                job.nodes_stat.0 += 1;
-                job.nodes_stat.1 += nodes;
-                job.nodes_stat.2 = job.nodes_stat.2.max(nodes.round() as usize);
+                job.nodes.sample(nodes);
             }
         }
         plan.ticks_done += 1;
@@ -600,19 +598,9 @@ impl AllocationPolicy for VcgSlaPolicy {
     fn outcomes(&self, now: SimTime) -> Vec<JobOutcome> {
         self.jobs
             .iter()
-            .map(|(&id, j)| JobOutcome {
-                id,
-                user: j.user,
-                finished_at: j.finished_at,
-                makespan_secs: j.finished_at.unwrap_or(now).since(j.arrival).as_secs_f64(),
-                value: j.value_accrued,
-                cost: j.charged.as_f64(),
-                max_nodes: j.nodes_stat.2,
-                avg_nodes: if j.nodes_stat.0 == 0 {
-                    0.0
-                } else {
-                    j.nodes_stat.1 / j.nodes_stat.0 as f64
-                },
+            .map(|(&id, j)| {
+                let (value, cost) = (j.value_accrued, j.charged.as_f64());
+                JobOutcome::new(id, j.user, j.arrival, j.finished_at, now, value, cost, &j.nodes)
             })
             .collect()
     }

@@ -9,12 +9,12 @@
 //! ```
 
 use gridmarket::baselines::{
-    jain_fairness, FifoBatchQueue, GCommerceMarket, JobRequest, Placement, ShareScheduler,
-    WinnerTakesAllMarket,
+    FifoPolicy, GCommercePolicy, Placement, Pricing, SharePolicy, WtaPolicy,
 };
 use gridmarket::des::SimTime;
 use gridmarket::grid::{AgentConfig, JobManager, VmConfig};
-use gridmarket::tycoon::{HostSpec, Market, UserId};
+use gridmarket::sched::{jain_fairness, AllocationPolicy, JobRequest, RunResult};
+use gridmarket::tycoon::{HostSpec, Market, UserId, DEFAULT_INTERVAL_SECS};
 use gridmarket::{PolicyDriver, TycoonPolicy};
 
 fn main() {
@@ -34,28 +34,19 @@ fn main() {
             deadline_secs: 5400.0,
         })
         .collect();
-    let horizon = SimTime::from_secs(8 * 3600);
+    let drive = |policy: &mut dyn AllocationPolicy| -> RunResult {
+        PolicyDriver::new(hosts.clone(), DEFAULT_INTERVAL_SECS)
+            .horizon(SimTime::from_secs(8 * 3600))
+            .run(policy, &jobs)
+            .expect("valid jobs")
+    };
 
     println!("scheduler          makespan(h)  unfinished  fairness(J)  price CoV");
-
-    let fifo = FifoBatchQueue::default().run(&hosts, &jobs, horizon);
-    report("fifo-batch", &fifo);
-
-    let share = ShareScheduler::default().run(&hosts, &jobs, horizon);
-    report("equal-share", &share);
-
-    let rr = ShareScheduler {
-        interval_secs: 10.0,
-        placement: Placement::RoundRobin,
-    }
-    .run(&hosts, &jobs, horizon);
-    report("round-robin", &rr);
-
-    let gc = GCommerceMarket::default().run(&hosts, &jobs, horizon);
-    report("g-commerce", &gc);
-
-    let wta = WinnerTakesAllMarket::default().run(&hosts, &jobs, horizon);
-    report("winner-takes-all", &wta);
+    report("fifo-batch", &drive(&mut FifoPolicy::default()));
+    report("equal-share", &drive(&mut SharePolicy::new(Placement::LeastLoaded)));
+    report("round-robin", &drive(&mut SharePolicy::new(Placement::RoundRobin)));
+    report("g-commerce", &drive(&mut GCommercePolicy::default()));
+    report("winner-takes-all", &drive(&mut WtaPolicy::new(Pricing::FirstPrice)));
 
     // The Tycoon grid market — the same jobs, hosts and driver as every
     // baseline above.
@@ -65,17 +56,12 @@ fn main() {
         market.add_host(h.clone());
     }
     let jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
-    let mut ty = TycoonPolicy::new(market, jm);
-    let tycoon = PolicyDriver::new(hosts.clone(), 10.0)
-        .horizon(horizon)
-        .run(&mut ty, &jobs)
-        .expect("tycoon run");
-    report("tycoon-market", &tycoon);
+    report("tycoon-market", &drive(&mut TycoonPolicy::new(market, jm)));
 
     println!("\n(fairness = Jain index over finished jobs; CoV = price coefficient of variation)");
 }
 
-fn report(name: &str, r: &gridmarket::baselines::RunResult) {
+fn report(name: &str, r: &RunResult) {
     let makespan = r.batch_makespan_secs() / 3600.0;
     let unfinished = r.outcomes.iter().filter(|o| o.finished_at.is_none()).count();
     let done: Vec<f64> = r

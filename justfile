@@ -38,10 +38,12 @@ soak:
     cargo run --release --example overload_run -- 2006 25
 
 # Policy matrix: run every allocator (Tycoon + all baselines) through the
-# shared PolicyDriver test suites, then gate the decomposed JobManager
-# modules against regrowing into a god-file (≤ 600 lines each).
+# shared PolicyDriver test suites and the market_battle example, then gate
+# the decomposed JobManager modules against regrowing into a god-file
+# (≤ 600 lines each).
 policy-matrix:
     cargo test -q --test market_vs_baselines --test policy_driver
+    cargo run --release --example market_battle
     wc -l crates/grid/src/manager/*.rs | awk '$2 != "total" && $1 > 600 {print $2" has "$1" lines (limit 600)"; bad=1} END {exit bad+0}'
 
 # Monte-Carlo chaos sweep (DESIGN.md §13): 1000 random-fault seeds for

@@ -6,57 +6,14 @@
 //! arrival streams, and clocks; the A/B numbers differ only because the
 //! allocation policies differ.
 
-use gridmarket::baselines::{
-    jain_fairness, FifoBatchQueue, GCommerceMarket, JobRequest, ShareScheduler,
-    WinnerTakesAllMarket,
-};
+mod common;
+
+use common::{drive, hosts, workload};
+use gm_baselines::{FifoPolicy, GCommercePolicy, Placement, Pricing, SharePolicy, WtaPolicy};
+use gm_experiments::mc::tycoon_policy;
 use gridmarket::des::SimTime;
-use gridmarket::grid::{AgentConfig, JobManager, VmConfig};
-use gridmarket::sched::{AllocationPolicy, PolicyDriver, RunResult};
-use gridmarket::tycoon::{HostSpec, Market, UserId};
-use gridmarket::TycoonPolicy;
-
-fn hosts(n: u32) -> Vec<HostSpec> {
-    (0..n).map(HostSpec::testbed).collect()
-}
-
-fn workload() -> Vec<JobRequest> {
-    (0..4)
-        .map(|i| JobRequest {
-            id: i,
-            user: UserId(i + 1),
-            subjobs: 3,
-            work_per_subjob: 10.0 * 60.0 * 2910.0,
-            arrival: SimTime::from_secs(30 * (i as u64 + 1)),
-            budget: if i < 2 { 100.0 } else { 400.0 },
-            deadline_secs: 3600.0,
-        })
-        .collect()
-}
-
-/// The shared tick loop every comparison in this file goes through.
-fn drive(
-    policy: &mut dyn AllocationPolicy,
-    hosts: &[HostSpec],
-    jobs: &[JobRequest],
-    horizon: SimTime,
-) -> RunResult {
-    PolicyDriver::new(hosts.to_vec(), 10.0)
-        .horizon(horizon)
-        .run(policy, jobs)
-        .expect("valid workload")
-}
-
-/// The full Tycoon grid stack as a policy for the shared driver.
-fn tycoon(seed: u64, hosts: &[HostSpec]) -> TycoonPolicy {
-    let mut market = Market::new(&seed.to_be_bytes());
-    market.set_interval_secs(10.0);
-    for h in hosts {
-        market.add_host(h.clone());
-    }
-    let jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
-    TycoonPolicy::new(market, jm)
-}
+use gridmarket::sched::{jain_fairness, JobRequest};
+use gridmarket::tycoon::UserId;
 
 /// Budgets are meaningless to administrative schedulers but decisive in
 /// markets — the paper's core differentiation argument (§2.1).
@@ -68,8 +25,8 @@ fn only_markets_differentiate_by_budget() {
 
     // FIFO and equal share: poor and rich jobs with identical shapes get
     // statistically interchangeable treatment.
-    let fifo = drive(&mut FifoBatchQueue::default().policy(), &hosts, &jobs, horizon);
-    let share = drive(&mut ShareScheduler::default().policy(), &hosts, &jobs, horizon);
+    let fifo = drive(&mut FifoPolicy::default(), &hosts, &jobs, horizon);
+    let share = drive(&mut SharePolicy::new(Placement::LeastLoaded), &hosts, &jobs, horizon);
     for r in [&fifo, &share] {
         assert!(r.all_finished());
         for o in &r.outcomes {
@@ -79,7 +36,7 @@ fn only_markets_differentiate_by_budget() {
 
     // The Tycoon market under the *same driver and workload*: richer
     // users pay real credits and obtain better latency.
-    let mut ty = tycoon(5, &hosts);
+    let mut ty = tycoon_policy(5, &hosts, |_| {});
     let market = drive(&mut ty, &hosts, &jobs, horizon);
     assert!(market.all_finished());
     for o in &market.outcomes {
@@ -115,8 +72,12 @@ fn proportional_share_beats_wta_on_fairness() {
         .collect();
     let horizon = SimTime::from_secs(1_500);
 
-    let wta = WinnerTakesAllMarket::default();
-    let caps_wta = wta.capacity_received(&hosts, &jobs, horizon);
+    let wta = drive(&mut WtaPolicy::new(Pricing::FirstPrice), &hosts, &jobs, horizon);
+    // Capacity each job received (MHz·seconds), approximated as average
+    // nodes × makespan × vCPU.
+    let vcpu = hosts[0].vcpu_capacity_mhz();
+    let caps_wta: Vec<f64> =
+        wta.outcomes.iter().map(|o| o.avg_nodes * o.makespan_secs * vcpu).collect();
     let fairness_wta = jain_fairness(&caps_wta);
 
     // Tycoon on the same shape (stagger the arrivals as §5.2 does):
@@ -134,7 +95,7 @@ fn proportional_share_beats_wta_on_fairness() {
             deadline_secs: 3600.0,
         })
         .collect();
-    let mut ty = tycoon(11, &hosts);
+    let mut ty = tycoon_policy(11, &hosts, |_| {});
     let market = drive(&mut ty, &hosts, &jobs_ty, SimTime::from_secs(3600));
     let caps_market: Vec<f64> = market
         .outcomes
@@ -156,8 +117,7 @@ fn proportional_share_beats_wta_on_fairness() {
 fn gcommerce_price_moves_are_bounded() {
     let hosts = hosts(2);
     let jobs = workload();
-    let gc = GCommerceMarket::default();
-    let r = drive(&mut gc.policy(), &hosts, &jobs, SimTime::from_secs(4 * 3600));
+    let r = drive(&mut GCommercePolicy::default(), &hosts, &jobs, SimTime::from_secs(4 * 3600));
     assert!(r.price_history.len() > 10);
     for w in r.price_history.windows(2) {
         let ratio = w[1].1 / w[0].1;
@@ -182,7 +142,7 @@ fn market_is_work_conserving_under_load() {
             deadline_secs: 90.0 * 60.0,
         })
         .collect();
-    let mut ty = tycoon(13, &hosts);
+    let mut ty = tycoon_policy(13, &hosts, |_| {});
     let r = drive(&mut ty, &hosts, &jobs, SimTime::from_secs(8 * 3600));
     assert!(r.all_finished());
     // 8 subjobs × 15 min = 2 CPU-hours on 4 vCPUs ⇒ ≥ 0.5 h lower bound;

@@ -1,57 +1,25 @@
 //! Cross-policy properties of the unified scheduler core: every
 //! allocator runs under the same [`PolicyDriver`], so conservation
 //! invariants and regression pins can be asserted uniformly.
+//!
+//! `tests/golden/policy_outcomes.txt` pins every outcome of every policy
+//! bit for bit. Regenerate it (only for an intended, reviewed change):
+//!
+//! ```text
+//! GOLDEN_REGEN=1 cargo test --test policy_driver
+//! ```
 
-use gridmarket::baselines::{
-    FifoBatchQueue, GCommerceMarket, JobRequest, ShareScheduler, WinnerTakesAllMarket,
-};
-use gridmarket::des::SimTime;
-use gridmarket::grid::{AgentConfig, JobManager, VmConfig};
-use gridmarket::sched::{AllocationPolicy, PolicyDriver, RunResult};
-use gridmarket::tycoon::{HostSpec, Market, UserId};
-use gridmarket::TycoonPolicy;
+mod common;
 
-fn hosts(n: u32) -> Vec<HostSpec> {
-    (0..n).map(HostSpec::testbed).collect()
-}
+use std::fmt::Write as _;
 
-/// Four 3-subjob jobs, 10 CPU-minutes per subjob, staggered arrivals,
-/// 2:1 budget split — the standard comparison workload.
-fn workload() -> Vec<JobRequest> {
-    (0..4)
-        .map(|i| JobRequest {
-            id: i,
-            user: UserId(i + 1),
-            subjobs: 3,
-            work_per_subjob: 10.0 * 60.0 * 2910.0,
-            arrival: SimTime::from_secs(30 * (i as u64 + 1)),
-            budget: if i < 2 { 100.0 } else { 400.0 },
-            deadline_secs: 3600.0,
-        })
-        .collect()
-}
-
-fn drive(
-    policy: &mut dyn AllocationPolicy,
-    hosts: &[HostSpec],
-    jobs: &[JobRequest],
-    horizon: SimTime,
-) -> RunResult {
-    PolicyDriver::new(hosts.to_vec(), 10.0)
-        .horizon(horizon)
-        .run(policy, jobs)
-        .expect("valid workload")
-}
-
-fn tycoon(seed: u64, hosts: &[HostSpec]) -> TycoonPolicy {
-    let mut market = Market::new(&seed.to_be_bytes());
-    market.set_interval_secs(10.0);
-    for h in hosts {
-        market.add_host(h.clone());
-    }
-    let jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
-    TycoonPolicy::new(market, jm)
-}
+use common::{drive, hosts, workload};
+use gm_baselines::{FifoPolicy, GCommercePolicy, Placement, Pricing, SharePolicy, WtaPolicy};
+use gm_experiments::mc::tycoon_policy;
+use gm_optimal::VcgSlaPolicy;
+use gridmarket::des::{FaultGenConfig, FaultPlan, SimDuration, SimTime};
+use gridmarket::sched::{AllocationPolicy, JobRequest, PolicyDriver, RunResult};
+use gridmarket::tycoon::{UserId, DEFAULT_INTERVAL_SECS};
 
 /// Work conservation under *every* policy: no allocator invents
 /// capacity. Each subjob needs 600 s at a full vCPU, so no job can beat
@@ -66,11 +34,11 @@ fn no_policy_invents_capacity() {
     // 4 jobs × 3 subjobs × 600 s of full-vCPU work.
     let total_slot_secs = 12.0 * 600.0;
 
-    let mut fifo = FifoBatchQueue::default().policy();
-    let mut share = ShareScheduler::default().policy();
-    let mut gc = GCommerceMarket::default().policy();
-    let mut wta = WinnerTakesAllMarket::default().policy();
-    let mut ty = tycoon(5, &inventory);
+    let mut fifo = FifoPolicy::default();
+    let mut share = SharePolicy::new(Placement::LeastLoaded);
+    let mut gc = GCommercePolicy::default();
+    let mut wta = WtaPolicy::new(Pricing::FirstPrice);
+    let mut ty = tycoon_policy(5, &inventory, |_| {});
     let policies: Vec<(&str, &mut dyn AllocationPolicy)> = vec![
         ("fifo", &mut fifo),
         ("share", &mut share),
@@ -112,7 +80,7 @@ fn no_policy_invents_capacity() {
 fn tycoon_conserves_money_through_the_driver() {
     let inventory = hosts(3);
     let jobs = workload();
-    let mut ty = tycoon(5, &inventory);
+    let mut ty = tycoon_policy(5, &inventory, |_| {});
     let r = drive(&mut ty, &inventory, &jobs, SimTime::from_secs(6 * 3600));
     assert!(r.all_finished());
 
@@ -138,7 +106,7 @@ fn tycoon_conserves_money_through_the_driver() {
 #[test]
 fn fifo_schedule_is_unchanged_by_the_driver_port() {
     let r = drive(
-        &mut FifoBatchQueue::default().policy(),
+        &mut FifoPolicy::default(),
         &hosts(3),
         &workload(),
         SimTime::from_secs(6 * 3600),
@@ -165,7 +133,7 @@ fn fifo_schedule_is_unchanged_by_the_driver_port() {
 fn driver_runs_are_deterministic() {
     let run = || {
         drive(
-            &mut ShareScheduler::default().policy(),
+            &mut SharePolicy::new(Placement::LeastLoaded),
             &hosts(2),
             &workload(),
             SimTime::from_secs(6 * 3600),
@@ -187,7 +155,7 @@ fn late_arrivals_get_zero_outcomes() {
     let mut jobs = workload();
     jobs[3].arrival = SimTime::from_secs(10 * 3600); // past the horizon
     let r = drive(
-        &mut FifoBatchQueue::default().policy(),
+        &mut FifoPolicy::default(),
         &hosts(3),
         &jobs,
         SimTime::from_secs(2 * 3600),
@@ -200,4 +168,98 @@ fn late_arrivals_get_zero_outcomes() {
     for o in &r.outcomes[..3] {
         assert!(o.finished_at.is_some(), "on-time jobs still complete");
     }
+}
+
+/// The VCG chaos run of `tests/vcg_policy.rs` (`run_chaos`): four
+/// 4-subjob jobs on four hosts under crashes, a VM failure, a bank
+/// outage and restart, and a link outage.
+fn vcg_chaos(seed: u64) -> RunResult {
+    let jobs: Vec<JobRequest> = (0..4)
+        .map(|i| JobRequest {
+            id: i,
+            user: UserId(i + 1),
+            subjobs: 4,
+            work_per_subjob: 1.5e6,
+            arrival: SimTime::ZERO + SimDuration::from_secs(30 * u64::from(i)),
+            budget: 50.0 + 25.0 * f64::from(i),
+            deadline_secs: 3600.0,
+        })
+        .collect();
+    let plan = FaultPlan::generate(
+        seed,
+        FaultGenConfig {
+            hosts: 4,
+            horizon: SimTime::ZERO + SimDuration::from_secs(3600),
+            crashes: 2,
+            mean_downtime: SimDuration::from_secs(600),
+            vm_failures: 1,
+            bank_outages: 1,
+            outage_len: SimDuration::from_secs(300),
+            bank_restarts: 1,
+            link_outages: 1,
+            link_outage_len: SimDuration::from_secs(300),
+            adversary_arrivals: 0,
+            ..FaultGenConfig::default()
+        },
+    );
+    PolicyDriver::new(hosts(4), DEFAULT_INTERVAL_SECS)
+        .horizon(SimTime::ZERO + SimDuration::from_secs(6 * 3600))
+        .faults(plan)
+        .run(&mut VcgSlaPolicy::new(seed), &jobs)
+        .expect("valid jobs")
+}
+
+/// Every outcome field and price sample of one run, floats as raw bits.
+fn dump(out: &mut String, name: &str, r: &RunResult) {
+    writeln!(out, "== {name}").unwrap();
+    for o in &r.outcomes {
+        let [m, v, c, a] = [o.makespan_secs, o.value, o.cost, o.avg_nodes].map(f64::to_bits);
+        let (id, user, peak) = (o.id, o.user.0, o.max_nodes);
+        let done = o.finished_at.map(|t| t.as_micros());
+        writeln!(
+            out,
+            "job {id} user {user} makespan {m:016x} value {v:016x} cost {c:016x} \
+             avg_nodes {a:016x} max_nodes {peak} finished_at {done:?}"
+        )
+        .unwrap();
+    }
+    for (t, p) in &r.price_history {
+        writeln!(out, "price {} {:016x}", t.as_micros(), p.to_bits()).unwrap();
+    }
+}
+
+/// Byte-identity pin of every policy's outcome bookkeeping (makespan,
+/// value, cost, average and peak concurrency, completion time) and price
+/// series, recorded before the policies shared one outcome constructor.
+#[test]
+fn every_policy_outcome_matches_the_golden_bits() {
+    const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/policy_outcomes.txt");
+    let inventory = hosts(3);
+    let jobs = workload();
+    let horizon = SimTime::from_secs(6 * 3600);
+    let mut policies: Vec<(&str, Box<dyn AllocationPolicy>)> = vec![
+        ("fifo", Box::new(FifoPolicy::default())),
+        ("share least-loaded", Box::new(SharePolicy::new(Placement::LeastLoaded))),
+        ("share round-robin", Box::new(SharePolicy::new(Placement::RoundRobin))),
+        ("gcommerce", Box::new(GCommercePolicy::default())),
+        ("wta first-price", Box::new(WtaPolicy::new(Pricing::FirstPrice))),
+        ("wta second-price", Box::new(WtaPolicy::new(Pricing::SecondPrice))),
+        ("tycoon seed 5", Box::new(tycoon_policy(5, &inventory, |_| {}))),
+        ("vcg seed 7", Box::new(VcgSlaPolicy::new(7))),
+    ];
+    let mut out = String::new();
+    for (name, policy) in &mut policies {
+        dump(&mut out, name, &drive(policy.as_mut(), &inventory, &jobs, horizon));
+    }
+    dump(&mut out, "vcg chaos seed 0xBEEF", &vcg_chaos(0xBEEF));
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        std::fs::write(GOLDEN, &out).expect("write golden snapshot");
+        return;
+    }
+    let golden = std::fs::read_to_string(GOLDEN)
+        .expect("golden snapshot missing; run GOLDEN_REGEN=1 cargo test --test policy_driver");
+    for (i, (want, got)) in golden.lines().zip(out.lines()).enumerate() {
+        assert_eq!(want, got, "golden mismatch at line {}", i + 1);
+    }
+    assert_eq!(golden, out, "golden mismatch: line counts differ");
 }
