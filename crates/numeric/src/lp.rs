@@ -1,10 +1,11 @@
 //! Linear programming: a dense two-phase simplex solver and an auction
 //! algorithm for assignment structure.
 //!
-//! This is the numerical substrate of the optimization-based allocation
-//! tier (DESIGN.md §14): the welfare-maximizing allocator compiles SLA
-//! value curves and capacity constraints into an [`Lp`], and VCG pricing
-//! re-solves it once per leave-one-out economy. Like the rest of
+//! It is the reference model of the optimization-based allocation tier
+//! (DESIGN.md §14): that tier solves each welfare window, and every
+//! leave-one-out economy VCG pricing needs, with an exact greedy sweep,
+//! and the property suite (`tests/lp_properties.rs`) checks the sweep
+//! against the window's linear program solved here. Like the rest of
 //! `gm-numeric` the solver is implemented from scratch against published
 //! algorithms — no external dependency — and is **deterministic**: the
 //! same program yields the bit-identical solution on every run, thread

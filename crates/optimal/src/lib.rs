@@ -8,20 +8,21 @@
 //!    delivered work to credits (partial delivery earns partial
 //!    credit; the linear special case reproduces the suite's
 //!    all-or-nothing budget model at full delivery).
-//! 2. [`WelfareProgram`] — compiles one window (apps × hosts with
-//!    capacity, demand and deadline caps) into a linear program over
-//!    the in-repo deterministic simplex ([`gm_numeric::Lp`]) and reads
-//!    back the fluid allocation plus host shadow prices.
+//! 2. [`WelfareProgram`] — one window (apps × hosts with capacity,
+//!    demand and deadline caps). Its linear program is a fractional
+//!    knapsack with nested capacities, so one greedy sweep by slope
+//!    solves it exactly and yields the fluid allocation plus the host
+//!    shadow price; the simplex of `gm-numeric` checks it in the tests.
 //! 3. [`vcg`] — prices every app by its externality through
-//!    leave-one-out re-solves, yielding [`VcgReceipt`]s whose payments
+//!    leave-one-out sweeps, yielding [`VcgReceipt`]s whose payments
 //!    are non-negative, individually rational and truthful.
 //! 4. [`VcgSlaPolicy`] — packages the above as a standard
 //!    [`gm_core::AllocationPolicy`]: windowed replanning, fault
 //!    tolerance, and VCG settlement through a journaled
 //!    [`gm_tycoon::Bank`] so conservation auditing covers the tier.
 //!
-//! Everything is pure Rust on the workspace's own crates — no external
-//! solver, and byte-identical results for a given seed at any thread
+//! Everything is pure Rust on the workspace's own crates — no solver
+//! library, and byte-identical results for a given seed at any thread
 //! count.
 
 pub mod policy;

@@ -326,8 +326,9 @@ impl VcgSlaPolicy {
         }
 
         let Some(out) = vcg(&program) else {
-            // Pivot-cap exhaustion (practically unreachable): skip this
-            // window rather than panic; the next one re-tries.
+            // A non-finite capacity or curve (unreachable from finite job
+            // specs): skip this window rather than panic; the next one
+            // re-tries.
             self.plan = None;
             return;
         };

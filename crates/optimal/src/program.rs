@@ -1,35 +1,33 @@
 //! The per-window welfare maximization program.
 //!
-//! [`WelfareProgram`] compiles one planning window — a set of apps with
+//! [`WelfareProgram`] holds one planning window — a set of apps with
 //! concave [`SlaCurve`](crate::SlaCurve) value segments competing for a
-//! set of capacity-bounded hosts — into a linear program over the
-//! in-repo simplex solver ([`gm_numeric::Lp`]), and reads back the
-//! optimal fluid allocation, per-app deliveries and values, and the
-//! host capacity shadow prices.
+//! set of capacity-bounded hosts — and solves it for the optimal fluid
+//! allocation, per-app deliveries and values, and the host capacity
+//! shadow price.
 //!
-//! Variables (per app `a` over `H` hosts, `K_a` value segments):
-//!
-//! ```text
-//! x[a][h]  work app a draws from host h this window   (>= 0)
-//! s[a][k]  fill of value segment k of app a           (0 <= s <= width)
-//! ```
-//!
-//! Constraints:
+//! As a linear program the window reads (per app `a` over `H` hosts,
+//! `K_a` value segments):
 //!
 //! ```text
 //! Σ_a x[a][h]              <= capacity_h     one per host
 //! Σ_h x[a][h] - Σ_k s[a][k] = 0             linking, one per app
 //! Σ_h x[a][h]              <= cap_a         app rate/demand cap
-//! s[a][k]                  <= width_k       one per segment
+//! 0 <= s[a][k]             <= width_k       one per segment
 //! maximize Σ_{a,k} slope_k · s[a][k]
 //! ```
 //!
-//! Because segment slopes are non-increasing (concavity), the LP fills
-//! high-value segments first on its own; no integrality is needed, and
-//! the whole program stays a pure LP the deterministic simplex solves
-//! bit-identically across runs and thread counts.
-
-use gm_numeric::{Cmp, Lp, LpOutcome};
+//! `x[a][h]` appears only in `Σ_h x[a][h]` and in the host rows, so
+//! nothing depends on which host serves which app: a delivery vector
+//! `d` is feasible exactly when `d_a <= cap_a` and
+//! `Σ_a d_a <= Σ_h max(capacity_h, 0)`. The program is therefore a
+//! fractional knapsack whose capacities nest — segment width inside app
+//! cap inside window capacity — and for such a laminar family filling
+//! segments greedily by slope is exact. [`WelfareProgram::solve`] is
+//! that sweep, O(S log S) in the S segments with no pivoting, and
+//! deterministic: ties break by `(app, segment)` index. The LP above,
+//! solved by the dense simplex of `gm-numeric`, is the reference model
+//! `tests/lp_properties.rs` checks the sweep against.
 
 /// One app's slice of a [`WelfareProgram`] window.
 #[derive(Clone, Debug)]
@@ -45,7 +43,8 @@ pub struct WelfareApp {
     pub cap: f64,
 }
 
-/// The compiled window program: hosts × apps → LP.
+/// One planning window: hosts with capacities and the apps competing
+/// for them.
 #[derive(Clone, Debug, Default)]
 pub struct WelfareProgram {
     host_capacity: Vec<f64>,
@@ -56,16 +55,18 @@ pub struct WelfareProgram {
 /// dual prices on host capacity.
 #[derive(Clone, Debug)]
 pub struct WelfareSolution {
-    /// Optimal welfare `Σ values` (the LP objective).
+    /// Optimal welfare `Σ values`.
     pub welfare: f64,
     /// `alloc[a][h]`: work app `a` draws from host `h`.
     pub alloc: Vec<Vec<f64>>,
-    /// Per-app total delivery `Σ_h alloc[a][h]`.
+    /// Per-app total delivery (`Σ_h alloc[a][h]` up to rounding).
     pub delivered: Vec<f64>,
     /// Per-app realized value `Σ_k slope·s` at the optimum.
     pub values: Vec<f64>,
     /// Shadow price of each host's capacity constraint (credits per
-    /// unit of work; 0 for uncontended hosts).
+    /// unit of work; 0 when the window is uncontended). All hosts share
+    /// one price, crashed ones included: a unit of capacity is worth the
+    /// same wherever it sits.
     pub host_prices: Vec<f64>,
 }
 
@@ -95,6 +96,11 @@ impl WelfareProgram {
         &self.apps
     }
 
+    /// The host capacities the window was built over.
+    pub fn host_capacity(&self) -> &[f64] {
+        &self.host_capacity
+    }
+
     /// Replace app `a`'s value segments in place — the misreport hook
     /// the truthfulness property tests (`tests/lp_properties.rs`) use
     /// to probe deviations against the same hosts and caps.
@@ -105,98 +111,115 @@ impl WelfareProgram {
         self.apps[a].segments = segments;
     }
 
-    /// Compile and solve the window. Returns `None` only if the solver
-    /// fails to certify optimality — the program is always feasible
-    /// (`x = s = 0`) and bounded (all variables capped), so that means
-    /// the pivot cap was hit.
+    /// Solve the window: the greedy sweep (see the module docs) plus a
+    /// placement of each app's delivery on hosts. Returns `None` if any
+    /// host capacity, app cap, segment width or slope is NaN or
+    /// infinite; every finite window has an optimum (`d = 0` is
+    /// feasible and every segment is bounded).
     pub fn solve(&self) -> Option<WelfareSolution> {
-        self.solve_masked(None)
+        let sweep = self.sweep(None)?;
+        Some(WelfareSolution {
+            alloc: self.place(&sweep.delivered),
+            host_prices: vec![sweep.price; self.host_capacity.len()],
+            welfare: sweep.welfare,
+            delivered: sweep.delivered,
+            values: sweep.values,
+        })
     }
 
     /// Optimal welfare of the same window with app `skip` excluded —
-    /// the `W_{-a}` term of a VCG payment. Cheaper than rebuilding the
-    /// program: the app's columns stay but its value segments are
-    /// ignored and its cap is forced to 0.
+    /// the `W_{-a}` term of a VCG payment: the same sweep with the
+    /// app's segments left out. `None` on the inputs [`Self::solve`]
+    /// rejects.
     pub fn solve_without(&self, skip: usize) -> Option<f64> {
-        self.solve_masked(Some(skip)).map(|s| s.welfare)
+        self.sweep(Some(skip)).map(|s| s.welfare)
     }
 
-    fn solve_masked(&self, skip: Option<usize>) -> Option<WelfareSolution> {
-        let hosts = self.host_capacity.len();
-        let active = |a: usize| skip != Some(a);
-        // Variable layout: all x blocks first, then all s blocks.
-        let x0: Vec<usize> = (0..self.apps.len()).map(|a| a * hosts).collect();
-        let mut next = self.apps.len() * hosts;
-        let mut s0 = Vec::with_capacity(self.apps.len());
-        for app in &self.apps {
-            s0.push(next);
-            next += app.segments.len();
+    /// Fill the segments of every app but `skip` in descending slope
+    /// order (stable, so ties go by `(app, segment)` index), each by
+    /// `min(width, app room, window room)`. Zero-width and
+    /// non-positive-slope segments add no welfare and are never filled.
+    fn sweep(&self, skip: Option<usize>) -> Option<Sweep> {
+        let finite = self.host_capacity.iter().all(|c| c.is_finite())
+            && self.apps.iter().all(|app| {
+                app.cap.is_finite()
+                    && app.segments.iter().all(|&(w, s)| w.is_finite() && s.is_finite())
+            });
+        if !finite {
+            return None;
         }
-        let mut lp = Lp::new(next);
-
+        // (slope, app, width) of every segment worth filling.
+        let mut order: Vec<(f64, usize, f64)> = Vec::new();
         for (a, app) in self.apps.iter().enumerate() {
-            for (k, &(width, slope)) in app.segments.iter().enumerate() {
-                if active(a) {
-                    lp.maximize(s0[a] + k, slope);
-                }
-                lp.constrain(&[(s0[a] + k, 1.0)], Cmp::Le, width);
+            if skip == Some(a) {
+                continue;
             }
-            // Linking: delivery fills segments exactly.
-            let mut link: Vec<(usize, f64)> = (0..hosts).map(|h| (x0[a] + h, 1.0)).collect();
-            link.extend((0..app.segments.len()).map(|k| (s0[a] + k, -1.0)));
-            lp.constrain(&link, Cmp::Eq, 0.0);
-            // App delivery cap (0 when excluded, so the VCG re-solve
-            // cannot hide the app's congestion in its idle columns).
-            let cap = if active(a) { app.cap.max(0.0) } else { 0.0 };
-            let row: Vec<(usize, f64)> = (0..hosts).map(|h| (x0[a] + h, 1.0)).collect();
-            lp.constrain(&row, Cmp::Le, cap);
-        }
-        // Host capacities last, so their duals are easy to index.
-        let host_row0 = lp.rows();
-        for (h, &cap) in self.host_capacity.iter().enumerate() {
-            let row: Vec<(usize, f64)> = self
-                .apps
-                .iter()
-                .enumerate()
-                .map(|(a, _)| (x0[a] + h, 1.0))
-                .collect();
-            lp.constrain(&row, Cmp::Le, cap.max(0.0));
-        }
-
-        let sol = match lp.solve() {
-            LpOutcome::Optimal(s) => s,
-            _ => return None,
-        };
-        let alloc: Vec<Vec<f64>> = self
-            .apps
-            .iter()
-            .enumerate()
-            .map(|(a, _)| (0..hosts).map(|h| sol.x[x0[a] + h].max(0.0)).collect())
-            .collect();
-        let delivered: Vec<f64> = alloc.iter().map(|row| row.iter().sum()).collect();
-        let values: Vec<f64> = self
-            .apps
-            .iter()
-            .enumerate()
-            .map(|(a, app)| {
-                if !active(a) {
-                    return 0.0;
-                }
+            order.extend(
                 app.segments
                     .iter()
-                    .enumerate()
-                    .map(|(k, &(_, slope))| slope * sol.x[s0[a] + k].max(0.0))
-                    .sum()
-            })
-            .collect();
-        Some(WelfareSolution {
-            welfare: sol.objective,
-            alloc,
-            delivered,
+                    .filter(|&&(width, slope)| width > 0.0 && slope > 0.0)
+                    .map(|&(width, slope)| (slope, a, width)),
+            );
+        }
+        order.sort_by(|x, y| y.0.total_cmp(&x.0));
+
+        let mut app_room: Vec<f64> = self.apps.iter().map(|app| app.cap.max(0.0)).collect();
+        let mut window_room: f64 = self.host_capacity.iter().map(|c| c.max(0.0)).sum();
+        let mut values = vec![0.0; self.apps.len()];
+        let mut delivered = vec![0.0; self.apps.len()];
+        // The host price is the slope of the first segment the window
+        // cut short while its app still had room: one more unit of any
+        // host's capacity would go there.
+        let mut price = None;
+        for (slope, a, width) in order {
+            let wanted = width.min(app_room[a]);
+            if window_room < wanted && price.is_none() {
+                price = Some(slope);
+            }
+            let fill = wanted.min(window_room);
+            app_room[a] -= fill;
+            window_room -= fill;
+            values[a] += slope * fill;
+            delivered[a] += fill;
+        }
+        Some(Sweep {
+            welfare: values.iter().sum(),
             values,
-            host_prices: (0..hosts).map(|h| sol.duals[host_row0 + h].max(0.0)).collect(),
+            delivered,
+            price: price.unwrap_or(0.0),
         })
     }
+
+    /// Place each app's delivery on hosts northwest-corner style: apps
+    /// in index order take hosts in index order, each host until its
+    /// capacity is used up. Crashed (zero-capacity) hosts get nothing.
+    fn place(&self, delivered: &[f64]) -> Vec<Vec<f64>> {
+        let mut free: Vec<f64> = self.host_capacity.iter().map(|c| c.max(0.0)).collect();
+        let mut alloc = vec![vec![0.0; free.len()]; delivered.len()];
+        let mut h = 0;
+        for (row, &d) in alloc.iter_mut().zip(delivered) {
+            let mut need = d;
+            while need > 0.0 && h < free.len() {
+                let take = need.min(free[h]);
+                row[h] = take;
+                free[h] -= take;
+                need -= take;
+                if free[h] <= 0.0 {
+                    h += 1;
+                }
+            }
+        }
+        alloc
+    }
+}
+
+/// What one greedy sweep over a window yields.
+struct Sweep {
+    welfare: f64,
+    values: Vec<f64>,
+    delivered: Vec<f64>,
+    /// The window's capacity price, the same on every host.
+    price: f64,
 }
 
 #[cfg(test)]
@@ -273,6 +296,41 @@ mod tests {
         assert!((p.solve_without(0).unwrap() - 50.0).abs() < 1e-6);
         // Without the loser nothing changes for the winner.
         assert!((p.solve_without(1).unwrap() - 100.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn non_finite_inputs_are_rejected_not_solved() {
+        let window = |hosts: Vec<f64>, segments: Vec<(f64, f64)>, cap: f64| {
+            let mut p = WelfareProgram::new(hosts);
+            p.add_app(WelfareApp { id: 0, segments, cap });
+            p.add_app(app(1, &SlaCurve::linear(10.0, 5.0), 10.0));
+            p
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for p in [
+                window(vec![50.0], vec![(10.0, bad)], 10.0),
+                window(vec![50.0], vec![(bad, 1.0)], 10.0),
+                window(vec![50.0], vec![(10.0, 1.0)], bad),
+                window(vec![50.0, bad], vec![(10.0, 1.0)], 10.0),
+            ] {
+                assert!(p.solve().is_none(), "{bad} accepted: {p:?}");
+                assert!(p.solve_without(1).is_none());
+                assert!(crate::vcg(&p).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn ties_break_by_app_index_and_placement_fills_hosts_in_order() {
+        // Two identical apps, room for one and a half: app 0 is served
+        // first, app 1 gets the rest; both hosts price the cut slope.
+        let mut p = WelfareProgram::new(vec![0.0, 60.0, 90.0]);
+        p.add_app(app(0, &SlaCurve::linear(100.0, 100.0), 100.0));
+        p.add_app(app(1, &SlaCurve::linear(100.0, 100.0), 100.0));
+        let s = p.solve().unwrap();
+        assert_eq!(s.delivered, vec![100.0, 50.0]);
+        assert_eq!(s.alloc, vec![vec![0.0, 60.0, 40.0], vec![0.0, 0.0, 50.0]]);
+        assert_eq!(s.host_prices, vec![1.0; 3]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! where `W_full` is the optimal welfare with everyone in, `v_a` is
 //! `a`'s realized value in that optimum, and `W_{-a}` is the optimal
 //! welfare of the same window re-solved without `a` (one leave-one-out
-//! LP per app). The classic properties follow directly and are
+//! greedy sweep per app). The classic properties follow directly and are
 //! property-tested in `tests/lp_properties.rs`:
 //!
 //! * **Non-negativity** — removing `a` frees capacity, so
@@ -68,8 +68,7 @@ impl VcgOutcome {
 }
 
 /// Solve the window and price every app by its externality. `None` if
-/// any of the 1 + N LP solves fails to certify optimality (practically
-/// unreachable; see [`WelfareProgram::solve`]).
+/// the window holds a non-finite input (see [`WelfareProgram::solve`]).
 pub fn vcg(program: &WelfareProgram) -> Option<VcgOutcome> {
     let solution = program.solve()?;
     let mut receipts = Vec::with_capacity(program.app_count());

@@ -8,6 +8,9 @@
 //! * auction algorithm: optimal totals cross-validated against the
 //!   simplex on random assignment problems (the assignment polytope is
 //!   integral, so the LP relaxation's optimum equals the auction's).
+//! * welfare window: the greedy sweep of `WelfareProgram` agrees with
+//!   the window's linear program, solved by the simplex, on welfare,
+//!   every leave-one-out welfare and the host price.
 //! * VCG: non-negative payments, individual rationality, and
 //!   truthfulness on sampled misreports (scaling your value curve never
 //!   beats reporting it straight).
@@ -195,6 +198,125 @@ fn random_program(g: &mut Gen) -> (WelfareProgram, Vec<SlaCurve>) {
         curves.push(curve);
     }
     (program, curves)
+}
+
+/// A wider window than [`random_program`]: up to 16 apps × 12 hosts,
+/// 0–2× oversubscribed, some crashed hosts (and sometimes all of them),
+/// app caps below and above the segment totals, and slopes drawn from a
+/// small palette so equal-slope ties are common.
+fn random_wide_program(g: &mut Gen) -> WelfareProgram {
+    let all_crashed = g.ratio(1, 10);
+    let caps: Vec<f64> = (0..g.usize_in(1, 12))
+        .map(|_| {
+            if all_crashed || g.ratio(1, 5) {
+                0.0
+            } else {
+                g.f64_in(5.0, 60.0)
+            }
+        })
+        .collect();
+    let supply = caps.iter().sum::<f64>().max(10.0);
+    let apps = g.usize_in(1, 16);
+    let demand_per_app = g.f64_in(0.0, 2.0) * supply / apps as f64;
+    let mut program = WelfareProgram::new(caps);
+    for a in 0..apps {
+        let mut slopes: Vec<f64> = (0..g.usize_in(1, 3))
+            .map(|_| *g.choose(&[0.5, 1.0, 1.5, 2.0, 3.0]))
+            .collect();
+        slopes.sort_by(|x, y| y.total_cmp(x));
+        let n = slopes.len() as f64;
+        let segments: Vec<(f64, f64)> = slopes
+            .into_iter()
+            .map(|slope| (demand_per_app * g.f64_in(0.2, 1.0) / n, slope))
+            .collect();
+        let total: f64 = segments.iter().map(|&(w, _)| w).sum();
+        program.add_app(WelfareApp {
+            id: a as u32,
+            segments,
+            cap: g.f64_in(0.5, 1.5) * total,
+        });
+    }
+    program
+}
+
+/// The reference model: the window as the linear program it is,
+/// solved by the dense simplex. Returns the optimal welfare and the
+/// mean host-capacity dual, with app `skip` (if any) left out.
+///
+/// Variables: `x[a][h]`, the work app `a` draws from host `h`, then
+/// `s[a][k]`, the fill of segment `k` of app `a`.
+fn lp_reference(program: &WelfareProgram, skip: Option<usize>) -> (f64, f64) {
+    let hosts = program.host_capacity().len();
+    let apps = program.apps();
+    let active = |a: usize| skip != Some(a);
+    let mut s0 = Vec::with_capacity(apps.len());
+    let mut next = apps.len() * hosts;
+    for app in apps {
+        s0.push(next);
+        next += app.segments.len();
+    }
+    let mut lp = Lp::new(next);
+    for (a, app) in apps.iter().enumerate() {
+        let x: Vec<(usize, f64)> = (0..hosts).map(|h| (a * hosts + h, 1.0)).collect();
+        for (k, &(width, slope)) in app.segments.iter().enumerate() {
+            if active(a) {
+                lp.maximize(s0[a] + k, slope);
+            }
+            lp.constrain(&[(s0[a] + k, 1.0)], Cmp::Le, width);
+        }
+        // Linking: delivery fills segments exactly.
+        let mut link = x.clone();
+        link.extend((0..app.segments.len()).map(|k| (s0[a] + k, -1.0)));
+        lp.constrain(&link, Cmp::Eq, 0.0);
+        let cap = if active(a) { app.cap.max(0.0) } else { 0.0 };
+        lp.constrain(&x, Cmp::Le, cap);
+    }
+    let host_row0 = lp.rows();
+    for (h, &cap) in program.host_capacity().iter().enumerate() {
+        let column: Vec<(usize, f64)> = (0..apps.len()).map(|a| (a * hosts + h, 1.0)).collect();
+        lp.constrain(&column, Cmp::Le, cap.max(0.0));
+    }
+    let sol = lp.solve().optimal().expect("the window LP is feasible and bounded");
+    let duals = &sol.duals[host_row0..];
+    let price = duals.iter().map(|y| y.max(0.0)).sum::<f64>() / hosts.max(1) as f64;
+    (sol.objective, price)
+}
+
+/// Check the greedy sweep against [`lp_reference`]: welfare and every
+/// `W_{-a}` within 1e-9 relative, and the mean host price within 1e-6
+/// absolute on windows with capacity to price.
+fn assert_matches_lp(program: &WelfareProgram) {
+    let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want.abs().max(1.0);
+    let sol = program.solve().expect("finite window solves");
+    let (welfare, price) = lp_reference(program, None);
+    assert!(close(sol.welfare, welfare), "welfare {} vs LP {welfare}", sol.welfare);
+    if program.host_capacity().iter().any(|&c| c > 0.0) {
+        let mean = sol.host_prices.iter().sum::<f64>() / sol.host_prices.len() as f64;
+        assert!((mean - price).abs() <= 1e-6, "host price {mean} vs LP dual {price}");
+    }
+    for a in 0..program.app_count() {
+        let got = program.solve_without(a).expect("finite window solves");
+        let (want, _) = lp_reference(program, Some(a));
+        assert!(close(got, want), "W_-{a} {got} vs LP {want}");
+    }
+    // The placement is feasible and delivers what the sweep decided.
+    for (h, &cap) in program.host_capacity().iter().enumerate() {
+        let used: f64 = sol.alloc.iter().map(|row| row[h]).sum();
+        assert!(used <= cap.max(0.0) + 1e-9, "host {h} over capacity: {used} > {cap}");
+    }
+    for (row, &d) in sol.alloc.iter().zip(&sol.delivered) {
+        assert!((row.iter().sum::<f64>() - d).abs() <= 1e-9 * d.max(1.0));
+    }
+}
+
+#[test]
+fn greedy_window_matches_the_simplex_on_the_vcg_corpus() {
+    check("window-vs-simplex", 200, |g| assert_matches_lp(&random_program(g).0));
+}
+
+#[test]
+fn greedy_window_matches_the_simplex_on_wide_windows() {
+    check("wide-window-vs-simplex", 1000, |g| assert_matches_lp(&random_wide_program(g)));
 }
 
 #[test]
