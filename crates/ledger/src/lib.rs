@@ -276,7 +276,7 @@ impl Journal {
 
 /// A cheaply clonable, thread-safe handle to one [`Journal`]: the bank
 /// appends through it while tests, auditors and recovery keep their own
-/// handles to the same log (and the live `BankService` thread shares it
+/// handles to the same log (and the live bank service thread shares it
 /// with the spawner — that sharing is exactly what makes a killed service
 /// recoverable).
 #[derive(Debug, Clone, Default)]

@@ -1,9 +1,9 @@
 //! Market defense layer against strategic bidders (DESIGN.md §16).
 //!
-//! Three independent guards, all deterministic and all sitting on the
-//! batched-bid path (every staged [`crate::market::StagedOp`] and every
-//! direct call funnels through [`crate::market::Market::place_funded_bid`],
-//! which consults this module before any money moves):
+//! Three independent guards, all deterministic and all sitting on the bid
+//! path (every placement funnels through
+//! [`crate::market::Market::place_funded_bid`], which consults this module
+//! before any money moves):
 //!
 //! 1. **Per-account bid-rate limiting.** A single account may not command
 //!    more than [`GuardConfig::max_bid_rate`] credits/second on one bid.

@@ -60,12 +60,10 @@ pub use host::{HostId, HostSpec};
 pub use ledger::{
     AuditReport, BankEvent, BankSnapshot, ConservationAuditor, RecoverError, RecoveryReport,
 };
-pub use market::{
-    CrashReport, Market, MarketError, StagedOp, StagedOutcome, DEFAULT_INTERVAL_SECS,
-};
+pub use market::{CrashReport, Market, MarketError, DEFAULT_INTERVAL_SECS};
 pub use money::Credits;
 pub use pricestats::PriceStats;
-pub use service::{AuctioneerClient, BankClient, BankService, LiveMarket, NetConfig, ServiceError};
+pub use service::{AuctioneerClient, BankClient, LiveMarket, NetConfig, ServiceError};
 pub use sls::Sls;
 pub use telemetry::{
     GuardInstruments, LedgerInstruments, MarketInstruments, NetInstruments, ServiceInstruments,

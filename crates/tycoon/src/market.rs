@@ -55,14 +55,8 @@ pub struct Market {
     price_trace_enabled: bool,
     interval_secs: f64,
     /// Number of contiguous host-range shards the tick sweep is split
-    /// into; `1` = sequential. Also the number of staging buffers.
+    /// into; `1` = sequential.
     shards: usize,
-    /// Per-shard staging buffers of batched operations, each ascending in
-    /// arrival sequence; drained in global arrival order by
-    /// [`Market::apply_staged`].
-    staging: Vec<Vec<(u64, StagedOp)>>,
-    /// Next arrival sequence number for staged operations.
-    staged_seq: u64,
     /// Optional instrumentation; `None` keeps the uninstrumented market
     /// entirely free of telemetry work.
     telemetry: Option<MarketInstruments>,
@@ -89,79 +83,6 @@ pub struct CrashReport {
     pub evicted: Vec<(BidHandle, UserId, Credits)>,
 }
 
-/// A market operation buffered for batched application at the tick
-/// boundary (DESIGN.md §15). Staged operations are bucketed per shard at
-/// ingest and drained **in global arrival order** by
-/// [`Market::apply_staged`], so a batched caller sees exactly the results
-/// it would have seen calling the market per message.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StagedOp {
-    /// [`Market::place_funded_bid`].
-    Place {
-        /// The bidding user.
-        user: UserId,
-        /// Account the escrow is debited from.
-        payer: AccountId,
-        /// Target host.
-        host: HostId,
-        /// Bid rate in credits/second.
-        rate: f64,
-        /// Escrow backing the bid.
-        escrow: Credits,
-    },
-    /// [`Market::cancel_bid`].
-    Cancel {
-        /// Host carrying the bid.
-        host: HostId,
-        /// The bid to cancel.
-        handle: BidHandle,
-        /// Account refunded with the unspent escrow.
-        refund_to: AccountId,
-    },
-    /// [`Market::top_up_bid`].
-    TopUp {
-        /// Host carrying the bid.
-        host: HostId,
-        /// The bid to boost.
-        handle: BidHandle,
-        /// Account the extra escrow is debited from.
-        payer: AccountId,
-        /// Extra escrow.
-        extra: Credits,
-    },
-    /// [`Market::update_bid_rate`].
-    UpdateRate {
-        /// Host carrying the bid.
-        host: HostId,
-        /// The bid to re-rate.
-        handle: BidHandle,
-        /// New rate in credits/second.
-        rate: f64,
-    },
-}
-
-impl StagedOp {
-    fn host(&self) -> HostId {
-        match self {
-            StagedOp::Place { host, .. }
-            | StagedOp::Cancel { host, .. }
-            | StagedOp::TopUp { host, .. }
-            | StagedOp::UpdateRate { host, .. } => *host,
-        }
-    }
-}
-
-/// What a drained [`StagedOp`] produced.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StagedOutcome {
-    /// A `Place` succeeded with this handle.
-    Placed(BidHandle),
-    /// A `Cancel` succeeded, refunding this much.
-    Refunded(Credits),
-    /// A `TopUp` or `UpdateRate` succeeded.
-    Applied,
-}
-
 /// The paper's default reallocation interval (10 seconds, §2.2).
 pub const DEFAULT_INTERVAL_SECS: f64 = 10.0;
 
@@ -178,8 +99,6 @@ impl Market {
             price_trace_enabled: true,
             interval_secs: DEFAULT_INTERVAL_SECS,
             shards: 1,
-            staging: vec![Vec::new()],
-            staged_seq: 0,
             telemetry: None,
             seed: seed.to_vec(),
             journal: None,
@@ -279,25 +198,17 @@ impl Market {
     }
 
     /// Split the tick sweep into `shards` contiguous host-range shards
-    /// run on scoped workers (`gm_exec::par_chunks_mut`), and bucket
-    /// staged operations into as many buffers. Per-host sweeps touch only
-    /// their own host's state and all cross-host reads go through the
-    /// epoch price buffer, so results are **byte-identical at any shard
-    /// count** (DESIGN.md §15). `1` restores the sequential sweep.
+    /// run on scoped workers (`gm_exec::par_chunks_mut`). Per-host sweeps
+    /// touch only their own host's state and all cross-host reads go
+    /// through the epoch price buffer, so results are **byte-identical at
+    /// any shard count** (DESIGN.md §15). `1` restores the sequential
+    /// sweep.
     ///
     /// # Panics
     /// Panics if `shards` is zero.
     pub fn set_sharding(&mut self, shards: usize) {
         assert!(shards >= 1, "at least one shard");
-        // Re-bucket any staged-but-undrained operations.
-        let mut pending: Vec<(u64, StagedOp)> = self.staging.iter_mut().flat_map(std::mem::take).collect();
-        pending.sort_unstable_by_key(|(seq, _)| *seq);
         self.shards = shards;
-        self.staging = vec![Vec::new(); shards];
-        for (seq, op) in pending {
-            let bucket = self.stage_bucket(op.host());
-            self.staging[bucket].push((seq, op));
-        }
     }
 
     /// Current shard count (`1` = sequential sweep).
@@ -399,59 +310,6 @@ impl Market {
             return None;
         }
         Some(self.quotes_for(user, hosts))
-    }
-
-    // ------------------------------------------------ batched ingestion
-
-    /// Buffer an operation for batched application, returning its arrival
-    /// sequence number. Staged operations are bucketed per shard and
-    /// applied — in global arrival order — when [`Market::apply_staged`]
-    /// runs (callers drain at `pre_tick`; [`Market::tick`] drains any
-    /// leftovers as a safety net, discarding the per-op results).
-    pub fn stage(&mut self, op: StagedOp) -> u64 {
-        let seq = self.staged_seq;
-        self.staged_seq += 1;
-        let bucket = self.stage_bucket(op.host());
-        self.staging[bucket].push((seq, op));
-        seq
-    }
-
-    fn stage_bucket(&self, host: HostId) -> usize {
-        host.0 as usize % self.shards
-    }
-
-    /// Number of staged-but-undrained operations.
-    pub fn staged_len(&self) -> usize {
-        self.staging.iter().map(Vec::len).sum()
-    }
-
-    /// Drain every staging buffer, applying the operations in global
-    /// arrival order (the per-shard buffers are merged by sequence
-    /// number), and return each operation's result tagged with its
-    /// sequence number. Telemetry counters fire exactly as if the calls
-    /// had been made directly.
-    pub fn apply_staged(&mut self) -> Vec<(u64, Result<StagedOutcome, MarketError>)> {
-        let mut ops: Vec<(u64, StagedOp)> = self.staging.iter_mut().flat_map(std::mem::take).collect();
-        ops.sort_unstable_by_key(|(seq, _)| *seq);
-        ops.into_iter()
-            .map(|(seq, op)| {
-                let result = match op {
-                    StagedOp::Place { user, payer, host, rate, escrow } => self
-                        .place_funded_bid(user, payer, host, rate, escrow)
-                        .map(StagedOutcome::Placed),
-                    StagedOp::Cancel { host, handle, refund_to } => self
-                        .cancel_bid(host, handle, refund_to)
-                        .map(StagedOutcome::Refunded),
-                    StagedOp::TopUp { host, handle, payer, extra } => self
-                        .top_up_bid(host, handle, payer, extra)
-                        .map(|()| StagedOutcome::Applied),
-                    StagedOp::UpdateRate { host, handle, rate } => self
-                        .update_bid_rate(host, handle, rate)
-                        .map(|()| StagedOutcome::Applied),
-                };
-                (seq, result)
-            })
-            .collect()
     }
 
     /// Place a funded bid: debit `escrow` from `payer` into the host
@@ -637,18 +495,13 @@ impl Market {
     /// ascending host-id order; crashed hosts are omitted entirely (no
     /// price sample, no allocation).
     ///
-    /// Any operations still staged are drained first (their results are
-    /// discarded — batch callers should drain via [`Market::apply_staged`]
-    /// at `pre_tick`). With sharding enabled the per-host sweeps run on
+    /// With sharding enabled the per-host sweeps run on
     /// scoped workers over contiguous slot ranges; every per-host result
     /// depends only on that host's own state, so the outcome is identical
     /// at any shard count. At the end of the tick each swept host's
     /// tick-start spot price is published into the epoch buffer
     /// ([`Market::published_spots`]).
     pub fn tick(&mut self, now: SimTime) -> Vec<(HostId, Vec<Allocation>)> {
-        if self.staged_len() > 0 {
-            let _ = self.apply_staged();
-        }
         let started_micros = self.telemetry.as_ref().map(|t| t.now_micros());
         let dt = self.interval_secs;
         let shards = self.shards;
@@ -1391,65 +1244,6 @@ mod tests {
         assert_eq!(seq, run(2));
         assert_eq!(seq, run(8));
         assert_eq!(seq, run(64), "more shards than hosts");
-    }
-
-    #[test]
-    fn staged_ops_match_direct_calls_in_arrival_order() {
-        let direct = {
-            let (mut m, acct) = market_with_user(4, 1000);
-            let h0 = m
-                .place_funded_bid(UserId(1), acct, HostId(0), 0.5, Credits::from_whole(30))
-                .unwrap();
-            let h1 = m
-                .place_funded_bid(UserId(2), acct, HostId(1), 0.2, Credits::from_whole(20))
-                .unwrap();
-            m.top_up_bid(HostId(0), h0, acct, Credits::from_whole(5)).unwrap();
-            m.update_bid_rate(HostId(1), h1, 0.4).unwrap();
-            m.cancel_bid(HostId(1), h1, acct).unwrap();
-            m.tick(SimTime::from_secs(10));
-            m.bank().state_digest()
-        };
-        let staged = {
-            let (mut m, acct) = market_with_user(4, 1000);
-            m.set_sharding(3); // multiple buffers; drain must re-merge by arrival
-            m.stage(StagedOp::Place { user: UserId(1), payer: acct, host: HostId(0), rate: 0.5, escrow: Credits::from_whole(30) });
-            m.stage(StagedOp::Place { user: UserId(2), payer: acct, host: HostId(1), rate: 0.2, escrow: Credits::from_whole(20) });
-            let results = m.apply_staged();
-            let h0 = match results[0].1 { Ok(StagedOutcome::Placed(h)) => h, ref other => panic!("{other:?}") };
-            let h1 = match results[1].1 { Ok(StagedOutcome::Placed(h)) => h, ref other => panic!("{other:?}") };
-            m.stage(StagedOp::TopUp { host: HostId(0), handle: h0, payer: acct, extra: Credits::from_whole(5) });
-            m.stage(StagedOp::UpdateRate { host: HostId(1), handle: h1, rate: 0.4 });
-            m.stage(StagedOp::Cancel { host: HostId(1), handle: h1, refund_to: acct });
-            let results = m.apply_staged();
-            assert_eq!(results[0].1, Ok(StagedOutcome::Applied));
-            assert_eq!(results[1].1, Ok(StagedOutcome::Applied));
-            assert_eq!(results[2].1, Ok(StagedOutcome::Refunded(Credits::from_whole(20))));
-            m.tick(SimTime::from_secs(10));
-            m.bank().state_digest()
-        };
-        assert_eq!(direct, staged, "staged drain must replay arrival order");
-    }
-
-    #[test]
-    fn tick_drains_leftover_staged_ops() {
-        let (mut m, acct) = market_with_user(2, 100);
-        m.stage(StagedOp::Place { user: UserId(1), payer: acct, host: HostId(0), rate: 1.0, escrow: Credits::from_whole(50) });
-        assert_eq!(m.staged_len(), 1);
-        assert_eq!(m.auctioneer(HostId(0)).unwrap().live_bids(), 0, "not yet applied");
-        m.tick(SimTime::from_secs(10));
-        assert_eq!(m.staged_len(), 0);
-        // The staged bid was applied before the sweep: it was charged.
-        assert_eq!(m.host_income(HostId(0)).unwrap(), Credits::from_whole(10));
-    }
-
-    #[test]
-    fn staged_errors_surface_per_op() {
-        let (mut m, acct) = market_with_user(1, 100);
-        m.stage(StagedOp::Place { user: UserId(1), payer: acct, host: HostId(9), rate: 1.0, escrow: Credits::from_whole(5) });
-        m.stage(StagedOp::Cancel { host: HostId(0), handle: BidHandle(42), refund_to: acct });
-        let results = m.apply_staged();
-        assert_eq!(results[0].1, Err(MarketError::NoSuchHost(HostId(9))));
-        assert_eq!(results[1].1, Err(MarketError::NoSuchBid(HostId(0), BidHandle(42))));
     }
 
     #[test]

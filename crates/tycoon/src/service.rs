@@ -4,9 +4,17 @@
 //! one Auctioneer per host as *networked services*. The experiments in
 //! this repository use the deterministic in-process [`crate::Market`], but
 //! the same market code also runs behind message-passing service
-//! boundaries: each service is a thread owning its state, clients talk to
-//! it through typed request/reply channels (`std::sync::mpsc`), and the
-//! allocation tick is a scatter-gather across all auctioneer services.
+//! boundaries: the bank and each host's auctioneer is a thread owning its
+//! state, clients talk to it through typed request/reply channels
+//! (`std::sync::mpsc`), and the allocation tick is a scatter-gather across
+//! all auctioneer services.
+//!
+//! Both kinds of service are one private actor: an `Endpoint` (the
+//! thread, its mailbox gate, lossy transport and circuit breaker, control
+//! sends and stop) handing out `Client`s (one `call` with deadline,
+//! retries and telemetry). The bank and the auctioneers differ only in
+//! their request type and handler; [`BankClient`] and
+//! [`AuctioneerClient`] are typed facades over the shared client.
 //!
 //! Failure semantics (`DESIGN.md` §8): every client call is fallible. A
 //! request is sent, the reply awaited with `recv_timeout`, and on timeout
@@ -34,12 +42,16 @@
 //! durable applied-request-id set refuses to re-execute anything older —
 //! so a duplicate can never double-debit, before or after eviction, even
 //! across a bank crash and recovery.
+//!
+//! Two constructors: [`LiveMarket::spawn`] (perfect links, volatile bank)
+//! and [`LiveMarket::spawn_with`] (a [`NetConfig`] and, optionally, a
+//! journal that makes the bank durable and restartable).
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -88,10 +100,9 @@ const AUCTIONEER_FAULT_STREAM: u64 = 0x6175_6374_2d6c_696e;
 /// behaviour before this layer existed.
 #[derive(Clone)]
 pub struct NetConfig {
-    /// Fault profile of every client→bank link.
-    pub bank_link: LinkProfile,
-    /// Fault profile of every client→auctioneer link.
-    pub auctioneer_link: LinkProfile,
+    /// Fault profile of every client→service link (bank and auctioneers;
+    /// each endpoint draws from its own seeded stream).
+    pub link: LinkProfile,
     /// Mailbox bound and shed policy applied to every service.
     pub queue: QueueConfig,
     /// Per-endpoint circuit breaker; `None` disables breaking.
@@ -110,8 +121,7 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
-            bank_link: LinkProfile::PERFECT,
-            auctioneer_link: LinkProfile::PERFECT,
+            link: LinkProfile::PERFECT,
             queue: QueueConfig::default(),
             breaker: None,
             replay_cache: DEFAULT_REPLAY_CACHE,
@@ -127,25 +137,13 @@ impl NetConfig {
     /// `p`, a small bounded mailbox, and default breakers.
     pub fn chaos(p: f64, fault_seed: u64, capacity: usize, policy: ShedPolicy) -> NetConfig {
         NetConfig {
-            bank_link: LinkProfile::lossy(p),
-            auctioneer_link: LinkProfile::lossy(p),
+            link: LinkProfile::lossy(p),
             queue: QueueConfig::bounded(capacity, policy),
             breaker: Some(BreakerConfig::default()),
             fault_seed,
             ..NetConfig::default()
         }
     }
-}
-
-/// Client-side half of the overload layer for one endpoint: shared
-/// mailbox gate, shared breaker, `net.*` instruments, and the jitter salt
-/// for `retry_after` back-off.
-#[derive(Clone, Default)]
-struct ClientNet {
-    gate: Option<QueueGate>,
-    breaker: Option<CircuitBreaker>,
-    net: Option<NetInstruments>,
-    jitter_salt: u64,
 }
 
 // ------------------------------------------------------------- errors
@@ -196,6 +194,287 @@ impl From<BankError> for ServiceError {
     }
 }
 
+// ------------------------------------------------------------ endpoint
+
+/// A service's request message type.
+trait Request: Clone + Send + 'static {
+    /// The message that stops the service loop.
+    const SHUTDOWN: Self;
+    /// Is this [`Request::SHUTDOWN`]?
+    fn is_shutdown(&self) -> bool;
+    /// Control traffic: exempt from link faults, shedding and reply loss.
+    fn is_control(&self) -> bool;
+}
+
+/// Whether the link lost the reply to the request being handled. The
+/// request executes either way; a lost reply is invisible to the service
+/// (the sender side sees a timeout, not an error).
+#[derive(Clone, Copy)]
+struct Respond {
+    lost: bool,
+}
+
+impl Respond {
+    fn to<T>(self, reply: Sender<T>, value: T) {
+        if !self.lost {
+            let _ = reply.send(value);
+        }
+    }
+}
+
+/// The loop every service thread runs: handle requests until shutdown (or
+/// until every sender is gone), drawing one reply-loss decision per
+/// non-control request. Control replies are never lost: a lost tick sweep
+/// would let the link falsely kill a host, and an injected reply drop
+/// must not be consumed by the injection message itself.
+fn serve<R: Request>(
+    mut transport: ServiceTransport<R>,
+    mut handle: impl FnMut(&mut ServiceTransport<R>, R, Respond),
+) {
+    while let Some(req) = transport.recv() {
+        if req.is_shutdown() {
+            break;
+        }
+        let lost = !req.is_control() && transport.reply_lost();
+        handle(&mut transport, req, Respond { lost });
+    }
+}
+
+/// A client handle to one endpoint: the request channel, the reply
+/// deadline and retry budget, optional `service.*` telemetry, and the
+/// client half of the overload layer — the endpoint's shared mailbox gate
+/// and breaker, `net.*` instruments, and the jitter salt for
+/// `retry_after` back-off.
+#[derive(Clone)]
+struct Client<R> {
+    tx: Sender<R>,
+    timeout: Duration,
+    retries: u32,
+    telemetry: Option<ServiceInstruments>,
+    gate: Option<QueueGate>,
+    breaker: Option<CircuitBreaker>,
+    net: Option<NetInstruments>,
+    jitter_salt: u64,
+}
+
+impl<R> Client<R> {
+    fn with_deadline(self, timeout: Duration, retries: u32) -> Self {
+        Client {
+            timeout,
+            retries,
+            ..self
+        }
+    }
+
+    fn with_telemetry(self, instruments: ServiceInstruments) -> Self {
+        Client {
+            telemetry: Some(instruments),
+            ..self
+        }
+    }
+
+    /// Send a message the gate has already counted, rolling the count
+    /// back if the service is gone. Returns whether it was sent.
+    fn send_counted(&self, req: R) -> bool {
+        let sent = self.tx.send(req).is_ok();
+        if !sent {
+            if let Some(gate) = &self.gate {
+                gate.cancel_send();
+            }
+        }
+        sent
+    }
+
+    /// Send a control message (shutdown, fault injection, the tick),
+    /// keeping the mailbox depth accounting balanced: control bypasses
+    /// shedding but is still received. Returns whether it was sent.
+    fn send_control(&self, req: R) -> bool {
+        if let Some(gate) = &self.gate {
+            gate.count_send();
+        }
+        self.send_counted(req)
+    }
+
+    /// Send `make(reply)` and await the reply with a deadline, re-sending
+    /// up to `retries` times when no reply arrives.
+    ///
+    /// A reply channel closed without an answer counts as a lost reply
+    /// (the service dropped it, or died with the request queued) and is
+    /// retried like a timeout: if the service really is gone, the re-send
+    /// itself fails and surfaces [`ServiceError::Disconnected`]. Only a
+    /// dead request channel is proof of disconnection.
+    ///
+    /// The overload layer wraps this: an open circuit breaker fast-fails
+    /// with [`ServiceError::CircuitOpen`] before anything is sent, a full
+    /// mailbox under `RejectNew` sheds the attempt and backs off with
+    /// seeded jitter, and every transport-level outcome feeds the
+    /// breaker's failure window.
+    fn call<T>(&self, make: impl FnMut(Sender<T>) -> R) -> Result<T, ServiceError> {
+        if let Some(b) = &self.breaker {
+            if !b.admit() {
+                return Err(ServiceError::CircuitOpen);
+            }
+        }
+        let result = self.attempts(make);
+        if let Some(b) = &self.breaker {
+            // Every error here is transport-level (timeout, disconnect,
+            // overload) — application-level rejections never reach this
+            // function as `Err`, so they correctly count as successes.
+            if result.is_ok() {
+                b.record_success();
+            } else {
+                b.record_failure();
+            }
+        }
+        result
+    }
+
+    /// The retry loop of [`Client::call`], without the breaker wrapper.
+    fn attempts<T>(&self, mut make: impl FnMut(Sender<T>) -> R) -> Result<T, ServiceError> {
+        let telemetry = self.telemetry.as_ref();
+        let started_micros = telemetry.map(|t| t.now_micros());
+        let mut attempt = 0;
+        loop {
+            if let Some(gate) = &self.gate {
+                if let Err(retry_after) = gate.try_enqueue() {
+                    if let Some(n) = &self.net {
+                        n.shed.inc();
+                        n.shed_depth.record(gate.depth() as f64);
+                    }
+                    attempt += 1;
+                    if attempt > self.retries {
+                        return Err(ServiceError::Overloaded { retry_after });
+                    }
+                    if let Some(t) = telemetry {
+                        t.retries.inc();
+                    }
+                    std::thread::sleep(jittered_backoff(
+                        retry_after,
+                        OVERLOAD_BACKOFF_JITTER,
+                        self.jitter_salt,
+                        attempt,
+                    ));
+                    continue;
+                }
+            }
+            let (reply, rx) = channel();
+            if !self.send_counted(make(reply)) {
+                if let Some(t) = telemetry {
+                    t.disconnects.inc();
+                }
+                return Err(ServiceError::Disconnected);
+            }
+            match rx.recv_timeout(self.timeout) {
+                Ok(v) => {
+                    if let (Some(t), Some(start)) = (telemetry, started_micros) {
+                        t.request_us
+                            .record_micros(t.now_micros().saturating_sub(start));
+                    }
+                    return Ok(v);
+                }
+                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
+                    attempt += 1;
+                    if attempt > self.retries {
+                        if let Some(t) = telemetry {
+                            t.timeouts.inc();
+                        }
+                        return Err(ServiceError::Timeout);
+                    }
+                    if let Some(t) = telemetry {
+                        t.retries.inc();
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One running service: its thread, which returns the service state `S`
+/// when stopped, and a template client holding the endpoint's channel,
+/// mailbox gate and breaker. Dropping an endpoint stops it.
+struct Endpoint<R: Request, S> {
+    handle: Option<JoinHandle<S>>,
+    client: Client<R>,
+}
+
+impl<R: Request, S> Endpoint<R, S> {
+    /// Spawn thread `tycoon-<name>` running `run` over a transport with
+    /// `net`'s link profile and mailbox bound. The endpoint's fault and
+    /// back-off jitter stream is seeded with `net.fault_seed ^ stream`;
+    /// with a bound or `net.*` telemetry the mailbox depth is exported as
+    /// `net.queue_depth.<name>`.
+    fn spawn(
+        name: &str,
+        stream: u64,
+        net: &NetConfig,
+        run: impl FnOnce(ServiceTransport<R>) -> S + Send + 'static,
+    ) -> Self
+    where
+        S: Send + 'static,
+    {
+        let (tx, rx) = channel::<R>();
+        let gate = (net.queue.capacity.is_some() || net.telemetry.is_some()).then(|| {
+            QueueGate::new(
+                net.queue,
+                net.telemetry.as_ref().map(|t| t.queue_depth_gauge(name)),
+            )
+        });
+        let fault_seed = net.fault_seed ^ stream;
+        let transport = ServiceTransport::new(
+            rx,
+            net.link,
+            fault_seed,
+            gate.clone(),
+            net.telemetry.clone(),
+            R::is_control,
+        );
+        let handle = std::thread::Builder::new()
+            .name(format!("tycoon-{name}"))
+            .spawn(move || run(transport))
+            .expect("spawn service thread");
+        let breaker = net
+            .breaker
+            .map(|cfg| CircuitBreaker::new(cfg, net.clock.clone(), net.telemetry.clone()));
+        Endpoint {
+            handle: Some(handle),
+            client: Client {
+                tx,
+                timeout: DEFAULT_CALL_TIMEOUT,
+                retries: DEFAULT_CALL_RETRIES,
+                telemetry: None,
+                gate,
+                breaker,
+                net: net.telemetry.clone(),
+                jitter_salt: fault_seed,
+            },
+        }
+    }
+
+    /// A client on the default deadline, recording `service.*` metrics
+    /// through `telemetry` when given.
+    fn client(&self, telemetry: Option<&ServiceInstruments>) -> Client<R> {
+        Client {
+            telemetry: telemetry.cloned(),
+            ..self.client.clone()
+        }
+    }
+
+    /// Stop the service and join its thread, returning its final state;
+    /// `None` when it was already stopped or its thread panicked. Clients
+    /// outliving the service get [`ServiceError::Disconnected`].
+    fn stop(&mut self) -> Option<S> {
+        let handle = self.handle.take()?;
+        self.client.send_control(R::SHUTDOWN);
+        handle.join().ok()
+    }
+}
+
+impl<R: Request, S> Drop for Endpoint<R, S> {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
 // ---------------------------------------------------------------- bank
 
 #[derive(Clone)]
@@ -234,31 +513,30 @@ enum BankRequest {
     Shutdown,
 }
 
-/// Handle to a running bank service; cheap to clone and `Send`.
-#[derive(Clone)]
-pub struct BankClient {
-    tx: Sender<BankRequest>,
-    timeout: Duration,
-    retries: u32,
-    next_request: Arc<AtomicU64>,
-    telemetry: Option<ServiceInstruments>,
-    net: ClientNet,
+impl Request for BankRequest {
+    const SHUTDOWN: Self = BankRequest::Shutdown;
+
+    fn is_shutdown(&self) -> bool {
+        matches!(self, BankRequest::Shutdown)
+    }
+
+    fn is_control(&self) -> bool {
+        matches!(
+            self,
+            BankRequest::Shutdown | BankRequest::InjectDropNextReply
+        )
+    }
 }
 
-/// The bank service thread.
-pub struct BankService {
-    handle: Option<JoinHandle<Bank>>,
-    tx: Sender<BankRequest>,
-    next_request: Arc<AtomicU64>,
-    client_net: ClientNet,
-}
-
-/// Messages exempt from link faults and shedding on the bank link.
-fn bank_is_control(req: &BankRequest) -> bool {
-    matches!(
-        req,
-        BankRequest::Shutdown | BankRequest::InjectDropNextReply
-    )
+/// Spawn the bank service. `generation` (bumped on every restart) gives a
+/// replacement bank a fresh link-fault schedule instead of replaying the
+/// crashed one's.
+fn spawn_bank(bank: Bank, net: &NetConfig, generation: u64) -> Endpoint<BankRequest, Bank> {
+    let stream = BANK_FAULT_STREAM ^ generation.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let replay_capacity = net.replay_cache;
+    Endpoint::spawn("bank", stream, net, move |transport| {
+        bank_service(bank, transport, replay_capacity)
+    })
 }
 
 /// Runs bank requests against owned state, deduplicating transfers by
@@ -267,342 +545,98 @@ fn bank_is_control(req: &BankRequest) -> bool {
 /// the bank's durable applied-request-id set refuses to re-execute ids
 /// the cache has already evicted (surfacing
 /// [`BankError::DuplicateRequest`] instead of moving money twice).
-fn bank_service_loop(
+fn bank_service(
     mut bank: Bank,
-    mut transport: ServiceTransport<BankRequest>,
+    transport: ServiceTransport<BankRequest>,
     replay_capacity: usize,
 ) -> Bank {
-    let mut completed: ReplayCache<Result<Receipt, BankError>> =
-        ReplayCache::new(replay_capacity);
-    while let Some(req) = transport.recv() {
-        // Control messages carry no reply: handle them before drawing any
-        // reply-loss decision, so an injected drop cannot be consumed by
-        // the injection message itself.
-        match req {
-            BankRequest::Shutdown => break,
-            BankRequest::InjectDropNextReply => {
-                transport.inject_drop_next_reply();
-                continue;
-            }
-            _ => {}
+    let mut completed: ReplayCache<Result<Receipt, BankError>> = ReplayCache::new(replay_capacity);
+    serve(transport, |transport, req, respond| match req {
+        BankRequest::OpenAccount {
+            owner,
+            label,
+            reply,
+        } => {
+            respond.to(reply, bank.open_account(owner, &label));
         }
-        // The request executes either way; a lost reply is invisible to
-        // the service (the sender side sees a timeout, not an error).
-        let lose_reply = transport.reply_lost();
-        macro_rules! respond {
-            ($reply:expr, $value:expr) => {{
-                let v = $value;
-                if !lose_reply {
-                    let _ = $reply.send(v);
+        BankRequest::Mint { to, amount, reply } => {
+            respond.to(reply, bank.mint(to, amount));
+        }
+        BankRequest::Transfer {
+            request_id,
+            from,
+            to,
+            amount,
+            reply,
+        } => {
+            let outcome = if let Some(prev) = completed.get(request_id) {
+                if let Some(net) = transport.telemetry() {
+                    net.dup_suppressed.inc();
                 }
-            }};
+                prev.clone()
+            } else if bank.is_request_applied(request_id) {
+                // Evicted from the cache but durably applied: refuse to
+                // re-execute rather than double-debit.
+                if let Some(net) = transport.telemetry() {
+                    net.dup_suppressed.inc();
+                }
+                Err(BankError::DuplicateRequest(request_id))
+            } else {
+                let outcome = bank.transfer(from, to, amount);
+                // Only successes are durably marked: a failed transfer
+                // moved no money and is safe to re-execute after the
+                // volatile cache forgets it.
+                if outcome.is_ok() {
+                    bank.record_request_applied(request_id);
+                }
+                completed.insert(request_id, outcome.clone());
+                outcome
+            };
+            respond.to(reply, outcome);
         }
-        match req {
-            BankRequest::OpenAccount { owner, label, reply } => {
-                respond!(reply, bank.open_account(owner, &label));
-            }
-            BankRequest::Mint { to, amount, reply } => {
-                respond!(reply, bank.mint(to, amount));
-            }
-            BankRequest::Transfer {
-                request_id,
-                from,
-                to,
-                amount,
-                reply,
-            } => {
-                let outcome = if let Some(prev) = completed.get(request_id) {
-                    if let Some(net) = transport.telemetry() {
-                        net.dup_suppressed.inc();
-                    }
-                    prev.clone()
-                } else if bank.is_request_applied(request_id) {
-                    // Evicted from the cache but durably applied: refuse
-                    // to re-execute rather than double-debit.
-                    if let Some(net) = transport.telemetry() {
-                        net.dup_suppressed.inc();
-                    }
-                    Err(BankError::DuplicateRequest(request_id))
-                } else {
-                    let outcome = bank.transfer(from, to, amount);
-                    // Only successes are durably marked: a failed transfer
-                    // moved no money and is safe to re-execute after the
-                    // volatile cache forgets it.
-                    if outcome.is_ok() {
-                        bank.record_request_applied(request_id);
-                    }
-                    completed.insert(request_id, outcome.clone());
-                    outcome
-                };
-                respond!(reply, outcome);
-            }
-            BankRequest::Balance { id, reply } => {
-                respond!(reply, bank.balance(id));
-            }
-            BankRequest::VerifyReceipt { receipt, reply } => {
-                respond!(reply, bank.verify_receipt(&receipt));
-            }
-            BankRequest::TotalMoney { reply } => {
-                respond!(reply, bank.total_money());
-            }
-            // Handled before the reply-loss draw above.
-            BankRequest::InjectDropNextReply | BankRequest::Shutdown => {}
+        BankRequest::Balance { id, reply } => {
+            respond.to(reply, bank.balance(id));
         }
-    }
+        BankRequest::VerifyReceipt { receipt, reply } => {
+            respond.to(reply, bank.verify_receipt(&receipt));
+        }
+        BankRequest::TotalMoney { reply } => {
+            respond.to(reply, bank.total_money());
+        }
+        BankRequest::InjectDropNextReply => transport.inject_drop_next_reply(),
+        BankRequest::Shutdown => {}
+    });
     bank
 }
 
-impl BankService {
-    /// Spawn the service, taking ownership of `bank`, on a perfect link
-    /// with an unbounded mailbox (the historical behaviour).
-    pub fn spawn(bank: Bank) -> BankService {
-        BankService::spawn_with_net(bank, &NetConfig::default())
-    }
-
-    /// Spawn with an overload/loss configuration (`DESIGN.md` §12).
-    pub fn spawn_with_net(bank: Bank, net: &NetConfig) -> BankService {
-        BankService::spawn_inner(bank, net, Arc::new(AtomicU64::new(1)))
-    }
-
-    /// Spawn with an existing request-id counter — used by
-    /// [`LiveMarket::restart_bank`] so ids consumed before a crash (now
-    /// durably marked applied) are never reissued to new transfers.
-    fn spawn_inner(
-        bank: Bank,
-        net: &NetConfig,
-        next_request: Arc<AtomicU64>,
-    ) -> BankService {
-        let (tx, rx) = channel::<BankRequest>();
-        let gate = (net.queue.capacity.is_some() || net.telemetry.is_some()).then(|| {
-            QueueGate::new(
-                net.queue,
-                net.telemetry.as_ref().map(|t| t.queue_depth_gauge("bank")),
-            )
-        });
-        let fault_seed = net.fault_seed ^ BANK_FAULT_STREAM;
-        let transport = ServiceTransport::new(
-            rx,
-            net.bank_link,
-            fault_seed,
-            gate.clone(),
-            net.telemetry.clone(),
-            bank_is_control,
-        );
-        let replay_capacity = net.replay_cache;
-        let handle = std::thread::Builder::new()
-            .name("tycoon-bank".into())
-            .spawn(move || bank_service_loop(bank, transport, replay_capacity))
-            .expect("spawn bank service");
-        let breaker = net
-            .breaker
-            .map(|cfg| CircuitBreaker::new(cfg, net.clock.clone(), net.telemetry.clone()));
-        BankService {
-            handle: Some(handle),
-            tx,
-            next_request,
-            client_net: ClientNet {
-                gate,
-                breaker,
-                net: net.telemetry.clone(),
-                jitter_salt: fault_seed,
-            },
-        }
-    }
-
-    /// Send a control message, keeping the mailbox depth accounting
-    /// balanced (control bypasses shedding but is still received).
-    fn send_control(&self, req: BankRequest) {
-        if let Some(gate) = &self.client_net.gate {
-            gate.count_send();
-            if self.tx.send(req).is_err() {
-                gate.cancel_send();
-            }
-        } else {
-            let _ = self.tx.send(req);
-        }
-    }
-
-    /// A client handle for this service.
-    pub fn client(&self) -> BankClient {
-        BankClient {
-            tx: self.tx.clone(),
-            timeout: DEFAULT_CALL_TIMEOUT,
-            retries: DEFAULT_CALL_RETRIES,
-            next_request: Arc::clone(&self.next_request),
-            telemetry: None,
-            net: self.client_net.clone(),
-        }
-    }
-
-    /// Stop the service and recover the bank state.
-    pub fn shutdown(mut self) -> Bank {
-        self.send_control(BankRequest::Shutdown);
-        self.handle
-            .take()
-            .expect("not yet shut down")
-            .join()
-            .expect("bank service panicked")
-    }
-
-    /// Kill the service in place, **discarding** its in-memory state — a
-    /// simulated crash. Clients holding this service's channel get
-    /// [`ServiceError::Disconnected`] from now on. Only state the bank
-    /// journaled to a [`SharedJournal`] survives, via [`Bank::recover`] —
-    /// the books, the spent-token set, and the applied-request-id set;
-    /// the volatile transfer-outcome cache does not.
-    fn kill(&mut self) {
-        self.send_control(BankRequest::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for BankService {
-    fn drop(&mut self) {
-        if let Some(h) = self.handle.take() {
-            self.send_control(BankRequest::Shutdown);
-            let _ = h.join();
-        }
-    }
-}
-
-/// Send `make(reply)` over `tx` and await the reply with a deadline,
-/// re-sending up to `retries` times when no reply arrives.
-///
-/// A reply channel closed without an answer counts as a lost reply (the
-/// service dropped it, or died with the request queued) and is retried
-/// like a timeout: if the service really is gone, the re-send itself fails
-/// and surfaces [`ServiceError::Disconnected`]. Only a dead request
-/// channel is proof of disconnection.
-///
-/// The overload layer wraps this: an open circuit breaker fast-fails with
-/// [`ServiceError::CircuitOpen`] before anything is sent, a full mailbox
-/// under `RejectNew` sheds the attempt and backs off with seeded jitter,
-/// and every transport-level outcome feeds the breaker's failure window.
-fn call_with_retry<T, R>(
-    tx: &Sender<R>,
-    timeout: Duration,
-    retries: u32,
-    telemetry: Option<&ServiceInstruments>,
-    net: &ClientNet,
-    make: impl FnMut(Sender<T>) -> R,
-) -> Result<T, ServiceError> {
-    if let Some(b) = &net.breaker {
-        if !b.admit() {
-            return Err(ServiceError::CircuitOpen);
-        }
-    }
-    let result = call_attempts(tx, timeout, retries, telemetry, net, make);
-    if let Some(b) = &net.breaker {
-        // Every error here is transport-level (timeout, disconnect,
-        // overload) — application-level rejections never reach this
-        // function as `Err`, so they correctly count as successes.
-        if result.is_ok() {
-            b.record_success();
-        } else {
-            b.record_failure();
-        }
-    }
-    result
-}
-
-/// The retry loop of [`call_with_retry`], without the breaker wrapper.
-fn call_attempts<T, R>(
-    tx: &Sender<R>,
-    timeout: Duration,
-    retries: u32,
-    telemetry: Option<&ServiceInstruments>,
-    net: &ClientNet,
-    mut make: impl FnMut(Sender<T>) -> R,
-) -> Result<T, ServiceError> {
-    let started_micros = telemetry.map(|t| t.now_micros());
-    let mut attempt = 0;
-    loop {
-        if let Some(gate) = &net.gate {
-            if let Err(retry_after) = gate.try_enqueue() {
-                if let Some(n) = &net.net {
-                    n.shed.inc();
-                    n.shed_depth.record(gate.depth() as f64);
-                }
-                attempt += 1;
-                if attempt > retries {
-                    return Err(ServiceError::Overloaded { retry_after });
-                }
-                if let Some(t) = telemetry {
-                    t.retries.inc();
-                }
-                std::thread::sleep(jittered_backoff(
-                    retry_after,
-                    OVERLOAD_BACKOFF_JITTER,
-                    net.jitter_salt,
-                    attempt,
-                ));
-                continue;
-            }
-        }
-        let (reply, rx) = channel();
-        if tx.send(make(reply)).is_err() {
-            if let Some(gate) = &net.gate {
-                gate.cancel_send();
-            }
-            if let Some(t) = telemetry {
-                t.disconnects.inc();
-            }
-            return Err(ServiceError::Disconnected);
-        }
-        match rx.recv_timeout(timeout) {
-            Ok(v) => {
-                if let (Some(t), Some(start)) = (telemetry, started_micros) {
-                    t.request_us.record_micros(t.now_micros().saturating_sub(start));
-                }
-                return Ok(v);
-            }
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                attempt += 1;
-                if attempt > retries {
-                    if let Some(t) = telemetry {
-                        t.timeouts.inc();
-                    }
-                    return Err(ServiceError::Timeout);
-                }
-                if let Some(t) = telemetry {
-                    t.retries.inc();
-                }
-            }
-        }
-    }
+/// Handle to a running bank service; cheap to clone and `Send`.
+#[derive(Clone)]
+pub struct BankClient {
+    client: Client<BankRequest>,
+    next_request: Arc<AtomicU64>,
 }
 
 impl BankClient {
-    fn call<T>(&self, make: impl FnMut(Sender<T>) -> BankRequest) -> Result<T, ServiceError> {
-        call_with_retry(
-            &self.tx,
-            self.timeout,
-            self.retries,
-            self.telemetry.as_ref(),
-            &self.net,
-            make,
-        )
-    }
-
     /// Replace the reply deadline and retry budget (mainly for tests).
-    pub fn with_deadline(mut self, timeout: Duration, retries: u32) -> Self {
-        self.timeout = timeout;
-        self.retries = retries;
-        self
+    pub fn with_deadline(self, timeout: Duration, retries: u32) -> Self {
+        BankClient {
+            client: self.client.with_deadline(timeout, retries),
+            ..self
+        }
     }
 
     /// Record request latency, timeout, retry and disconnect telemetry on
     /// every call made through this client.
-    pub fn with_telemetry(mut self, instruments: ServiceInstruments) -> Self {
-        self.telemetry = Some(instruments);
-        self
+    pub fn with_telemetry(self, instruments: ServiceInstruments) -> Self {
+        BankClient {
+            client: self.client.with_telemetry(instruments),
+            ..self
+        }
     }
 
     /// Open an account (see [`Bank::open_account`]).
     pub fn open_account(&self, owner: PublicKey, label: &str) -> Result<AccountId, ServiceError> {
-        self.call(|reply| BankRequest::OpenAccount {
+        self.client.call(|reply| BankRequest::OpenAccount {
             owner,
             label: label.to_owned(),
             reply,
@@ -611,7 +645,8 @@ impl BankClient {
 
     /// Mint simulation money (see [`Bank::mint`]).
     pub fn mint(&self, to: AccountId, amount: Credits) -> Result<(), ServiceError> {
-        self.call(|reply| BankRequest::Mint { to, amount, reply })?
+        self.client
+            .call(|reply| BankRequest::Mint { to, amount, reply })?
             .map_err(ServiceError::from)
     }
 
@@ -640,25 +675,27 @@ impl BankClient {
         to: AccountId,
         amount: Credits,
     ) -> Result<Receipt, ServiceError> {
-        self.call(|reply| BankRequest::Transfer {
-            request_id,
-            from,
-            to,
-            amount,
-            reply,
-        })?
-        .map_err(ServiceError::from)
+        self.client
+            .call(|reply| BankRequest::Transfer {
+                request_id,
+                from,
+                to,
+                amount,
+                reply,
+            })?
+            .map_err(ServiceError::from)
     }
 
     /// Account balance (see [`Bank::balance`]).
     pub fn balance(&self, id: AccountId) -> Result<Credits, ServiceError> {
-        self.call(|reply| BankRequest::Balance { id, reply })?
+        self.client
+            .call(|reply| BankRequest::Balance { id, reply })?
             .map_err(ServiceError::from)
     }
 
     /// Verify a receipt signature (see [`Bank::verify_receipt`]).
     pub fn verify_receipt(&self, receipt: &Receipt) -> Result<bool, ServiceError> {
-        self.call(|reply| BankRequest::VerifyReceipt {
+        self.client.call(|reply| BankRequest::VerifyReceipt {
             receipt: receipt.clone(),
             reply,
         })
@@ -666,22 +703,18 @@ impl BankClient {
 
     /// Total credits across accounts (see [`Bank::total_money`]).
     pub fn total_money(&self) -> Result<Credits, ServiceError> {
-        self.call(|reply| BankRequest::TotalMoney { reply })
+        self.client.call(|reply| BankRequest::TotalMoney { reply })
     }
 
     /// Fault injection: make the service lose the reply to its next
     /// request (the request still executes). Used to exercise the
     /// timeout/retry and idempotent-replay paths in tests.
     pub fn inject_drop_next_reply(&self) -> Result<(), ServiceError> {
-        if let Some(gate) = &self.net.gate {
-            gate.count_send();
+        if self.client.send_control(BankRequest::InjectDropNextReply) {
+            Ok(())
+        } else {
+            Err(ServiceError::Disconnected)
         }
-        self.tx.send(BankRequest::InjectDropNextReply).map_err(|_| {
-            if let Some(gate) = &self.net.gate {
-                gate.cancel_send();
-            }
-            ServiceError::Disconnected
-        })
     }
 }
 
@@ -690,269 +723,120 @@ impl BankClient {
 #[derive(Clone)]
 enum AuctionRequest {
     PlaceBid {
-        host: HostId,
         user: UserId,
         rate: f64,
         escrow: Credits,
         reply: Sender<BidHandle>,
     },
     CancelBid {
-        host: HostId,
         handle: BidHandle,
         reply: Sender<Option<Credits>>,
     },
     TopUp {
-        host: HostId,
         handle: BidHandle,
         extra: Credits,
         reply: Sender<bool>,
     },
     UpdateRate {
-        host: HostId,
         handle: BidHandle,
         rate: f64,
         reply: Sender<bool>,
     },
     Quote {
-        host: HostId,
         user: UserId,
         reply: Sender<(f64, f64)>, // (spot price, others' rate)
     },
     Allocate {
-        host: HostId,
         dt_secs: f64,
         reply: Sender<Vec<Allocation>>,
     },
     Earned {
-        host: HostId,
         reply: Sender<Credits>,
-    },
-    /// Sweep every host the shard owns, in registration order — the
-    /// scatter-gather tick sends one of these per shard instead of one
-    /// `Allocate` per host.
-    TickShard {
-        dt_secs: f64,
-        reply: Sender<Vec<(HostId, Vec<Allocation>)>>,
     },
     Shutdown,
 }
 
-/// Handle to one host's auctioneer, addressed through the service that
-/// owns the host's shard (every request carries the target [`HostId`]).
-#[derive(Clone)]
-pub struct AuctioneerClient {
-    host: HostId,
-    tx: Sender<AuctionRequest>,
-    timeout: Duration,
-    retries: u32,
-    telemetry: Option<ServiceInstruments>,
-    net: ClientNet,
-}
+/// `Allocate` is control: the scatter-gather tick has its own timeout and
+/// dead-host machinery, and a shed tick reply must never be able to mark
+/// a healthy host crashed.
+impl Request for AuctionRequest {
+    const SHUTDOWN: Self = AuctionRequest::Shutdown;
 
-/// One auctioneer service thread owning a contiguous shard of hosts
-/// (DESIGN.md §15). Shard size 1 — the default — reproduces the historic
-/// one-thread-per-host layout, including its kill and timeout semantics.
-struct AuctioneerService {
-    /// Hosts this shard owns, in registration order.
-    hosts: Vec<HostId>,
-    handle: Option<JoinHandle<Vec<Auctioneer>>>,
-    tx: Sender<AuctionRequest>,
-    client_net: ClientNet,
-}
-
-/// Messages exempt from link faults and shedding on an auctioneer link.
-/// `Allocate`/`TickShard` are control: the scatter-gather tick has its
-/// own timeout and dead-host machinery, and a shed tick reply must never
-/// be able to mark a healthy host crashed.
-fn auction_is_control(req: &AuctionRequest) -> bool {
-    matches!(
-        req,
-        AuctionRequest::Shutdown
-            | AuctionRequest::Allocate { .. }
-            | AuctionRequest::TickShard { .. }
-    )
-}
-
-/// Runs auction requests against the shard's owned auctioneers behind
-/// the lossy transport. Host-addressed requests for a host this shard
-/// does not own are dropped (the caller times out) — they cannot occur
-/// through [`LiveMarket`], which routes by shard membership.
-fn auction_service_loop(
-    mut auctioneers: Vec<Auctioneer>,
-    mut transport: ServiceTransport<AuctionRequest>,
-) -> Vec<Auctioneer> {
-    fn owned(auctioneers: &mut [Auctioneer], host: HostId) -> Option<&mut Auctioneer> {
-        auctioneers.iter_mut().find(|a| a.spec().id == host)
+    fn is_shutdown(&self) -> bool {
+        matches!(self, AuctionRequest::Shutdown)
     }
-    while let Some(req) = transport.recv() {
-        if matches!(req, AuctionRequest::Shutdown) {
-            break;
-        }
-        // Control replies (the tick's sweep) are never lost; drawing a
-        // loss for them would let the link falsely kill a host.
-        let lose_reply = !auction_is_control(&req) && transport.reply_lost();
-        macro_rules! respond {
-            ($reply:expr, $value:expr) => {{
-                let v = $value;
-                if !lose_reply {
-                    let _ = $reply.send(v);
-                }
-            }};
-        }
-        macro_rules! respond_for {
-            ($host:expr, $reply:expr, |$a:ident| $value:expr) => {{
-                if let Some($a) = owned(&mut auctioneers, $host) {
-                    respond!($reply, $value);
-                } else {
-                    debug_assert!(false, "request for host outside shard");
-                }
-            }};
-        }
-        match req {
+
+    fn is_control(&self) -> bool {
+        matches!(
+            self,
+            AuctionRequest::Shutdown | AuctionRequest::Allocate { .. }
+        )
+    }
+}
+
+/// Spawn one host's auctioneer service; its fault stream mixes the host id
+/// into the auctioneer salt.
+fn spawn_auctioneer(spec: HostSpec, net: &NetConfig) -> Endpoint<AuctionRequest, Auctioneer> {
+    let host = spec.id;
+    let stream = AUCTIONEER_FAULT_STREAM ^ u64::from(host.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    Endpoint::spawn(&host.to_string(), stream, net, move |transport| {
+        let mut a = Auctioneer::new(spec);
+        serve(transport, |_, req, respond| match req {
             AuctionRequest::PlaceBid {
-                host,
                 user,
                 rate,
                 escrow,
                 reply,
-            } => {
-                respond_for!(host, reply, |a| a.place_bid(user, rate, escrow));
-            }
-            AuctionRequest::CancelBid { host, handle, reply } => {
-                respond_for!(host, reply, |a| a.cancel_bid(handle));
+            } => respond.to(reply, a.place_bid(user, rate, escrow)),
+            AuctionRequest::CancelBid { handle, reply } => {
+                respond.to(reply, a.cancel_bid(handle));
             }
             AuctionRequest::TopUp {
-                host,
                 handle,
                 extra,
                 reply,
-            } => {
-                respond_for!(host, reply, |a| a.top_up(handle, extra));
-            }
+            } => respond.to(reply, a.top_up(handle, extra)),
             AuctionRequest::UpdateRate {
-                host,
                 handle,
                 rate,
                 reply,
-            } => {
-                respond_for!(host, reply, |a| a.update_rate(handle, rate));
+            } => respond.to(reply, a.update_rate(handle, rate)),
+            AuctionRequest::Quote { user, reply } => {
+                respond.to(reply, (a.spot_price(), a.others_rate(user)));
             }
-            AuctionRequest::Quote { host, user, reply } => {
-                respond_for!(host, reply, |a| (a.spot_price(), a.others_rate(user)));
+            AuctionRequest::Allocate { dt_secs, reply } => {
+                respond.to(reply, a.allocate(dt_secs));
             }
-            AuctionRequest::Allocate {
-                host,
-                dt_secs,
-                reply,
-            } => {
-                respond_for!(host, reply, |a| a.allocate(dt_secs));
-            }
-            AuctionRequest::Earned { host, reply } => {
-                respond_for!(host, reply, |a| a.earned());
-            }
-            AuctionRequest::TickShard { dt_secs, reply } => {
-                let sweep: Vec<(HostId, Vec<Allocation>)> = auctioneers
-                    .iter_mut()
-                    .map(|a| (a.spec().id, a.allocate(dt_secs)))
-                    .collect();
-                respond!(reply, sweep);
-            }
+            AuctionRequest::Earned { reply } => respond.to(reply, a.earned()),
             AuctionRequest::Shutdown => {}
-        }
-    }
-    auctioneers
+        });
+        a
+    })
 }
 
-impl AuctioneerService {
-    /// Spawn one service thread owning `specs` (a non-empty shard). The
-    /// link fault stream, queue gauge and thread name all derive from the
-    /// shard's lead (first) host, which at shard size 1 reproduces the
-    /// historic per-host identifiers exactly.
-    fn spawn_shard(specs: Vec<HostSpec>, net: &NetConfig) -> AuctioneerService {
-        assert!(!specs.is_empty(), "shard needs at least one host");
-        let (tx, rx) = channel::<AuctionRequest>();
-        let lead = specs[0].id;
-        let hosts: Vec<HostId> = specs.iter().map(|s| s.id).collect();
-        let gate = (net.queue.capacity.is_some() || net.telemetry.is_some()).then(|| {
-            QueueGate::new(
-                net.queue,
-                net.telemetry
-                    .as_ref()
-                    .map(|t| t.queue_depth_gauge(&format!("{lead}"))),
-            )
-        });
-        let fault_seed = net.fault_seed
-            ^ AUCTIONEER_FAULT_STREAM
-            ^ u64::from(lead.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let transport = ServiceTransport::new(
-            rx,
-            net.auctioneer_link,
-            fault_seed,
-            gate.clone(),
-            net.telemetry.clone(),
-            auction_is_control,
-        );
-        let name = format!("tycoon-{lead}");
-        let handle = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                auction_service_loop(specs.into_iter().map(Auctioneer::new).collect(), transport)
-            })
-            .expect("spawn auctioneer service");
-        let breaker = net
-            .breaker
-            .map(|cfg| CircuitBreaker::new(cfg, net.clock.clone(), net.telemetry.clone()));
-        AuctioneerService {
-            hosts,
-            handle: Some(handle),
-            tx,
-            client_net: ClientNet {
-                gate,
-                breaker,
-                net: net.telemetry.clone(),
-                jitter_salt: fault_seed,
-            },
-        }
-    }
-
-    /// Send a control message, keeping the mailbox depth accounting
-    /// balanced (control bypasses shedding but is still received).
-    fn send_control(&self, req: AuctionRequest) {
-        if let Some(gate) = &self.client_net.gate {
-            gate.count_send();
-            if self.tx.send(req).is_err() {
-                gate.cancel_send();
-            }
-        } else {
-            let _ = self.tx.send(req);
-        }
-    }
+/// Handle to one host's auctioneer service.
+#[derive(Clone)]
+pub struct AuctioneerClient {
+    host: HostId,
+    client: Client<AuctionRequest>,
 }
 
 impl AuctioneerClient {
-    fn call<T>(&self, make: impl FnMut(Sender<T>) -> AuctionRequest) -> Result<T, ServiceError> {
-        call_with_retry(
-            &self.tx,
-            self.timeout,
-            self.retries,
-            self.telemetry.as_ref(),
-            &self.net,
-            make,
-        )
-    }
-
     /// Replace the reply deadline and retry budget (mainly for tests).
-    pub fn with_deadline(mut self, timeout: Duration, retries: u32) -> Self {
-        self.timeout = timeout;
-        self.retries = retries;
-        self
+    pub fn with_deadline(self, timeout: Duration, retries: u32) -> Self {
+        AuctioneerClient {
+            client: self.client.with_deadline(timeout, retries),
+            ..self
+        }
     }
 
     /// Record request latency, timeout, retry and disconnect telemetry on
     /// every call made through this client.
-    pub fn with_telemetry(mut self, instruments: ServiceInstruments) -> Self {
-        self.telemetry = Some(instruments);
-        self
+    pub fn with_telemetry(self, instruments: ServiceInstruments) -> Self {
+        AuctioneerClient {
+            client: self.client.with_telemetry(instruments),
+            ..self
+        }
     }
 
     /// The host this client talks to.
@@ -967,8 +851,7 @@ impl AuctioneerClient {
         rate: f64,
         escrow: Credits,
     ) -> Result<BidHandle, ServiceError> {
-        self.call(|reply| AuctionRequest::PlaceBid {
-            host: self.host,
+        self.client.call(|reply| AuctionRequest::PlaceBid {
             user,
             rate,
             escrow,
@@ -978,17 +861,13 @@ impl AuctioneerClient {
 
     /// Cancel a bid, refunding the remaining escrow.
     pub fn cancel_bid(&self, handle: BidHandle) -> Result<Option<Credits>, ServiceError> {
-        self.call(|reply| AuctionRequest::CancelBid {
-            host: self.host,
-            handle,
-            reply,
-        })
+        self.client
+            .call(|reply| AuctionRequest::CancelBid { handle, reply })
     }
 
     /// Add escrow to a live bid.
     pub fn top_up(&self, handle: BidHandle, extra: Credits) -> Result<bool, ServiceError> {
-        self.call(|reply| AuctionRequest::TopUp {
-            host: self.host,
+        self.client.call(|reply| AuctionRequest::TopUp {
             handle,
             extra,
             reply,
@@ -997,8 +876,7 @@ impl AuctioneerClient {
 
     /// Change a live bid's rate.
     pub fn update_rate(&self, handle: BidHandle, rate: f64) -> Result<bool, ServiceError> {
-        self.call(|reply| AuctionRequest::UpdateRate {
-            host: self.host,
+        self.client.call(|reply| AuctionRequest::UpdateRate {
             handle,
             rate,
             reply,
@@ -1007,47 +885,38 @@ impl AuctioneerClient {
 
     /// `(spot price, others' rate for user)` in one round trip.
     pub fn quote(&self, user: UserId) -> Result<(f64, f64), ServiceError> {
-        self.call(|reply| AuctionRequest::Quote {
-            host: self.host,
-            user,
-            reply,
-        })
+        self.client
+            .call(|reply| AuctionRequest::Quote { user, reply })
     }
 
     /// Run one allocation interval on this host.
     pub fn allocate(&self, dt_secs: f64) -> Result<Vec<Allocation>, ServiceError> {
-        self.call(|reply| AuctionRequest::Allocate {
-            host: self.host,
-            dt_secs,
-            reply,
-        })
+        self.client
+            .call(|reply| AuctionRequest::Allocate { dt_secs, reply })
     }
 
     /// Host income so far.
     pub fn earned(&self) -> Result<Credits, ServiceError> {
-        self.call(|reply| AuctionRequest::Earned {
-            host: self.host,
-            reply,
-        })
+        self.client.call(|reply| AuctionRequest::Earned { reply })
     }
 }
 
 // ------------------------------------------------------------- market
 
-/// A market whose bank and auctioneers run as concurrent services, the
-/// hosts partitioned into contiguous shards of auctioneers each owned by
-/// one service thread (shard size 1 — the default — is the historic
-/// one-thread-per-host layout).
+/// A market whose bank and auctioneers run as concurrent services, one
+/// service thread for the bank and one per host.
 pub struct LiveMarket {
-    bank: BankService,
-    shards: Vec<AuctioneerService>,
-    /// Hosts whose auctioneer shard has been observed (or made) dead.
-    /// Death is per *shard* — killing or timing out a shard marks every
-    /// host it owns — so this set is always a union of whole shards.
-    /// Guarded by a mutex so the shared `tick` path can record deaths
-    /// through `&self`.
+    bank: Endpoint<BankRequest, Bank>,
+    /// The transfer request-id counter every bank client draws from. It
+    /// outlives bank restarts, so ids consumed before a crash (now durably
+    /// marked applied) are never reissued to new transfers.
+    next_request: Arc<AtomicU64>,
+    /// One auctioneer service per host, in registration order.
+    auctioneers: Vec<(HostId, Endpoint<AuctionRequest, Auctioneer>)>,
+    /// Hosts whose auctioneer has been observed (or made) dead. Guarded by
+    /// a mutex so the shared `tick` path can record deaths through
+    /// `&self`.
     dead: Mutex<BTreeSet<HostId>>,
-    tick_timeout: Duration,
     telemetry: Option<ServiceInstruments>,
     net: NetConfig,
     /// Bumped on every bank restart so the replacement service draws a
@@ -1057,73 +926,41 @@ pub struct LiveMarket {
 
 impl LiveMarket {
     /// Spawn a live market: one bank service and one auctioneer service
-    /// per host, on perfect links with unbounded mailboxes.
+    /// per host, on perfect links with unbounded mailboxes and a volatile
+    /// bank.
     pub fn spawn(seed: &[u8], hosts: Vec<HostSpec>) -> LiveMarket {
-        LiveMarket::spawn_with_net(seed, hosts, NetConfig::default())
+        LiveMarket::spawn_with(seed, hosts, NetConfig::default(), None)
     }
 
-    /// [`LiveMarket::spawn`] with an overload/loss configuration: every
+    /// [`LiveMarket::spawn`] with an overload/loss configuration — every
     /// client→service link gets `net`'s fault profile, bounded mailbox and
-    /// circuit breaker (`DESIGN.md` §12).
-    pub fn spawn_with_net(seed: &[u8], hosts: Vec<HostSpec>, net: NetConfig) -> LiveMarket {
-        LiveMarket::spawn_sharded_with_net(seed, hosts, net, 1)
-    }
-
-    /// [`LiveMarket::spawn_with_net`] with `shard_hosts` hosts per
-    /// auctioneer service thread (DESIGN.md §15). Hosts are partitioned
-    /// into contiguous shards in registration order; each shard's fault
-    /// stream, queue gauge and thread name derive from its lead host, so
-    /// `shard_hosts = 1` is byte-compatible with the historic per-host
-    /// services. Hosts sharing a shard share a mailbox, a link-fault
-    /// schedule and a failure domain: killing one kills the shard.
-    ///
-    /// # Panics
-    /// Panics if `shard_hosts` is zero.
-    pub fn spawn_sharded_with_net(
+    /// circuit breaker (`DESIGN.md` §12) — and, given a `journal`, a
+    /// durable bank: every bank mutation is journaled into it. The caller
+    /// keeps a clone of the journal; that shared handle is what makes
+    /// [`LiveMarket::restart_bank`] possible after a
+    /// [`LiveMarket::kill_bank`].
+    pub fn spawn_with(
         seed: &[u8],
         hosts: Vec<HostSpec>,
         net: NetConfig,
-        shard_hosts: usize,
+        journal: Option<SharedJournal>,
     ) -> LiveMarket {
-        assert!(shard_hosts >= 1, "at least one host per shard");
-        let bank = BankService::spawn_with_net(Bank::new(seed), &net);
-        let shards = hosts
-            .chunks(shard_hosts)
-            .map(|shard| AuctioneerService::spawn_shard(shard.to_vec(), &net))
-            .collect();
+        let mut bank = Bank::new(seed);
+        if let Some(journal) = journal {
+            bank.attach_ledger(journal);
+        }
         LiveMarket {
-            bank,
-            shards,
+            bank: spawn_bank(bank, &net, 0),
+            next_request: Arc::new(AtomicU64::new(1)),
+            auctioneers: hosts
+                .into_iter()
+                .map(|spec| (spec.id, spawn_auctioneer(spec, &net)))
+                .collect(),
             dead: Mutex::new(BTreeSet::new()),
-            tick_timeout: DEFAULT_TICK_TIMEOUT,
             telemetry: None,
             net,
             bank_generation: 0,
         }
-    }
-
-    /// [`LiveMarket::spawn`] with a durable bank: every bank mutation is
-    /// journaled into `journal` (the caller keeps a clone — that shared
-    /// handle is what makes [`LiveMarket::restart_bank`] possible after a
-    /// [`LiveMarket::kill_bank`]).
-    pub fn spawn_durable(seed: &[u8], hosts: Vec<HostSpec>, journal: SharedJournal) -> LiveMarket {
-        LiveMarket::spawn_durable_with_net(seed, hosts, journal, NetConfig::default())
-    }
-
-    /// [`LiveMarket::spawn_durable`] with an overload/loss configuration —
-    /// the chaos-suite entry point: lossy links, bounded mailboxes and
-    /// breakers over a crash-recoverable bank.
-    pub fn spawn_durable_with_net(
-        seed: &[u8],
-        hosts: Vec<HostSpec>,
-        journal: SharedJournal,
-        net: NetConfig,
-    ) -> LiveMarket {
-        let mut live = LiveMarket::spawn_with_net(seed, hosts, net);
-        let mut bank = Bank::new(seed);
-        bank.attach_ledger(journal);
-        live.bank = BankService::spawn_with_net(bank, &live.net);
-        live
     }
 
     /// Fault injection: crash the bank service. The thread is stopped and
@@ -1131,9 +968,11 @@ impl LiveMarket {
     /// cache — is discarded. Clients created before the kill fail with
     /// [`ServiceError::Disconnected`]; fresh clients from
     /// [`LiveMarket::bank`] reach the replacement only after
-    /// [`LiveMarket::restart_bank`].
+    /// [`LiveMarket::restart_bank`]. Only state the bank journaled to a
+    /// [`SharedJournal`] survives, via [`Bank::recover`] — the books, the
+    /// spent-token set, and the applied-request-id set.
     pub fn kill_bank(&mut self) {
-        self.bank.kill();
+        self.bank.stop();
     }
 
     /// Bring the bank back from its journal: [`Bank::recover`] replays
@@ -1156,10 +995,7 @@ impl LiveMarket {
         let (mut bank, report) = Bank::recover(seed, journal)?;
         bank.attach_ledger(journal.clone());
         self.bank_generation += 1;
-        let mut net = self.net.clone();
-        net.fault_seed ^= self.bank_generation.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let next_request = Arc::clone(&self.bank.next_request);
-        self.bank = BankService::spawn_inner(bank, &net, next_request);
+        self.bank = spawn_bank(bank, &self.net, self.bank_generation);
         Ok(report)
     }
 
@@ -1173,119 +1009,100 @@ impl LiveMarket {
 
     /// A bank client.
     pub fn bank(&self) -> BankClient {
-        let client = self.bank.client();
-        match &self.telemetry {
-            Some(t) => client.with_telemetry(t.clone()),
-            None => client,
+        BankClient {
+            client: self.bank.client(self.telemetry.as_ref()),
+            next_request: Arc::clone(&self.next_request),
         }
     }
 
-    /// A client for one host's auctioneer, routed to the shard service
-    /// that owns the host. Clients for a dead host are still handed out;
-    /// their calls fail with [`ServiceError::Disconnected`].
+    /// A client for one host's auctioneer. Clients for a dead host are
+    /// still handed out; their calls fail with
+    /// [`ServiceError::Disconnected`].
     pub fn auctioneer(&self, host: HostId) -> Option<AuctioneerClient> {
-        self.shards
+        self.auctioneers
             .iter()
-            .find(|svc| svc.hosts.contains(&host))
-            .map(|svc| AuctioneerClient {
+            .find(|(id, _)| *id == host)
+            .map(|(_, svc)| AuctioneerClient {
                 host,
-                tx: svc.tx.clone(),
-                timeout: DEFAULT_CALL_TIMEOUT,
-                retries: DEFAULT_CALL_RETRIES,
-                telemetry: self.telemetry.clone(),
-                net: svc.client_net.clone(),
+                client: svc.client(self.telemetry.as_ref()),
             })
     }
 
     /// All hosts the market was spawned with (alive or dead).
     pub fn host_ids(&self) -> Vec<HostId> {
-        self.shards.iter().flat_map(|svc| svc.hosts.clone()).collect()
+        self.auctioneers.iter().map(|(id, _)| *id).collect()
+    }
+
+    fn dead_set(&self) -> MutexGuard<'_, BTreeSet<HostId>> {
+        self.dead.lock().expect("dead-host set poisoned")
     }
 
     /// Hosts currently known dead (killed, or detected during a tick).
     pub fn dead_hosts(&self) -> Vec<HostId> {
-        self.dead.lock().unwrap().iter().copied().collect()
+        self.dead_set().iter().copied().collect()
     }
 
-    /// Fault injection: crash the auctioneer service owning `host`. The
-    /// shard thread is stopped and joined; subsequent client calls to
-    /// *any* host in the shard fail with [`ServiceError::Disconnected`]
-    /// and [`LiveMarket::tick`] skips them (at the default shard size of
-    /// one host this is exactly the historic per-host kill). Returns
-    /// `false` for an unknown host.
+    /// Fault injection: crash one host's auctioneer service. The thread is
+    /// stopped and joined; subsequent client calls fail with
+    /// [`ServiceError::Disconnected`] and [`LiveMarket::tick`] skips the
+    /// host. Returns `false` for an unknown host.
     pub fn kill_auctioneer(&mut self, host: HostId) -> bool {
-        let Some(svc) = self.shards.iter_mut().find(|svc| svc.hosts.contains(&host)) else {
+        let Some((_, svc)) = self.auctioneers.iter_mut().find(|(id, _)| *id == host) else {
             return false;
         };
-        svc.send_control(AuctionRequest::Shutdown);
-        if let Some(h) = svc.handle.take() {
-            let _ = h.join();
-        }
-        self.dead.lock().unwrap().extend(svc.hosts.iter().copied());
+        svc.stop();
+        self.dead_set().insert(host);
         true
     }
 
-    /// Scatter-gather allocation tick: every live shard sweeps its hosts
-    /// concurrently; results return in deterministic host order.
+    /// Scatter-gather allocation tick: every live auctioneer runs its
+    /// allocation concurrently; results return in deterministic host
+    /// order.
     ///
-    /// Degrades gracefully: a shard that cannot be reached, or whose
-    /// reply does not arrive within the tick deadline, has its hosts
-    /// recorded in [`LiveMarket::dead_hosts`] and omitted from the result
-    /// — the tick never deadlocks on a dead shard.
+    /// Degrades gracefully: a host whose service cannot be reached, or
+    /// whose reply does not arrive within the tick deadline, is recorded
+    /// in [`LiveMarket::dead_hosts`] and omitted from the result — the
+    /// tick never deadlocks on a dead auctioneer.
     pub fn tick(&self, dt_secs: f64) -> Vec<(HostId, Vec<Allocation>)> {
-        type ShardReply = std::sync::mpsc::Receiver<Vec<(HostId, Vec<Allocation>)>>;
         let mut newly_dead = Vec::new();
-        // Scatter one sweep request per shard not already known dead
-        // (death is shard-granular, so checking the lead host suffices).
-        let pending: Vec<(&[HostId], ShardReply)> = {
-            let dead = self.dead.lock().unwrap();
-            self.shards
+        // Scatter one control-class `Allocate` per host not already known
+        // dead.
+        let pending: Vec<_> = {
+            let dead = self.dead_set();
+            self.auctioneers
                 .iter()
-                .filter(|svc| !dead.contains(&svc.hosts[0]))
-                .filter_map(|svc| {
+                .filter(|(host, _)| !dead.contains(host))
+                .filter_map(|(host, svc)| {
                     let (reply, rx) = channel();
-                    if let Some(gate) = &svc.client_net.gate {
-                        gate.count_send();
+                    let request = AuctionRequest::Allocate { dt_secs, reply };
+                    let sent = svc.client.send_control(request);
+                    if !sent {
+                        newly_dead.push(*host);
                     }
-                    match svc.tx.send(AuctionRequest::TickShard { dt_secs, reply }) {
-                        Ok(()) => Some((svc.hosts.as_slice(), rx)),
-                        Err(_) => {
-                            if let Some(gate) = &svc.client_net.gate {
-                                gate.cancel_send();
-                            }
-                            newly_dead.extend(svc.hosts.iter().copied());
-                            None
-                        }
-                    }
+                    sent.then_some((*host, rx))
                 })
                 .collect()
         };
-        // Gather in shard (= host) order, skipping shards that died
-        // mid-tick.
+        // Gather in host order, skipping hosts that died mid-tick.
         let mut out = Vec::with_capacity(pending.len());
-        for (hosts, rx) in pending {
-            match rx.recv_timeout(self.tick_timeout) {
-                Ok(sweep) => out.extend(sweep),
-                Err(_) => newly_dead.extend(hosts.iter().copied()),
+        for (host, rx) in pending {
+            match rx.recv_timeout(DEFAULT_TICK_TIMEOUT) {
+                Ok(allocations) => out.push((host, allocations)),
+                Err(_) => newly_dead.push(host),
             }
         }
         if !newly_dead.is_empty() {
-            self.dead.lock().unwrap().extend(newly_dead);
+            self.dead_set().extend(newly_dead);
         }
         out
     }
 
     /// Shut all services down, recovering the bank for inspection.
     pub fn shutdown(mut self) -> Bank {
-        for svc in self.shards.iter_mut() {
-            svc.send_control(AuctionRequest::Shutdown);
+        for (_, svc) in &mut self.auctioneers {
+            svc.stop();
         }
-        for svc in self.shards.iter_mut() {
-            if let Some(h) = svc.handle.take() {
-                let _ = h.join();
-            }
-        }
-        self.bank.shutdown()
+        self.bank.stop().expect("bank service running")
     }
 }
 
@@ -1526,10 +1343,8 @@ mod tests {
         // Per-thread shards merge into the same histogram.
         let hot = live.bank().with_deadline(Duration::from_millis(50), 3);
         let before = snap.histograms["service.request_us"].count;
-        let shard_client = BankClient {
-            telemetry: hot.telemetry.as_ref().map(|t| t.per_thread()),
-            ..hot
-        };
+        let per_thread = hot.client.telemetry.as_ref().unwrap().per_thread();
+        let shard_client = hot.with_telemetry(per_thread);
         shard_client.total_money().unwrap();
         let after = registry.snapshot().histograms["service.request_us"].count;
         assert_eq!(after, before + 1);
@@ -1539,7 +1354,12 @@ mod tests {
     #[test]
     fn killed_bank_recovers_from_journal_with_spent_set_intact() {
         let journal = SharedJournal::new();
-        let mut live = LiveMarket::spawn_durable(b"svc-wal", specs(1), journal.clone());
+        let mut live = LiveMarket::spawn_with(
+            b"svc-wal",
+            specs(1),
+            NetConfig::default(),
+            Some(journal.clone()),
+        );
         let bank = live.bank();
         let key = Keypair::from_seed(b"wal-user").public;
         let a = bank.open_account(key, "a").unwrap();
@@ -1585,57 +1405,6 @@ mod tests {
         let bank = live.bank();
         assert_eq!(bank.total_money().unwrap(), Credits::ZERO);
         assert!(bank.balance(a).is_err(), "account did not survive");
-        live.shutdown();
-    }
-
-    #[test]
-    fn sharded_live_market_matches_per_host_services() {
-        // 5 hosts in shards of 2 (so one ragged shard) must behave
-        // exactly like the per-host layout: same routing, same tick
-        // results in host order, same income.
-        let run = |shard_hosts: usize| {
-            let live = LiveMarket::spawn_sharded_with_net(
-                b"svc-shard",
-                specs(5),
-                NetConfig::default(),
-                shard_hosts,
-            );
-            for (k, id) in live.host_ids().into_iter().enumerate() {
-                let c = live.auctioneer(id).unwrap();
-                c.place_bid(UserId(1), 0.1 + k as f64 * 0.01, Credits::from_whole(50))
-                    .unwrap();
-            }
-            let ticks: Vec<Vec<(HostId, Vec<Allocation>)>> =
-                (0..3).map(|_| live.tick(10.0)).collect();
-            let earned: Vec<Credits> = live
-                .host_ids()
-                .into_iter()
-                .map(|id| live.auctioneer(id).unwrap().earned().unwrap())
-                .collect();
-            live.shutdown();
-            (ticks, earned)
-        };
-        let per_host = run(1);
-        assert_eq!(per_host, run(2));
-        assert_eq!(per_host, run(5), "single shard owning every host");
-    }
-
-    #[test]
-    fn killing_one_host_kills_its_whole_shard() {
-        let mut live = LiveMarket::spawn_sharded_with_net(
-            b"svc-shard-kill",
-            specs(4),
-            NetConfig::default(),
-            2,
-        );
-        // Killing host 2 takes down its shard-mate host 3 as well...
-        assert!(live.kill_auctioneer(HostId(2)));
-        assert_eq!(live.dead_hosts(), vec![HostId(2), HostId(3)]);
-        let hosts: Vec<HostId> = live.tick(10.0).into_iter().map(|(h, _)| h).collect();
-        assert_eq!(hosts, vec![HostId(0), HostId(1)]);
-        // ...and its clients disconnect rather than hang.
-        let c = live.auctioneer(HostId(3)).unwrap();
-        assert_eq!(c.earned(), Err(ServiceError::Disconnected));
         live.shutdown();
     }
 

@@ -34,7 +34,7 @@ fn main() {
 
     let journal = SharedJournal::new();
     let hosts: Vec<HostSpec> = (0..4).map(HostSpec::testbed).collect();
-    let mut live = LiveMarket::spawn_durable_with_net(b"overload-demo", hosts, journal.clone(), net);
+    let mut live = LiveMarket::spawn_with(b"overload-demo", hosts, net, Some(journal.clone()));
     live.attach_telemetry(ServiceInstruments::new(&registry, Arc::new(WallClock::new())));
 
     let admin = live.bank();

@@ -92,15 +92,18 @@ perf WORKLOAD SEED="1" SECONDS="45" TRACE="0":
 bench:
     cargo bench --workspace
 
-# Re-measure the telemetry overhead budget (DESIGN.md §9) and write the
-# result to BENCH_telemetry.json at the repo root.
-bench-save:
-    cargo bench -p gm-bench --bench telemetry -- --save
+# The cleanup gate's size metric: non-blank, non-comment Rust lines
+# under crates, src, tests and examples.
+loc:
+    find crates src tests examples -name '*.rs' | xargs awk '!/^[[:space:]]*$/ && !/^[[:space:]]*\/\//' | wc -l
 
-# Re-measure the overload-layer overhead budget (DESIGN.md §12) and
-# write the result to BENCH_overload.json at the repo root.
-bench-save-overload:
-    cargo bench -p gm-bench --bench overload -- --save
+# Re-measure the four overhead budgets — telemetry (DESIGN.md §9),
+# overload layer (§12), guard layer (§16), gray resilience (§17) — and
+# write BENCH_telemetry.json, BENCH_overload.json, BENCH_attack.json and
+# BENCH_gray.json at the repo root. Reports each verdict; exits 0 either
+# way.
+bench-save-overhead:
+    cargo bench -p gm-bench --bench overhead -- --save
 
 # Re-measure Monte-Carlo runner throughput and parallel efficiency
 # (DESIGN.md §13) and write the result to BENCH_mc.json at the repo root.
@@ -134,11 +137,6 @@ attack-matrix:
     cargo test -q --test adversary
     cargo run --release -p gm-experiments --bin mc -- attack --seeds 16 --check
 
-# Re-measure the guard-layer overhead budget (DESIGN.md §16) and write
-# the result to BENCH_attack.json at the repo root.
-bench-save-attack:
-    cargo bench -p gm-bench --bench attack -- --save
-
 # Gray-failure matrix (DESIGN.md §17): every policy (tycoon armed and
 # with the resilience layer off, VCG, the four baselines) against every
 # gray-fault scenario (slowdown / stall / flapping) as one Monte-Carlo
@@ -149,8 +147,3 @@ bench-save-attack:
 gray-matrix:
     cargo test -q --test chaos
     cargo run --release -p gm-experiments --bin mc -- gray --seeds 16 --check
-
-# Re-measure the gray-resilience overhead budget (DESIGN.md §17) and
-# write the result to BENCH_gray.json at the repo root.
-bench-save-gray:
-    cargo bench -p gm-bench --bench gray -- --save

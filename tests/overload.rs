@@ -1,6 +1,6 @@
 //! Overload & degraded-operation suite (`DESIGN.md` §12): the live
 //! runtime under lossy links, bounded mailboxes and a mid-run bank
-//! crash, and the DES market under scheduled link outages. Four angles:
+//! crash, and the DES market under scheduled link outages. Five angles:
 //!
 //! 1. A threaded soak: many clients hammer a lossy, small-mailbox,
 //!    breaker-guarded bank while it is killed and recovered mid-run.
@@ -20,17 +20,22 @@
 //!    transfer returns the original receipt; after eviction the durable
 //!    applied-id set still refuses re-execution (`DuplicateRequest`), so
 //!    eviction can cost a client its receipt but never double-moves money.
+//! 5. The auctioneer endpoint under overload: a full mailbox sheds calls,
+//!    the breaker then fast-fails them, and the control-class tick still
+//!    sweeps every host.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 use gm_ledger::SharedJournal;
+use gm_telemetry::{ManualClock, Registry};
 use gridmarket::des::check::{check, Gen};
 use gridmarket::des::{FaultPlan, SimTime};
 use gridmarket::scenario::{Scenario, ScenarioResult};
 use gridmarket::tycoon::{
-    BankError, ConservationAuditor, Credits, HostSpec, LiveMarket, NetConfig, ServiceError,
-    ShedPolicy,
+    BankError, BreakerConfig, ConservationAuditor, Credits, HostId, HostSpec, LiveMarket,
+    NetConfig, NetInstruments, QueueConfig, ServiceError, ShedPolicy, UserId,
 };
 
 fn specs(n: u32) -> Vec<HostSpec> {
@@ -53,8 +58,7 @@ fn lossy_overloaded_soak_applies_each_transfer_at_most_once() {
 
     let journal = SharedJournal::new();
     let net = NetConfig::chaos(0.10, 0xC0FFEE, 4, ShedPolicy::RejectNew);
-    let mut live =
-        LiveMarket::spawn_durable_with_net(b"soak", specs(2), journal.clone(), net);
+    let mut live = LiveMarket::spawn_with(b"soak", specs(2), net, Some(journal.clone()));
 
     let admin = live.bank();
     let key = gm_crypto::Keypair::from_seed(b"soak-user").public;
@@ -271,8 +275,7 @@ fn random_loss_schedules_apply_transfers_exactly_once() {
         }
 
         let journal = SharedJournal::new();
-        let mut live =
-            LiveMarket::spawn_durable_with_net(b"prop", Vec::new(), journal.clone(), net);
+        let mut live = LiveMarket::spawn_with(b"prop", Vec::new(), net, Some(journal.clone()));
         let key = gm_crypto::Keypair::from_seed(b"prop-user").public;
         let bank = live.bank().with_deadline(Duration::from_millis(20), 3);
         let payer = eventually(|| bank.open_account(key, "payer"));
@@ -323,7 +326,7 @@ fn replay_cache_eviction_falls_back_to_durable_duplicate_rejection() {
         ..NetConfig::default()
     };
     let journal = SharedJournal::new();
-    let live = LiveMarket::spawn_durable_with_net(b"evict", Vec::new(), journal, net);
+    let live = LiveMarket::spawn_with(b"evict", Vec::new(), net, Some(journal));
     let key = gm_crypto::Keypair::from_seed(b"evict-user").public;
     let bank = live.bank();
     let payer = bank.open_account(key, "payer").unwrap();
@@ -358,4 +361,54 @@ fn replay_cache_eviction_falls_back_to_durable_duplicate_rejection() {
 
     let bank = live.shutdown();
     assert_eq!(bank.total_money(), bank.total_minted());
+}
+
+#[test]
+fn auctioneer_endpoint_sheds_then_breaks_but_the_tick_still_sweeps() {
+    // A zero-capacity `RejectNew` mailbox sheds every client request, so
+    // each call fails `Overloaded` and feeds the endpoint's breaker; once
+    // a full window has failed the breaker opens and calls fast-fail
+    // without touching the mailbox (the manual clock never reaches the
+    // cooldown). The allocation tick is control traffic: it bypasses
+    // both, so every host is still swept and none is declared dead.
+    let registry = Registry::new();
+    let net = NetConfig {
+        queue: QueueConfig::bounded(0, ShedPolicy::RejectNew),
+        breaker: Some(BreakerConfig::default()),
+        clock: Arc::new(ManualClock::new()),
+        telemetry: Some(NetInstruments::new(&registry)),
+        ..NetConfig::default()
+    };
+    let live = LiveMarket::spawn_with(b"auc-overload", specs(3), net, None);
+    let auc = live
+        .auctioneer(HostId(1))
+        .unwrap()
+        .with_deadline(Duration::from_millis(50), 0);
+    for _ in 0..BreakerConfig::default().window {
+        assert!(matches!(
+            auc.place_bid(UserId(1), 0.1, Credits::from_whole(1)),
+            Err(ServiceError::Overloaded { .. })
+        ));
+    }
+    assert_eq!(
+        auc.place_bid(UserId(1), 0.1, Credits::from_whole(1)),
+        Err(ServiceError::CircuitOpen)
+    );
+    assert_eq!(auc.earned(), Err(ServiceError::CircuitOpen));
+
+    let swept: Vec<HostId> = live.tick(10.0).into_iter().map(|(h, _)| h).collect();
+    assert_eq!(swept, vec![HostId(0), HostId(1), HostId(2)]);
+    assert!(live.dead_hosts().is_empty());
+
+    let gauges: Vec<String> = registry.snapshot().gauges.into_keys().collect();
+    assert_eq!(
+        gauges,
+        [
+            "net.queue_depth.bank",
+            "net.queue_depth.host000",
+            "net.queue_depth.host001",
+            "net.queue_depth.host002",
+        ]
+    );
+    live.shutdown();
 }
