@@ -3,8 +3,7 @@
 //! Everything the repo injects today is mechanical — crashes, outages,
 //! lossy links — while every agent stays honest and myopic. This crate
 //! adds the missing robustness axis (DESIGN.md §16): *strategic*
-//! populations that attack the economy itself, and the seeded shock
-//! workloads they ride in on.
+//! populations that attack the economy itself.
 //!
 //! The design constraint is policy neutrality: an adversary is nothing
 //! but a deterministic stream of extra [`JobRequest`]s appended to the
@@ -21,13 +20,10 @@
 //!   `gm_tycoon::best_response`), zero-intelligence (Gode–Sunder random
 //!   budget/valuation draws), budget-hoarding, deadline-sniping, and the
 //!   colluding shill pair.
-//! * [`shock`] — seeded workload generators for demand shocks, flash
-//!   crowds, and bubble-and-crash cycles.
 //! * [`AdversaryInstruments`] — lazily constructed `adversary.*`
 //!   counters; only attack runs register them, so default exports stay
 //!   byte-identical.
 
-pub mod shock;
 pub mod strategy;
 
 use gm_core::JobRequest;

@@ -108,11 +108,6 @@ impl TycoonPolicy {
         &self.market
     }
 
-    /// The wrapped job manager (read access).
-    pub fn job_manager(&self) -> &JobManager {
-        &self.jm
-    }
-
     /// The grid job id a request was admitted as.
     pub fn grid_job_id(&self, request_id: u32) -> Option<JobId> {
         self.jobs.get(&request_id).copied()
@@ -211,12 +206,10 @@ impl AllocationPolicy for TycoonPolicy {
                 }
                 // Kill the bank and bring it back from its durable
                 // ledger (DESIGN.md §11); without an attached ledger
-                // this degrades to a bank-restore. The manager's
-                // in-memory double-spend registry is volatile, so it is
-                // rebuilt from the bank's journaled spent-token set.
-                if self.market.restart_bank().is_ok() {
-                    self.jm.restore_spent_tokens(&self.market);
-                }
+                // this degrades to a bank-restore. The recovered bank's
+                // journaled spent-token set is the manager's only
+                // double-spend check, so nothing else needs rebuilding.
+                let _ = self.market.restart_bank();
             }
             FaultKind::LinkDown => {
                 if let Some(t) = &self.tracer {

@@ -4,9 +4,10 @@
 //!
 //! * [`chaos`] — the 1000-seed chaos sweep behind `just mc-chaos`: every
 //!   seed deterministically generates a random [`FaultPlan`] world and
-//!   runs the *same* job stream through every allocation policy (Tycoon
-//!   market, the VCG optimization tier and the four baselines) via the
-//!   shared `PolicyDriver`, then reports per-policy Student-t confidence
+//!   runs it through every allocation policy (Tycoon market, the VCG
+//!   optimization tier and the four baselines) via the shared
+//!   `PolicyDriver` (the Tycoon cell's jobs differ in sub-job count; see
+//!   [`job_stream`]), then reports per-policy Student-t confidence
 //!   intervals plus the quarantined failing seeds with replay hints. It
 //!   is a one-column [`Matrix`]; the attack and gray matrices reuse its
 //!   world ([`chaos_driver`]) and policy roster ([`chaos_cell`]).
@@ -136,9 +137,13 @@ impl Cli {
     }
 }
 
-/// The job stream every baseline runs under — byte-for-byte the stream
-/// [`ChaosConfig::scenario`] builds internally (same stagger, work,
-/// budgets), so the only experimental variable is the policy.
+/// The honest job stream of the bankless cells (VCG and the baselines)
+/// and of every attack-matrix cell: one job per user with
+/// `cfg.subjobs` sub-jobs, the 30 s stagger, and the chaos work, budget
+/// and deadline. It is *not* the stream the Tycoon chaos and gray cells
+/// run: [`ChaosConfig::scenario`] leaves every user at the `UserSetup`
+/// default of 15 sub-jobs, while `cfg.subjobs` defaults to 4 (ROADMAP,
+/// "`ChaosConfig.subjobs` is read by no chaos world", blocked).
 pub fn job_stream(cfg: &ChaosConfig) -> Vec<JobRequest> {
     (0..cfg.users)
         .map(|i| JobRequest {
@@ -162,10 +167,12 @@ pub(crate) fn work_per_subjob(cfg: &ChaosConfig) -> f64 {
 
 /// The seed's chaos world as a [`PolicyDriver`]: the seed's jittered
 /// hardware, the config's horizon and the seed's generated fault plan —
-/// the *identical* world the Tycoon scenario sees, so the policy is the
-/// only variable. (Capacity-oblivious baselines ignore the delivered
-/// fault events by design; the heterogeneity still gives every seed a
-/// distinct world.)
+/// the hosts, horizon and faults the Tycoon scenario sees. The jobs are
+/// not the same: the Tycoon chaos cell runs 15 sub-jobs per user where
+/// [`job_stream`] runs `cfg.subjobs`, so the policy is not the only
+/// variable across a chaos-sweep row (see [`job_stream`]).
+/// (Capacity-oblivious baselines ignore the delivered fault events by
+/// design; the heterogeneity still gives every seed a distinct world.)
 pub fn chaos_driver(seed: u64, cfg: &ChaosConfig) -> PolicyDriver {
     let hosts = gridmarket::scenario::jittered_hosts(seed, cfg.hosts, cfg.heterogeneity);
     PolicyDriver::new(hosts, 10.0)

@@ -8,40 +8,32 @@
 //!   paper maps onto the market (`cpuTime` → deadline, transfer token →
 //!   budget, `count` → #VMs).
 //! * [`identity`] — Grid DNs bound to (simulation-grade) key pairs.
-//! * [`token`] — transfer tokens: bank receipts bound to DNs with
-//!   double-spend prevention (§3.1).
+//! * [`token`] — transfer tokens: bank receipts bound to DNs (§3.1); the
+//!   bank's durable spent-token set is the double-spend check.
 //! * [`vm`] — the virtualized execution layer (creation latency, runtime-
 //!   environment installation, per-(host,user) VM reuse).
 //! * [`manager`] — the scheduling agent: token redemption, funded
 //!   sub-accounts, Best Response bid placement, stage-in/out, boosting,
 //!   refunds.
 //! * [`monitor`] — a text-mode ARC Grid Monitor (Fig. 2).
-//! * [`datatransfer`] — gsiftp staging over the GigaSunet-style network
-//!   model (file sizes → stage-in/out durations).
-//! * [`metascheduler`] — replicated, partitioned scheduling agents with
-//!   ARC-style cheapest-partition matchmaking (§3's scaling model).
 //! * [`telemetry`] — `gm_telemetry` instrument handles for the manager's
 //!   dispatch/requeue/token hot paths; the fault-recovery counters are
 //!   derived from these.
 
-pub mod datatransfer;
 pub mod identity;
 pub mod manager;
-pub mod metascheduler;
 pub mod monitor;
 pub mod telemetry;
 pub mod token;
 pub mod vm;
 pub mod xrsl;
 
-pub use datatransfer::{Locality, StagedFile, TransferModel};
 pub use identity::GridIdentity;
 pub use manager::{
     AgentConfig, FaultCounters, GridError, Job, JobId, JobKind, JobManager, JobPhase, JobSpec,
     RetryPolicy, SpeculationConfig, SubJob,
 };
-pub use metascheduler::{MetaScheduler, RoutedJob};
 pub use telemetry::GridInstruments;
-pub use token::{TokenError, TokenRegistry, TransferToken};
-pub use vm::{Vm, VmConfig, VmId, VmManager, VmState};
+pub use token::{TokenError, TransferToken};
+pub use vm::{Vm, VmConfig, VmId, VmManager};
 pub use xrsl::{ParseError, Value, Xrsl};

@@ -15,22 +15,22 @@ use crate::token::{TokenError, TransferToken};
 impl JobManager {
     /// Verify-and-consume a transfer token, counting the outcome
     /// (`grid.tokens_accepted` / `grid.tokens_rejected` /
-    /// `grid.token_double_spends`).
+    /// `grid.token_double_spends`). The spend is recorded in the bank's
+    /// journaled spent-token set, so a recovered bank still rejects the
+    /// token (see DESIGN.md §11).
     pub(super) fn redeem_token(
         &mut self,
-        market: &Market,
+        market: &mut Market,
         token: &TransferToken,
     ) -> Result<(), GridError> {
         if let Err(e) = token.verify(market.bank(), self.broker_account) {
             self.telemetry.tokens_rejected.inc();
             return Err(e.into());
         }
-        if let Err(e) = self.registry.consume(token) {
+        if !market.bank_mut().record_token_spend(token.transfer_id()) {
             self.telemetry.tokens_rejected.inc();
-            if matches!(e, TokenError::AlreadySpent(_)) {
-                self.telemetry.token_double_spends.inc();
-            }
-            return Err(e.into());
+            self.telemetry.token_double_spends.inc();
+            return Err(TokenError::AlreadySpent(token.transfer_id()).into());
         }
         self.telemetry.tokens_accepted.inc();
         Ok(())

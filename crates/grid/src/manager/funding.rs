@@ -80,7 +80,7 @@ impl JobManager {
 
         // Probated (chronically slow) hosts are drained from new
         // placements; their standing bids elsewhere are still honored.
-        let host_ids = self.drain_probated(self.eligible_hosts(market));
+        let host_ids = self.drain_probated(market.host_ids());
         let quotes = self.quotes_or_degraded(market, job.user, &host_ids);
         let bids = capped_bids(&quotes, rate, max_hosts, self.config.max_share_premium);
 

@@ -209,11 +209,6 @@ impl JobManager {
         self.gray.remove(&host);
     }
 
-    /// Whether `host` currently has gray-fault state attached.
-    pub fn host_gray_active(&self, host: HostId) -> bool {
-        self.gray.contains_key(&host)
-    }
-
     /// Current health score of `host` (`1.0` for unobserved hosts).
     pub fn host_health_score(&self, host: HostId) -> f64 {
         self.health.get(&host).map_or(1.0, HealthScore::score)
@@ -253,8 +248,8 @@ impl JobManager {
         if !self.config.health.enabled || !self.host_on_probation(host) {
             return false;
         }
-        if !self
-            .eligible_hosts(market)
+        if !market
+            .host_ids()
             .iter()
             .any(|h| !self.host_on_probation(*h))
         {
@@ -315,8 +310,8 @@ impl JobManager {
         market: &Market,
         taken: &[HostId],
     ) -> Vec<HostId> {
-        let eligible: Vec<HostId> = self
-            .eligible_hosts(market)
+        let eligible: Vec<HostId> = market
+            .host_ids()
             .into_iter()
             .filter(|h| market.is_host_online(*h) && !taken.contains(h))
             .collect();

@@ -4,7 +4,7 @@
 use gm_des::{NodeStat, SimDuration, SimTime};
 use gm_tycoon::{AccountId, BidHandle, Credits, HostId, UserId};
 
-use crate::datatransfer::StagedFile;
+use super::AgentConfig;
 use crate::token::{TokenError, TransferToken};
 use crate::xrsl::{parse_duration_secs, ParseError, Xrsl};
 
@@ -191,9 +191,9 @@ pub struct Job {
     /// Concurrency, sampled every pre-tick while the job is `Running`.
     pub(super) nodes: NodeStat,
     pub(super) initial_funding: Credits,
-    /// Per-sub-job stage-in duration (fixed cost + data transfer).
+    /// Per-sub-job stage-in duration.
     pub(super) stage_in: SimDuration,
-    /// Per-sub-job stage-out duration (fixed cost + data transfer).
+    /// Per-sub-job stage-out duration.
     pub(super) stage_out: SimDuration,
     /// Workload kind (batch vs continuous service).
     pub kind: JobKind,
@@ -299,7 +299,7 @@ impl Job {
         parsed: ParsedSubmission,
         now: SimTime,
         sub_account: AccountId,
-        staging: Staging,
+        config: &AgentConfig,
     ) -> Job {
         let per_subjob_work = match parsed.kind {
             JobKind::Batch => parsed.work_mhz_secs_per_subjob,
@@ -341,8 +341,8 @@ impl Job {
             slots: Vec::new(),
             nodes: NodeStat::default(),
             initial_funding: token.amount(),
-            stage_in: staging.stage_in,
-            stage_out: staging.stage_out,
+            stage_in: config.stage_in,
+            stage_out: config.stage_out,
             kind: parsed.kind,
             qos: (0, 0),
             needs_redispatch: false,
@@ -354,48 +354,23 @@ impl Job {
 
 /// A submission: the xRSL text plus the work calibration the runtime
 /// environment implies (MHz·seconds per sub-job — the proteome chunk cost
-/// in the paper's experiments), and optionally the sizes of the files to
-/// stage (xRSL carries URLs, not sizes).
+/// in the paper's experiments).
 #[derive(Clone, Debug)]
 pub struct JobSpec {
     /// The job description.
     pub xrsl: Xrsl,
     /// CPU work per sub-job in MHz·seconds.
     pub work_mhz_secs_per_subjob: f64,
-    /// Input files staged in before each sub-job computes.
-    pub input_files: Vec<StagedFile>,
-    /// Output files staged out after each sub-job computes.
-    pub output_files: Vec<StagedFile>,
 }
 
 impl JobSpec {
-    /// Parse a spec from xRSL text (no staged data).
+    /// Parse a spec from xRSL text.
     pub fn parse(text: &str, work_mhz_secs_per_subjob: f64) -> Result<JobSpec, GridError> {
         Ok(JobSpec {
             xrsl: Xrsl::parse(text)?,
             work_mhz_secs_per_subjob,
-            input_files: Vec::new(),
-            output_files: Vec::new(),
         })
     }
-
-    /// Attach input files to stage in (builder style).
-    pub fn with_input_files(mut self, files: Vec<StagedFile>) -> JobSpec {
-        self.input_files = files;
-        self
-    }
-
-    /// Attach output files to stage out (builder style).
-    pub fn with_output_files(mut self, files: Vec<StagedFile>) -> JobSpec {
-        self.output_files = files;
-        self
-    }
-}
-
-/// Per-sub-job staging costs of a submission (fixed + data transfer).
-pub(super) struct Staging {
-    pub(super) stage_in: SimDuration,
-    pub(super) stage_out: SimDuration,
 }
 
 /// The validated, market-independent part of a submission.
@@ -418,9 +393,8 @@ pub(super) fn extract_token(xrsl: &Xrsl) -> Result<TransferToken, GridError> {
 }
 
 /// Validate the xRSL attributes of `spec` into a [`ParsedSubmission`].
-/// Token redemption happens first (in [`super::JobManager::submit`]), so
-/// description errors here surface only for redeemable tokens — exactly
-/// as before the parse was factored out.
+/// [`super::JobManager::submit`] runs this before it redeems the token,
+/// so a rejected description never spends one.
 pub(super) fn parse_submission(spec: &JobSpec) -> Result<ParsedSubmission, GridError> {
     let xrsl = &spec.xrsl;
     let count: u32 = xrsl

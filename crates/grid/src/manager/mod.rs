@@ -46,10 +46,8 @@ use std::collections::BTreeMap;
 use gm_des::{SimDuration, SimTime};
 use gm_tycoon::{AccountId, HealthConfig, HealthScore, HostId, Market, UserId};
 
-use crate::datatransfer::TransferModel;
 use crate::identity::GridIdentity;
 use crate::telemetry::GridInstruments;
-use crate::token::TokenRegistry;
 use crate::vm::{VmConfig, VmManager};
 
 pub use crate::telemetry::FaultCounters;
@@ -68,9 +66,6 @@ pub struct AgentConfig {
     pub stage_out: SimDuration,
     /// Re-balance bid rates across a job's hosts every interval.
     pub rebid: bool,
-    /// Network model used to convert staged-file sizes into stage-in/out
-    /// durations (added to the fixed `stage_in`/`stage_out` costs).
-    pub transfer: TransferModel,
     /// Cap each bid rate at `max_share_premium × (others' bids)`: bidding
     /// 9× the rest of the market already buys a 90 % share, so anything
     /// beyond is waste (the paper makes the same diminishing-returns
@@ -93,7 +88,6 @@ impl Default for AgentConfig {
             stage_in: SimDuration::from_secs(30),
             stage_out: SimDuration::from_secs(15),
             rebid: true,
-            transfer: TransferModel::default(),
             max_share_premium: 9.0,
             retry: RetryPolicy::default(),
             health: HealthConfig::default(),
@@ -106,7 +100,6 @@ impl Default for AgentConfig {
 pub struct JobManager {
     broker: GridIdentity,
     broker_account: AccountId,
-    registry: TokenRegistry,
     vms: VmManager,
     jobs: BTreeMap<JobId, Job>,
     users: BTreeMap<String, UserId>,
@@ -117,11 +110,6 @@ pub struct JobManager {
     /// Last-known / predicted prices used while the links are degraded
     /// (`DESIGN.md` §12); fed from every healthy quote batch.
     degraded: degraded::DegradedPricer,
-    /// Hosts this agent replica is partitioned onto (`None` = all hosts,
-    /// the single-agent deployment). See §3: "the agent itself can be
-    /// replicated and partitioned to pick up a different set of compute
-    /// nodes."
-    partition: Option<Vec<HostId>>,
     /// Gray-fault state per afflicted host (slowdown factor, stall
     /// window) — fed by the fault plan, empty in honest runs (§17).
     gray: BTreeMap<HostId, gray::GrayState>,
@@ -155,7 +143,6 @@ impl JobManager {
         JobManager {
             broker,
             broker_account,
-            registry: TokenRegistry::new(),
             vms: VmManager::new(vm_config),
             jobs: BTreeMap::new(),
             users: BTreeMap::new(),
@@ -164,7 +151,6 @@ impl JobManager {
             config,
             telemetry: GridInstruments::new(telemetry_registry),
             degraded: degraded::DegradedPricer::new(),
-            partition: None,
             gray: BTreeMap::new(),
             health: BTreeMap::new(),
         }
@@ -181,21 +167,6 @@ impl JobManager {
         &self.telemetry
     }
 
-    /// Restrict this agent replica to a partition of the hosts (§3
-    /// replication model). Replaces any previous partition.
-    pub fn set_partition(&mut self, hosts: Vec<HostId>) {
-        assert!(!hosts.is_empty(), "empty partition");
-        self.partition = Some(hosts);
-    }
-
-    /// The hosts this replica schedules onto within `market`.
-    pub fn eligible_hosts(&self, market: &Market) -> Vec<HostId> {
-        match &self.partition {
-            Some(p) => p.clone(),
-            None => market.host_ids(),
-        }
-    }
-
     /// The broker's bank account (transfer tokens must pay into it).
     pub fn broker_account(&self) -> AccountId {
         self.broker_account
@@ -204,20 +175,6 @@ impl JobManager {
     /// The VM manager (read access for monitoring).
     pub fn vms(&self) -> &VmManager {
         &self.vms
-    }
-
-    /// The token double-spend registry (read access).
-    pub fn registry(&self) -> &TokenRegistry {
-        &self.registry
-    }
-
-    /// Rebuild the double-spend registry from the bank's durable
-    /// spent-token set after a [`Market::restart_bank`]. The bank's set
-    /// is a superset of the in-memory registry (every consume is
-    /// journaled at submit), so wholesale replacement never forgets a
-    /// spend.
-    pub fn restore_spent_tokens(&mut self, market: &Market) {
-        self.registry.restore(market.bank().spent_token_ids());
     }
 
     /// All jobs in id order.
@@ -235,8 +192,9 @@ impl JobManager {
         self.users.get(dn).copied()
     }
 
-    /// Submit a job: verify its transfer token, open the funded
-    /// sub-account, run Best Response and place the initial bids.
+    /// Submit a job: validate its description, redeem its transfer
+    /// token, open the funded sub-account, run Best Response and place the
+    /// initial bids. A rejected description leaves the token unspent.
     pub fn submit(
         &mut self,
         market: &mut Market,
@@ -244,16 +202,11 @@ impl JobManager {
         spec: &JobSpec,
     ) -> Result<JobId, GridError> {
         let token = jobs::extract_token(&spec.xrsl)?;
+        let parsed = jobs::parse_submission(spec)?;
 
         // Security: bank signature, broker account, payer key, DN binding,
-        // then the double-spend registry.
+        // then the bank's journaled double-spend set.
         self.redeem_token(market, &token)?;
-
-        // Durability: journal the spend in the bank's ledger so a
-        // recovered bank still rejects this token (see DESIGN.md §11).
-        market.bank_mut().record_token_spend(token.transfer_id());
-
-        let parsed = jobs::parse_submission(spec)?;
 
         // Funded sub-account per §3.1.
         let (sub_account, _receipt) = market.bank_mut().open_sub_account(
@@ -267,11 +220,7 @@ impl JobManager {
         let id = JobId(self.next_job);
         self.next_job += 1;
 
-        let staging = jobs::Staging {
-            stage_in: self.config.stage_in + self.config.transfer.stage_time(&spec.input_files),
-            stage_out: self.config.stage_out + self.config.transfer.stage_time(&spec.output_files),
-        };
-        let mut job = jobs::Job::build(id, user, &token, parsed, now, sub_account, staging);
+        let mut job = jobs::Job::build(id, user, &token, parsed, now, sub_account, &self.config);
 
         self.place_initial_bids(market, now, &mut job)?;
         self.jobs.insert(id, job);

@@ -199,42 +199,6 @@ fn unknown_job_type_rejected() {
 }
 
 #[test]
-fn staged_data_delays_compute_and_completion() {
-    use crate::datatransfer::StagedFile;
-    let mut w = world(2, 1000);
-    // Two identical jobs, one with a 75 GB stage-in (60 s over the
-    // 10 Gbit backbone + setup).
-    let spec_plain = make_spec(&mut w, 100, 1, 120);
-    let spec_heavy = {
-        let receipt = w
-            .market
-            .bank_mut()
-            .transfer(w.user_acct, w.jm.broker_account(), Credits::from_whole(100))
-            .unwrap();
-        let token = TransferToken::create(&w.user, receipt, w.user.dn());
-        let text = format!(
-            "&(executable=\"x\")(count=1)(cpuTime=\"120\")(transferToken=\"{}\")",
-            token.to_hex()
-        );
-        JobSpec::parse(&text, CHUNK_MHZ_SECS)
-            .unwrap()
-            .with_input_files(vec![StagedFile::remote("proteome.fasta", 75_000_000_000)])
-    };
-    let id_plain = w.jm.submit(&mut w.market, SimTime::ZERO, &spec_plain).unwrap();
-    let id_heavy = w.jm.submit(&mut w.market, SimTime::ZERO, &spec_heavy).unwrap();
-    run_until_settled(&mut w, 6);
-    let plain = w.jm.job(id_plain).unwrap();
-    let heavy = w.jm.job(id_heavy).unwrap();
-    assert_eq!(plain.phase, JobPhase::Done);
-    assert_eq!(heavy.phase, JobPhase::Done);
-    let gap = heavy.finished_at.unwrap().since(plain.finished_at.unwrap());
-    assert!(
-        gap.as_secs_f64() >= 50.0,
-        "75 GB stage-in should cost ~60 s, gap was {gap:?}"
-    );
-}
-
-#[test]
 fn double_spend_token_rejected() {
     let mut w = world(2, 1000);
     let spec = make_spec(&mut w, 100, 1, 60);

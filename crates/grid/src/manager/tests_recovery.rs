@@ -220,14 +220,22 @@ fn spent_token_rejected_after_bank_restart_counter_incremented_once() {
     );
     let spec =
         crate::JobSpec::parse(&text, super::testutil::CHUNK_MHZ_SECS).unwrap();
-    w.jm.submit(&mut w.market, SimTime::ZERO, &spec).unwrap();
+    let id = w.jm.submit(&mut w.market, SimTime::ZERO, &spec).unwrap();
     assert!(w.market.bank().is_token_spent(token.transfer_id()));
 
-    // Crash the bank and recover it from the ledger; rebuild the
-    // manager's in-memory registry from the durable spent set.
+    // A boost token is journaled the same way.
+    let receipt = w
+        .market
+        .bank_mut()
+        .transfer(w.user_acct, w.jm.broker_account(), Credits::from_whole(100))
+        .unwrap();
+    let boost_token = TransferToken::create(&w.user, receipt, w.user.dn());
+    w.jm.boost(&mut w.market, id, &boost_token).unwrap();
+
+    // Crash the bank and recover it from the ledger: the spent set is
+    // rebuilt from the journal, and the manager checks only that set.
     let report = w.market.restart_bank().unwrap();
     assert!(report.records_replayed > 0 || report.snapshot_restored);
-    w.jm.restore_spent_tokens(&w.market);
 
     // Replaying the same token after recovery is a double-spend.
     let before = w.jm.instruments().token_double_spends.get();
@@ -243,6 +251,14 @@ fn spent_token_rejected_after_bank_restart_counter_incremented_once() {
         w.jm.instruments().token_double_spends.get(),
         before + 1,
         "double-spend counter must increment exactly once"
+    );
+    let err = w
+        .jm
+        .boost(&mut w.market, id, &boost_token)
+        .unwrap_err();
+    assert!(
+        matches!(err, GridError::Token(crate::token::TokenError::AlreadySpent(_))),
+        "a boost token must stay spent across a restart, got {err:?}"
     );
 }
 

@@ -10,10 +10,9 @@
 //!
 //! A [`TransferToken`] therefore carries: the bank-signed [`Receipt`], the
 //! DN the capability is bound to, the payer's public key, and the payer's
-//! signature over `receipt ‖ DN`. [`TokenRegistry`] provides the
-//! double-spend check.
+//! signature over `receipt ‖ DN`. The double-spend check is the bank's
+//! journaled spent-token set (`Bank::record_token_spend`).
 
-use std::collections::HashSet;
 use std::fmt;
 
 use gm_crypto::{PublicKey, Signature};
@@ -102,7 +101,7 @@ impl TransferToken {
     }
 
     /// Full verification against `bank` and the broker account, without
-    /// consuming the token (the registry does consumption).
+    /// consuming the token (the bank's spent set does consumption).
     pub fn verify(&self, bank: &Bank, broker_account: AccountId) -> Result<(), TokenError> {
         if !bank.verify_receipt(&self.receipt) {
             return Err(TokenError::BadReceipt);
@@ -192,61 +191,6 @@ impl TransferToken {
     }
 }
 
-/// Tracks redeemed transfer ids — "that the transfer token has not been
-/// used before".
-#[derive(Default, Debug)]
-pub struct TokenRegistry {
-    spent: HashSet<u64>,
-}
-
-impl TokenRegistry {
-    /// Empty registry.
-    pub fn new() -> TokenRegistry {
-        TokenRegistry::default()
-    }
-
-    /// Atomically verify-and-consume: checks the double-spend set only.
-    /// Cryptographic checks belong to [`TransferToken::verify`]; call both
-    /// (see `JobManager::redeem`).
-    pub fn consume(&mut self, token: &TransferToken) -> Result<(), TokenError> {
-        if !self.spent.insert(token.transfer_id()) {
-            return Err(TokenError::AlreadySpent(token.transfer_id()));
-        }
-        Ok(())
-    }
-
-    /// Has a transfer id been redeemed?
-    pub fn is_spent(&self, transfer_id: u64) -> bool {
-        self.spent.contains(&transfer_id)
-    }
-
-    /// Replace the spent set wholesale from a durable source (the bank's
-    /// journaled spent-token ids after a `BankRestart`). The bank set is
-    /// maintained as a superset of this registry, so replacement never
-    /// forgets a locally recorded spend.
-    pub fn restore(&mut self, spent: impl IntoIterator<Item = u64>) {
-        self.spent = spent.into_iter().collect();
-    }
-
-    /// All redeemed transfer ids, sorted (diagnostics and durability
-    /// round-trip tests).
-    pub fn spent_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.spent.iter().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Number of redeemed tokens.
-    pub fn len(&self) -> usize {
-        self.spent.len()
-    }
-
-    /// True if nothing has been redeemed.
-    pub fn is_empty(&self) -> bool {
-        self.spent.is_empty()
-    }
-}
-
 fn hex_encode(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
@@ -305,27 +249,6 @@ mod tests {
         let t = make_token(&mut w, 100);
         assert!(t.verify(&w.bank, w.broker_acct).is_ok());
         assert_eq!(t.amount(), Credits::from_whole(100));
-    }
-
-    #[test]
-    fn double_spend_rejected_by_registry() {
-        let mut w = world();
-        let t = make_token(&mut w, 100);
-        let mut reg = TokenRegistry::new();
-        assert!(reg.consume(&t).is_ok());
-        assert_eq!(reg.consume(&t), Err(TokenError::AlreadySpent(t.transfer_id())));
-        assert!(reg.is_spent(t.transfer_id()));
-        assert_eq!(reg.len(), 1);
-    }
-
-    #[test]
-    fn two_different_tokens_both_redeem() {
-        let mut w = world();
-        let t1 = make_token(&mut w, 50);
-        let t2 = make_token(&mut w, 60);
-        let mut reg = TokenRegistry::new();
-        assert!(reg.consume(&t1).is_ok());
-        assert!(reg.consume(&t2).is_ok());
     }
 
     #[test]
@@ -406,30 +329,6 @@ mod tests {
         assert!(TransferToken::from_hex(&hex[..hex.len() - 2]).is_none(), "truncated");
         let padded = format!("{hex}00");
         assert!(TransferToken::from_hex(&padded).is_none(), "trailing bytes");
-    }
-
-    #[test]
-    fn registry_restore_round_trips_spent_ids() {
-        let mut w = world();
-        let t1 = make_token(&mut w, 10);
-        let t2 = make_token(&mut w, 20);
-        let mut reg = TokenRegistry::new();
-        reg.consume(&t1).unwrap();
-        reg.consume(&t2).unwrap();
-        let ids = reg.spent_ids();
-        assert_eq!(ids, {
-            let mut v = vec![t1.transfer_id(), t2.transfer_id()];
-            v.sort_unstable();
-            v
-        });
-        let mut restored = TokenRegistry::new();
-        restored.restore(ids.iter().copied());
-        assert_eq!(restored.spent_ids(), ids);
-        assert_eq!(
-            restored.consume(&t1),
-            Err(TokenError::AlreadySpent(t1.transfer_id())),
-            "restored registry still blocks double-spends"
-        );
     }
 
     // ---------------------------------------- malformed-input hardening

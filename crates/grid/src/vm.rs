@@ -23,10 +23,6 @@ pub struct VmConfig {
     pub create_latency: SimDuration,
     /// Additional time to install one runtime environment (yum).
     pub env_install_latency: SimDuration,
-    /// Time to wake a hibernated VM (≪ `create_latency`; §3 suggests "a
-    /// virtual machine purging or hibernation model … with the penalty of
-    /// more overhead to setup a job on a virtual machine").
-    pub resume_latency: SimDuration,
 }
 
 impl Default for VmConfig {
@@ -34,19 +30,8 @@ impl Default for VmConfig {
         VmConfig {
             create_latency: SimDuration::from_secs(60),
             env_install_latency: SimDuration::from_secs(30),
-            resume_latency: SimDuration::from_secs(10),
         }
     }
-}
-
-/// Lifecycle state of a VM.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum VmState {
-    /// Booted (or booting) and usable once `ready_at` passes.
-    Active,
-    /// Suspended to disk; does not count against the virtual-CPU
-    /// capacity of the cluster and must be resumed before use.
-    Hibernated,
 }
 
 /// A provisioned virtual machine.
@@ -66,10 +51,6 @@ pub struct Vm {
     pub envs: BTreeSet<String>,
     /// Number of jobs that have used this VM (reuse counter).
     pub jobs_served: u32,
-    /// Lifecycle state.
-    pub state: VmState,
-    /// Last time the VM was acquired (for idle purging/hibernation).
-    pub last_used: SimTime,
 }
 
 /// Manages all VMs in the virtual cluster.
@@ -105,11 +86,6 @@ impl VmManager {
     ) -> SimTime {
         match self.vms.get_mut(&(host, user)) {
             Some(vm) => {
-                // Resume first if hibernated.
-                if vm.state == VmState::Hibernated {
-                    vm.state = VmState::Active;
-                    vm.ready_at = now + self.config.resume_latency;
-                }
                 // Reuse; install any missing environments.
                 let missing: Vec<&String> = envs.iter().filter(|e| !vm.envs.contains(*e)).collect();
                 if !missing.is_empty() {
@@ -121,7 +97,6 @@ impl VmManager {
                     }
                 }
                 vm.jobs_served += 1;
-                vm.last_used = now;
                 vm.ready_at
             }
             None => {
@@ -136,8 +111,6 @@ impl VmManager {
                     ready_at,
                     envs: envs.iter().cloned().collect(),
                     jobs_served: 1,
-                    state: VmState::Active,
-                    last_used: now,
                 };
                 self.next_id += 1;
                 self.total_created += 1;
@@ -152,49 +125,13 @@ impl VmManager {
         self.vms.get(&(host, user))
     }
 
-    /// Destroy the VM of a (host, user) pair ("purging"). Returns `true`
-    /// if one existed.
-    pub fn purge(&mut self, host: HostId, user: UserId) -> bool {
-        self.vms.remove(&(host, user)).is_some()
-    }
-
-    /// Current number of live (non-hibernated) VMs (= virtual CPUs
-    /// advertised by the ARC monitor, Fig. 2).
+    /// Current number of live VMs (= virtual CPUs advertised by the ARC
+    /// monitor, Fig. 2).
     pub fn live_vms(&self) -> usize {
-        self.vms
-            .values()
-            .filter(|v| v.state == VmState::Active)
-            .count()
+        self.vms.len()
     }
 
-    /// Hibernate every active VM idle since before `now − max_idle`.
-    /// Returns how many were hibernated. Hibernated VMs stop counting
-    /// against the virtual-CPU capacity; the next `acquire` pays
-    /// `resume_latency` instead of a full boot.
-    pub fn hibernate_idle(&mut self, now: SimTime, max_idle: SimDuration) -> usize {
-        let mut n = 0;
-        for vm in self.vms.values_mut() {
-            if vm.state == VmState::Active
-                && now.since(vm.last_used) > max_idle
-                && vm.ready_at <= now
-            {
-                vm.state = VmState::Hibernated;
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Destroy every VM (any state) idle since before `now − max_idle`.
-    /// Returns how many were purged.
-    pub fn purge_idle(&mut self, now: SimTime, max_idle: SimDuration) -> usize {
-        let before = self.vms.len();
-        self.vms
-            .retain(|_, vm| !(now.since(vm.last_used) > max_idle && vm.ready_at <= now));
-        before - self.vms.len()
-    }
-
-    /// Kill every VM on a crashed host (any state). Returns the owning
+    /// Kill every VM on a crashed host. Returns the owning
     /// users of the destroyed VMs in deterministic order — the job layer
     /// uses this to find the subjobs that just lost their machine. The
     /// next `acquire` on the host pays a full boot again.
@@ -229,10 +166,7 @@ impl VmManager {
 
     /// Live VMs on one host.
     pub fn vms_on_host(&self, host: HostId) -> usize {
-        self.vms
-            .iter()
-            .filter(|((h, _), v)| *h == host && v.state == VmState::Active)
-            .count()
+        self.vms.keys().filter(|(h, _)| *h == host).count()
     }
 
     /// Total VMs ever created (reuse keeps this low).
@@ -304,62 +238,6 @@ mod tests {
             m.get(HostId(0), UserId(1)).unwrap().id,
             m.get(HostId(0), UserId(2)).unwrap().id
         );
-    }
-
-    #[test]
-    fn purge_removes_vm_and_next_acquire_recreates() {
-        let mut m = mgr();
-        m.acquire(HostId(0), UserId(1), &[], SimTime::ZERO);
-        assert!(m.purge(HostId(0), UserId(1)));
-        assert!(!m.purge(HostId(0), UserId(1)));
-        assert_eq!(m.live_vms(), 0);
-        let t1 = SimTime::from_secs(100);
-        let ready = m.acquire(HostId(0), UserId(1), &[], t1);
-        assert_eq!(ready, t1 + SimDuration::from_secs(60));
-        assert_eq!(m.total_created(), 2);
-    }
-
-    #[test]
-    fn hibernation_and_resume() {
-        let mut m = mgr();
-        m.acquire(HostId(0), UserId(1), &[], SimTime::ZERO);
-        assert_eq!(m.live_vms(), 1);
-        // Not idle long enough: nothing happens.
-        assert_eq!(
-            m.hibernate_idle(SimTime::from_secs(100), SimDuration::from_secs(600)),
-            0
-        );
-        // Idle past the threshold: hibernated and no longer "live".
-        assert_eq!(
-            m.hibernate_idle(SimTime::from_secs(1000), SimDuration::from_secs(600)),
-            1
-        );
-        assert_eq!(m.live_vms(), 0);
-        assert_eq!(m.vms_on_host(HostId(0)), 0);
-        assert_eq!(m.get(HostId(0), UserId(1)).unwrap().state, VmState::Hibernated);
-
-        // Resume costs resume_latency (10 s), not a full boot (60 s).
-        let t = SimTime::from_secs(2000);
-        let ready = m.acquire(HostId(0), UserId(1), &[], t);
-        assert_eq!(ready, t + SimDuration::from_secs(10));
-        assert_eq!(m.live_vms(), 1);
-        assert_eq!(m.total_created(), 1, "resume is not a re-create");
-    }
-
-    #[test]
-    fn purge_idle_removes_stale_vms() {
-        let mut m = mgr();
-        m.acquire(HostId(0), UserId(1), &[], SimTime::ZERO);
-        m.acquire(HostId(1), UserId(1), &[], SimTime::from_secs(5000));
-        let purged = m.purge_idle(SimTime::from_secs(6000), SimDuration::from_secs(3000));
-        assert_eq!(purged, 1, "only the stale VM goes");
-        assert!(m.get(HostId(0), UserId(1)).is_none());
-        assert!(m.get(HostId(1), UserId(1)).is_some());
-        // Recreating the purged VM pays the full boot again.
-        let t = SimTime::from_secs(7000);
-        let ready = m.acquire(HostId(0), UserId(1), &[], t);
-        assert_eq!(ready, t + SimDuration::from_secs(60));
-        assert_eq!(m.total_created(), 3);
     }
 
     #[test]

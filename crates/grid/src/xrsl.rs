@@ -272,11 +272,6 @@ impl Xrsl {
         self.attrs.contains_key(&name.to_ascii_lowercase())
     }
 
-    /// Attribute names in first-seen order.
-    pub fn attribute_names(&self) -> &[String] {
-        &self.order
-    }
-
     /// Render back to xRSL text (one relation per line).
     pub fn to_text(&self) -> String {
         let mut out = String::from("&");

@@ -6,9 +6,8 @@
 //! * [`linalg`] — dense matrices, LU decomposition with partial pivoting,
 //!   linear solves and inverses (used by Markowitz portfolio selection).
 //! * [`lp`] — linear programming: a dense two-phase simplex solver
-//!   (Bland's rule, dual extraction) plus Bertsekas' auction algorithm
-//!   for assignment structure; the substrate of the optimization-based
-//!   allocation tier (DESIGN.md §14).
+//!   (Bland's rule, dual extraction); the test oracle of the
+//!   optimization-based allocation tier (DESIGN.md §14).
 //! * [`toeplitz`] — sample autocorrelation and the Levinson-Durbin solver
 //!   for the Yule-Walker equations of the AR(k) price model (§4.3).
 //! * [`spline`] — Reinsch cubic smoothing spline, the smoothing function
@@ -40,7 +39,7 @@ pub mod toeplitz;
 
 pub use histogram::Histogram;
 pub use linalg::{Lu, Matrix};
-pub use lp::{assignment_auction, Assignment, Cmp, Lp, LpOutcome, Solution};
+pub use lp::{Cmp, Lp, LpOutcome, Solution};
 pub use probit::{norm_cdf, norm_pdf, norm_quantile};
 pub use samplers::{Beta, Exponential, LogNormal, Normal, Sampler, Uniform};
 pub use spline::smoothing_spline;

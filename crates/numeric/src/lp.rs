@@ -1,5 +1,4 @@
-//! Linear programming: a dense two-phase simplex solver and an auction
-//! algorithm for assignment structure.
+//! Linear programming: a dense two-phase simplex solver.
 //!
 //! It is the reference model of the optimization-based allocation tier
 //! (DESIGN.md §14): that tier solves each welfare window, and every
@@ -23,11 +22,6 @@
 //! * [`Solution::duals`] — the dual vector `y` read off the final
 //!   tableau, so callers (and the property suite) can check weak and
 //!   strong duality: `c·x* = y*·b` at optimality.
-//! * [`assignment_auction`] — Bertsekas' auction algorithm with
-//!   ε-scaling for pure assignment structure (each person gets exactly
-//!   one object): O(n²·m) in practice and exact to `n·ε` — the
-//!   specialized path when the allocation problem degenerates to a
-//!   matching, cross-validated against the simplex in the test suite.
 
 /// Comparison sense of one constraint row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -441,111 +435,6 @@ fn dual_row_sense(_s: Cmp) -> f64 {
     1.0
 }
 
-/// Result of [`assignment_auction`]: a maximum-weight assignment.
-#[derive(Clone, Debug)]
-pub struct Assignment {
-    /// `object[i]` = object assigned to person `i`.
-    pub object: Vec<usize>,
-    /// Final object prices (an ε-complementary-slackness certificate).
-    pub prices: Vec<f64>,
-    /// Total assigned weight `Σ w[i][object[i]]`.
-    pub total: f64,
-}
-
-/// Bertsekas' auction algorithm for the assignment problem: maximize
-/// `Σ_i w[i][σ(i)]` over injections `σ` of `n` persons into `m ≥ n`
-/// objects. `w` is row-major `n × m`. The returned assignment is within
-/// `n·eps_final` of optimal where `eps_final = tol / (n + 1)`; with
-/// `tol` below the smallest weight gap the result is exactly optimal.
-///
-/// Deterministic: unassigned persons bid in index order, ties in the
-/// best-object scan resolve to the lowest object index.
-///
-/// # Panics
-/// Panics if `w` is not `n × m` with `m ≥ n ≥ 1`, or on non-finite
-/// weights.
-pub fn assignment_auction(w: &[Vec<f64>], tol: f64) -> Assignment {
-    let n = w.len();
-    assert!(n >= 1, "need at least one person");
-    let m = w[0].len();
-    assert!(m >= n, "need at least as many objects as persons");
-    for row in w {
-        assert_eq!(row.len(), m, "ragged weight matrix");
-        assert!(row.iter().all(|x| x.is_finite()), "weights must be finite");
-    }
-    let span = w
-        .iter()
-        .flatten()
-        .fold(0.0f64, |acc, &x| acc.max(x.abs()))
-        .max(1.0);
-    // The forward auction's n·ε optimality bound is a symmetric-problem
-    // theorem; rectangular instances are padded with zero-weight dummy
-    // persons (which cannot change the optimum over the real rows).
-    let padded: Vec<Vec<f64>>;
-    let w = if m > n {
-        padded = w
-            .iter()
-            .cloned()
-            .chain(std::iter::repeat_n(vec![0.0; m], m - n))
-            .collect();
-        &padded[..]
-    } else {
-        w
-    };
-    let rows = w.len();
-    let eps_final = (tol / (rows as f64 + 1.0)).max(f64::MIN_POSITIVE);
-    let mut eps = span / 2.0;
-    let mut prices = vec![0.0f64; m];
-    let mut object = vec![usize::MAX; rows];
-    let mut owner: Vec<usize> = vec![usize::MAX; m];
-    loop {
-        eps = eps.max(eps_final);
-        // Reset the matching for this ε-scale (prices carry over — the
-        // standard scaling schedule).
-        object.iter_mut().for_each(|o| *o = usize::MAX);
-        owner.iter_mut().for_each(|o| *o = usize::MAX);
-        let mut queue: std::collections::VecDeque<usize> = (0..rows).collect();
-        while let Some(i) = queue.pop_front() {
-            // Best and second-best net value for person i.
-            let mut best_j = 0usize;
-            let mut best = f64::NEG_INFINITY;
-            let mut second = f64::NEG_INFINITY;
-            for (j, &pj) in prices.iter().enumerate() {
-                let v = w[i][j] - pj;
-                if v > best {
-                    second = best;
-                    best = v;
-                    best_j = j;
-                } else if v > second {
-                    second = v;
-                }
-            }
-            // Bid: raise the price by the bid increment (value margin
-            // plus ε) and take the object, evicting any current owner.
-            let increment = if second.is_finite() { best - second } else { 0.0 };
-            prices[best_j] += increment + eps;
-            if owner[best_j] != usize::MAX {
-                let evicted = owner[best_j];
-                object[evicted] = usize::MAX;
-                queue.push_back(evicted);
-            }
-            owner[best_j] = i;
-            object[i] = best_j;
-        }
-        if eps <= eps_final {
-            break;
-        }
-        eps /= 4.0;
-    }
-    object.truncate(n);
-    let total = object.iter().enumerate().map(|(i, &j)| w[i][j]).sum();
-    Assignment {
-        object,
-        prices,
-        total,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,35 +546,5 @@ mod tests {
             a.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn auction_matches_brute_force() {
-        let w = vec![
-            vec![4.0, 2.0, 8.0],
-            vec![4.0, 3.0, 7.0],
-            vec![3.0, 1.0, 6.0],
-        ];
-        let a = assignment_auction(&w, 1e-6);
-        // Brute force over 3! permutations: best is 2+?.. enumerate.
-        let mut best = f64::NEG_INFINITY;
-        let perms = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
-        for p in perms {
-            best = best.max(w[0][p[0]] + w[1][p[1]] + w[2][p[2]]);
-        }
-        assert!((a.total - best).abs() < 1e-6, "auction {} vs brute {best}", a.total);
-        // It is a valid injection.
-        let mut seen = a.object.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 3);
-    }
-
-    #[test]
-    fn auction_rectangular() {
-        let w = vec![vec![1.0, 9.0, 2.0, 3.0], vec![9.0, 1.0, 2.0, 3.0]];
-        let a = assignment_auction(&w, 1e-6);
-        assert_eq!(a.object, vec![1, 0]);
-        assert!((a.total - 18.0).abs() < 1e-6);
     }
 }

@@ -1,7 +1,8 @@
 //! [`VcgSlaPolicy`]: the optimization tier behind the shared
 //! [`PolicyDriver`](gm_core::PolicyDriver).
 //!
-//! Every `replan_ticks` driver ticks the policy opens a *planning
+//! Every [`VcgSlaPolicy::DEFAULT_REPLAN_TICKS`] driver ticks the policy
+//! opens a *planning
 //! window*: it compiles the active jobs' remaining SLA curves and the
 //! live host inventory into a [`WelfareProgram`], solves the welfare
 //! LP, prices every job by its externality ([`vcg`]), and then executes
@@ -127,7 +128,6 @@ enum BankOp {
 /// The optimization-tier allocator: welfare-LP planning, VCG pricing,
 /// bank-settled payments — an [`AllocationPolicy`] like any other.
 pub struct VcgSlaPolicy {
-    replan_ticks: u64,
     bank: Bank,
     bank_online: bool,
     journal: SharedJournal,
@@ -168,7 +168,6 @@ impl VcgSlaPolicy {
         let provider_key = Keypair::from_seed(&bank_seed).public;
         let provider = bank.open_account(provider_key, "vcg-provider");
         VcgSlaPolicy {
-            replan_ticks: Self::DEFAULT_REPLAN_TICKS,
             bank,
             bank_online: true,
             journal,
@@ -185,16 +184,6 @@ impl VcgSlaPolicy {
             plan: None,
             last_price: None,
         }
-    }
-
-    /// Set the planning-window length (driver ticks per LP re-solve).
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn replan_every(mut self, k: u64) -> Self {
-        assert!(k > 0, "window must be at least one tick");
-        self.replan_ticks = k;
-        self
     }
 
     /// Register an SLA value curve for request `id` (consumed at
@@ -215,11 +204,6 @@ impl VcgSlaPolicy {
     /// invariant says this is exactly 0 at every point in the run.
     pub fn conservation_residual(&self) -> f64 {
         (self.bank.total_minted().as_f64() - self.bank.total_money().as_f64()).abs()
-    }
-
-    /// Realized welfare so far: Σ per-job accrued curve values.
-    pub fn welfare_accrued(&self) -> f64 {
-        self.jobs.values().map(|j| j.value_accrued).sum()
     }
 
     fn account_for(&mut self, user: UserId) -> AccountId {
@@ -286,7 +270,7 @@ impl VcgSlaPolicy {
 
     /// Build, solve and price the next window; install the plan.
     fn replan(&mut self, ctx: &TickCtx) {
-        let window_secs = self.replan_ticks as f64 * ctx.interval_secs;
+        let window_secs = Self::DEFAULT_REPLAN_TICKS as f64 * ctx.interval_secs;
         let hosts: Vec<f64> = (0..ctx.hosts.len())
             .map(|h| self.host_capacity(ctx, h, window_secs))
             .collect();
@@ -354,7 +338,7 @@ impl VcgSlaPolicy {
             }
         }
 
-        let ticks = self.replan_ticks as f64;
+        let ticks = Self::DEFAULT_REPLAN_TICKS as f64;
         self.plan = Some(WindowPlan {
             jobs: job_ids,
             rate: alloc
@@ -372,7 +356,7 @@ impl VcgSlaPolicy {
                     p.iter().sum::<f64>() / p.len() as f64
                 }
             },
-            ticks_total: self.replan_ticks,
+            ticks_total: Self::DEFAULT_REPLAN_TICKS,
             ticks_done: 0,
         });
         self.last_price = self.plan.as_ref().map(|p| p.price);

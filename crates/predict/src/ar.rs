@@ -105,13 +105,6 @@ impl ArModel {
         }
     }
 
-    /// One-step-ahead forecast given recent `history` (oldest first; the
-    /// same smoothing the model was fit with is applied first).
-    pub fn forecast_one(&self, history: &[f64]) -> f64 {
-        let h = self.smoothed(history);
-        ar_forecast(&self.coeffs, self.anchor(&h), &h)
-    }
-
     /// `steps`-ahead forecast by iterating the model on its own output.
     /// Returns the full forecast path of length `steps`.
     pub fn forecast_path(&self, history: &[f64], steps: usize) -> Vec<f64> {

@@ -138,8 +138,8 @@ pub struct Bank {
     next_account: u64,
     next_transfer: u64,
     minted: Credits,
-    /// Redeemed transfer-token ids (durable double-spend set; a superset
-    /// of the grid's in-memory `TokenRegistry`).
+    /// Redeemed transfer-token ids (the durable double-spend set the
+    /// grid's job manager checks every token against).
     spent_tokens: BTreeSet<u64>,
     /// Applied client transfer request ids (durable idempotency set: the
     /// half of the service's dedup contract that survives both a crash
@@ -375,8 +375,7 @@ impl Bank {
         self.spent_tokens.contains(&transfer_id)
     }
 
-    /// All redeemed transfer-token ids, sorted (for restoring the grid's
-    /// in-memory registry after a bank restart).
+    /// All redeemed transfer-token ids, sorted (for recovery audits).
     pub fn spent_token_ids(&self) -> Vec<u64> {
         self.spent_tokens.iter().copied().collect()
     }

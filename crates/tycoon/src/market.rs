@@ -773,13 +773,6 @@ impl Market {
         self.arena.slot_of(id).is_some_and(|s| self.arena.is_live(s))
     }
 
-    /// Advisory gray-failure health score of a host in `[0, 1]`
-    /// (DESIGN.md §17). `None` for unknown hosts. Pure telemetry:
-    /// allocation and charging never read it.
-    pub fn host_health(&self, id: HostId) -> Option<f64> {
-        self.arena.slot_of(id).map(|s| self.arena.health(s))
-    }
-
     /// Publish a host's health score into the arena's dense health
     /// column (grid-layer `HealthScore` trackers call this each tick).
     /// Unknown hosts are ignored.

@@ -13,7 +13,7 @@
 //!    transfer whose first reply is lost still mints exactly one receipt,
 //!    and redeeming the resulting token twice fails.
 
-use gm_grid::{GridIdentity, TokenError, TokenRegistry, TransferToken};
+use gm_grid::{GridIdentity, TransferToken};
 use gridmarket::des::check::{check, Gen};
 use gridmarket::des::{FaultGenConfig, FaultPlan, SimDuration, SimTime};
 use gridmarket::scenario::{Scenario, ScenarioResult};
@@ -215,17 +215,21 @@ fn replayed_transfer_token_is_rejected_even_with_lost_reply() {
     assert_eq!(receipt, replayed, "replay must return the original receipt");
     assert_eq!(bank.balance(payer).unwrap(), Credits::from_whole(60));
 
-    // The token minted from that receipt redeems once — a second
-    // presentation (replay attack) is rejected.
-    let bank_state = live.shutdown();
+    // The token minted from that receipt redeems once against the
+    // bank's durable spent set — a second presentation (replay attack)
+    // is rejected.
+    let mut bank_state = live.shutdown();
     let token = TransferToken::create(&user, receipt, user.dn());
-    let mut registry = TokenRegistry::new();
     assert!(token.verify(&bank_state, broker).is_ok());
-    registry.consume(&token).expect("first redemption succeeds");
-    match registry.consume(&token) {
-        Err(TokenError::AlreadySpent(id)) => assert_eq!(id, token.transfer_id()),
-        other => panic!("second redemption must fail AlreadySpent, got {other:?}"),
-    }
+    assert!(
+        bank_state.record_token_spend(token.transfer_id()),
+        "first redemption succeeds"
+    );
+    assert!(
+        !bank_state.record_token_spend(token.transfer_id()),
+        "second redemption must be refused as already spent"
+    );
+    assert!(bank_state.is_token_spent(token.transfer_id()));
 }
 
 #[test]

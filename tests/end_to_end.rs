@@ -65,6 +65,46 @@ fn token_lifecycle_to_settlement() {
     assert!(jm.vms().total_created() >= 1);
 }
 
+/// A description the manager rejects must not spend the token that came
+/// with it: the user fixes the xRSL and resubmits with the same token.
+#[test]
+fn rejected_description_does_not_burn_its_token() {
+    let mut market = Market::new(b"e2e-reject");
+    for i in 0..2 {
+        market.add_host(HostSpec::testbed(i));
+    }
+    let mut jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
+    let user = GridIdentity::swegrid_user(1);
+    let acct = market.bank_mut().open_account(user.public_key(), "u1");
+    market.bank_mut().mint(acct, Credits::from_whole(100)).unwrap();
+    let receipt = market
+        .bank_mut()
+        .transfer(acct, jm.broker_account(), Credits::from_whole(50))
+        .unwrap();
+    let token = TransferToken::create(&user, receipt, user.dn());
+    let spec = |count: u32| {
+        let xrsl = format!(
+            "&(executable=\"scan.sh\")(count={count})(cpuTime=\"60\")(transferToken=\"{}\")",
+            token.to_hex()
+        );
+        JobSpec::parse(&xrsl, 2910.0 * 60.0).unwrap()
+    };
+
+    let err = jm.submit(&mut market, SimTime::ZERO, &spec(0)).unwrap_err();
+    assert!(
+        matches!(err, gridmarket::grid::GridError::BadDescription(_)),
+        "count=0 must be rejected as a bad description, got {err}"
+    );
+    assert!(
+        !market.bank().is_token_spent(token.transfer_id()),
+        "a rejected description must leave its token unspent"
+    );
+
+    let id = jm.submit(&mut market, SimTime::ZERO, &spec(1)).unwrap();
+    assert!(jm.job(id).is_some());
+    assert!(market.bank().is_token_spent(token.transfer_id()));
+}
+
 /// Determinism: identical seeds ⇒ byte-identical scenario outcomes,
 /// different seeds ⇒ different market keys (and thus different traces).
 #[test]

@@ -5,9 +5,6 @@
 //! * simplex: primal feasibility and weak/strong duality on random
 //!   feasible bounded instances; graceful `Infeasible` / `Unbounded`
 //!   outcomes (never a panic) on randomly broken ones; determinism.
-//! * auction algorithm: optimal totals cross-validated against the
-//!   simplex on random assignment problems (the assignment polytope is
-//!   integral, so the LP relaxation's optimum equals the auction's).
 //! * welfare window: the greedy sweep of `WelfareProgram` agrees with
 //!   the window's linear program, solved by the simplex, on welfare,
 //!   every leave-one-out welfare and the host price.
@@ -16,7 +13,7 @@
 //!   beats reporting it straight).
 
 use gm_des::check::{check, Gen};
-use gm_numeric::{assignment_auction, Cmp, Lp, LpOutcome};
+use gm_numeric::{Cmp, Lp, LpOutcome};
 use gm_optimal::{vcg, SlaCurve, WelfareApp, WelfareProgram};
 
 /// A constraint row as handed to `Lp::constrain`: sparse terms + rhs.
@@ -132,37 +129,6 @@ fn simplex_is_deterministic_across_repeat_solves() {
             _ => None,
         };
         assert_eq!(fp(&sa), fp(&sb), "same instance must solve bit-identically");
-    });
-}
-
-#[test]
-fn auction_matches_the_simplex_on_random_assignments() {
-    check("auction-vs-simplex", 150, |g| {
-        let n = g.usize_in(1, 5);
-        // Integer weights: the auction's ε-scaling is then exact.
-        let w: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..n).map(|_| g.u64_in(0, 20) as f64).collect())
-            .collect();
-        let auction = assignment_auction(&w, 1e-6);
-
-        // The LP relaxation over the (integral) assignment polytope.
-        let mut lp = Lp::new(n * n);
-        for (i, row_w) in w.iter().enumerate() {
-            for (j, &wij) in row_w.iter().enumerate() {
-                lp.maximize(i * n + j, wij);
-            }
-            let row: Vec<(usize, f64)> = (0..n).map(|j| (i * n + j, 1.0)).collect();
-            lp.constrain(&row, Cmp::Le, 1.0);
-            let col: Vec<(usize, f64)> = (0..n).map(|j| (j * n + i, 1.0)).collect();
-            lp.constrain(&col, Cmp::Le, 1.0);
-        }
-        let sol = lp.solve().optimal().expect("assignment LP solves");
-        assert!(
-            (auction.total - sol.objective).abs() < 1e-6,
-            "auction {} vs simplex {}",
-            auction.total,
-            sol.objective
-        );
     });
 }
 
