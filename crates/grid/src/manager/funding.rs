@@ -1,7 +1,7 @@
 //! Budget/deadline funding plans: Best Response bid placement at
-//! submission, per-interval rate re-balancing and escrow top-ups, and
-//! mid-run boosts (§3: "jobs that have been submitted may be boosted with
-//! additional funding to complete sooner").
+//! submission, per-interval rate re-balancing, escrow refills across a
+//! low/high-water band, and mid-run boosts (§3: "jobs that have been
+//! submitted may be boosted with additional funding to complete sooner").
 
 use gm_des::SimTime;
 use gm_tycoon::{best_response, Credits, HostId, Market};
@@ -10,11 +10,24 @@ use super::jobs::{GridError, Job, JobId, JobPhase, Slot};
 use super::JobManager;
 use crate::token::TransferToken;
 
-/// How many reallocation intervals of escrow a bid keeps in front of it.
-/// One interval would be charged away entirely at each tick, leaving the
-/// bid invisible to other agents' quotes between ticks; three keeps bids
-/// continuously live while bounding the money parked at hosts.
-pub(super) const ESCROW_INTERVALS: f64 = 3.0;
+/// Low-water mark of a bid's escrow, in reallocation intervals of its
+/// current rate: below it, [`JobManager::rebalance`] refills the escrow.
+/// One interval would be charged away entirely at the next tick, leaving
+/// the bid invisible to other agents' quotes between ticks; two keeps it
+/// live through the charge.
+pub(super) const LOW: f64 = 2.0;
+
+/// High-water mark: every placement and every refill fills the escrow to
+/// this many intervals, so a steady bid costs one signed transfer per
+/// `HIGH - LOW` ticks rather than one per tick (in Tycoon a bid is a
+/// budget spent over a duration, paid in again only when it changes).
+pub(super) const HIGH: f64 = 10.0;
+
+/// The escrow a bid at `rate` is funded with: [`HIGH`] intervals of
+/// charge, capped at what the payer holds.
+pub(super) fn escrow_fill(rate: f64, interval: f64, available: Credits) -> Credits {
+    Credits::from_f64(rate * interval * HIGH).min(available)
+}
 
 /// Best Response bids with the per-host rate cap applied (see
 /// [`super::AgentConfig::max_share_premium`]).
@@ -86,9 +99,8 @@ impl JobManager {
 
         let interval = market.interval_secs();
         for (host, host_rate) in bids {
-            // Escrow a few intervals per bid; pre_tick keeps topping up.
-            let escrow = Credits::from_f64(host_rate * interval * ESCROW_INTERVALS)
-                .min(market.bank().balance(job.sub_account)?);
+            // pre_tick refills the escrow when it runs low.
+            let escrow = escrow_fill(host_rate, interval, market.bank().balance(job.sub_account)?);
             if !escrow.is_positive() {
                 continue;
             }
@@ -171,26 +183,25 @@ impl JobManager {
             self.rebid_slots(market, job, &active_hosts, total_rate);
         }
 
-        // Top up each live bid to its escrow depth; re-place bids that
-        // exhausted earlier.
+        // Refill each live bid whose escrow fell below the low-water mark
+        // of its current rate (a re-bid that raised the rate counts);
+        // re-place bids that exhausted earlier.
         for slot in &mut job.slots {
             if slot.retiring || (slot.subjob.is_none() && slot.bid.is_none()) {
                 continue;
             }
-            let needed = Credits::from_f64(slot.rate * interval * ESCROW_INTERVALS);
+            let available = market
+                .bank()
+                .balance(job.sub_account)
+                .unwrap_or(Credits::ZERO);
             match slot.bid {
                 Some(bid) => {
                     let have = market
                         .auctioneer(slot.host)
                         .and_then(|a| a.escrow(bid))
                         .unwrap_or(Credits::ZERO);
-                    if have < needed {
-                        let want = needed - have;
-                        let available = market
-                            .bank()
-                            .balance(job.sub_account)
-                            .unwrap_or(Credits::ZERO);
-                        let top = want.min(available);
+                    if have < Credits::from_f64(slot.rate * interval * LOW) {
+                        let top = escrow_fill(slot.rate, interval, have + available) - have;
                         if top.is_positive() {
                             let _ = market.top_up_bid(slot.host, bid, job.sub_account, top);
                         }
@@ -198,11 +209,7 @@ impl JobManager {
                 }
                 None => {
                     // Bid exhausted previously; re-place if funds remain.
-                    let available = market
-                        .bank()
-                        .balance(job.sub_account)
-                        .unwrap_or(Credits::ZERO);
-                    let escrow = needed.min(available);
+                    let escrow = escrow_fill(slot.rate, interval, available);
                     if escrow.is_positive() && slot.rate > 0.0 {
                         if let Ok(b) = market.place_funded_bid(
                             job.user,

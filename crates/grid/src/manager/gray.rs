@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use gm_des::SimTime;
 use gm_tycoon::{Credits, HealthConfig, HealthScore, HostId, Market, MarketError};
 
-use super::funding::ESCROW_INTERVALS;
+use super::funding::escrow_fill;
 use super::jobs::{Job, JobKind, Slot, SubJob};
 use super::JobManager;
 use crate::telemetry::GridInstruments;
@@ -458,7 +458,7 @@ impl JobManager {
             .map(|s| s.rate)
             .filter(|r| *r > 0.0);
         let bid_rate = primary_rate.unwrap_or(balance.as_f64() / horizon);
-        let escrow = Credits::from_f64(bid_rate * interval * ESCROW_INTERVALS).min(balance);
+        let escrow = escrow_fill(bid_rate, interval, balance);
         if !escrow.is_positive() {
             return false;
         }

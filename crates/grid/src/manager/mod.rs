@@ -10,8 +10,8 @@
 //! interval:
 //!
 //! * [`JobManager::pre_tick`] — agent actions: (re)distribute bid rates to
-//!   spend the remaining budget by the deadline, top up per-interval
-//!   escrows, start queued sub-jobs on freed hosts, finalize staged-out
+//!   spend the remaining budget by the deadline, refill escrows that ran
+//!   low, start queued sub-jobs on freed hosts, finalize staged-out
 //!   sub-jobs and completed jobs.
 //! * `market.tick(now)` — the auctioneers allocate and charge.
 //! * [`JobManager::post_tick`] — account the allocations into sub-job
@@ -228,7 +228,7 @@ impl JobManager {
     }
 
     /// Agent phase before the market allocates: finalize staged-out
-    /// sub-jobs, rebalance rates, top up escrows, fill freed slots.
+    /// sub-jobs, rebalance rates, refill low escrows, fill freed slots.
     pub fn pre_tick(&mut self, market: &mut Market, now: SimTime) {
         self.age_probations();
         self.publish_health(market);

@@ -5,7 +5,7 @@
 use gm_des::{SimDuration, SimTime};
 use gm_tycoon::{Credits, HostId, Market, UserId};
 
-use super::funding::{capped_bids, ESCROW_INTERVALS};
+use super::funding::{capped_bids, escrow_fill};
 use super::gray;
 use super::jobs::{Job, JobPhase, Slot};
 use super::JobManager;
@@ -153,8 +153,9 @@ impl JobManager {
                     capped_bids(&quotes, rate, left.min(room), self.config.max_share_premium);
                 let interval = market.interval_secs();
                 for (host, host_rate) in bids {
-                    let escrow = Credits::from_f64(host_rate * interval * ESCROW_INTERVALS)
-                        .min(market.bank().balance(job.sub_account).unwrap_or(Credits::ZERO));
+                    let available =
+                        market.bank().balance(job.sub_account).unwrap_or(Credits::ZERO);
+                    let escrow = escrow_fill(host_rate, interval, available);
                     if !escrow.is_positive() {
                         continue;
                     }

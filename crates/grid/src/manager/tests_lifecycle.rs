@@ -1,11 +1,14 @@
 //! Lifecycle tests: submission, funding, refunds, staging, services,
 //! cancellation, contention.
 
-use gm_des::{SimDuration, SimTime};
-use gm_tycoon::Credits;
+use std::collections::BTreeMap;
 
-use super::testutil::{make_spec, run_until_settled, world, CHUNK_MHZ_SECS};
-use super::{GridError, JobKind, JobPhase, JobSpec};
+use gm_des::{SimDuration, SimTime};
+use gm_tycoon::{BidHandle, Credits, HostId};
+
+use super::funding::{HIGH, LOW};
+use super::testutil::{make_spec, run_until_settled, world, World, CHUNK_MHZ_SECS};
+use super::{GridError, JobId, JobKind, JobPhase, JobSpec};
 use crate::identity::GridIdentity;
 use crate::token::{TokenError, TransferToken};
 
@@ -353,4 +356,126 @@ fn higher_funding_finishes_faster_under_contention() {
             "rich {t_rich:?} should finish no later than poor {t_poor:?}"
         );
     }
+}
+
+/// The job's live bids and the escrow each holds at its host.
+fn escrows(w: &World, id: JobId) -> BTreeMap<(HostId, BidHandle), Credits> {
+    w.jm.jobs[&id]
+        .slots
+        .iter()
+        .filter_map(|s| {
+            let bid = s.bid?;
+            Some(((s.host, bid), w.market.auctioneer(s.host)?.escrow(bid)?))
+        })
+        .collect()
+}
+
+#[test]
+fn escrow_band_funds_each_bid_once_per_band_width() {
+    // Two hosts, twenty 10-minute sub-jobs: the job stays busy on both
+    // hosts for all N ticks.
+    const N: u64 = 300;
+    let mut w = world(2, 1000);
+    let spec = make_spec(&mut w, 200, 20, 600);
+    let id = w.jm.submit(&mut w.market, SimTime::ZERO, &spec).unwrap();
+    // Placement is each bid's first funding transfer.
+    let mut fundings: BTreeMap<(HostId, BidHandle), u64> =
+        escrows(&w, id).into_keys().map(|bid| (bid, 1)).collect();
+    let dt = SimDuration::from_secs(w.market.interval_secs() as u64);
+    let mut now = SimTime::ZERO;
+    for _ in 0..N {
+        let before = escrows(&w, id);
+        w.jm.pre_tick(&mut w.market, now);
+        for (bid, escrow) in escrows(&w, id) {
+            if before.get(&bid).is_none_or(|old| escrow > *old) {
+                *fundings.entry(bid).or_default() += 1;
+            }
+        }
+        let allocations = w.market.tick(now);
+        w.jm.post_tick(&w.market, now, &allocations);
+        now += dt;
+    }
+    assert_eq!(w.jm.job(id).unwrap().phase, JobPhase::Running);
+    let cap = (N as f64 / (HIGH - LOW)).ceil() as u64 + 1;
+    assert_eq!(fundings.len(), 2, "one bid per host: {fundings:?}");
+    for (bid, n) in fundings {
+        assert!(n <= cap, "bid {bid:?} funded {n} times in {N} ticks (cap {cap})");
+    }
+}
+
+#[test]
+fn live_bids_never_exhaust_while_the_sub_account_holds_money() {
+    // Two users contend for two hosts, so neither job's rates sit at the
+    // share-premium cap and a boost moves them freely.
+    let mut w = world(2, 1000);
+    let rival = GridIdentity::swegrid_user(7);
+    let rival_acct = w.market.bank_mut().open_account(rival.public_key(), "rival");
+    w.market.bank_mut().mint(rival_acct, Credits::from_whole(1000)).unwrap();
+    let receipt = w
+        .market
+        .bank_mut()
+        .transfer(rival_acct, w.jm.broker_account(), Credits::from_whole(300))
+        .unwrap();
+    let token = TransferToken::create(&rival, receipt, rival.dn());
+    let text = format!(
+        "&(executable=\"x\")(count=20)(cpuTime=\"600\")(transferToken=\"{}\")",
+        token.to_hex()
+    );
+    let rival_spec = JobSpec::parse(&text, CHUNK_MHZ_SECS).unwrap();
+    let spec = make_spec(&mut w, 100, 20, 600);
+    let id = w.jm.submit(&mut w.market, SimTime::ZERO, &spec).unwrap();
+    w.jm.submit(&mut w.market, SimTime::ZERO, &rival_spec).unwrap();
+
+    let dt = SimDuration::from_secs(w.market.interval_secs() as u64);
+    let mut now = SimTime::ZERO;
+    for tick in 0..200 {
+        let rates_before: Vec<f64> = w.jm.jobs[&id].slots.iter().map(|s| s.rate).collect();
+        if tick == 100 {
+            // Boost with twice what the job still holds: the next
+            // re-bid triples its rates, far past the escrow they hold.
+            let sub_account = w.jm.jobs[&id].sub_account;
+            let held = w.market.bank().balance(sub_account).unwrap()
+                + escrows(&w, id).into_values().sum::<Credits>();
+            let extra = Credits::from_whole(2 * held.as_f64().ceil() as i64);
+            let receipt = w
+                .market
+                .bank_mut()
+                .transfer(w.user_acct, w.jm.broker_account(), extra)
+                .unwrap();
+            let token = TransferToken::create(&w.user, receipt, w.user.dn());
+            w.jm.boost(&mut w.market, id, &token).unwrap();
+        }
+        w.jm.pre_tick(&mut w.market, now);
+        if tick == 100 {
+            let slots = &w.jm.jobs[&id].slots;
+            for (slot, before) in slots.iter().zip(&rates_before) {
+                assert!(slot.rate >= 2.9 * before, "re-bid {before} -> {}", slot.rate);
+            }
+        }
+        // Every live bid now holds the low-water mark of its current
+        // rate: enough for this tick's charge and then some.
+        let interval = w.market.interval_secs();
+        let held = escrows(&w, id);
+        for slot in &w.jm.jobs[&id].slots {
+            let escrow = held[&(slot.host, slot.bid.unwrap())];
+            let low = Credits::from_f64(slot.rate * interval * LOW);
+            assert!(escrow >= low, "tick {tick}: escrow {escrow} under low-water {low}");
+        }
+        let allocations = w.market.tick(now);
+        for job in w.jm.jobs() {
+            if !w.market.bank().balance(job.sub_account).unwrap().is_positive() {
+                continue;
+            }
+            for (host, allocs) in &allocations {
+                assert!(
+                    allocs.iter().all(|a| a.user != job.user || !a.exhausted),
+                    "tick {tick}: {:?}'s bid on {host:?} ran dry with money in its sub-account",
+                    job.id
+                );
+            }
+        }
+        w.jm.post_tick(&w.market, now, &allocations);
+        now += dt;
+    }
+    assert!(w.jm.jobs().all(|j| j.phase == JobPhase::Running));
 }

@@ -302,7 +302,13 @@ impl Bank {
     }
 
     /// Apply one replayed WAL event without journaling (redo path).
+    /// WAL frames are checksummed, not authenticated, so every event is
+    /// checked the way the live operation would check it, with checked
+    /// arithmetic: a crafted record is a [`RecoverError::BadEvent`],
+    /// never a panic. A failed replay discards the whole bank, so an
+    /// event rejected half-way is never observed.
     fn apply_replayed(&mut self, ev: BankEvent, index: usize) -> Result<(), RecoverError> {
+        let bad = || RecoverError::BadEvent(index);
         match ev {
             BankEvent::AccountOpen {
                 id,
@@ -310,6 +316,7 @@ impl Bank {
                 parent,
                 label,
             } => {
+                let next = id.checked_add(1).ok_or_else(bad)?;
                 self.accounts.insert(
                     AccountId(id),
                     Account {
@@ -319,15 +326,15 @@ impl Bank {
                         label,
                     },
                 );
-                self.next_account = self.next_account.max(id + 1);
+                self.next_account = self.next_account.max(next);
             }
             BankEvent::Mint { to, amount } => {
-                let acct = self
-                    .accounts
-                    .get_mut(&AccountId(to))
-                    .ok_or(RecoverError::BadEvent(index))?;
-                acct.balance += amount;
-                self.minted += amount;
+                if !amount.is_positive() {
+                    return Err(bad());
+                }
+                let acct = self.accounts.get_mut(&AccountId(to)).ok_or_else(bad)?;
+                acct.balance = acct.balance.checked_add(amount).ok_or_else(bad)?;
+                self.minted = self.minted.checked_add(amount).ok_or_else(bad)?;
             }
             BankEvent::Transfer {
                 id,
@@ -340,14 +347,12 @@ impl Bank {
                 if !self.verifier.verify(&msg, &signature) {
                     return Err(RecoverError::SignatureMismatch { transfer_id: id });
                 }
-                if !self.accounts.contains_key(&AccountId(from))
-                    || !self.accounts.contains_key(&AccountId(to))
-                {
-                    return Err(RecoverError::BadEvent(index));
-                }
-                self.accounts.get_mut(&AccountId(from)).expect("checked").balance -= amount;
-                self.accounts.get_mut(&AccountId(to)).expect("checked").balance += amount;
-                self.next_transfer = self.next_transfer.max(id + 1);
+                let next = id.checked_add(1).ok_or_else(bad)?;
+                let payer = self.accounts.get_mut(&AccountId(from)).ok_or_else(bad)?;
+                payer.balance = payer.balance.checked_sub(amount).ok_or_else(bad)?;
+                let payee = self.accounts.get_mut(&AccountId(to)).ok_or_else(bad)?;
+                payee.balance = payee.balance.checked_add(amount).ok_or_else(bad)?;
+                self.next_transfer = self.next_transfer.max(next);
             }
             BankEvent::TokenSpend { transfer_id } => {
                 self.spent_tokens.insert(transfer_id);

@@ -342,7 +342,9 @@ pub enum RecoverError {
     /// The snapshot payload passed its checksum but did not decode — a
     /// version mismatch or a codec bug, not disk damage.
     BadSnapshot,
-    /// WAL record at this index passed its checksum but did not decode.
+    /// WAL record at this index passed its checksum but did not decode,
+    /// or decoded to an event the live bank would refuse (an unknown
+    /// account, a non-positive mint, an id or balance overflow).
     BadEvent(usize),
     /// A replayed transfer's stored signature does not verify against
     /// this bank's key: the log was forged or the seed is wrong.

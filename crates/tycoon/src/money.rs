@@ -88,6 +88,11 @@ impl Credits {
     pub fn checked_add(self, other: Credits) -> Option<Credits> {
         self.0.checked_add(other.0).map(Credits)
     }
+
+    /// Checked subtraction.
+    pub fn checked_sub(self, other: Credits) -> Option<Credits> {
+        self.0.checked_sub(other.0).map(Credits)
+    }
 }
 
 impl Add for Credits {

@@ -113,3 +113,42 @@ fn kill_point_sweep_mid_record_cuts_are_torn_tails() {
     }
     assert!(tested > 10, "stride covered too few torn cuts ({tested})");
 }
+
+/// WAL frames are checksummed but not authenticated, so recovery must
+/// reject crafted events the live bank would refuse instead of panicking:
+/// a mint that overflows the books, an account id with no successor, and
+/// non-positive mints.
+#[test]
+fn crafted_wal_events_are_bad_events_not_panics() {
+    use gm_tycoon::{BankEvent, Credits, RecoverError};
+
+    let seed_bytes = SEED.to_be_bytes();
+    let owner = Bank::new(&seed_bytes).public_key();
+    let open = |id: u64| BankEvent::AccountOpen {
+        id,
+        owner,
+        parent: None,
+        label: "crafted".into(),
+    };
+    let mint = |micros: i64| BankEvent::Mint {
+        to: 0,
+        amount: Credits::from_micros(micros),
+    };
+    let cases: [(&str, Vec<BankEvent>, usize); 4] = [
+        ("overflowing mint", vec![open(0), mint(i64::MAX), mint(1)], 2),
+        ("last account id", vec![open(u64::MAX)], 0),
+        ("negative mint", vec![open(0), mint(-1)], 1),
+        ("zero mint", vec![open(0), mint(0)], 1),
+    ];
+    for (name, events, bad_at) in cases {
+        let journal = SharedJournal::new();
+        for ev in &events {
+            journal.append(&ev.encode());
+        }
+        match Bank::recover(&seed_bytes, &journal) {
+            Err(RecoverError::BadEvent(i)) => assert_eq!(i, bad_at, "{name}"),
+            Err(e) => panic!("{name}: wrong error {e}"),
+            Ok(_) => panic!("{name}: crafted WAL recovered"),
+        }
+    }
+}
