@@ -6,7 +6,12 @@
 //! `receipt ‖ DN` bindings, bank-signed transfer receipts).
 //!
 //! * [`sha256()`] / [`Sha256`] — a from-scratch FIPS 180-4 SHA-256 with the
-//!   standard test vectors.
+//!   standard test vectors. On x86-64 CPUs with the SHA extensions the
+//!   compression function runs on them (`core::arch` intrinsics in the
+//!   crate's one `unsafe fn`), chosen at run time by feature detection
+//!   with no feature flag or option; every other CPU runs the portable
+//!   loop, which is also the oracle the hardware kernel is tested
+//!   against. Both give identical bytes.
 //! * [`hmac_sha256`] — RFC 2104 HMAC over it, checked against RFC 4231.
 //!   A signing key keeps its HMAC key with the pads already absorbed.
 //! * [`sig`] — a Schnorr signature over the multiplicative group of the

@@ -1,4 +1,5 @@
-//! SHA-256 (FIPS 180-4), implemented from the specification.
+//! SHA-256 (FIPS 180-4), implemented from the specification, with a
+//! kernel for the x86 SHA extensions chosen at run time.
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes.
@@ -106,56 +107,159 @@ impl Sha256 {
         self.total_len = saved;
     }
 
+    /// Run one block through the compression function, on the CPU's SHA
+    /// instructions when it has them and on the portable loop otherwise.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni_detected() {
+            // SAFETY: `sha_ni_detected` has just confirmed that this CPU
+            // supports sha, sse2, ssse3 and sse4.1, the features
+            // `compress_sha_ni` is compiled for.
+            unsafe { compress_sha_ni(&mut self.state, block) };
+            return;
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        compress_portable(&mut self.state, block);
+    }
+}
+
+/// True when the CPU can run [`compress_sha_ni`]. The standard library
+/// caches the detection, so this is a few loads per call.
+#[cfg(target_arch = "x86_64")]
+fn sha_ni_detected() -> bool {
+    std::is_x86_feature_detected!("sha")
+        && std::is_x86_feature_detected!("sse2")
+        && std::is_x86_feature_detected!("ssse3")
+        && std::is_x86_feature_detected!("sse4.1")
+}
+
+/// The compression function written from FIPS 180-4 §6.2.2: the fallback
+/// on CPUs without SHA instructions and the oracle the hardware kernel is
+/// tested against.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[i * 4],
+            block[i * 4 + 1],
+            block[i * 4 + 2],
+            block[i * 4 + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
+}
+
+/// The compression function on the x86 SHA extensions. `sha256rnds2`
+/// runs two rounds on the state packed as ABEF and CDGH (Intel's layout,
+/// highest lane first); `sha256msg1` and `sha256msg2` extend the message
+/// schedule four words at a time.
+///
+/// # Safety
+///
+/// The caller must have checked that the CPU supports `sha`, `sse2`,
+/// `ssse3` and `sse4.1`, for instance with [`sha_ni_detected`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+unsafe fn compress_sha_ni(state: &mut [u32; 8], block: &[u8; 64]) {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32,
+        _mm_sha256rnds2_epu32, _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    let state_ptr = state.as_mut_ptr().cast::<__m128i>();
+    // SAFETY: `state` is 32 bytes, two unaligned 16-byte loads.
+    let (dcba, hgfe) = unsafe {
+        (
+            _mm_loadu_si128(state_ptr),
+            _mm_loadu_si128(state_ptr.add(1)),
+        )
+    };
+    let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+    let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+    let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+    let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+    let (abef_in, cdgh_in) = (abef, cdgh);
+
+    // Reverses the bytes of each 32-bit lane: message words are big-endian.
+    let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    // A ring of the last 16 schedule words, four per vector.
+    let mut w = [_mm_setzero_si128(); 4];
+    for (i, words) in w.iter_mut().enumerate() {
+        // SAFETY: `block` is 64 bytes, so bytes 16i..16i+16 lie inside it
+        // for i < 4; the load is unaligned.
+        let raw = unsafe { _mm_loadu_si128(block.as_ptr().add(16 * i).cast::<__m128i>()) };
+        *words = _mm_shuffle_epi8(raw, bswap);
+    }
+    for i in 0..16 {
+        if i >= 4 {
+            // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16], for the
+            // four words t = 4i..4i+4.
+            let partial = _mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]);
+            let partial =
+                _mm_add_epi32(partial, _mm_alignr_epi8(w[(i + 3) % 4], w[(i + 2) % 4], 4));
+            w[i % 4] = _mm_sha256msg2_epu32(partial, w[(i + 3) % 4]);
         }
+        let k = _mm_set_epi32(
+            K[4 * i + 3] as i32,
+            K[4 * i + 2] as i32,
+            K[4 * i + 1] as i32,
+            K[4 * i] as i32,
+        );
+        let wk = _mm_add_epi32(w[i % 4], k);
+        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+        abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    let feba = _mm_shuffle_epi32(abef, 0x1B);
+    let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+    let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+    // SAFETY: as for the loads above, two unaligned 16-byte stores into
+    // the 32-byte `state`.
+    unsafe {
+        _mm_storeu_si128(state_ptr, dcba);
+        _mm_storeu_si128(state_ptr.add(1), hgfe);
     }
 }
 
@@ -251,6 +355,37 @@ mod tests {
     fn different_inputs_different_digests() {
         assert_ne!(sha256(b"hello"), sha256(b"hellp"));
         assert_ne!(sha256(b""), sha256(b"\x00"));
+    }
+
+    #[test]
+    fn hardware_kernel_matches_portable_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        let hardware = sha_ni_detected();
+        #[cfg(not(target_arch = "x86_64"))]
+        let hardware = false;
+        if !hardware {
+            eprintln!("no SHA instructions on this CPU: checking the portable kernel only");
+        }
+        gm_des::check::check("hardware_kernel_matches_portable_kernel", 512, |g| {
+            let state: [u32; 8] = std::array::from_fn(|_| g.u64() as u32);
+            let block: [u8; 64] = std::array::from_fn(|_| g.u64() as u8);
+            let mut expected = state;
+            compress_portable(&mut expected, &block);
+
+            let mut hasher = Sha256::new();
+            hasher.state = state;
+            hasher.compress(&block);
+            assert_eq!(hasher.state, expected, "dispatched kernel");
+
+            #[cfg(target_arch = "x86_64")]
+            if hardware {
+                let mut got = state;
+                // SAFETY: `hardware` is true only when `sha_ni_detected`
+                // found every feature `compress_sha_ni` needs.
+                unsafe { compress_sha_ni(&mut got, &block) };
+                assert_eq!(got, expected, "hardware kernel");
+            }
+        });
     }
 
     #[test]

@@ -299,7 +299,7 @@ impl PolicyDriver {
                 ins.ticks.inc();
             }
             now += dt;
-            if next == order.len() && policy.all_settled() && faults.is_exhausted() {
+            if next == order.len() && faults.is_exhausted() && policy.all_settled() {
                 break;
             }
         }

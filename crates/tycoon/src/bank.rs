@@ -274,7 +274,9 @@ impl Bank {
             corrupt_records: replay.corrupt_records,
         };
         if let Some(snap_bytes) = &replay.snapshot {
-            let snap = BankSnapshot::decode(snap_bytes).ok_or(RecoverError::BadSnapshot)?;
+            let snap = BankSnapshot::decode(snap_bytes)
+                .filter(snapshot_is_consistent)
+                .ok_or(RecoverError::BadSnapshot)?;
             bank.next_account = snap.next_account;
             bank.next_transfer = snap.next_transfer;
             bank.minted = snap.minted;
@@ -578,6 +580,25 @@ impl Bank {
     pub fn account_count(&self) -> usize {
         self.accounts.len()
     }
+}
+
+/// Snapshot frames are checksummed, not authenticated, so recovery
+/// refuses a decoded snapshot the live bank could never have written:
+/// one whose balances would overflow the audit's sum, whose id counters
+/// have no successor, or whose accounts a later `open_account` would
+/// overwrite.
+fn snapshot_is_consistent(snap: &BankSnapshot) -> bool {
+    let balances = snap.accounts.iter().try_fold(Credits::ZERO, |sum, a| {
+        if a.balance.is_negative() {
+            return None;
+        }
+        sum.checked_add(a.balance)
+    });
+    balances.is_some()
+        && !snap.minted.is_negative()
+        && snap.next_account < u64::MAX
+        && snap.next_transfer < u64::MAX
+        && snap.accounts.iter().all(|a| a.id < snap.next_account)
 }
 
 #[cfg(test)]

@@ -340,7 +340,10 @@ pub enum RecoverError {
     /// snapshot — WAL damage is handled by truncation, not an error).
     Journal(LedgerError),
     /// The snapshot payload passed its checksum but did not decode — a
-    /// version mismatch or a codec bug, not disk damage.
+    /// version mismatch or a codec bug, not disk damage — or decoded to a
+    /// state the live bank cannot reach (a negative balance or minted
+    /// total, balances whose sum overflows, an id counter at `u64::MAX`,
+    /// an account id at or past `next_account`).
     BadSnapshot,
     /// WAL record at this index passed its checksum but did not decode,
     /// or decoded to an event the live bank would refuse (an unknown
@@ -358,7 +361,7 @@ impl std::fmt::Display for RecoverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoverError::Journal(e) => write!(f, "journal unreadable: {e}"),
-            RecoverError::BadSnapshot => write!(f, "snapshot payload undecodable"),
+            RecoverError::BadSnapshot => write!(f, "snapshot payload undecodable or inconsistent"),
             RecoverError::BadEvent(i) => write!(f, "WAL record {i} undecodable"),
             RecoverError::SignatureMismatch { transfer_id } => {
                 write!(f, "transfer {transfer_id} signature mismatch on replay")

@@ -152,3 +152,102 @@ fn crafted_wal_events_are_bad_events_not_panics() {
         }
     }
 }
+
+/// Snapshot frames are checksummed but not authenticated either, so
+/// recovery must refuse a crafted snapshot the live bank could never have
+/// written instead of adopting it. Each case runs the operation the
+/// adopted state would break: the audit `Market::restart_bank` runs next,
+/// the next transfer, or the next account opened.
+#[test]
+fn crafted_snapshots_are_bad_snapshots_not_panics() {
+    use gm_tycoon::{AccountId, BankSnapshot, Credits, RecoverError};
+
+    let seed_bytes = SEED.to_be_bytes();
+    let mut live = Bank::new(&seed_bytes);
+    let owner = live.public_key();
+    let payer = live.open_account(owner, "payer");
+    live.open_account(owner, "payee");
+    live.mint(payer, Credits::from_whole(100)).expect("mint");
+    let base = live.snapshot();
+    let compacted = |snapshot: &BankSnapshot| {
+        let journal = SharedJournal::new();
+        journal.compact(&snapshot.encode());
+        journal
+    };
+    assert!(
+        Bank::recover(&seed_bytes, &compacted(&base)).is_ok(),
+        "an honest snapshot recovers"
+    );
+
+    let balances = |micros: i64| {
+        let mut s = base.clone();
+        for a in &mut s.accounts {
+            a.balance = Credits::from_micros(micros);
+        }
+        s
+    };
+    let audit = |bank: &mut Bank| {
+        let report = ConservationAuditor::default().audit(bank, None);
+        assert!(report.ok(), "audit failed: {report:?}");
+    };
+    let transfer = |bank: &mut Bank| {
+        bank.transfer(AccountId(0), AccountId(1), Credits::from_whole(1))
+            .expect("transfer");
+    };
+    let open = |bank: &mut Bank| {
+        let before = bank.account_count();
+        bank.open_account(bank.public_key(), "late");
+        assert_eq!(
+            bank.account_count(),
+            before + 1,
+            "an account was overwritten"
+        );
+    };
+    type Operation = fn(&mut Bank);
+    let cases: [(&str, BankSnapshot, Operation); 6] = [
+        ("balances overflow", balances(i64::MAX), audit),
+        ("negative balances", balances(i64::MIN), audit),
+        (
+            "negative minted",
+            BankSnapshot {
+                minted: Credits::from_micros(-1),
+                ..base.clone()
+            },
+            audit,
+        ),
+        (
+            "last transfer id",
+            BankSnapshot {
+                next_transfer: u64::MAX,
+                ..base.clone()
+            },
+            transfer,
+        ),
+        (
+            "last account id",
+            BankSnapshot {
+                next_account: u64::MAX,
+                ..base.clone()
+            },
+            open,
+        ),
+        (
+            "account past next_account",
+            BankSnapshot {
+                next_account: 1,
+                ..base.clone()
+            },
+            open,
+        ),
+    ];
+    for (name, snapshot, operation) in cases {
+        match Bank::recover(&seed_bytes, &compacted(&snapshot)) {
+            Err(RecoverError::BadSnapshot) => {}
+            Err(e) => panic!("{name}: wrong error {e}"),
+            Ok((mut bank, _)) => {
+                operation(&mut bank);
+                panic!("{name}: crafted snapshot recovered");
+            }
+        }
+    }
+}
