@@ -2,10 +2,12 @@
 //!
 //! Measures the welfare solve time of one planning window as the
 //! program grows — apps ∈ {8, 32, 128} × hosts ∈ {30, 120} — plus the
-//! full VCG pricing pass (1 + N leave-one-out re-solves) at the sizes
-//! the live policy actually plans (tens of apps), and the
-//! Tycoon-vs-VCG welfare gap on the shared SLA workload
-//! (`gm_experiments::ext_vcg`).
+//! full VCG pricing of a window (one sort, then the full sweep and one
+//! leave-one-out sweep per app with value) at apps ∈ {8, 32, 128} × 30
+//! hosts, and the Tycoon-vs-VCG welfare gap on the shared SLA workload
+//! (`gm_experiments::ext_vcg`). Each time is the fastest of
+//! [`REPEATS`] calls on the same window, so one slow call (a page
+//! fault, a preemption) does not stand for the row.
 //!
 //! Every window solve, 128 apps × 120 hosts included, must finish
 //! within the solver time budget, and the welfare gap must be
@@ -22,6 +24,23 @@ use gm_optimal::{vcg, SlaCurve, WelfareApp, WelfareProgram};
 
 /// Per-solve budget for every window, in seconds.
 const SOLVE_BUDGET_SECS: f64 = 1.0;
+
+/// Calls per timed row; the row reports the fastest.
+const REPEATS: usize = 50;
+
+/// The fastest of [`REPEATS`] calls of `f`, in seconds, with the last
+/// call's result.
+fn fastest<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..REPEATS {
+        let t0 = Instant::now();
+        let r = std::hint::black_box(f());
+        best = best.min(t0.elapsed().as_secs_f64());
+        out = Some(r);
+    }
+    (best, out.expect("REPEATS > 0"))
+}
 
 /// A deterministic pseudo-random window: `apps` concave curves (1–3
 /// segments) competing for `hosts` equal-capacity hosts, scaled so the
@@ -58,15 +77,10 @@ fn main() {
     let mut pass = true;
     let mut rows = Vec::new();
 
-    // Warm-up: touch the allocator paths once.
-    let _ = window(8, 30, 1).solve();
-
     for &apps in &[8usize, 32, 128] {
         for &hosts in &[30usize, 120] {
             let program = window(apps, hosts, 0x5EED ^ (apps as u64) << 8 ^ hosts as u64);
-            let t0 = Instant::now();
-            let sol = program.solve().expect("window must solve");
-            let secs = t0.elapsed().as_secs_f64();
+            let (secs, sol) = fastest(|| program.solve().expect("window must solve"));
             let ok = secs <= SOLVE_BUDGET_SECS;
             pass &= ok;
             println!(
@@ -79,19 +93,23 @@ fn main() {
         }
     }
 
-    // Full VCG pricing (1 + N solves) at the policy's working size.
-    let program = window(8, 30, 0xCAFE);
-    let t0 = Instant::now();
-    let priced = vcg(&program).expect("VCG pricing must complete");
-    let vcg_secs = t0.elapsed().as_secs_f64();
-    let vcg_ok = vcg_secs <= SOLVE_BUDGET_SECS;
-    pass &= vcg_ok;
-    println!(
-        "vcg_full_pricing  apps    8  hosts   30   {:>8.3} ms   revenue {:>10.1}   {}",
-        vcg_secs * 1e3,
-        priced.revenue(),
-        if vcg_ok { "PASS" } else { "FAIL" }
-    );
+    // Full VCG pricing of one window, at the policy's working size
+    // (8 apps) and beyond.
+    let mut pricing = Vec::new();
+    for &apps in &[8usize, 32, 128] {
+        let hosts = 30;
+        let program = window(apps, hosts, 0xCAFE ^ (apps as u64) << 8);
+        let (secs, priced) = fastest(|| vcg(&program).expect("VCG pricing must complete"));
+        let ok = secs <= SOLVE_BUDGET_SECS;
+        pass &= ok;
+        println!(
+            "vcg_full_pricing  apps {apps:>4}  hosts {hosts:>4}   {:>8.3} ms   revenue {:>10.1}   {}",
+            secs * 1e3,
+            priced.revenue(),
+            if ok { "PASS" } else { "FAIL" }
+        );
+        pricing.push((apps, hosts, secs));
+    }
 
     // Welfare gap on the shared SLA workload: the optimization tier
     // must not lose to the auction market it generalizes.
@@ -111,19 +129,19 @@ fn main() {
     );
 
     if save {
-        let mut entries = String::new();
-        for (i, (apps, hosts, secs)) in rows.iter().enumerate() {
-            if i > 0 {
-                entries.push_str(",\n");
-            }
-            entries.push_str(&format!(
-                "    {{\"apps\": {apps}, \"hosts\": {hosts}, \"solve_ms\": {:.3}}}",
-                secs * 1e3
-            ));
-        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let entries = |rows: &[(usize, usize, f64)], key: &str| {
+            rows.iter()
+                .map(|(apps, hosts, secs)| {
+                    format!("    {{\"apps\": {apps}, \"hosts\": {hosts}, \"{key}\": {:.4}}}", secs * 1e3)
+                })
+                .collect::<Vec<_>>()
+                .join(",\n")
+        };
         let json = format!(
-            "{{\n  \"bench\": \"vcg\",\n  \"solve_budget_secs\": {SOLVE_BUDGET_SECS},\n  \"rows\": [\n{entries}\n  ],\n  \"vcg_full_pricing_ms\": {:.3},\n  \"welfare_vcg\": {vcg_w:.2},\n  \"welfare_tycoon\": {tycoon_w:.2},\n  \"welfare_gap\": {gap:.2},\n  \"pass\": {pass}\n}}\n",
-            vcg_secs * 1e3
+            "{{\n  \"bench\": \"vcg\",\n  \"cores\": {cores},\n  \"repeats\": {REPEATS},\n  \"solve_budget_secs\": {SOLVE_BUDGET_SECS},\n  \"rows\": [\n{}\n  ],\n  \"pricing_rows\": [\n{}\n  ],\n  \"welfare_vcg\": {vcg_w:.2},\n  \"welfare_tycoon\": {tycoon_w:.2},\n  \"welfare_gap\": {gap:.2},\n  \"pass\": {pass}\n}}\n",
+            entries(&rows, "solve_ms"),
+            entries(&pricing, "pricing_ms"),
         );
         gm_bench::save_json("vcg", &json);
     }

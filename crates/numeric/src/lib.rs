@@ -5,9 +5,6 @@
 //!
 //! * [`linalg`] — dense matrices, LU decomposition with partial pivoting,
 //!   linear solves and inverses (used by Markowitz portfolio selection).
-//! * [`lp`] — linear programming: a dense two-phase simplex solver
-//!   (Bland's rule, dual extraction); the test oracle of the
-//!   optimization-based allocation tier (DESIGN.md §14).
 //! * [`toeplitz`] — sample autocorrelation and the Levinson-Durbin solver
 //!   for the Yule-Walker equations of the AR(k) price model (§4.3).
 //! * [`spline`] — Reinsch cubic smoothing spline, the smoothing function
@@ -29,7 +26,6 @@
 
 pub mod histogram;
 pub mod linalg;
-pub mod lp;
 pub mod probit;
 pub mod samplers;
 pub mod spline;
@@ -39,7 +35,6 @@ pub mod toeplitz;
 
 pub use histogram::Histogram;
 pub use linalg::{Lu, Matrix};
-pub use lp::{Cmp, Lp, LpOutcome, Solution};
 pub use probit::{norm_cdf, norm_pdf, norm_quantile};
 pub use samplers::{Beta, Exponential, LogNormal, Normal, Sampler, Uniform};
 pub use spline::smoothing_spline;

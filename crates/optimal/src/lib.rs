@@ -12,9 +12,9 @@
 //!    demand and deadline caps). Its linear program is a fractional
 //!    knapsack with nested capacities, so one greedy sweep by slope
 //!    solves it exactly and yields the fluid allocation plus the host
-//!    shadow price; the simplex of `gm-numeric` checks it in the tests.
+//!    shadow price; a test-only simplex checks it in the tests.
 //! 3. [`vcg`] — prices every app by its externality through
-//!    leave-one-out sweeps, yielding [`VcgReceipt`]s whose payments
+//!    leave-one-out sweeps over one shared sort, yielding [`VcgReceipt`]s whose payments
 //!    are non-negative, individually rational and truthful.
 //! 4. [`VcgSlaPolicy`] — packages the above as a standard
 //!    [`gm_core::AllocationPolicy`]: windowed replanning, fault

@@ -26,8 +26,19 @@
 //! segments greedily by slope is exact. [`WelfareProgram::solve`] is
 //! that sweep, O(S log S) in the S segments with no pivoting, and
 //! deterministic: ties break by `(app, segment)` index. The LP above,
-//! solved by the dense simplex of `gm-numeric`, is the reference model
+//! solved by a dense simplex that lives beside the property suite
+//! (`tests/lp_properties/simplex.rs`), is the reference model
 //! `tests/lp_properties.rs` checks the sweep against.
+//!
+//! Solving is two steps: one sort of the window's segments into fill
+//! order, then a linear sweep over that order. [`crate::vcg()`] sorts once
+//! and sweeps 1 + A times (the full window, then each app left out
+//! inline), O(S log S + A·S) per window, into scratch it reuses. Skipping
+//! app `a` in the shared order walks exactly the sequence a sort of the
+//! other apps' segments would give, because the sort is stable; every
+//! app's value then takes the same fills in the same order, and welfare
+//! sums the values in app order either way, so each `W_{-a}` is
+//! bit-identical to [`WelfareProgram::solve_without`]'s.
 
 /// One app's slice of a [`WelfareProgram`] window.
 #[derive(Clone, Debug)]
@@ -117,14 +128,7 @@ impl WelfareProgram {
     /// infinite; every finite window has an optimum (`d = 0` is
     /// feasible and every segment is bounded).
     pub fn solve(&self) -> Option<WelfareSolution> {
-        let sweep = self.sweep(None)?;
-        Some(WelfareSolution {
-            alloc: self.place(&sweep.delivered),
-            host_prices: vec![sweep.price; self.host_capacity.len()],
-            welfare: sweep.welfare,
-            delivered: sweep.delivered,
-            values: sweep.values,
-        })
+        Some(self.solve_ordered(&self.fill_order(None)?))
     }
 
     /// Optimal welfare of the same window with app `skip` excluded —
@@ -132,14 +136,31 @@ impl WelfareProgram {
     /// app's segments left out. `None` on the inputs [`Self::solve`]
     /// rejects.
     pub fn solve_without(&self, skip: usize) -> Option<f64> {
-        self.sweep(Some(skip)).map(|s| s.welfare)
+        let order = self.fill_order(Some(skip))?;
+        let mut sweep = Sweep::default();
+        self.sweep(&order, None, &mut sweep);
+        Some(sweep.welfare)
     }
 
-    /// Fill the segments of every app but `skip` in descending slope
-    /// order (stable, so ties go by `(app, segment)` index), each by
-    /// `min(width, app room, window room)`. Zero-width and
-    /// non-positive-slope segments add no welfare and are never filled.
-    fn sweep(&self, skip: Option<usize>) -> Option<Sweep> {
+    /// The full solution from a fill order of every app.
+    pub(crate) fn solve_ordered(&self, order: &FillOrder) -> WelfareSolution {
+        let mut sweep = Sweep::default();
+        self.sweep(order, None, &mut sweep);
+        WelfareSolution {
+            alloc: self.place(&sweep.delivered),
+            host_prices: vec![sweep.price; self.host_capacity.len()],
+            welfare: sweep.welfare,
+            delivered: sweep.delivered,
+            values: sweep.values,
+        }
+    }
+
+    /// The ordering step every solve starts from: `None` if any input
+    /// is non-finite, else the `(slope, app, width)` of every segment
+    /// worth filling — positive width and slope, app `skip` left out —
+    /// stably sorted by slope, descending, so ties go by
+    /// `(app, segment)` index.
+    pub(crate) fn fill_order(&self, skip: Option<usize>) -> Option<FillOrder> {
         let finite = self.host_capacity.iter().all(|c| c.is_finite())
             && self.apps.iter().all(|app| {
                 app.cap.is_finite()
@@ -148,46 +169,56 @@ impl WelfareProgram {
         if !finite {
             return None;
         }
-        // (slope, app, width) of every segment worth filling.
-        let mut order: Vec<(f64, usize, f64)> = Vec::new();
+        let mut segments: Vec<(f64, usize, f64)> = Vec::new();
         for (a, app) in self.apps.iter().enumerate() {
             if skip == Some(a) {
                 continue;
             }
-            order.extend(
+            segments.extend(
                 app.segments
                     .iter()
                     .filter(|&&(width, slope)| width > 0.0 && slope > 0.0)
                     .map(|&(width, slope)| (slope, a, width)),
             );
         }
-        order.sort_by(|x, y| y.0.total_cmp(&x.0));
+        segments.sort_by(|x, y| y.0.total_cmp(&x.0));
+        Some(FillOrder {
+            segments,
+            capacity: self.host_capacity.iter().map(|c| c.max(0.0)).sum(),
+        })
+    }
 
-        let mut app_room: Vec<f64> = self.apps.iter().map(|app| app.cap.max(0.0)).collect();
-        let mut window_room: f64 = self.host_capacity.iter().map(|c| c.max(0.0)).sum();
-        let mut values = vec![0.0; self.apps.len()];
-        let mut delivered = vec![0.0; self.apps.len()];
+    /// Fill the segments of `order`, passing over app `skip`'s, each by
+    /// `min(width, app room, window room)`, into `out`'s buffers.
+    pub(crate) fn sweep(&self, order: &FillOrder, skip: Option<usize>, out: &mut Sweep) {
+        let n = self.apps.len();
+        out.room.clear();
+        out.room.extend(self.apps.iter().map(|app| app.cap.max(0.0)));
+        out.values.clear();
+        out.values.resize(n, 0.0);
+        out.delivered.clear();
+        out.delivered.resize(n, 0.0);
+        let mut window_room = order.capacity;
         // The host price is the slope of the first segment the window
         // cut short while its app still had room: one more unit of any
         // host's capacity would go there.
         let mut price = None;
-        for (slope, a, width) in order {
-            let wanted = width.min(app_room[a]);
+        for &(slope, a, width) in &order.segments {
+            if skip == Some(a) {
+                continue;
+            }
+            let wanted = width.min(out.room[a]);
             if window_room < wanted && price.is_none() {
                 price = Some(slope);
             }
             let fill = wanted.min(window_room);
-            app_room[a] -= fill;
+            out.room[a] -= fill;
             window_room -= fill;
-            values[a] += slope * fill;
-            delivered[a] += fill;
+            out.values[a] += slope * fill;
+            out.delivered[a] += fill;
         }
-        Some(Sweep {
-            welfare: values.iter().sum(),
-            values,
-            delivered,
-            price: price.unwrap_or(0.0),
-        })
+        out.welfare = out.values.iter().sum();
+        out.price = price.unwrap_or(0.0);
     }
 
     /// Place each app's delivery on hosts northwest-corner style: apps
@@ -213,13 +244,27 @@ impl WelfareProgram {
     }
 }
 
-/// What one greedy sweep over a window yields.
-struct Sweep {
-    welfare: f64,
-    values: Vec<f64>,
-    delivered: Vec<f64>,
+/// A window's segments in fill order and the capacity they share; see
+/// [`WelfareProgram::fill_order`].
+pub(crate) struct FillOrder {
+    /// `(slope, app, width)`, slope descending, ties by index.
+    segments: Vec<(f64, usize, f64)>,
+    /// The window capacity `Σ_h max(capacity_h, 0)`.
+    capacity: f64,
+}
+
+/// What one greedy sweep over a window yields. Its buffers are
+/// overwritten by each [`WelfareProgram::sweep`], so one `Sweep` serves
+/// any number of sweeps without allocating again.
+#[derive(Default)]
+pub(crate) struct Sweep {
+    pub(crate) welfare: f64,
+    pub(crate) values: Vec<f64>,
+    pub(crate) delivered: Vec<f64>,
     /// The window's capacity price, the same on every host.
-    price: f64,
+    pub(crate) price: f64,
+    /// Room left under each app's cap.
+    room: Vec<f64>,
 }
 
 #[cfg(test)]

@@ -318,7 +318,14 @@ impl Bank {
                 parent,
                 label,
             } => {
-                let next = id.checked_add(1).ok_or_else(bad)?;
+                // A fresh id that leaves `next_account < u64::MAX`, the
+                // bound `snapshot_is_consistent` puts on snapshots:
+                // re-opening would zero a balance, and `u64::MAX` would
+                // overflow the next `open_account`.
+                let next = id.checked_add(1).filter(|&n| n < u64::MAX).ok_or_else(bad)?;
+                if self.accounts.contains_key(&AccountId(id)) {
+                    return Err(bad());
+                }
                 self.accounts.insert(
                     AccountId(id),
                     Account {

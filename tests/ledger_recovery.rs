@@ -153,6 +153,51 @@ fn crafted_wal_events_are_bad_events_not_panics() {
     }
 }
 
+/// An `AccountOpen` the live bank could never have journaled — an id
+/// already open, or one that would leave `next_account` at `u64::MAX` —
+/// is a bad event: replaying the first would wipe the account's balance,
+/// and the second would make the next `open_account` overflow.
+#[test]
+fn crafted_account_opens_are_bad_events() {
+    use gm_tycoon::{BankEvent, Credits, RecoverError};
+
+    let seed_bytes = SEED.to_be_bytes();
+    let owner = Bank::new(&seed_bytes).public_key();
+    let open = |id: u64| BankEvent::AccountOpen {
+        id,
+        owner,
+        parent: None,
+        label: "crafted".into(),
+    };
+    let mint = BankEvent::Mint {
+        to: 0,
+        amount: Credits::from_whole(5),
+    };
+    let cases: [(&str, Vec<BankEvent>, usize); 3] = [
+        ("account id below the last", vec![open(u64::MAX - 1)], 0),
+        ("re-opened funded account", vec![open(0), mint, open(0)], 2),
+        ("re-opened empty account", vec![open(3), open(3)], 1),
+    ];
+    for (name, events, bad_at) in cases {
+        let journal = SharedJournal::new();
+        for ev in &events {
+            journal.append(&ev.encode());
+        }
+        match Bank::recover(&seed_bytes, &journal) {
+            Err(RecoverError::BadEvent(i)) => assert_eq!(i, bad_at, "{name}"),
+            Err(e) => panic!("{name}: wrong error {e}"),
+            Ok(_) => panic!("{name}: crafted WAL recovered"),
+        }
+    }
+    // The largest id the rule still admits recovers and leaves room to
+    // open one more account.
+    let journal = SharedJournal::new();
+    journal.append(&open(u64::MAX - 2).encode());
+    let (mut bank, _) = Bank::recover(&seed_bytes, &journal).expect("id u64::MAX - 2 recovers");
+    bank.open_account(owner, "next");
+    assert_eq!(bank.account_count(), 2);
+}
+
 /// Snapshot frames are checksummed but not authenticated either, so
 /// recovery must refuse a crafted snapshot the live bank could never have
 /// written instead of adopting it. Each case runs the operation the

@@ -11,10 +11,17 @@
 //! * VCG: non-negative payments, individual rationality, and
 //!   truthfulness on sampled misreports (scaling your value curve never
 //!   beats reporting it straight).
+//!
+//! The simplex is test-only code and lives beside this file
+//! (`lp_properties/simplex.rs`), its own unit tests with it.
 
 use gm_des::check::{check, Gen};
-use gm_numeric::{Cmp, Lp, LpOutcome};
 use gm_optimal::{vcg, SlaCurve, WelfareApp, WelfareProgram};
+
+#[path = "lp_properties/simplex.rs"]
+mod simplex;
+
+use simplex::{Cmp, Lp, LpOutcome};
 
 /// A constraint row as handed to `Lp::constrain`: sparse terms + rhs.
 type LeRow = (Vec<(usize, f64)>, f64);
@@ -341,5 +348,118 @@ fn truthful_reporting_weakly_dominates_sampled_misreports() {
             u_truth >= u_dev - 1e-6 * (1.0 + u_truth.abs()),
             "misreport λ={lambda} beats truth: {u_dev} > {u_truth} (app {a})"
         );
+    });
+}
+
+/// A window built to hit every edge of the fill rules: slopes from a
+/// small palette (equal slopes across apps are common) that includes
+/// zero and negative ones, zero-width segments, segments out of slope
+/// order, apps with cap 0 or below, and crashed hosts at zero or
+/// negative capacity (sometimes all of them).
+fn random_edge_window(g: &mut Gen) -> WelfareProgram {
+    let all_crashed = g.ratio(1, 10);
+    let caps: Vec<f64> = (0..g.usize_in(1, 8))
+        .map(|_| match g.usize_in(0, 7) {
+            _ if all_crashed => 0.0,
+            0 => 0.0,
+            1 => -g.f64_in(1.0, 50.0),
+            _ => g.f64_in(5.0, 60.0),
+        })
+        .collect();
+    let mut program = WelfareProgram::new(caps);
+    for a in 0..g.usize_in(1, 12) {
+        let segments: Vec<(f64, f64)> = (0..g.usize_in(0, 4))
+            .map(|_| {
+                let width = if g.ratio(1, 6) { 0.0 } else { *g.choose(&[5.0, 10.0, 12.5, 30.0]) };
+                (width, *g.choose(&[-1.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0]))
+            })
+            .collect();
+        let cap = match g.usize_in(0, 7) {
+            0 => 0.0,
+            1 => -g.f64_in(1.0, 20.0),
+            _ => g.f64_in(1.0, 60.0),
+        };
+        program.add_app(WelfareApp {
+            id: a as u32,
+            segments,
+            cap,
+        });
+    }
+    program
+}
+
+/// The from-scratch greedy sweep, kept here as an independent model of
+/// what `vcg` prices: collect the positive-width, positive-slope
+/// segments of every app but `skip`, stable-sort them by slope
+/// (descending) and fill each by `min(width, app room, window room)`.
+/// Returns the per-app values.
+fn reference_values(program: &WelfareProgram, skip: Option<usize>) -> Vec<f64> {
+    let apps = program.apps();
+    let mut order: Vec<(f64, usize, f64)> = Vec::new();
+    for (a, app) in apps.iter().enumerate() {
+        if skip == Some(a) {
+            continue;
+        }
+        for &(width, slope) in &app.segments {
+            if width > 0.0 && slope > 0.0 {
+                order.push((slope, a, width));
+            }
+        }
+    }
+    order.sort_by(|x, y| y.0.total_cmp(&x.0));
+    let mut room: Vec<f64> = apps.iter().map(|app| app.cap.max(0.0)).collect();
+    let mut window: f64 = program.host_capacity().iter().map(|c| c.max(0.0)).sum();
+    let mut values = vec![0.0; apps.len()];
+    for (slope, a, width) in order {
+        let fill = width.min(room[a]).min(window);
+        room[a] -= fill;
+        window -= fill;
+        values[a] += slope * fill;
+    }
+    values
+}
+
+/// VCG over [`reference_values`]: the full welfare and, per app,
+/// `(value, W_{-a}, payment)` by the rules `vcg` documents.
+fn reference_vcg(program: &WelfareProgram) -> (f64, Vec<[f64; 3]>) {
+    let values = reference_values(program, None);
+    let welfare: f64 = values.iter().sum();
+    let receipts = values
+        .iter()
+        .enumerate()
+        .map(|(a, &value)| {
+            let without = if value <= 0.0 {
+                welfare
+            } else {
+                reference_values(program, Some(a)).iter().sum()
+            };
+            [value, without, (without - (welfare - value)).clamp(0.0, value.max(0.0))]
+        })
+        .collect();
+    (welfare, receipts)
+}
+
+#[test]
+fn vcg_prices_bit_identically_to_a_from_scratch_sweep_per_app() {
+    check("vcg-vs-reference-sweep", 2000, |g| {
+        let program = random_edge_window(g);
+        let out = vcg(&program).expect("finite window prices");
+        let (welfare, receipts) = reference_vcg(&program);
+        assert_eq!(
+            out.solution.welfare.to_bits(),
+            welfare.to_bits(),
+            "W {} vs {welfare}",
+            out.solution.welfare
+        );
+        assert_eq!(out.receipts.len(), receipts.len());
+        for (a, (r, want)) in out.receipts.iter().zip(&receipts).enumerate() {
+            let got = [r.value, r.welfare_without, r.payment];
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "app {a}: (value, W_-a, payment) {got:?} vs {want:?} in {program:?}"
+            );
+            assert_eq!(r.welfare_with.to_bits(), welfare.to_bits());
+        }
     });
 }
