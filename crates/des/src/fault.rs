@@ -359,15 +359,17 @@ impl FaultPlan {
             }
         }
 
-        plan.normalize();
         plan
     }
 
-    /// Append an event (kept unsorted until the next query; queries sort
-    /// lazily via [`FaultPlan::normalize`]).
+    /// Schedule an event. The plan stays sorted by `(at, kind, target)`:
+    /// the event goes after every event with an equal or smaller key, so
+    /// equal keys keep their insertion order, as a stable sort would.
     pub fn push(&mut self, at: SimTime, kind: FaultKind, target: u32) -> &mut Self {
         assert_eq!(self.cursor, 0, "cannot extend a plan already being consumed");
-        self.events.push(FaultEvent { at, kind, target });
+        let key = (at, kind, target);
+        let i = self.events.partition_point(|e| (e.at, e.kind, e.target) <= key);
+        self.events.insert(i, FaultEvent { at, kind, target });
         self
     }
 
@@ -429,13 +431,7 @@ impl FaultPlan {
         self.push(at, FaultKind::HostStall, gray_target(host, window_secs))
     }
 
-    /// Sort events by `(time, kind, target)`. Called automatically by
-    /// [`FaultPlan::generate`] and [`FaultPlan::take_due`].
-    pub fn normalize(&mut self) {
-        self.events.sort_by_key(|e| (e.at, e.kind, e.target));
-    }
-
-    /// All scheduled events in time order.
+    /// All scheduled events in `(at, kind, target)` order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
@@ -450,11 +446,13 @@ impl FaultPlan {
         self.remaining() == 0
     }
 
+    /// Time of the next not-yet-consumed event (`None` once exhausted).
+    pub fn next_at(&self) -> Option<SimTime> {
+        self.events.get(self.cursor).map(|e| e.at)
+    }
+
     /// Consume and return every not-yet-consumed event with `at <= now`.
     pub fn take_due(&mut self, now: SimTime) -> Vec<FaultEvent> {
-        if self.cursor == 0 {
-            self.normalize();
-        }
         let start = self.cursor;
         while self.cursor < self.events.len() && self.events[self.cursor].at <= now {
             self.cursor += 1;
@@ -767,6 +765,44 @@ mod tests {
         assert_eq!(gray_payload(due[1].target), 900);
         assert_eq!(due[2].kind, FaultKind::HostRestore);
         assert_eq!(due[2].target, 3);
+    }
+
+    #[test]
+    fn next_at_is_sorted_before_the_first_take() {
+        let mut plan = FaultPlan::new();
+        assert_eq!(plan.next_at(), None);
+        plan.host_crash(SimTime::from_secs(50), 1)
+            .vm_failure(SimTime::from_secs(10), 0);
+        assert_eq!(plan.next_at(), Some(SimTime::from_secs(10)));
+        plan.take_due(SimTime::from_secs(10));
+        assert_eq!(plan.next_at(), Some(SimTime::from_secs(50)));
+        plan.take_due(SimTime::from_secs(50));
+        assert_eq!(plan.next_at(), None);
+    }
+
+    #[test]
+    fn pushes_match_a_stable_sort_of_the_push_order() {
+        crate::check::check("fault_plan_push_order", 200, |g| {
+            let kinds = [
+                FaultKind::HostCrash,
+                FaultKind::VmFailure,
+                FaultKind::BankOutage,
+                FaultKind::HostSlowdown,
+            ];
+            let mut plan = FaultPlan::new();
+            let mut pushed = Vec::new();
+            for _ in 0..g.usize_in(0, 24) {
+                let e = FaultEvent {
+                    at: SimTime::from_secs(g.u64_in(0, 6)),
+                    kind: kinds[g.usize_in(0, kinds.len() - 1)],
+                    target: g.u64_in(0, 2) as u32,
+                };
+                plan.push(e.at, e.kind, e.target);
+                pushed.push(e);
+            }
+            pushed.sort_by_key(|e| (e.at, e.kind, e.target));
+            assert_eq!(plan.events(), &pushed[..]);
+        });
     }
 
     #[test]

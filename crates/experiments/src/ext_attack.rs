@@ -60,7 +60,7 @@ pub fn attack_cfg() -> ChaosConfig {
 /// The strategic cohort for `(kind, seed)`: context derived from the
 /// chaos config, arrivals from the seed's fault plan, randomness from a
 /// salted stream — byte-identical for every policy that faces it.
-fn hostile_stream(kind: AttackKind, seed: u64, cfg: &ChaosConfig) -> Vec<JobRequest> {
+pub fn hostile_stream(kind: AttackKind, seed: u64, cfg: &ChaosConfig) -> Vec<JobRequest> {
     let plan = FaultPlan::generate(seed, cfg.fault_gen());
     // Unloaded honest batch makespan: each host runs its share of the
     // honest sub-jobs back to back at full speed. Strategies time their

@@ -8,7 +8,17 @@
 //! ```text
 //! per tick:  begin_tick → faults → admit arrivals → place → advance
 //!            → settle → price sample → now += interval
+//!            → skip_quiet (up to the next fault, arrival or horizon)
 //! ```
+//!
+//! After each stepped tick the driver offers the policy a *quiet span*:
+//! every tick strictly before the next due fault, the next arrival and
+//! the horizon. A policy whose next ticks would change nothing but its
+//! clocks, counters and price samples advances them in one
+//! [`AllocationPolicy::skip_quiet`] call, and the driver books the
+//! skipped ticks exactly as if it had stepped them. The default steps
+//! every tick, so the per-tick path is the reference that any skipping
+//! policy is tested against.
 //!
 //! The driver owns everything policy-independent: the host inventory,
 //! the interval, the horizon, the arrival stream ordering (by
@@ -136,6 +146,21 @@ pub trait AllocationPolicy {
     /// (`None` ⇒ no sample; FIFO and equal-share never post).
     fn price(&self, ctx: &TickCtx) -> Option<f64>;
 
+    /// Advance up to `max` ticks at once, starting with the tick at
+    /// `ctx.now`, and return how many were advanced (at most `max`).
+    ///
+    /// The driver offers only ticks strictly before the next fault, the
+    /// next arrival and the horizon. A policy may skip a tick only when
+    /// running the full hook sequence for it would change nothing but
+    /// clocks, counters and samples; skipping must leave exactly the
+    /// state that stepping those ticks would, and [`price`] must return
+    /// the same value at every skipped tick. The default skips nothing.
+    ///
+    /// [`price`]: AllocationPolicy::price
+    fn skip_quiet(&mut self, _ctx: &TickCtx, _max: u64) -> u64 {
+        0
+    }
+
     /// True when every admitted job has reached a terminal state and no
     /// money/slots remain in flight — the driver's early-exit condition.
     fn all_settled(&self) -> bool;
@@ -146,11 +171,23 @@ pub trait AllocationPolicy {
     fn outcomes(&self, now: SimTime) -> Vec<JobOutcome>;
 }
 
+/// How many ticks `now, now + dt, …` fall strictly before `t`.
+fn ticks_before(now: SimTime, dt: SimDuration, t: SimTime) -> u64 {
+    let dt = dt.as_micros();
+    if t <= now || dt == 0 {
+        return 0;
+    }
+    (t.as_micros() - now.as_micros()).div_ceil(dt)
+}
+
 /// Counters the driver maintains across one run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DriverStats {
-    /// Ticks executed.
+    /// Ticks executed, stepped or skipped.
     pub ticks: u64,
+    /// Ticks of `ticks` the policy skipped as quiet
+    /// ([`AllocationPolicy::skip_quiet`]) instead of stepping them.
+    pub quiet_ticks: u64,
     /// Jobs admitted (≤ requests when some arrive past the horizon).
     pub admitted: usize,
     /// Fault events delivered to the policy.
@@ -302,6 +339,39 @@ impl PolicyDriver {
             if next == order.len() && faults.is_exhausted() && policy.all_settled() {
                 break;
             }
+            let arrival = order.get(next).map(|&i| requests[i].arrival);
+            let max = [faults.next_at(), arrival, Some(self.horizon)]
+                .into_iter()
+                .flatten()
+                .map(|t| ticks_before(now, dt, t))
+                .min()
+                .unwrap_or(0);
+            if max == 0 {
+                continue;
+            }
+            let ctx = TickCtx {
+                now,
+                interval_secs: self.interval_secs,
+                hosts: &self.hosts,
+            };
+            let k = policy.skip_quiet(&ctx, max);
+            assert!(k <= max, "{} skipped {k} ticks of {max}", policy.name());
+            if k == 0 {
+                continue;
+            }
+            let last = TickCtx {
+                now: now + dt * (k - 1),
+                ..ctx
+            };
+            if let Some(p) = policy.price(&last) {
+                price_history.extend((0..k).map(|i| (now + dt * i, p)));
+            }
+            self.stats.ticks += k;
+            self.stats.quiet_ticks += k;
+            if let Some(ins) = &self.instruments {
+                ins.ticks.add(k);
+            }
+            now += dt * k;
         }
 
         self.stats.final_now = now;

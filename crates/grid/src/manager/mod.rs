@@ -266,4 +266,14 @@ impl JobManager {
     pub fn all_settled(&self) -> bool {
         self.jobs.values().all(|j| j.phase != JobPhase::Running)
     }
+
+    /// True when a `pre_tick` + `post_tick` round would change nothing:
+    /// no job is `Running`, and no host is on probation, so
+    /// `age_probations` has no clock to advance and `publish_health`
+    /// republishes the scores the last round already published. (A
+    /// score leaves probation with its probation count reset, so "not on
+    /// probation" also means "holding no probation count".)
+    pub fn is_quiet(&self) -> bool {
+        self.all_settled() && !self.health.values().any(HealthScore::on_probation)
+    }
 }

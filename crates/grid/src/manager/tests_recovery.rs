@@ -4,7 +4,7 @@
 use gm_des::{SimDuration, SimTime};
 use gm_tycoon::{Credits, HostId, MarketError};
 
-use super::testutil::{make_spec, world};
+use super::testutil::{make_spec, run_until_settled, world};
 use super::{GridError, JobPhase};
 use crate::token::TransferToken;
 
@@ -300,4 +300,31 @@ fn malformed_transfer_tokens_in_xrsl_never_panic() {
             "malformed token must be BadDescription, got {err:?}"
         );
     });
+}
+
+#[test]
+fn a_probated_host_keeps_a_settled_manager_from_being_quiet() {
+    let mut w = world(2, 1_000);
+    let spec = make_spec(&mut w, 200, 2, 600);
+    w.jm.submit(&mut w.market, SimTime::ZERO, &spec).unwrap();
+    assert!(!w.jm.is_quiet(), "a running job is work");
+    run_until_settled(&mut w, 4);
+    assert!(w.jm.is_quiet());
+
+    // A host on probation still ages its probation clock every tick.
+    let cfg = w.jm.config.health;
+    let mut hs = gm_tycoon::HealthScore::new();
+    while !hs.on_probation() {
+        hs.observe(0.0, 1.0, &cfg);
+    }
+    w.jm.health.insert(HostId(0), hs);
+    let mut now = SimTime::ZERO;
+    let mut ticks = 0;
+    while !w.jm.is_quiet() {
+        w.jm.pre_tick(&mut w.market, now);
+        now += SimDuration::from_secs(10);
+        ticks += 1;
+    }
+    assert_eq!(ticks, cfg.probe_after, "quiet once the probation TTL released the host");
+    assert!(!w.jm.host_on_probation(HostId(0)));
 }

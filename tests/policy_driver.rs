@@ -2,6 +2,9 @@
 //! allocator runs under the same [`PolicyDriver`], so conservation
 //! invariants and regression pins can be asserted uniformly.
 //!
+//! A toy policy pins the driver's quiet-span contract
+//! ([`AllocationPolicy::skip_quiet`]) against stepping every tick.
+//!
 //! `tests/golden/policy_outcomes.txt` pins every outcome of every policy
 //! bit for bit. Regenerate it (only for an intended, reviewed change):
 //!
@@ -17,8 +20,9 @@ use common::{drive, hosts, workload};
 use gm_baselines::{FifoPolicy, GCommercePolicy, Placement, Pricing, SharePolicy, WtaPolicy};
 use gm_experiments::mc::tycoon_policy;
 use gm_optimal::VcgSlaPolicy;
+use gridmarket::des::check::{check, Gen};
 use gridmarket::des::{FaultGenConfig, FaultPlan, SimDuration, SimTime};
-use gridmarket::sched::{AllocationPolicy, JobRequest, PolicyDriver, RunResult};
+use gridmarket::sched::{AllocationPolicy, JobRequest, PolicyDriver, RunResult, TickCtx};
 use gridmarket::tycoon::{UserId, DEFAULT_INTERVAL_SECS};
 
 /// Work conservation under *every* policy: no allocator invents
@@ -262,4 +266,170 @@ fn every_policy_outcome_matches_the_golden_bits() {
         assert_eq!(want, got, "golden mismatch at line {}", i + 1);
     }
     assert_eq!(golden, out, "golden mismatch: line counts differ");
+}
+
+/// A toy policy for the quiet-span contract. Each admitted job needs a
+/// number of ticks of work, each fault a few ticks of repair; in between
+/// the toy is idle and, when `skips` is set, skips every tick it is
+/// offered (at most `cap` per call). It logs each hook with its tick,
+/// and logs a skipped tick as the hooks an idle tick would have run.
+struct Toy {
+    skips: bool,
+    cap: u64,
+    work: Vec<u64>,
+    repair: u64,
+    done: u32,
+    log: Vec<String>,
+    /// What the toy checks each offer against: the plan's fault times,
+    /// the arrival times in admission order, the horizon, the tick.
+    fault_times: Vec<SimTime>,
+    faults_seen: usize,
+    arrivals: Vec<SimTime>,
+    dt: SimDuration,
+    horizon: SimTime,
+}
+
+impl Toy {
+    fn idle(&self) -> bool {
+        self.repair == 0 && self.work.iter().all(|&w| w == 0)
+    }
+
+    /// Ticks `now, now + dt, …` strictly before `t`.
+    fn ticks_before(&self, now: SimTime, t: SimTime) -> u64 {
+        let dt = self.dt.as_micros();
+        t.as_micros().saturating_sub(now.as_micros()).div_ceil(dt)
+    }
+}
+
+impl AllocationPolicy for Toy {
+    fn name(&self) -> &'static str {
+        "toy"
+    }
+    fn begin_tick(&mut self, ctx: &TickCtx) {
+        self.log.push(format!("begin {}", ctx.now.as_micros()));
+    }
+    fn apply_fault(&mut self, ctx: &TickCtx, ev: &gridmarket::des::FaultEvent) {
+        self.faults_seen += 1;
+        self.repair += 1 + u64::from(ev.target % 3);
+        self.log.push(format!("fault {} {:?}", ctx.now.as_micros(), ev.kind));
+    }
+    fn admit(&mut self, ctx: &TickCtx, req: &JobRequest) -> Result<(), gridmarket::PolicyError> {
+        self.work.push(u64::from(req.subjobs));
+        self.log.push(format!("admit {} {}", ctx.now.as_micros(), req.id));
+        Ok(())
+    }
+    fn place(&mut self, ctx: &TickCtx) {
+        self.log.push(format!("place {}", ctx.now.as_micros()));
+    }
+    fn advance(&mut self, ctx: &TickCtx) {
+        self.repair = self.repair.saturating_sub(1);
+        if let Some(w) = self.work.iter_mut().find(|w| **w > 0) {
+            *w -= 1;
+            if *w == 0 {
+                self.done += 1;
+            }
+        }
+        self.log.push(format!("advance {}", ctx.now.as_micros()));
+    }
+    fn settle(&mut self, ctx: &TickCtx) {
+        self.log.push(format!("settle {}", ctx.now.as_micros()));
+    }
+    fn price(&self, _ctx: &TickCtx) -> Option<f64> {
+        // Posts on even counts only, so skipped spans cover `None` too.
+        self.done.is_multiple_of(2).then_some(f64::from(self.done) * 0.25)
+    }
+    fn skip_quiet(&mut self, ctx: &TickCtx, max: u64) -> u64 {
+        let next_fault = self.fault_times.get(self.faults_seen).copied();
+        let next_arrival = self.arrivals.get(self.work.len()).copied();
+        let allowed = [next_fault, next_arrival, Some(self.horizon)]
+            .into_iter()
+            .flatten()
+            .map(|t| self.ticks_before(ctx.now, t))
+            .min()
+            .unwrap_or(0);
+        assert!(max > 0, "offered an empty span at {:?}", ctx.now);
+        assert_eq!(max, allowed, "offered {max} ticks at {:?}, {allowed} lie before the next event", ctx.now);
+        if !self.skips || !self.idle() {
+            return 0;
+        }
+        let k = max.min(self.cap);
+        for i in 0..k {
+            let t = (ctx.now + self.dt * i).as_micros();
+            for hook in ["begin", "place", "advance", "settle"] {
+                self.log.push(format!("{hook} {t}"));
+            }
+        }
+        k
+    }
+    fn all_settled(&self) -> bool {
+        self.idle()
+    }
+    fn outcomes(&self, _now: SimTime) -> Vec<gridmarket::sched::JobOutcome> {
+        Vec::new()
+    }
+}
+
+/// The driver's quiet-span contract: a policy that skips whenever it is
+/// offered a span ends with the same tick count, final clock, price
+/// samples and hook sequence as the same policy stepped tick by tick,
+/// and is never offered a span that reaches a due fault, an arrival or
+/// the horizon (the toy asserts each offer is exactly the ticks before
+/// the nearest of the three).
+#[test]
+fn skipping_quiet_spans_matches_stepping_every_tick() {
+    let mut skipped = 0;
+    check("driver_quiet_spans", 300, |g: &mut Gen| {
+        let dt = SimDuration::from_micros(g.u64_in(1, 30) * 500_000);
+        let horizon = SimTime::from_secs(g.u64_in(0, 4 * 3600));
+        let jobs: Vec<JobRequest> = (0..g.u64_in(0, 5) as u32)
+            .map(|id| JobRequest {
+                id,
+                user: UserId(id + 1),
+                subjobs: g.u64_in(1, 40) as u32,
+                work_per_subjob: 1.0,
+                arrival: SimTime::from_micros(g.u64_in(0, 5 * 3600 * 1_000_000)),
+                budget: 1.0,
+                deadline_secs: 60.0,
+            })
+            .collect();
+        let mut plan = FaultPlan::new();
+        for _ in 0..g.u64_in(0, 6) {
+            let at = SimTime::from_micros(g.u64_in(0, 5 * 3600 * 1_000_000));
+            plan.host_crash(at, g.u64_in(0, 5) as u32);
+        }
+        let mut arrivals: Vec<(SimTime, u32)> = jobs.iter().map(|j| (j.arrival, j.id)).collect();
+        arrivals.sort();
+        let cap = if g.bool() { u64::MAX } else { g.u64_in(1, 50) };
+        let run = |skips: bool| {
+            let mut toy = Toy {
+                skips,
+                cap,
+                work: Vec::new(),
+                repair: 0,
+                done: 0,
+                log: Vec::new(),
+                fault_times: plan.events().iter().map(|e| e.at).collect(),
+                faults_seen: 0,
+                arrivals: arrivals.iter().map(|a| a.0).collect(),
+                dt,
+                horizon,
+            };
+            let mut driver = PolicyDriver::new(hosts(2), dt.as_secs_f64())
+                .horizon(horizon)
+                .faults(plan.clone());
+            let r = driver.run(&mut toy, &jobs).expect("valid jobs");
+            (*driver.stats(), r.price_history, toy.log)
+        };
+        let (skip, skip_prices, skip_log) = run(true);
+        let (step, step_prices, step_log) = run(false);
+        assert_eq!(step.quiet_ticks, 0);
+        assert_eq!(
+            (skip.ticks, skip.final_now, skip.admitted, skip.faults_injected),
+            (step.ticks, step.final_now, step.admitted, step.faults_injected)
+        );
+        assert_eq!(skip_prices, step_prices, "price samples differ");
+        assert_eq!(skip_log, step_log, "hook sequences differ");
+        skipped += skip.quiet_ticks;
+    });
+    assert!(skipped > 0, "no case skipped a tick");
 }

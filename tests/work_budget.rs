@@ -8,7 +8,14 @@
 //! default chaos seeds, and bounds `market.bank_transfers /
 //! market.bids_placed` in each, so a change that returns to per-tick
 //! top-ups (about 215 transfers per bid on these worlds) fails here.
+//!
+//! The driver skips quiet spans (ticks with no running job and no live
+//! bid) in one call, so the ticks it steps one by one scale with the
+//! work, not with how far the fault plan reaches. The second test bounds
+//! the share of ticks stepped on the same four chaos seeds, so a change
+//! that steps every tick again fails here.
 
+use gm_experiments::mc::{chaos_driver, job_stream, tycoon_policy};
 use gm_ledger::SharedJournal;
 use gridmarket::scenario::{Scenario, ScenarioResult};
 use gridmarket::ChaosConfig;
@@ -54,5 +61,38 @@ fn signed_transfers_per_placed_bid_stay_within_budget() {
             "chaos seed {seed}: money not conserved"
         );
         assert_within_budget(&format!("chaos seed {seed}"), &r);
+    }
+}
+
+/// Share of ticks stepped one by one, at most. The four chaos seeds
+/// below step 15.5–17.5% of their ticks; the bound is the worst plus
+/// about 10%. Stepping every tick (100%) fails it.
+const MAX_STEPPED_SHARE: f64 = 0.19;
+
+#[test]
+fn chaos_runs_step_only_a_bounded_share_of_their_ticks() {
+    // The default chaos hosts and fault plans, with the 15 sub-jobs per
+    // user that `ChaosConfig::scenario` runs. `Scenario` does not expose
+    // its driver's counters, so the world comes from the matrix helpers.
+    let cfg = ChaosConfig {
+        subjobs: 15,
+        ..ChaosConfig::default()
+    };
+    for seed in 0..4u64 {
+        let mut driver = chaos_driver(seed, &cfg);
+        let mut policy = tycoon_policy(seed, driver.host_specs(), |m| {
+            m.attach_ledger(SharedJournal::new())
+        });
+        driver.run(&mut policy, &job_stream(&cfg)).expect("chaos run");
+        let s = driver.stats();
+        let stepped = s.ticks - s.quiet_ticks;
+        let share = stepped as f64 / s.ticks as f64;
+        assert!(
+            share <= MAX_STEPPED_SHARE,
+            "chaos seed {seed}: stepped {stepped} of {} ticks ({:.1}%, budget {:.1}%)",
+            s.ticks,
+            share * 100.0,
+            MAX_STEPPED_SHARE * 100.0
+        );
     }
 }
