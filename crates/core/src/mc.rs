@@ -184,7 +184,11 @@ pub struct ChaosMetrics {
     pub stalled_jobs: f64,
     /// Fault events delivered from the generated schedule.
     pub faults_injected: f64,
-    /// Simulated hours until the run settled.
+    /// Simulated hours until the last job settled: the largest user
+    /// makespan, with an unfinished job counted to the end of the run.
+    /// The same quantity the baseline rows report
+    /// (`RunResult::batch_makespan_secs`), so the column compares across
+    /// policies.
     pub makespan_hours: f64,
     /// Realized social welfare under the suite's shared value model
     /// (DESIGN.md §14): Σ funding over users whose job finished within
@@ -233,7 +237,7 @@ impl ChaosMetrics {
             redispatched: r.fault_counters.redispatched as f64,
             stalled_jobs: r.fault_counters.jobs_stalled_by_faults as f64,
             faults_injected: r.faults_injected as f64,
-            makespan_hours: r.finished_at.as_hours_f64(),
+            makespan_hours: r.users.iter().map(|u| u.time_hours).fold(0.0, f64::max),
             welfare,
             revenue,
         }
@@ -309,6 +313,18 @@ mod tests {
         let b = chaos_scenario(0xC0A0, &cfg);
         assert_eq!(a.rows(), b.rows(), "same seed must give identical metrics");
         assert!(a.faults_injected > 0.0, "the generated plan must fire");
+    }
+
+    #[test]
+    fn makespan_is_the_last_jobs_not_the_runs_end() {
+        // Faults reach hours past the jobs in the default world, so the
+        // run's end clock would overstate the makespan several times.
+        let cfg = ChaosConfig::default();
+        let r = cfg.scenario(0xC0A0).run().expect("chaos scenario runs");
+        let m = ChaosMetrics::of(&r, cfg.deadline_minutes);
+        let last_job = r.users.iter().map(|u| u.time_hours).fold(0.0, f64::max);
+        assert_eq!(m.makespan_hours, last_job);
+        assert!(m.makespan_hours < r.finished_at.as_hours_f64());
     }
 
     #[test]
