@@ -27,6 +27,12 @@ use crate::policy::{TycoonJobSetup, TycoonPolicy};
 /// hand-written schedules, so this is far more than any run produces.
 const TRACE_CAPACITY: usize = 4096;
 
+/// The bank checkpoints its journal after this many journaled events
+/// (`Bank::set_snapshot_every`), so a `BankRestart` recovery and each
+/// hourly audit replay a snapshot plus fewer than this many WAL records.
+/// DESIGN.md §11 gives the measurements behind the value.
+pub const LEDGER_SNAPSHOT_EVERY: u64 = 64;
+
 /// The seeded heterogeneous testbed every scenario runs on: `n` hosts
 /// with CPU speeds jittered uniformly in `base·(1 ± heterogeneity)`,
 /// deterministically from the seed. Exposed so baseline policies (which
@@ -220,9 +226,11 @@ impl Scenario {
     /// Attach a durable bank ledger (WAL + snapshot). The bank journals
     /// every monetary event into it, `FaultKind::BankRestart` events
     /// recover the bank from it mid-run, and callers keep a handle to
-    /// crash-test arbitrary prefixes afterwards (DESIGN.md §11). When
-    /// not set, `run` attaches a fresh private journal so restarts work
-    /// in randomly generated fault schedules too.
+    /// crash-test arbitrary prefixes afterwards (DESIGN.md §11). The bank
+    /// checkpoints into it every [`LEDGER_SNAPSHOT_EVERY`] events, so
+    /// the WAL it ends with holds only the events since the last
+    /// checkpoint. When not set, `run` attaches a fresh private journal
+    /// so restarts work in randomly generated fault schedules too.
     pub fn ledger(mut self, journal: SharedJournal) -> Self {
         self.ledger = Some(journal);
         self
@@ -271,6 +279,7 @@ impl Scenario {
         }
         market.attach_telemetry(&registry, Arc::clone(&clock));
         market.attach_ledger(self.ledger.clone().unwrap_or_default());
+        market.bank_mut().set_snapshot_every(LEDGER_SNAPSHOT_EVERY);
         let host_specs = jittered_hosts(self.seed, self.hosts, self.heterogeneity);
         for spec in &host_specs {
             market.add_host(spec.clone());

@@ -187,10 +187,19 @@ impl Bank {
         self.instruments = Some(instruments);
     }
 
-    /// Auto-compact the journal after every `n` journaled events
-    /// (0 disables auto-compaction; default).
+    /// Checkpoint the journal after every `n` journaled events: the
+    /// `n`-th event since the last checkpoint folds the WAL into a fresh
+    /// snapshot, so after every journaled event the WAL holds fewer than
+    /// `n` records and recovery replays a snapshot plus fewer than `n`.
+    /// 0, the default of [`Bank::new`] and [`Bank::recover`], never
+    /// checkpoints on its own. Takes effect once a journal is attached.
     pub fn set_snapshot_every(&mut self, n: u64) {
         self.snapshot_every = n;
+    }
+
+    /// The checkpoint cadence set by [`Bank::set_snapshot_every`].
+    pub fn snapshot_every(&self) -> u64 {
+        self.snapshot_every
     }
 
     /// Compact the journal to a snapshot of the current state now.

@@ -412,8 +412,12 @@ impl AuditReport {
 /// every N driver ticks (see `TycoonPolicy::settle` in `gridmarket`).
 #[derive(Clone, Copy, Debug)]
 pub struct ConservationAuditor {
-    /// Upper bound on journaled transfers to signature-check per pass
-    /// (the most recent ones), keeping the online audit O(1)-ish.
+    /// Upper bound on journaled transfers to signature-check per pass:
+    /// the newest ones still in the WAL. The pass replays (checksums and
+    /// copies) the whole WAL to find them, so its cost grows with the
+    /// WAL; a bank checkpoint cadence (`Bank::set_snapshot_every`) is
+    /// what bounds it. Transfers already folded into the snapshot are not
+    /// checked, so right after a checkpoint the pass checks none.
     pub spot_check: usize,
 }
 

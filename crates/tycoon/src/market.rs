@@ -146,10 +146,11 @@ impl Market {
     /// Fault injection: the bank process dies and comes back from disk.
     /// With a journal attached, the in-memory bank is **discarded** and
     /// rebuilt via [`Bank::recover`] (then re-attached, which
-    /// checkpoints), the conservation auditor runs, and the bank is
-    /// marked online. Without a journal there is no durable state to
-    /// recover from, so the restart degrades to an outage-restore (the
-    /// in-memory books survive — the volatile pre-ledger behaviour).
+    /// checkpoints, and given the old bank's checkpoint cadence), the
+    /// conservation auditor runs, and the bank is marked online. Without
+    /// a journal there is no durable state to recover from, so the
+    /// restart degrades to an outage-restore (the in-memory books
+    /// survive — the volatile pre-ledger behaviour).
     pub fn restart_bank(&mut self) -> Result<RecoveryReport, RecoverError> {
         let Some(journal) = self.journal.clone() else {
             self.bank_online = true;
@@ -164,6 +165,7 @@ impl Market {
             ins.corrupt_records.add(report.corrupt_records as u64);
         }
         bank.attach_ledger(journal);
+        bank.set_snapshot_every(self.bank.snapshot_every());
         self.bank = bank;
         self.bank_online = true;
         self.audit_ledger();
@@ -1180,6 +1182,39 @@ mod tests {
         assert_eq!(snap.counters["ledger.audit_failures"], 0);
         assert!(snap.counters["ledger.audits"] >= 1);
         assert!(snap.counters["ledger.appends"] > 0);
+    }
+
+    #[test]
+    fn bank_restart_keeps_the_checkpoint_cadence() {
+        const EVERY: u64 = 4;
+        let run = |restart: bool| {
+            let (mut m, acct) = market_with_user(2, 100);
+            let journal = SharedJournal::new();
+            m.attach_ledger(journal.clone());
+            m.bank_mut().set_snapshot_every(EVERY);
+            let other = m
+                .bank_mut()
+                .open_account(Keypair::from_seed(b"o").public, "o");
+            m.bank_mut()
+                .transfer(acct, other, Credits::from_whole(1))
+                .unwrap();
+            if restart {
+                m.restart_bank().unwrap();
+                assert_eq!(m.bank().snapshot_every(), EVERY, "cadence survived");
+            }
+            for i in 0..3 * EVERY as i64 {
+                m.bank_mut()
+                    .transfer(acct, other, Credits::from_whole(1 + i % 3))
+                    .unwrap();
+                assert!(
+                    journal.record_count() < EVERY as usize,
+                    "WAL compacted again"
+                );
+            }
+            let balances = [acct, other].map(|a| m.bank().balance(a).unwrap());
+            (balances, m.bank().state_digest())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

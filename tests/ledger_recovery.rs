@@ -4,7 +4,9 @@
 //! from disk. Every recovered state must satisfy the conservation
 //! auditor (Σbalances == minted, journal replays, receipt signatures
 //! verify, a forged transfer id is rejected) and never forget a spent
-//! token. Mid-record cuts must be truncated as torn tails.
+//! token. Mid-record cuts must be truncated as torn tails. The scenario
+//! checkpoints its journal, so a third sweep drives a bank directly
+//! across several checkpoints and crashes every segment.
 
 use gm_ledger::SharedJournal;
 use gm_tycoon::{Bank, ConservationAuditor};
@@ -112,6 +114,116 @@ fn kill_point_sweep_mid_record_cuts_are_torn_tails() {
         cut += 241;
     }
     assert!(tested > 10, "stride covered too few torn cuts ({tested})");
+}
+
+/// `Scenario` checkpoints the journal every `LEDGER_SNAPSHOT_EVERY`
+/// events, so the sweeps above only reach the WAL written since the
+/// run's last checkpoint. This sweep drives a bank with the same cadence
+/// through random open/mint/transfer/token-spend sequences that cross at
+/// least three checkpoints, copies the disk image after every operation,
+/// and crashes each segment (the WAL between two checkpoints) at every
+/// record boundary. Each recovered bank must hold exactly the state of a
+/// never-checkpointed bank after the same operation, and pass the audit.
+#[test]
+fn kill_point_sweep_across_checkpoints_matches_an_uncheckpointed_bank() {
+    use gm_ledger::Journal;
+    use gm_tycoon::{AccountId, Credits};
+    use gridmarket::des::check::{check, Gen};
+    use gridmarket::scenario::LEDGER_SNAPSHOT_EVERY;
+
+    const CHECKPOINTS: usize = 3;
+    let seed_bytes = SEED.to_be_bytes();
+    let auditor = ConservationAuditor::default();
+    let mut kill_points = 0usize;
+    check("kill_point_sweep_across_checkpoints", 4, |g: &mut Gen| {
+        let journal = SharedJournal::new();
+        let mut bank = Bank::new(&seed_bytes);
+        bank.attach_ledger(journal.clone());
+        bank.set_snapshot_every(LEDGER_SNAPSHOT_EVERY);
+        // The reference: same operations, no journal, no checkpoint.
+        let mut plain = Bank::new(&seed_bytes);
+        let owner = bank.public_key();
+
+        // Each segment's last disk image, with the reference digest after
+        // each of its records (index 0: the state its snapshot holds).
+        let mut segments: Vec<(Journal, Vec<[u8; 32]>)> = Vec::new();
+        let mut digests = vec![plain.state_digest()];
+        let mut image = journal.to_journal();
+        let mut accounts: Vec<AccountId> = Vec::new();
+        let tail_ops = g.usize_in(0, LEDGER_SNAPSHOT_EVERY as usize);
+        let mut ops_after_last = 0;
+        while segments.len() < CHECKPOINTS || ops_after_last < tail_ops {
+            match g.u64_in(0, 9) {
+                0 => {
+                    let id = bank.open_account(owner, "acct");
+                    assert_eq!(plain.open_account(owner, "acct"), id);
+                    accounts.push(id);
+                }
+                _ if accounts.is_empty() => continue,
+                1 | 2 => {
+                    let to = *g.choose(&accounts);
+                    let amount = Credits::from_whole(g.i64_in(1, 100));
+                    assert_eq!(bank.mint(to, amount), plain.mint(to, amount));
+                }
+                3 | 4 => {
+                    let id = g.u64_in(0, plain.snapshot().next_transfer + 2);
+                    assert_eq!(bank.record_token_spend(id), plain.record_token_spend(id));
+                }
+                _ => {
+                    let (from, to) = (*g.choose(&accounts), *g.choose(&accounts));
+                    let amount = Credits::from_whole(g.i64_in(1, 40));
+                    let live = bank.transfer(from, to, amount).map(|r| r.transfer_id);
+                    assert_eq!(
+                        live,
+                        plain.transfer(from, to, amount).map(|r| r.transfer_id)
+                    );
+                }
+            }
+            if segments.len() >= CHECKPOINTS {
+                ops_after_last += 1;
+            }
+            let now = journal.to_journal();
+            if now.snapshot_bytes() != image.snapshot_bytes() {
+                // The operation's event was the cadence's last: its state
+                // went into the new snapshot.
+                assert_eq!(now.record_count(), 0, "a checkpoint empties the WAL");
+                segments.push((
+                    image,
+                    std::mem::replace(&mut digests, vec![plain.state_digest()]),
+                ));
+            } else if now.record_count() > image.record_count() {
+                assert_eq!(
+                    now.record_count(),
+                    image.record_count() + 1,
+                    "one event per operation"
+                );
+                digests.push(plain.state_digest());
+            }
+            image = now;
+        }
+        segments.push((image, digests));
+
+        for (disk, digests) in &segments {
+            assert!(disk.record_count() < LEDGER_SNAPSHOT_EVERY as usize);
+            let mut boundaries = vec![0usize];
+            boundaries.extend_from_slice(disk.record_ends());
+            assert_eq!(boundaries.len(), digests.len());
+            for (records, (&cut, digest)) in boundaries.iter().zip(digests).enumerate() {
+                let crashed = SharedJournal::from_journal(disk.crash_at(cut));
+                let (recovered, report) = Bank::recover(&seed_bytes, &crashed)
+                    .unwrap_or_else(|e| panic!("recovery at boundary {cut} failed: {e}"));
+                assert!(report.snapshot_restored);
+                assert_eq!(report.records_replayed, records, "boundary {cut}");
+                assert_eq!(report.torn_tail_bytes, 0, "boundary {cut} is not torn");
+                assert_eq!(&recovered.state_digest(), digest, "boundary {cut}");
+                let audit = auditor.audit(&recovered, Some(&crashed));
+                assert!(audit.ok(), "audit failed at boundary {cut}: {audit:?}");
+                kill_points += 1;
+            }
+        }
+    });
+    // One case alone covers at least 3 full segments of 64 boundaries.
+    assert!(kill_points >= 187, "only {kill_points} crash points");
 }
 
 /// WAL frames are checksummed but not authenticated, so recovery must

@@ -14,10 +14,20 @@
 //! work, not with how far the fault plan reaches. The second test bounds
 //! the share of ticks stepped on the same four chaos seeds, so a change
 //! that steps every tick again fails here.
+//!
+//! `Scenario` checkpoints the bank journal every `LEDGER_SNAPSHOT_EVERY`
+//! events, so a `BankRestart` recovery replays a snapshot plus a bounded
+//! WAL tail rather than every event since the run began. The third test
+//! bounds the records replayed per restart and the WAL left at the end
+//! of the Table-1-style run and the same four chaos seeds, so a change
+//! that stops checkpointing fails here. (These chaos runs journal nothing
+//! after their one restart; the `gm-tycoon` unit test
+//! `bank_restart_keeps_the_checkpoint_cadence` covers a cadence lost at
+//! a restart.)
 
 use gm_experiments::mc::{chaos_driver, job_stream, tycoon_policy};
 use gm_ledger::SharedJournal;
-use gridmarket::scenario::{Scenario, ScenarioResult};
+use gridmarket::scenario::{Scenario, ScenarioResult, LEDGER_SNAPSHOT_EVERY};
 use gridmarket::ChaosConfig;
 
 /// Signed transfers per placed bid, at most. The worlds below reach 28.0
@@ -36,17 +46,21 @@ fn assert_within_budget(world: &str, r: &ScenarioResult) {
     );
 }
 
-#[test]
-fn signed_transfers_per_placed_bid_stay_within_budget() {
-    // The kill-point sweep's world (`tests/ledger_recovery.rs`): small
-    // enough to stay fast in a debug build.
-    let table1 = Scenario::builder()
+/// The kill-point sweep's world (`tests/ledger_recovery.rs`): small
+/// enough to stay fast in a debug build.
+fn table1_world() -> Scenario {
+    Scenario::builder()
         .seed(2006)
         .hosts(3)
         .chunk_minutes(6.0)
         .deadline_minutes(90)
         .horizon_hours(4)
         .equal_users(2, 80.0)
+}
+
+#[test]
+fn signed_transfers_per_placed_bid_stay_within_budget() {
+    let table1 = table1_world()
         .ledger(SharedJournal::new())
         .run()
         .expect("ledger scenario runs");
@@ -95,4 +109,38 @@ fn chaos_runs_step_only_a_bounded_share_of_their_ticks() {
             MAX_STEPPED_SHARE * 100.0
         );
     }
+}
+
+/// Without checkpoints the table1 world's WAL ends with 186 records, and
+/// chaos seed 0's one restart replays 596.
+#[test]
+fn bank_restarts_replay_fewer_records_than_the_checkpoint_cadence() {
+    let cfg = ChaosConfig::default();
+    let worlds = std::iter::once(("table1".to_owned(), table1_world()))
+        .chain((0..4u64).map(|seed| (format!("chaos seed {seed}"), cfg.scenario(seed))));
+    let mut restarts = 0;
+    for (world, scenario) in worlds {
+        let journal = SharedJournal::new();
+        let r = scenario
+            .ledger(journal.clone())
+            .run()
+            .expect("scenario runs");
+        let c = &r.metrics.counters;
+        let (replayed, recoveries) = (c["ledger.records_replayed"], c["ledger.recoveries"]);
+        if recoveries > 0 {
+            let per_restart = replayed as f64 / recoveries as f64;
+            assert!(
+                per_restart < LEDGER_SNAPSHOT_EVERY as f64,
+                "{world}: {replayed} records replayed over {recoveries} restarts \
+                 ({per_restart:.1} per restart, budget < {LEDGER_SNAPSHOT_EVERY})"
+            );
+        }
+        restarts += recoveries;
+        let wal = journal.record_count();
+        assert!(
+            wal < LEDGER_SNAPSHOT_EVERY as usize,
+            "{world}: the WAL ends with {wal} records (budget < {LEDGER_SNAPSHOT_EVERY})"
+        );
+    }
+    assert!(restarts > 0, "no world restarted the bank");
 }
