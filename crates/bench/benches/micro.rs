@@ -1,7 +1,6 @@
 //! Hot-path microbenchmarks across the substrate crates.
 
 use gm_bench::Harness;
-use gm_bio::{window_similarity, Proteome};
 use gm_crypto::{hmac_sha256, sha256, Keypair};
 use gm_des::{Pcg32, Rng64};
 use gm_numeric::norm_quantile;
@@ -69,19 +68,10 @@ fn bench_numeric(h: &Harness) {
     });
 }
 
-fn bench_bio(h: &Harness) {
-    let proteome = Proteome::synthesize(4, 9);
-    let window = &proteome.proteins[0].seq[..25];
-    let target = &proteome.proteins[1].seq;
-    h.bench("blosum_window_scan", || window_similarity(window, target));
-    h.bench("proteome_synthesize_100", || Proteome::synthesize(100, 7));
-}
-
 fn main() {
     let h = Harness::new();
     bench_best_response(&h);
     bench_auctioneer(&h);
     bench_crypto(&h);
     bench_numeric(&h);
-    bench_bio(&h);
 }

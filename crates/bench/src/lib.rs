@@ -7,7 +7,7 @@
 //! * `figures` — regenerate Fig. 3–7 (quick scale).
 //! * `micro` — hot-path microbenchmarks: Best Response, auctioneer
 //!   allocation, SHA-256, Schnorr sign/verify, token verification,
-//!   Levinson-Durbin, smoothing spline, the BLOSUM62 scan kernel.
+//!   Levinson-Durbin, smoothing spline.
 //! * `ablations` — design-choice ablations called out in `DESIGN.md`:
 //!   per-interval rebidding on/off, bid-rate premium cap, VM provisioning
 //!   cost, AR smoothing on/off.

@@ -5,25 +5,12 @@
 //! alignment search tool performing stepwise similarity searches using a
 //! sliding window algorithm", a trivially parallelizable bag-of-tasks.
 //!
-//! We cannot ship the human proteome, so [`proteome`] synthesizes one with
-//! realistic residue frequencies and protein lengths (substitution
-//! documented in `DESIGN.md`); [`scan`] then runs a *real* CPU-bound
-//! BLOSUM62 sliding-window similarity search over it. The experiments only
-//! require the workload to be CPU-intensive (§5.1: "none of the
-//! experiments depend in any way on the application-specific node
-//! processing"), but the examples genuinely compute.
-//!
+//! The experiments only require the workload to be CPU-intensive (§5.1:
+//! "none of the experiments depend in any way on the application-specific
+//! node processing"), so the application is modelled by its CPU work:
 //! [`workload`] calibrates the simulated cost (the paper's 212 min/chunk)
 //! and generates the xRSL submissions for the §5 experiments.
 
-pub mod blosum;
-pub mod chunk;
-pub mod proteome;
-pub mod scan;
 pub mod workload;
 
-pub use blosum::blosum62;
-pub use chunk::{partition, Chunk};
-pub use proteome::{Protein, Proteome};
-pub use scan::{scan_chunk, scan_chunks_parallel, window_similarity, ScanConfig, WindowScore};
 pub use workload::{bio_job_xrsl, BioWorkload, CHUNK_MINUTES_AT_FULL_CPU};

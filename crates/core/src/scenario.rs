@@ -108,7 +108,6 @@ pub struct Scenario {
     deadline_minutes: u64,
     horizon_hours: u64,
     agent: AgentConfig,
-    vm: VmConfig,
     interval_secs: f64,
     heterogeneity: f64,
     faults: FaultPlan,
@@ -128,7 +127,6 @@ impl Scenario {
             deadline_minutes: 330,
             horizon_hours: 24,
             agent: AgentConfig::default(),
-            vm: VmConfig::default(),
             interval_secs: 10.0,
             heterogeneity: 0.0,
             faults: FaultPlan::new(),
@@ -190,12 +188,6 @@ impl Scenario {
         self
     }
 
-    /// Override the VM provisioning configuration.
-    pub fn vm(mut self, v: VmConfig) -> Self {
-        self.vm = v;
-        self
-    }
-
     /// Override the reallocation interval (seconds).
     pub fn interval_secs(mut self, s: f64) -> Self {
         self.interval_secs = s;
@@ -215,9 +207,7 @@ impl Scenario {
     }
 
     /// Inject a fault schedule (see `gm_des::FaultPlan` and DESIGN.md §8).
-    /// Fault targets are interpreted modulo the host count; message
-    /// delay/drop events are no-ops in the deterministic simulation (they
-    /// only have meaning for the live service runtime).
+    /// Fault targets are interpreted modulo the host count.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -284,7 +274,7 @@ impl Scenario {
         for spec in &host_specs {
             market.add_host(spec.clone());
         }
-        let jm = JobManager::with_registry(&mut market, self.agent, self.vm, &registry);
+        let jm = JobManager::with_registry(&mut market, self.agent, VmConfig::default(), &registry);
 
         // Users, accounts, endowments and submission times. The driver
         // owns the arrival stream; the policy owns the funded identities.

@@ -1,12 +1,13 @@
 //! Deterministic fault-injection plans.
 //!
 //! A [`FaultPlan`] is a time-sorted schedule of [`FaultEvent`]s — host
-//! crashes and recoveries, VM failures, message delays/drops, and bank
-//! unavailability windows. Plans are either built explicitly (fixed times,
-//! for regression scenarios) or generated from a seed with
-//! [`FaultPlan::generate`], so chaos runs are byte-reproducible: the same
-//! seed always yields the same schedule, and the consumers downstream
-//! (market, grid, scenario driver) are themselves deterministic.
+//! crashes and recoveries, VM failures, bank outages and restarts,
+//! degraded-link windows, adversary arrivals and gray host faults. Plans
+//! are either built explicitly (fixed times, for regression scenarios) or
+//! generated from a seed with [`FaultPlan::generate`], so chaos runs are
+//! byte-reproducible: the same seed always yields the same schedule, and
+//! the consumers downstream (market, grid, scenario driver) are themselves
+//! deterministic.
 //!
 //! The kernel crate knows nothing about hosts or banks; targets are plain
 //! `u32` indices that the layer applying the plan maps onto its own IDs.
@@ -15,40 +16,41 @@ use crate::rng::{Rng64, SplitMix64};
 use crate::time::{SimDuration, SimTime};
 
 /// The kind of a scheduled fault.
+///
+/// The discriminants are fixed: they order events at the same instant
+/// (the derived `Ord` and the `(at, kind, target)` plan sort) and feed the
+/// golden schedule fingerprints below. Ordinals 3 and 4 belonged to two
+/// message faults no plan ever scheduled and stay unused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultKind {
     /// A host fails abruptly: its bids are evicted, its VMs die, and any
     /// subjob running on it is interrupted.
-    HostCrash,
+    HostCrash = 0,
     /// A previously crashed host rejoins the market (empty, no VMs).
-    HostRecover,
+    HostRecover = 1,
     /// A single VM on an otherwise healthy host dies.
-    VmFailure,
-    /// A service message is delayed by `target` microseconds (live runtime).
-    MessageDelay,
-    /// A service message is dropped outright (live runtime).
-    MessageDrop,
+    VmFailure = 2,
     /// The bank becomes unreachable; money movement fails until the paired
     /// [`FaultKind::BankRestore`].
-    BankOutage,
+    BankOutage = 5,
     /// The bank comes back online.
-    BankRestore,
+    BankRestore = 6,
     /// The bank process dies and is brought back from its durable journal
     /// (snapshot + WAL replay). Unlike [`FaultKind::BankOutage`], the
     /// in-memory bank state is discarded — only journaled state survives.
     ///
     /// Appended last so the `(at, kind, target)` sort order of plans that
     /// never schedule restarts is unchanged.
-    BankRestart,
+    BankRestart = 7,
     /// The service links degrade: quotes and transfers become lossy until
     /// the paired [`FaultKind::LinkUp`], and consumers fall back to
     /// degraded-mode pricing (`DESIGN.md` §12).
     ///
     /// Appended after [`FaultKind::BankRestart`] so existing plans keep
     /// their `(at, kind, target)` sort order.
-    LinkDown,
+    LinkDown = 8,
     /// The degraded service links recover.
-    LinkUp,
+    LinkUp = 9,
     /// A strategic adversary cohort arrives (the `gm-adversary` attack
     /// library materialises the actual hostile job requests at these
     /// times; policies themselves only trace the event). `target` is the
@@ -56,7 +58,7 @@ pub enum FaultKind {
     ///
     /// Appended after [`FaultKind::LinkUp`] so existing plans keep their
     /// `(at, kind, target)` sort order.
-    AdversaryArrival,
+    AdversaryArrival = 10,
     /// A host degrades *gray*: it stays online, keeps its VMs and keeps
     /// accepting bids, but delivers only a fraction of its nominal
     /// compute rate until the paired [`FaultKind::HostRestore`]. The
@@ -66,16 +68,16 @@ pub enum FaultKind {
     ///
     /// Appended after [`FaultKind::AdversaryArrival`] so existing plans
     /// keep their `(at, kind, target)` sort order.
-    HostSlowdown,
+    HostSlowdown = 11,
     /// A gray-degraded host returns to nominal rate (clears any active
     /// slowdown or stall). Target is the plain host index.
-    HostRestore,
+    HostRestore = 12,
     /// A host stalls completely for a bounded window: progress is zero
     /// but the host never leaves the market. The target packs the host
     /// index in the low 16 bits and the stall window in whole seconds
     /// in the high 16 bits — see [`gray_target`]. Self-expiring; no
     /// paired restore event is required.
-    HostStall,
+    HostStall = 13,
 }
 
 /// Maximum host index addressable by packed gray-fault targets (the low
@@ -107,8 +109,10 @@ pub struct FaultEvent {
     pub at: SimTime,
     /// What happens.
     pub kind: FaultKind,
-    /// Target index: host index for host/VM faults, delay in microseconds
-    /// for `MessageDelay`, unused (0) for bank faults.
+    /// Target index: host index for host/VM faults, a packed host and
+    /// payload for gray faults (see [`gray_target`]), the adversary index
+    /// for [`FaultKind::AdversaryArrival`], unused (0) for bank and link
+    /// faults.
     pub target: u32,
 }
 

@@ -17,7 +17,7 @@
 //!   CDF/quantile) and [`Summary`](student::Summary): the
 //!   confidence-interval math behind the Monte-Carlo robustness reports
 //!   (DESIGN.md §13).
-//! * [`samplers`] — normal / exponential / gamma / beta / lognormal
+//! * [`samplers`] — uniform / normal / exponential / gamma / beta
 //!   samplers over any [`gm_des::Rng64`] (used by Fig. 5 and Fig. 7).
 //! * [`histogram`] — fixed-range histograms for measured distributions.
 //!
@@ -36,7 +36,7 @@ pub mod toeplitz;
 pub use histogram::Histogram;
 pub use linalg::{Lu, Matrix};
 pub use probit::{norm_cdf, norm_pdf, norm_quantile};
-pub use samplers::{Beta, Exponential, LogNormal, Normal, Sampler, Uniform};
+pub use samplers::{Beta, Exponential, Normal, Sampler, Uniform};
 pub use spline::smoothing_spline;
 pub use stats::{Moments, RunningStats, SmoothedMoments};
 pub use student::{mean_confidence_interval, t_cdf, t_quantile, Summary};

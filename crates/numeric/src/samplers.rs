@@ -9,8 +9,7 @@
 //! * exponential — inversion;
 //! * gamma — Marsaglia & Tsang (2000), with the Ahrens-Dieter boost for
 //!   shape < 1;
-//! * beta — ratio of gammas;
-//! * lognormal — exp of normal.
+//! * beta — ratio of gammas.
 
 use gm_des::Rng64;
 
@@ -231,38 +230,6 @@ impl Sampler for Beta {
     }
 }
 
-/// Log-normal distribution: `exp(N(μ, σ²))`.
-#[derive(Clone, Copy, Debug)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// New log-normal with underlying normal parameters `mu`, `sigma`.
-    ///
-    /// # Panics
-    /// Panics if `sigma < 0`.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma >= 0.0, "LogNormal requires sigma >= 0");
-        LogNormal { mu, sigma }
-    }
-}
-
-impl Sampler for LogNormal {
-    #[inline]
-    fn sample<R: Rng64>(&self, rng: &mut R) -> f64 {
-        (self.mu + self.sigma * Normal::standard_sample(rng)).exp()
-    }
-    fn mean(&self) -> f64 {
-        (self.mu + 0.5 * self.sigma * self.sigma).exp()
-    }
-    fn variance(&self) -> f64 {
-        let s2 = self.sigma * self.sigma;
-        (s2.exp() - 1.0) * (2.0 * self.mu + s2).exp()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,11 +280,6 @@ mod tests {
     fn beta_moments() {
         check_moments(&Beta::new(5.0, 1.0), 7, 0.002, 0.001);
         check_moments(&Beta::new(2.0, 2.0), 8, 0.002, 0.001);
-    }
-
-    #[test]
-    fn lognormal_moments() {
-        check_moments(&LogNormal::new(0.0, 0.25), 9, 0.01, 0.01);
     }
 
     #[test]

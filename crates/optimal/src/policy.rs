@@ -457,8 +457,6 @@ impl AllocationPolicy for VcgSlaPolicy {
             // shared driver; the fault event itself needs no VCG action.
             FaultKind::LinkDown
             | FaultKind::LinkUp
-            | FaultKind::MessageDelay
-            | FaultKind::MessageDrop
             | FaultKind::AdversaryArrival => {}
         }
     }

@@ -16,27 +16,19 @@
 //!   proportion of prices per price bracket (§4.1, Fig. 6).
 //! * [`window`] — the dual-distribution moving-window approximation with
 //!   lag-proportional merging (§4.5, Fig. 6–7).
-//! * [`var`] — Value-at-Risk performance floors ("minimal performance V
-//!   with probability P", the Chun et al. framing discussed in §4.4).
-//! * [`reservation`] — §7 future work implemented: reservation pricing,
-//!   deadline SLAs and swing options on top of the normal model.
 //! * [`tracker`] — per-model prediction-error telemetry feeding the
 //!   scenario-wide `gm_telemetry` registry.
 
 pub mod ar;
 pub mod normal;
 pub mod portfolio;
-pub mod reservation;
 pub mod slots;
 pub mod tracker;
-pub mod var;
 pub mod window;
 
 pub use ar::{naive_epsilon, ArModel, MeanMode};
 pub use normal::NormalPriceModel;
 pub use portfolio::{efficient_frontier, min_variance_portfolio, FrontierPoint, ReturnStats};
-pub use reservation::{price_reservation, sla_quote, SlaQuote, SwingOption};
 pub use slots::SlotTable;
 pub use tracker::PredictionTracker;
-pub use var::{performance_floor, Guarantee};
 pub use window::DualWindowDistribution;

@@ -26,7 +26,6 @@ use std::fmt;
 use crate::bank::AccountId;
 use crate::host::HostSpec;
 use crate::money::Credits;
-use crate::pricestats::PriceStats;
 
 /// Identifier of a market user (one per funded grid identity).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -155,8 +154,6 @@ pub struct Auctioneer {
     next_handle: u64,
     /// Credits collected from charges (host income).
     earned: Credits,
-    /// Moving-window price statistics (§4.1), updated every interval.
-    stats: PriceStats,
 }
 
 impl Auctioneer {
@@ -171,13 +168,7 @@ impl Auctioneer {
             lane: BidLane::default(),
             next_handle: 0,
             earned: Credits::ZERO,
-            stats: PriceStats::standard(),
         }
-    }
-
-    /// The auctioneer's moving-window price statistics (§4.1).
-    pub fn price_stats(&self) -> &PriceStats {
-        &self.stats
     }
 
     /// The host this market allocates.
@@ -397,7 +388,7 @@ impl Auctioneer {
     pub fn sweep(&mut self, dt_secs: f64) -> (f64, Vec<Allocation>) {
         assert!(dt_secs > 0.0 && dt_secs.is_finite());
         let denom = self.spot_price();
-        self.stats.observe(denom);
+        debug_assert!(denom.is_finite() && denom >= 0.0);
         let n = self.lane.len();
         let mut out = Vec::with_capacity(n);
         let mut any_exhausted = false;

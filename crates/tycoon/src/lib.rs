@@ -2,7 +2,8 @@
 //!
 //! Reimplementation of the market substrate the paper builds on (§2.2):
 //! decentralized, continuous, bid-based proportional-share markets, one per
-//! host, with a central bank and a service location service.
+//! host, with a central bank. Host discovery — the paper's service location
+//! service — is the market's [`HostArena`].
 //!
 //! * [`money`] — exact fixed-point credits (micro-dollar accounting).
 //! * [`bank`] — user accounts, signed transfer receipts, sub-accounts
@@ -14,7 +15,6 @@
 //!   reallocation interval, pay-for-use charging with refunds.
 //! * [`best_response()`] — the Feldman–Lai–Zhang Best Response optimizer
 //!   that distributes a budget across hosts (Eq. 1–2).
-//! * [`sls`] — the Service Location Service host registry.
 //! * [`market`] — glue that drives all auctioneers one allocation interval
 //!   at a time and records price history.
 //! * [`service`] — the same market behind message-passing service
@@ -44,9 +44,7 @@ pub mod host;
 pub mod ledger;
 pub mod market;
 pub mod money;
-pub mod pricestats;
 pub mod service;
-pub mod sls;
 pub mod telemetry;
 pub mod transport;
 
@@ -62,9 +60,7 @@ pub use ledger::{
 };
 pub use market::{CrashReport, Market, MarketError, DEFAULT_INTERVAL_SECS};
 pub use money::Credits;
-pub use pricestats::PriceStats;
 pub use service::{AuctioneerClient, BankClient, LiveMarket, NetConfig, ServiceError};
-pub use sls::Sls;
 pub use telemetry::{
     GuardInstruments, LedgerInstruments, MarketInstruments, NetInstruments, ServiceInstruments,
 };

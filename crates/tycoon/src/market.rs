@@ -1,4 +1,4 @@
-//! The assembled Tycoon market: bank + SLS + one auctioneer per host.
+//! The assembled Tycoon market: bank + one auctioneer per host.
 //!
 //! `Market` is the facade the grid layer talks to. It keeps the bank's
 //! books consistent with the auctioneers' escrows: placing a bid moves
@@ -32,13 +32,11 @@ use crate::guard::{GuardConfig, GuardVerdict, MarketGuard};
 use crate::host::{HostId, HostSpec};
 use crate::ledger::{AuditReport, ConservationAuditor, RecoverError, RecoveryReport};
 use crate::money::Credits;
-use crate::sls::Sls;
 use crate::telemetry::{LedgerInstruments, MarketInstruments};
 
 /// A complete single-site Tycoon market.
 pub struct Market {
     bank: Bank,
-    sls: Sls,
     /// Dense struct-of-arrays host state: auctioneers, accounts, labels,
     /// liveness and epoch prices, interned by `HostId` (DESIGN.md §15).
     arena: HostArena,
@@ -91,7 +89,6 @@ impl Market {
     pub fn new(seed: &[u8]) -> Market {
         Market {
             bank: Bank::new(seed),
-            sls: Sls::new(),
             arena: HostArena::new(),
             bank_online: true,
             links_degraded: false,
@@ -236,11 +233,6 @@ impl Market {
         &mut self.bank
     }
 
-    /// The service location service.
-    pub fn sls(&self) -> &Sls {
-        &self.sls
-    }
-
     /// Add a host to the market; returns its bank account id. Reuses a
     /// free-listed arena slot if one is available (see
     /// [`Market::retire_host`]).
@@ -252,7 +244,6 @@ impl Market {
         let account = self
             .bank
             .open_account(self.bank.public_key(), &format!("{}", spec.id));
-        self.sls.register(spec.clone());
         self.arena.insert(Auctioneer::new(spec), account);
         account
     }
@@ -773,15 +764,14 @@ impl Market {
     }
 
     /// Permanently remove a host from the market: evict and refund its
-    /// bids exactly like [`Market::crash_host`], deregister it from the
-    /// SLS, and free its arena slot onto the free-list for reuse by a
-    /// later [`Market::add_host`]. The host's bank account — and the
-    /// income it earned — survives in the bank. Unlike a crash, a retired
-    /// host cannot be recovered; re-adding the same id is a fresh host.
+    /// bids exactly like [`Market::crash_host`], and free its arena slot
+    /// onto the free-list for reuse by a later [`Market::add_host`]. The
+    /// host's bank account — and the income it earned — survives in the
+    /// bank. Unlike a crash, a retired host cannot be recovered; re-adding
+    /// the same id is a fresh host.
     pub fn retire_host(&mut self, id: HostId) -> Result<CrashReport, MarketError> {
         let slot = self.arena.slot_of(id).ok_or(MarketError::NoSuchHost(id))?;
         let evicted = self.evict_and_refund(slot);
-        self.sls.deregister(id);
         self.arena.remove(id);
         Ok(CrashReport { host: id, evicted })
     }
@@ -1534,7 +1524,6 @@ mod tests {
         assert_eq!(m.bank().balance(acct).unwrap(), Credits::from_whole(1000), "escrow refunded");
         assert_eq!(m.host_ids(), vec![HostId(0), HostId(2)]);
         assert!(m.auctioneer(HostId(1)).is_none());
-        assert!(m.sls().get(HostId(1)).is_none(), "deregistered from SLS");
         assert_eq!(m.retire_host(HostId(1)), Err(MarketError::NoSuchHost(HostId(1))));
 
         // Churn: retire/add cycles reuse slots — the arena stays bounded.

@@ -20,11 +20,13 @@
 //! WAL tail rather than every event since the run began. The third test
 //! bounds the records replayed per restart and the WAL left at the end
 //! of the Table-1-style run and the same four chaos seeds, so a change
-//! that stops checkpointing fails here. (These chaos runs journal nothing
-//! after their one restart; the `gm-tycoon` unit test
-//! `bank_restart_keeps_the_checkpoint_cadence` covers a cadence lost at
-//! a restart.)
+//! that stops checkpointing fails here. The chaos runs journal nothing
+//! after their one restart, so the third test also restarts the
+//! Table-1-style bank early in the run: a recovered bank that loses the
+//! cadence (`Market::restart_bank` hands it over) ends that run with
+//! every event in its WAL and fails the same bound.
 
+use gm_des::{FaultPlan, SimTime};
 use gm_experiments::mc::{chaos_driver, job_stream, tycoon_policy};
 use gm_ledger::SharedJournal;
 use gridmarket::scenario::{Scenario, ScenarioResult, LEDGER_SNAPSHOT_EVERY};
@@ -111,15 +113,30 @@ fn chaos_runs_step_only_a_bounded_share_of_their_ticks() {
     }
 }
 
+/// When the table1 world's bank restarts: after setup and the first
+/// tick, before its first checkpoint (15 events are journaled by then).
+const EARLY_RESTART_SECS: u64 = 60;
+
 /// Without checkpoints the table1 world's WAL ends with 186 records, and
-/// chaos seed 0's one restart replays 596.
+/// chaos seed 0's one restart replays 596. With the early restart the
+/// recovered bank journals the other 171 events of the table1 run.
 #[test]
 fn bank_restarts_replay_fewer_records_than_the_checkpoint_cadence() {
     let cfg = ChaosConfig::default();
-    let worlds = std::iter::once(("table1".to_owned(), table1_world()))
-        .chain((0..4u64).map(|seed| (format!("chaos seed {seed}"), cfg.scenario(seed))));
+    let mut early_restart = FaultPlan::new();
+    early_restart.bank_restart(SimTime::from_secs(EARLY_RESTART_SECS));
+    let worlds = [
+        ("table1".to_owned(), table1_world(), false),
+        (
+            "table1 with an early bank restart".to_owned(),
+            table1_world().faults(early_restart),
+            true,
+        ),
+    ]
+    .into_iter()
+    .chain((0..4u64).map(|seed| (format!("chaos seed {seed}"), cfg.scenario(seed), false)));
     let mut restarts = 0;
-    for (world, scenario) in worlds {
+    for (world, scenario, restarts_early) in worlds {
         let journal = SharedJournal::new();
         let r = scenario
             .ledger(journal.clone())
@@ -127,6 +144,16 @@ fn bank_restarts_replay_fewer_records_than_the_checkpoint_cadence() {
             .expect("scenario runs");
         let c = &r.metrics.counters;
         let (replayed, recoveries) = (c["ledger.records_replayed"], c["ledger.recoveries"]);
+        if restarts_early {
+            // The restart precedes the first checkpoint, so its replay is
+            // every event journaled before it; the rest came after it.
+            let after = c["ledger.appends"] - replayed;
+            println!("{world}: the recovered bank journaled {after} events");
+            assert!(
+                after > 2 * LEDGER_SNAPSHOT_EVERY,
+                "{world}: the recovered bank journaled only {after} events"
+            );
+        }
         if recoveries > 0 {
             let per_restart = replayed as f64 / recoveries as f64;
             assert!(
