@@ -340,12 +340,12 @@ impl PolicyDriver {
                 break;
             }
             let arrival = order.get(next).map(|&i| requests[i].arrival);
-            let max = [faults.next_at(), arrival, Some(self.horizon)]
+            // `ticks_before` grows with `t`, so the earliest stop bounds the span.
+            let until = [faults.next_at(), arrival]
                 .into_iter()
                 .flatten()
-                .map(|t| ticks_before(now, dt, t))
-                .min()
-                .unwrap_or(0);
+                .fold(self.horizon, SimTime::min);
+            let max = ticks_before(now, dt, until);
             if max == 0 {
                 continue;
             }
