@@ -19,7 +19,7 @@
 //! | `advance`    | `Market::tick` + `JobManager::post_tick`            |
 //! | `settle`     | hourly online conservation audit (`ledger.audits`)  |
 //! | `price`      | mean spot price across the host inventory           |
-//! | `skip_quiet` | `Market::tick` alone over ticks with no running job and no live bid |
+//! | `skip_quiet` | `Market::tick_quiet` over ticks with no running job and no live bid |
 
 use std::collections::BTreeMap;
 
@@ -355,9 +355,7 @@ impl AllocationPolicy for TycoonPolicy {
         // On a quiet market a tick only samples the spot prices, so the
         // allocations are empty and `post_tick` would have nothing to do.
         let dt = ctx.interval();
-        for j in 0..k {
-            self.market.tick(ctx.now + dt * j);
-        }
+        self.market.tick_quiet(ctx.now, dt, k);
         self.ticks += k;
         if let Some(clock) = &self.clock {
             clock.set_micros((ctx.now + dt * (k - 1)).as_micros());

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// A sample was offered with a timestamp earlier than the last recorded
 /// one. Accepting it would silently corrupt every window query (they
@@ -76,6 +76,14 @@ impl Series {
         if let Err(e) = self.try_push(time, value) {
             panic!("{e}");
         }
+    }
+
+    /// [`Series::push`] of `value` at `start, start + dt, …` (`k >= 1`
+    /// times): one ordering check, then both columns extended in place.
+    fn push_steps(&mut self, start: SimTime, dt: SimDuration, k: u64, value: f64) {
+        self.push(start, value);
+        self.times.extend((1..k).map(|j| start + dt * j));
+        self.values.resize(self.times.len(), value);
     }
 
     /// Number of samples.
@@ -147,6 +155,26 @@ impl Trace {
         } else {
             let mut s = Series::new();
             s.push(time, value);
+            self.series.insert(key.to_owned(), s);
+        }
+    }
+
+    /// Record `value` for `key` at the `k` times `start, start + dt, …`:
+    /// the effect of `k` [`Trace::record`] calls with one series lookup.
+    /// `k = 0` records nothing and creates no series.
+    ///
+    /// # Panics
+    /// Panics like [`Series::push`] if `start` is earlier than the last
+    /// sample of `key`; the series is then unchanged.
+    pub fn record_steps(&mut self, key: &str, start: SimTime, dt: SimDuration, k: u64, value: f64) {
+        if k == 0 {
+            return;
+        }
+        if let Some(s) = self.series.get_mut(key) {
+            s.push_steps(start, dt, k, value);
+        } else {
+            let mut s = Series::new();
+            s.push_steps(start, dt, k, value);
             self.series.insert(key.to_owned(), s);
         }
     }
@@ -230,6 +258,53 @@ mod tests {
         tr.record("h0", t(10), 2.0);
         assert_eq!(tr.get("h0").unwrap().values(), &[1.0, 2.0]);
         assert_eq!(tr.len(), 1);
+    }
+
+    fn samples(tr: &Trace) -> Vec<(String, Vec<(SimTime, u64)>)> {
+        tr.iter()
+            .map(|(k, s)| {
+                (k.to_owned(), s.iter().map(|(t, v)| (t, v.to_bits())).collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn record_steps_matches_k_records() {
+        let dt = SimDuration::from_secs(10);
+        let (mut stepped, mut batched) = (Trace::new(), Trace::new());
+        for tr in [&mut stepped, &mut batched] {
+            tr.record("old", t(5), 0.25);
+        }
+        // An existing key, a new key, and a start equal to the last sample.
+        let spans = [("old", t(5), 4, 0.1), ("new", t(0), 7, 1.0 / 3.0), ("old", t(35), 1, 2.5)];
+        for (key, start, k, v) in spans {
+            for j in 0..k {
+                stepped.record(key, start + dt * j, v);
+            }
+            batched.record_steps(key, start, dt, k, v);
+        }
+        assert_eq!(samples(&batched), samples(&stepped));
+        assert_eq!(batched.get("old").unwrap().len(), 6);
+        assert_eq!(batched.get("new").unwrap().times()[6], t(60));
+    }
+
+    #[test]
+    fn record_steps_of_zero_samples_is_a_no_op() {
+        let mut tr = Trace::new();
+        tr.record("h0", t(10), 1.0);
+        // k = 0 neither checks the start time nor creates a series.
+        tr.record_steps("h0", t(0), SimDuration::from_secs(10), 0, 2.0);
+        tr.record_steps("h1", t(0), SimDuration::from_secs(10), 0, 2.0);
+        assert_eq!(tr.len(), 1);
+        assert_eq!(tr.get("h0").unwrap().values(), &[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "went backwards")]
+    fn record_steps_panics_on_a_start_before_the_last_sample() {
+        let mut tr = Trace::new();
+        tr.record("h0", t(10), 1.0);
+        tr.record_steps("h0", t(9), SimDuration::from_secs(10), 3, 2.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use gm_des::{SimTime, Trace};
+use gm_des::{SimDuration, SimTime, Trace};
 use gm_ledger::SharedJournal;
 use gm_telemetry::{Clock, Registry};
 
@@ -564,7 +564,8 @@ impl Market {
     /// True when a [`Market::tick`] would change nothing but counters,
     /// clocks and price samples: on every live host no bid is in the
     /// lane, the breaker is not cooling down, and the published spot is
-    /// bit for bit the live spot (so republishing it is a no-op).
+    /// bit for bit the live spot (so republishing it is a no-op). A span
+    /// of such ticks is crossed in one [`Market::tick_quiet`] call.
     pub fn is_quiet(&self) -> bool {
         self.arena.ordered_slots().iter().all(|&s| {
             let s = s as usize;
@@ -575,6 +576,41 @@ impl Market {
                     && self.arena.published_spot(s).to_bits() == a.spot_price().to_bits()
             }
         })
+    }
+
+    /// Run `k` ticks at `now, now + dt, …` on a quiet market in one pass
+    /// over the hosts, with the effect of `k` calls of [`Market::tick`]:
+    /// each live host, in id order, gets `k` price-trace samples of its
+    /// published spot; `market.ticks` grows by `k`; `market.tick_us` gets
+    /// `k` samples of the span's elapsed clock time divided by `k` (0 on
+    /// a simulation clock); and the spot gauges, which every one of those
+    /// ticks would set to the same prices, are exported once.
+    ///
+    /// # Panics
+    /// Panics unless [`Market::is_quiet`] holds.
+    pub fn tick_quiet(&mut self, now: SimTime, dt: SimDuration, k: u64) {
+        assert!(self.is_quiet(), "tick_quiet on a market with work to do");
+        if k == 0 {
+            return;
+        }
+        let started_micros = self.telemetry.as_ref().map(|t| t.now_micros());
+        if self.price_trace_enabled {
+            for &slot in self.arena.ordered_slots() {
+                let slot = slot as usize;
+                if self.arena.is_live(slot) {
+                    let spot = self.arena.published_spot(slot);
+                    self.price_trace.record_steps(self.arena.label(slot), now, dt, k, spot);
+                }
+            }
+        }
+        if let Some(t) = self.telemetry.as_mut() {
+            t.export_spots_from(&self.arena);
+            t.ticks.add(k);
+            if let Some(start) = started_micros {
+                let per_tick = t.now_micros().saturating_sub(start) / k;
+                t.tick_us.record_n(per_tick as f64, k);
+            }
+        }
     }
 
     /// Run one slot's epoch-price publication through the breaker
@@ -1502,7 +1538,7 @@ mod tests {
         let mut cooling_but_converged = 0;
         while m.arena.breaker_cooldown(slot) > 0 {
             m.tick(now);
-            now += gm_des::SimDuration::from_secs(10);
+            now += SimDuration::from_secs(10);
             let converged = m.arena.published_spot(slot).to_bits()
                 == m.auctioneer(HostId(1)).unwrap().spot_price().to_bits();
             if converged && m.arena.breaker_cooldown(slot) > 0 {
@@ -1512,6 +1548,68 @@ mod tests {
         }
         assert!(cooling_but_converged > 0);
         assert!(m.is_quiet());
+    }
+
+    #[test]
+    fn tick_quiet_matches_ticking_an_idle_market() {
+        use gm_telemetry::{metrics_jsonl, ManualClock, Registry};
+        let build = |shards: usize, trace: bool| {
+            let registry = Registry::new();
+            let (mut m, acct) = market_with_user(3, 1000);
+            m.set_sharding(shards);
+            m.set_price_trace_enabled(trace);
+            m.attach_telemetry(&registry, Arc::new(ManualClock::new()));
+            let h = m
+                .place_funded_bid(UserId(1), acct, HostId(0), 0.3, Credits::from_whole(50))
+                .unwrap();
+            m.tick(SimTime::from_secs(0));
+            m.cancel_bid(HostId(0), h, acct).unwrap();
+            m.crash_host(HostId(2)).unwrap();
+            m.tick(SimTime::from_secs(10));
+            m.add_host(HostSpec::testbed(3));
+            (m, registry)
+        };
+        let trace = |m: &Market| -> Vec<(String, Vec<(SimTime, u64)>)> {
+            m.price_trace()
+                .iter()
+                .map(|(key, s)| {
+                    (key.to_owned(), s.iter().map(|(t, v)| (t, v.to_bits())).collect())
+                })
+                .collect()
+        };
+        let cases = [(1, true, 37), (2, true, 37), (1, false, 37), (1, true, 1), (2, false, 1)];
+        for (shards, trace_on, k) in cases {
+            let case = format!("shards {shards}, trace {trace_on}, k {k}");
+            let (mut stepped, stepped_reg) = build(shards, trace_on);
+            let (mut skipped, skipped_reg) = build(shards, trace_on);
+            assert!(skipped.is_quiet(), "{case}");
+            let (start, dt) = (SimTime::from_secs(20), SimDuration::from_secs(10));
+            for j in 0..k {
+                stepped.tick(start + dt * j);
+            }
+            skipped.tick_quiet(start, dt, k);
+
+            assert_eq!(trace(&skipped), trace(&stepped), "{case}");
+            assert_eq!(skipped.price_trace().is_empty(), !trace_on, "{case}");
+            assert_eq!(skipped.published_spots(), stepped.published_spots(), "{case}");
+            let (a, b) = (skipped_reg.snapshot(), stepped_reg.snapshot());
+            assert_eq!(metrics_jsonl(&a), metrics_jsonl(&b), "{case}");
+            assert_eq!(a.counters["market.ticks"], 2 + k, "{case}");
+            assert_eq!(a.histograms["market.tick_us"].count, 2 + k, "{case}");
+            // Host 3 joined after the last stepped tick: only the span
+            // exports its gauge.
+            assert!(a.gauges.contains_key("market.spot.host003"), "{case}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tick_quiet on a market with work to do")]
+    fn tick_quiet_refuses_a_market_with_a_live_bid() {
+        let (mut m, acct) = market_with_user(2, 1000);
+        m.tick(SimTime::from_secs(0));
+        m.place_funded_bid(UserId(1), acct, HostId(1), 0.5, Credits::from_whole(100))
+            .unwrap();
+        m.tick_quiet(SimTime::from_secs(10), SimDuration::from_secs(10), 5);
     }
 
     #[test]

@@ -77,11 +77,6 @@ fn sweep(seed: u64) -> Result<SweepStats, String> {
         last_spent = spent;
     }
 
-    println!(
-        "seed {seed}: {} kill points over {} WAL bytes — all recovered, audited, spent set intact",
-        boundaries.len(),
-        disk.wal_len()
-    );
     Ok(SweepStats {
         kill_points: boundaries.len(),
         wal_bytes: disk.wal_len(),
@@ -110,6 +105,14 @@ fn main() {
         Ok(stats) => stats,
         Err(msg) => panic!("{msg}"),
     });
+    // Per-seed lines after the batch, in seed order: printed from inside
+    // the tasks they would come out in completion order.
+    for (seed, s) in batch.completed() {
+        println!(
+            "seed {seed}: {} kill points over {} WAL bytes — all recovered, audited, spent set intact",
+            s.kill_points, s.wal_bytes
+        );
+    }
     let report = batch.report(|s| {
         vec![
             ("kill_points", s.kill_points as f64),
