@@ -355,7 +355,7 @@ impl Scenario {
         let job_ids: Vec<JobId> = (0..requests.len() as u32)
             .map(|i| policy.grid_job_id(i).expect("submitted"))
             .collect();
-        let (market, jm) = policy.into_parts();
+        let (mut market, jm) = policy.into_parts();
 
         // Collect per-user reports.
         let users = meta
@@ -394,7 +394,7 @@ impl Scenario {
         let telemetry_jsonl = format!("{}{}", metrics_jsonl(&metrics), trace_jsonl(&tracer));
         Ok(ScenarioResult {
             users,
-            price_trace: market.price_trace().clone(),
+            price_trace: market.take_price_trace(),
             finished_at: now,
             monitor,
             total_money: market.bank().total_money().as_f64(),

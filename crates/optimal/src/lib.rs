@@ -13,9 +13,11 @@
 //!    knapsack with nested capacities, so one greedy sweep by slope
 //!    solves it exactly and yields the fluid allocation plus the host
 //!    shadow price; a test-only simplex checks it in the tests.
-//! 3. [`vcg`] — prices every app by its externality through
-//!    leave-one-out sweeps over one shared sort, yielding [`VcgReceipt`]s whose payments
-//!    are non-negative, individually rational and truthful.
+//! 3. [`vcg()`] — prices every app by its externality: one sort, one full
+//!    sweep, and each leave-one-out restarted from that sweep's cut (the
+//!    position that sets the price), bit-identical to a from-scratch
+//!    re-solve. Its [`VcgReceipt`]s' payments are non-negative,
+//!    individually rational and truthful.
 //! 4. [`VcgSlaPolicy`] — packages the above as a standard
 //!    [`gm_core::AllocationPolicy`]: windowed replanning, fault
 //!    tolerance, and VCG settlement through a journaled

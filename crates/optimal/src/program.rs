@@ -31,14 +31,29 @@
 //! `tests/lp_properties.rs` checks the sweep against.
 //!
 //! Solving is two steps: one sort of the window's segments into fill
-//! order, then a linear sweep over that order. [`crate::vcg()`] sorts once
-//! and sweeps 1 + A times (the full window, then each app left out
-//! inline), O(S log S + A·S) per window, into scratch it reuses. Skipping
-//! app `a` in the shared order walks exactly the sequence a sort of the
-//! other apps' segments would give, because the sort is stable; every
-//! app's value then takes the same fills in the same order, and welfare
-//! sums the values in app order either way, so each `W_{-a}` is
-//! bit-identical to [`WelfareProgram::solve_without`]'s.
+//! order, then a linear sweep over that order. [`crate::vcg()`] sorts
+//! once, sweeps the full window, and prices every leave-one-out from
+//! that sweep's *cut*, the first position whose segment the window room
+//! could not fill (the one that sets the price). Before the cut every
+//! fill is its `wanted`, `min(width, app room)`, in the full sweep and
+//! in any sweep with one app left out: leaving an app out only raises
+//! the window room, and float subtraction is monotone. So at the cut
+//! every other app has the full sweep's value and room, and
+//! `WelfareProgram::leave_one_out` records them once. Each `W_{-a}`
+//! then replays only the window-room subtractions from app `a`'s first
+//! segment to the cut, `a`'s fills skipped — the chain of float
+//! operations a from-scratch sweep makes — and sweeps on from the cut,
+//! skipping `a`, until the room is exactly `0.0`, after which every fill
+//! is `+0.0`. Skipping `a` in the shared order walks exactly the
+//! sequence a sort of the other apps' segments would give, because the
+//! sort is stable; every app's value then takes the same fills in the
+//! same order, and welfare sums the values in app order either way, so
+//! each `W_{-a}` is bit-identical to [`WelfareProgram::solve_without`]'s.
+//! A window costs O(S log S) for the sort and O(S) for the full sweep;
+//! each leave-one-out costs O(A) plus the positions from `a`'s first
+//! segment to where the room runs out, only subtractions before the
+//! cut. That is O(A·(A + S)) at worst, when leaving one app out leaves
+//! the window uncontended, and far less when the window is contended.
 
 /// One app's slice of a [`WelfareProgram`] window.
 #[derive(Clone, Debug)]
@@ -169,7 +184,8 @@ impl WelfareProgram {
         if !finite {
             return None;
         }
-        let mut segments: Vec<(f64, usize, f64)> = Vec::new();
+        let mut segments: Vec<(f64, usize, f64)> =
+            Vec::with_capacity(self.apps.iter().map(|app| app.segments.len()).sum());
         for (a, app) in self.apps.iter().enumerate() {
             if skip == Some(a) {
                 continue;
@@ -221,6 +237,44 @@ impl WelfareProgram {
         out.price = price.unwrap_or(0.0);
     }
 
+    /// The prefix pass of leave-one-out pricing over `order`: the full
+    /// sweep up to its cut, the first position whose segment the window
+    /// room cannot fill (the one that sets the price), recording what
+    /// each [`LeaveOneOut::welfare_without`] restarts from.
+    pub(crate) fn leave_one_out<'o>(&self, order: &'o FillOrder) -> LeaveOneOut<'o> {
+        let n = self.apps.len();
+        let mut room: Vec<f64> = self.apps.iter().map(|app| app.cap.max(0.0)).collect();
+        let mut values = vec![0.0; n];
+        let mut first = vec![usize::MAX; n];
+        let mut fills = Vec::with_capacity(order.segments.len());
+        let mut window_before = Vec::with_capacity(order.segments.len() + 1);
+        let mut window_room = order.capacity;
+        for (i, &(slope, a, width)) in order.segments.iter().enumerate() {
+            let wanted = width.min(room[a]);
+            if window_room < wanted {
+                break;
+            }
+            first[a] = first[a].min(i);
+            window_before.push(window_room);
+            fills.push(wanted);
+            room[a] -= wanted;
+            window_room -= wanted;
+            values[a] += slope * wanted;
+        }
+        window_before.push(window_room);
+        LeaveOneOut {
+            order,
+            cut: fills.len(),
+            fills,
+            window_before,
+            first,
+            room,
+            values,
+            scratch_room: Vec::with_capacity(n),
+            scratch_values: Vec::with_capacity(n),
+        }
+    }
+
     /// Place each app's delivery on hosts northwest-corner style: apps
     /// in index order take hosts in index order, each host until its
     /// capacity is used up. Crashed (zero-capacity) hosts get nothing.
@@ -265,6 +319,66 @@ pub(crate) struct Sweep {
     pub(crate) price: f64,
     /// Room left under each app's cap.
     room: Vec<f64>,
+}
+
+/// The full sweep's state at its cut, from which each `W_{-a}` is
+/// priced without sweeping the window again; see
+/// [`WelfareProgram::leave_one_out`] and the module docs.
+pub(crate) struct LeaveOneOut<'o> {
+    order: &'o FillOrder,
+    /// The cut: the first position of `order` the window room could not
+    /// fill, `order.segments.len()` if it filled them all.
+    pub(crate) cut: usize,
+    /// The fill of each position before the cut (its `wanted`).
+    fills: Vec<f64>,
+    /// The window room before each position up to and including the cut.
+    window_before: Vec<f64>,
+    /// Each app's first position in `order` before the cut, else
+    /// `usize::MAX`.
+    first: Vec<usize>,
+    /// Room under each app's cap at the cut.
+    room: Vec<f64>,
+    /// Each app's value at the cut.
+    values: Vec<f64>,
+    scratch_room: Vec<f64>,
+    scratch_values: Vec<f64>,
+}
+
+impl LeaveOneOut<'_> {
+    /// `W_{-skip}`, bit-identical to [`WelfareProgram::solve_without`]:
+    /// the window room at the cut by the same chain of subtractions a
+    /// sweep without `skip` makes, then that sweep from the cut on.
+    pub(crate) fn welfare_without(&mut self, skip: usize) -> f64 {
+        let segments = &self.order.segments;
+        self.scratch_values.clone_from(&self.values);
+        self.scratch_values[skip] = 0.0;
+        if self.cut < segments.len() {
+            // Before `skip`'s first segment the chain is the full sweep's.
+            let start = self.first[skip].min(self.cut);
+            let mut window_room = self.window_before[start];
+            for (&(_, a, _), &fill) in segments[start..self.cut].iter().zip(&self.fills[start..]) {
+                if a != skip {
+                    window_room -= fill;
+                }
+            }
+            let (room, values) = (&mut self.scratch_room, &mut self.scratch_values);
+            room.clone_from(&self.room);
+            for &(slope, a, width) in &segments[self.cut..] {
+                // Every fill from here on is zero.
+                if window_room == 0.0 {
+                    break;
+                }
+                if a == skip {
+                    continue;
+                }
+                let fill = width.min(room[a]).min(window_room);
+                room[a] -= fill;
+                window_room -= fill;
+                values[a] += slope * fill;
+            }
+        }
+        self.scratch_values.iter().sum()
+    }
 }
 
 #[cfg(test)]

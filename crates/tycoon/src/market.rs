@@ -677,6 +677,12 @@ impl Market {
         &self.price_trace
     }
 
+    /// Move the recorded spot-price history out, leaving it empty: for
+    /// a caller done with the market that keeps the trace.
+    pub fn take_price_trace(&mut self) -> Trace {
+        std::mem::take(&mut self.price_trace)
+    }
+
     /// Income earned by a host so far.
     pub fn host_income(&self, id: HostId) -> Option<Credits> {
         self.arena.slot_of(id).map(|s| self.arena.auctioneer(s).earned())

@@ -463,3 +463,52 @@ fn vcg_prices_bit_identically_to_a_from_scratch_sweep_per_app() {
         }
     });
 }
+
+/// A window shaped like the `vcg_window` benchmark's: 16–32 apps with
+/// 1–3 concave segments on 30–60 hosts, 0.5–2× oversubscribed, with
+/// non-dyadic host capacities and widths so that the float rounding of
+/// every subtraction shows, and caps that sometimes stop an app inside
+/// its last segment.
+fn random_priced_window(g: &mut Gen) -> WelfareProgram {
+    let caps: Vec<f64> = (0..g.usize_in(30, 60)).map(|_| g.f64_in(60.0, 140.0)).collect();
+    let apps = g.usize_in(16, 32);
+    let demand_per_app = g.f64_in(0.5, 2.0) * caps.iter().sum::<f64>() / apps as f64;
+    let mut program = WelfareProgram::new(caps);
+    for a in 0..apps {
+        let n = g.usize_in(1, 3);
+        let mut slope = g.f64_in(1.0, 4.0);
+        let segments: Vec<(f64, f64)> = (0..n)
+            .map(|_| {
+                let segment = (demand_per_app * g.f64_in(0.2, 1.0) / n as f64, slope);
+                slope *= g.f64_in(0.3, 0.9);
+                segment
+            })
+            .collect();
+        let total: f64 = segments.iter().map(|&(w, _)| w).sum();
+        let cap = if g.ratio(1, 3) { g.f64_in(0.5, 1.0) * total } else { total };
+        program.add_app(WelfareApp {
+            id: a as u32,
+            segments,
+            cap,
+        });
+    }
+    program
+}
+
+#[test]
+fn vcg_prices_benchmark_shaped_windows_bit_identically_to_the_reference() {
+    check("vcg-vs-reference-priced-window", 400, |g| {
+        let program = random_priced_window(g);
+        let out = vcg(&program).expect("finite window prices");
+        let (welfare, receipts) = reference_vcg(&program);
+        assert_eq!(out.solution.welfare.to_bits(), welfare.to_bits());
+        for (a, (r, want)) in out.receipts.iter().zip(&receipts).enumerate() {
+            let got = [r.value, r.welfare_without, r.payment];
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "app {a}: (value, W_-a, payment) {got:?} vs {want:?}"
+            );
+        }
+    });
+}
