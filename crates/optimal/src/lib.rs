@@ -11,13 +11,14 @@
 //! 2. [`WelfareProgram`] — one window (apps × hosts with capacity,
 //!    demand and deadline caps). Its linear program is a fractional
 //!    knapsack with nested capacities, so one greedy sweep by slope
-//!    solves it exactly and yields the fluid allocation plus the host
+//!    solves it exactly and yields each app's delivery plus the host
 //!    shadow price; a test-only simplex checks it in the tests.
-//! 3. [`vcg()`] — prices every app by its externality: one sort, one full
-//!    sweep, and each leave-one-out restarted from that sweep's cut (the
-//!    position that sets the price), bit-identical to a from-scratch
-//!    re-solve. Its [`VcgReceipt`]s' payments are non-negative,
-//!    individually rational and truthful.
+//!    [`WelfareProgram::place`] spreads the deliveries over the hosts.
+//! 3. [`vcg()`] — prices every app by its externality: one sort, one
+//!    sweep that keeps its state at the cut (the position that sets the
+//!    price), and each leave-one-out restarted from there, bit-identical
+//!    to a from-scratch re-solve. Its [`VcgReceipt`]s' payments are
+//!    non-negative, individually rational and truthful.
 //! 4. [`VcgSlaPolicy`] — packages the above as a standard
 //!    [`gm_core::AllocationPolicy`]: windowed replanning, fault
 //!    tolerance, and VCG settlement through a journaled

@@ -316,23 +316,22 @@ impl VcgSlaPolicy {
             self.plan = None;
             return;
         };
-        let mut alloc = out.solution.alloc.clone();
+        let mut alloc = program.place(&out.solution.delivered);
 
         // Work-conserving backfill: leftover host capacity goes to
         // unfinished jobs in id order (worthless-by-the-curve delivery
         // still finishes jobs — completion is a metric, not a value).
         for (h, &cap) in hosts.iter().enumerate() {
             let mut left = cap - alloc.iter().map(|row| row[h]).sum::<f64>();
-            for (a, id) in job_ids.iter().enumerate() {
+            for (row, app) in alloc.iter_mut().zip(program.apps()) {
                 if left <= WORK_EPS {
                     break;
                 }
-                let planned: f64 = alloc[a].iter().sum();
-                let headroom = (program.apps()[a].cap - planned).max(0.0);
-                let _ = id;
+                let planned: f64 = row.iter().sum();
+                let headroom = (app.cap - planned).max(0.0);
                 let take = headroom.min(left);
                 if take > 0.0 {
-                    alloc[a][h] += take;
+                    row[h] += take;
                     left -= take;
                 }
             }

@@ -2,9 +2,10 @@
 //!
 //! [`WelfareProgram`] holds one planning window — a set of apps with
 //! concave [`SlaCurve`](crate::SlaCurve) value segments competing for a
-//! set of capacity-bounded hosts — and solves it for the optimal fluid
-//! allocation, per-app deliveries and values, and the host capacity
-//! shadow price.
+//! set of capacity-bounded hosts — and solves it for the optimal per-app
+//! deliveries and values and the host capacity shadow price.
+//! [`WelfareProgram::place`] spreads a delivery vector over the hosts
+//! when a caller needs the per-host allocation.
 //!
 //! As a linear program the window reads (per app `a` over `H` hosts,
 //! `K_a` value segments):
@@ -32,28 +33,28 @@
 //!
 //! Solving is two steps: one sort of the window's segments into fill
 //! order, then a linear sweep over that order. [`crate::vcg()`] sorts
-//! once, sweeps the full window, and prices every leave-one-out from
-//! that sweep's *cut*, the first position whose segment the window room
-//! could not fill (the one that sets the price). Before the cut every
-//! fill is its `wanted`, `min(width, app room)`, in the full sweep and
-//! in any sweep with one app left out: leaving an app out only raises
-//! the window room, and float subtraction is monotone. So at the cut
-//! every other app has the full sweep's value and room, and
-//! `WelfareProgram::leave_one_out` records them once. Each `W_{-a}`
-//! then replays only the window-room subtractions from app `a`'s first
-//! segment to the cut, `a`'s fills skipped — the chain of float
-//! operations a from-scratch sweep makes — and sweeps on from the cut,
-//! skipping `a`, until the room is exactly `0.0`, after which every fill
-//! is `+0.0`. Skipping `a` in the shared order walks exactly the
+//! once and makes one sweep, which also keeps what every leave-one-out
+//! is priced from: the sweep's *cut*, the first position whose segment
+//! the window room could not fill (the one that sets the price). Before
+//! the cut every fill is its `wanted`, `min(width, app room)`, in the
+//! full sweep and in any sweep with one app left out: leaving an app out
+//! only raises the window room, and float subtraction is monotone. So at
+//! the cut every other app has the full sweep's value and room, and
+//! `WelfareProgram::solve_with_cut` records them as it passes. Each
+//! `W_{-a}` then replays only the window-room subtractions from app
+//! `a`'s first segment to the cut, `a`'s fills skipped — the chain of
+//! float operations a from-scratch sweep makes — and sweeps on from the
+//! cut, skipping `a`, until the room is exactly `0.0`, after which every
+//! fill is `+0.0`. Skipping `a` in the shared order walks exactly the
 //! sequence a sort of the other apps' segments would give, because the
 //! sort is stable; every app's value then takes the same fills in the
 //! same order, and welfare sums the values in app order either way, so
 //! each `W_{-a}` is bit-identical to [`WelfareProgram::solve_without`]'s.
-//! A window costs O(S log S) for the sort and O(S) for the full sweep;
-//! each leave-one-out costs O(A) plus the positions from `a`'s first
-//! segment to where the room runs out, only subtractions before the
-//! cut. That is O(A·(A + S)) at worst, when leaving one app out leaves
-//! the window uncontended, and far less when the window is contended.
+//! A window costs O(S log S) for the sort and O(S) for the sweep; each
+//! leave-one-out costs O(A) plus the positions from `a`'s first segment
+//! to where the room runs out, only subtractions before the cut. That is
+//! O(A·(A + S)) at worst, when leaving one app out leaves the window
+//! uncontended, and far less when the window is contended.
 
 /// One app's slice of a [`WelfareProgram`] window.
 #[derive(Clone, Debug)]
@@ -77,15 +78,14 @@ pub struct WelfareProgram {
     apps: Vec<WelfareApp>,
 }
 
-/// The solved window: optimal welfare, the allocation matrix, and the
-/// dual prices on host capacity.
+/// The solved window: optimal welfare, per-app deliveries and values,
+/// and the dual prices on host capacity.
 #[derive(Clone, Debug)]
 pub struct WelfareSolution {
     /// Optimal welfare `Σ values`.
     pub welfare: f64,
-    /// `alloc[a][h]`: work app `a` draws from host `h`.
-    pub alloc: Vec<Vec<f64>>,
-    /// Per-app total delivery (`Σ_h alloc[a][h]` up to rounding).
+    /// Per-app total delivery; [`WelfareProgram::place`] spreads it over
+    /// the hosts.
     pub delivered: Vec<f64>,
     /// Per-app realized value `Σ_k slope·s` at the optimum.
     pub values: Vec<f64>,
@@ -137,13 +137,18 @@ impl WelfareProgram {
         self.apps[a].segments = segments;
     }
 
-    /// Solve the window: the greedy sweep (see the module docs) plus a
-    /// placement of each app's delivery on hosts. Returns `None` if any
-    /// host capacity, app cap, segment width or slope is NaN or
-    /// infinite; every finite window has an optimum (`d = 0` is
+    /// Solve the window: the greedy sweep of the module docs. Returns
+    /// `None` if any host capacity, app cap, segment width or slope is
+    /// NaN or infinite; every finite window has an optimum (`d = 0` is
     /// feasible and every segment is bounded).
     pub fn solve(&self) -> Option<WelfareSolution> {
-        Some(self.solve_ordered(&self.fill_order(None)?))
+        let (values, delivered, price) = self.sweep(&self.fill_order(None)?);
+        Some(WelfareSolution {
+            welfare: values.iter().sum(),
+            delivered,
+            values,
+            host_prices: vec![price; self.host_capacity.len()],
+        })
     }
 
     /// Optimal welfare of the same window with app `skip` excluded —
@@ -151,23 +156,7 @@ impl WelfareProgram {
     /// app's segments left out. `None` on the inputs [`Self::solve`]
     /// rejects.
     pub fn solve_without(&self, skip: usize) -> Option<f64> {
-        let order = self.fill_order(Some(skip))?;
-        let mut sweep = Sweep::default();
-        self.sweep(&order, None, &mut sweep);
-        Some(sweep.welfare)
-    }
-
-    /// The full solution from a fill order of every app.
-    pub(crate) fn solve_ordered(&self, order: &FillOrder) -> WelfareSolution {
-        let mut sweep = Sweep::default();
-        self.sweep(order, None, &mut sweep);
-        WelfareSolution {
-            alloc: self.place(&sweep.delivered),
-            host_prices: vec![sweep.price; self.host_capacity.len()],
-            welfare: sweep.welfare,
-            delivered: sweep.delivered,
-            values: sweep.values,
-        }
+        Some(self.sweep(&self.fill_order(Some(skip))?).0.iter().sum())
     }
 
     /// The ordering step every solve starts from: `None` if any input
@@ -204,52 +193,52 @@ impl WelfareProgram {
         })
     }
 
-    /// Fill the segments of `order`, passing over app `skip`'s, each by
-    /// `min(width, app room, window room)`, into `out`'s buffers.
-    pub(crate) fn sweep(&self, order: &FillOrder, skip: Option<usize>, out: &mut Sweep) {
+    /// Fill the segments of `order`, each by
+    /// `min(width, app room, window room)`. Returns each app's value and
+    /// delivery, and the window's capacity price (the same on every host).
+    fn sweep(&self, order: &FillOrder) -> (Vec<f64>, Vec<f64>, f64) {
         let n = self.apps.len();
-        out.room.clear();
-        out.room.extend(self.apps.iter().map(|app| app.cap.max(0.0)));
-        out.values.clear();
-        out.values.resize(n, 0.0);
-        out.delivered.clear();
-        out.delivered.resize(n, 0.0);
+        let mut room: Vec<f64> = self.apps.iter().map(|app| app.cap.max(0.0)).collect();
+        let mut values = vec![0.0; n];
+        let mut delivered = vec![0.0; n];
         let mut window_room = order.capacity;
         // The host price is the slope of the first segment the window
         // cut short while its app still had room: one more unit of any
         // host's capacity would go there.
         let mut price = None;
         for &(slope, a, width) in &order.segments {
-            if skip == Some(a) {
-                continue;
-            }
-            let wanted = width.min(out.room[a]);
+            let wanted = width.min(room[a]);
             if window_room < wanted && price.is_none() {
                 price = Some(slope);
             }
             let fill = wanted.min(window_room);
-            out.room[a] -= fill;
+            room[a] -= fill;
             window_room -= fill;
-            out.values[a] += slope * fill;
-            out.delivered[a] += fill;
+            values[a] += slope * fill;
+            delivered[a] += fill;
         }
-        out.welfare = out.values.iter().sum();
-        out.price = price.unwrap_or(0.0);
+        (values, delivered, price.unwrap_or(0.0))
     }
 
-    /// The prefix pass of leave-one-out pricing over `order`: the full
-    /// sweep up to its cut, the first position whose segment the window
-    /// room cannot fill (the one that sets the price), recording what
-    /// each [`LeaveOneOut::welfare_without`] restarts from.
-    pub(crate) fn leave_one_out<'o>(&self, order: &'o FillOrder) -> LeaveOneOut<'o> {
+    /// [`Self::solve`] over `order` in one pass that also keeps what
+    /// each [`LeaveOneOut::welfare_without`] restarts from. The pass runs
+    /// the full sweep up to its cut, the first position whose segment the
+    /// window room cannot fill (the one that sets the price), recording
+    /// each fill on the way; it takes every app's room and value at the
+    /// cut, then sweeps on from there. Before the cut every fill is its
+    /// `wanted`, so this is the chain of float operations [`Self::sweep`]
+    /// makes, and the solution is bit-identical to [`Self::solve`]'s.
+    pub(crate) fn solve_with_cut<'o>(&self, order: &'o FillOrder) -> (WelfareSolution, LeaveOneOut<'o>) {
         let n = self.apps.len();
+        let segments = &order.segments;
         let mut room: Vec<f64> = self.apps.iter().map(|app| app.cap.max(0.0)).collect();
         let mut values = vec![0.0; n];
+        let mut delivered = vec![0.0; n];
         let mut first = vec![usize::MAX; n];
-        let mut fills = Vec::with_capacity(order.segments.len());
-        let mut window_before = Vec::with_capacity(order.segments.len() + 1);
+        let mut fills = Vec::with_capacity(segments.len());
+        let mut window_before = Vec::with_capacity(segments.len() + 1);
         let mut window_room = order.capacity;
-        for (i, &(slope, a, width)) in order.segments.iter().enumerate() {
+        for (i, &(slope, a, width)) in segments.iter().enumerate() {
             let wanted = width.min(room[a]);
             if window_room < wanted {
                 break;
@@ -260,25 +249,43 @@ impl WelfareProgram {
             room[a] -= wanted;
             window_room -= wanted;
             values[a] += slope * wanted;
+            delivered[a] += wanted;
         }
         window_before.push(window_room);
-        LeaveOneOut {
+        let cut = fills.len();
+        let loo = LeaveOneOut {
             order,
-            cut: fills.len(),
+            cut,
             fills,
             window_before,
             first,
-            room,
-            values,
+            room: room.clone(),
+            values: values.clone(),
             scratch_room: Vec::with_capacity(n),
             scratch_values: Vec::with_capacity(n),
+        };
+        for &(slope, a, width) in &segments[cut..] {
+            let fill = width.min(room[a]).min(window_room);
+            room[a] -= fill;
+            window_room -= fill;
+            values[a] += slope * fill;
+            delivered[a] += fill;
         }
+        let price = segments.get(cut).map_or(0.0, |&(slope, _, _)| slope);
+        let solution = WelfareSolution {
+            welfare: values.iter().sum(),
+            delivered,
+            values,
+            host_prices: vec![price; self.host_capacity.len()],
+        };
+        (solution, loo)
     }
 
     /// Place each app's delivery on hosts northwest-corner style: apps
     /// in index order take hosts in index order, each host until its
     /// capacity is used up. Crashed (zero-capacity) hosts get nothing.
-    fn place(&self, delivered: &[f64]) -> Vec<Vec<f64>> {
+    /// Returns `alloc[a][h]`, the work app `a` draws from host `h`.
+    pub fn place(&self, delivered: &[f64]) -> Vec<Vec<f64>> {
         let mut free: Vec<f64> = self.host_capacity.iter().map(|c| c.max(0.0)).collect();
         let mut alloc = vec![vec![0.0; free.len()]; delivered.len()];
         let mut h = 0;
@@ -307,23 +314,9 @@ pub(crate) struct FillOrder {
     capacity: f64,
 }
 
-/// What one greedy sweep over a window yields. Its buffers are
-/// overwritten by each [`WelfareProgram::sweep`], so one `Sweep` serves
-/// any number of sweeps without allocating again.
-#[derive(Default)]
-pub(crate) struct Sweep {
-    pub(crate) welfare: f64,
-    pub(crate) values: Vec<f64>,
-    pub(crate) delivered: Vec<f64>,
-    /// The window's capacity price, the same on every host.
-    pub(crate) price: f64,
-    /// Room left under each app's cap.
-    room: Vec<f64>,
-}
-
 /// The full sweep's state at its cut, from which each `W_{-a}` is
 /// priced without sweeping the window again; see
-/// [`WelfareProgram::leave_one_out`] and the module docs.
+/// [`WelfareProgram::solve_with_cut`] and the module docs.
 pub(crate) struct LeaveOneOut<'o> {
     order: &'o FillOrder,
     /// The cut: the first position of `order` the window room could not
@@ -442,7 +435,7 @@ mod tests {
         let mut p = WelfareProgram::new(vec![0.0, 40.0]);
         p.add_app(app(0, &SlaCurve::linear(100.0, 10.0), 100.0));
         let s = p.solve().unwrap();
-        assert!(s.alloc[0][0] < 1e-9, "crashed host allocated");
+        assert!(p.place(&s.delivered)[0][0] < 1e-9, "crashed host allocated");
         assert!((s.delivered[0] - 40.0).abs() < 1e-6);
     }
 
@@ -488,7 +481,7 @@ mod tests {
         p.add_app(app(1, &SlaCurve::linear(100.0, 100.0), 100.0));
         let s = p.solve().unwrap();
         assert_eq!(s.delivered, vec![100.0, 50.0]);
-        assert_eq!(s.alloc, vec![vec![0.0, 60.0, 40.0], vec![0.0, 0.0, 50.0]]);
+        assert_eq!(p.place(&s.delivered), vec![vec![0.0, 60.0, 40.0], vec![0.0, 0.0, 50.0]]);
         assert_eq!(s.host_prices, vec![1.0; 3]);
     }
 
@@ -497,7 +490,7 @@ mod tests {
         let p = WelfareProgram::new(vec![50.0]);
         let s = p.solve().unwrap();
         assert_eq!(s.welfare, 0.0);
-        assert!(s.alloc.is_empty());
+        assert!(p.place(&s.delivered).is_empty());
         let mut p = WelfareProgram::new(Vec::new());
         p.add_app(app(0, &SlaCurve::linear(10.0, 5.0), 10.0));
         let s = p.solve().unwrap();

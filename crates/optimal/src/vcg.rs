@@ -11,13 +11,14 @@
 //! `a`'s realized value in that optimum, and `W_{-a}` is the optimal
 //! welfare of the same window re-solved without `a`. The window's
 //! segments are sorted into fill order once and `W_full` is one linear
-//! sweep over that order. Each `W_{-a}` restarts from the full sweep's
-//! state at its cut, the position that sets the price: it replays the
-//! window-room subtractions from `a`'s first segment to the cut and
-//! sweeps on from there until the room runs out. A window costs one sort
-//! of its S segments plus, per app, O(A) and the positions from its
-//! first segment to where the room runs out (O(A·(A + S)) at worst),
-//! and each `W_{-a}` is bit-identical to
+//! sweep over that order, which also keeps the sweep's state at its cut,
+//! the position that sets the price. Each `W_{-a}` restarts from there:
+//! it replays the window-room subtractions from `a`'s first segment to
+//! the cut and sweeps on until the room runs out. A window costs one
+//! sort and one sweep of its S segments plus, per app, O(A) and the
+//! positions from its first segment to where the room runs out
+//! (O(A·(A + S)) at worst). The solution is bit-identical to
+//! [`WelfareProgram::solve`]'s and each `W_{-a}` to
 //! [`WelfareProgram::solve_without`]'s (the [`crate::program`] docs say
 //! why). The classic properties follow directly and are
 //! property-tested in `tests/lp_properties.rs`:
@@ -63,7 +64,7 @@ impl VcgReceipt {
 /// A priced window: the welfare optimum plus one receipt per app.
 #[derive(Clone, Debug)]
 pub struct VcgOutcome {
-    /// The full welfare optimum (allocation, deliveries, prices).
+    /// The full welfare optimum (deliveries, values, prices).
     pub solution: WelfareSolution,
     /// Receipts in app order.
     pub receipts: Vec<VcgReceipt>,
@@ -80,8 +81,7 @@ impl VcgOutcome {
 /// the window holds a non-finite input (see [`WelfareProgram::solve`]).
 pub fn vcg(program: &WelfareProgram) -> Option<VcgOutcome> {
     let order = program.fill_order(None)?;
-    let solution = program.solve_ordered(&order);
-    let mut loo = program.leave_one_out(&order);
+    let (solution, mut loo) = program.solve_with_cut(&order);
     let mut receipts = Vec::with_capacity(program.app_count());
     for (a, app) in program.apps().iter().enumerate() {
         let value = solution.values[a];
@@ -147,12 +147,18 @@ mod tests {
         assert!(loser.value < 1e-6 && loser.payment < 1e-9);
     }
 
-    /// `vcg`'s receipts against `solve` plus one `solve_without` per
-    /// app with value, bit for bit; returns the full sweep's cut.
+    /// `vcg`'s solution against `solve`'s and its receipts against one
+    /// `solve_without` per app with value, bit for bit; returns the full
+    /// sweep's cut.
     fn assert_priced_like_solve_without(p: &WelfareProgram) -> usize {
         let out = vcg(p).unwrap();
         let full = p.solve().unwrap();
         assert_eq!(out.solution.welfare.to_bits(), full.welfare.to_bits());
+        let bits = |s: &WelfareSolution| {
+            [&s.delivered, &s.values, &s.host_prices]
+                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(&out.solution), bits(&full), "delivered, values, host prices");
         for (a, r) in out.receipts.iter().enumerate() {
             let value = full.values[a];
             let without = if value <= 0.0 {
@@ -167,8 +173,7 @@ mod tests {
                 "app {a}: {r:?} vs W_-a {without}"
             );
         }
-        let order = p.fill_order(None).unwrap();
-        p.leave_one_out(&order).cut
+        p.solve_with_cut(&p.fill_order(None).unwrap()).1.cut
     }
 
     fn segments(id: u32, segments: &[(f64, f64)], cap: f64) -> WelfareApp {

@@ -56,10 +56,12 @@ policy-matrix:
 mc-chaos:
     cargo run --release -p gm-experiments --bin mc -- chaos --seeds 1000 --check
 
-# Optimization tier (DESIGN.md §14): LP + VCG property tests, the
+# Optimization tier (DESIGN.md §14): the gm-optimal unit tests (the
+# sweep's cut and the one-pass VCG solve), LP + VCG property tests, the
 # VcgSlaPolicy chaos/determinism integration suite, and the six-policy
 # welfare comparison on the shared SLA workload.
 vcg-matrix:
+    cargo test -q -p gm-optimal
     cargo test -q --test lp_properties --test vcg_policy
     cargo run --release -p gm-experiments --bin vcg
 

@@ -10,7 +10,8 @@
 //!   every leave-one-out welfare and the host price.
 //! * VCG: non-negative payments, individual rationality, and
 //!   truthfulness on sampled misreports (scaling your value curve never
-//!   beats reporting it straight).
+//!   beats reporting it straight); `vcg`'s one-pass solution and its
+//!   receipts bit-identical to `solve` and a from-scratch sweep per app.
 //!
 //! The simplex is test-only code and lives beside this file
 //! (`lp_properties/simplex.rs`), its own unit tests with it.
@@ -273,11 +274,12 @@ fn assert_matches_lp(program: &WelfareProgram) {
         assert!(close(got, want), "W_-{a} {got} vs LP {want}");
     }
     // The placement is feasible and delivers what the sweep decided.
+    let alloc = program.place(&sol.delivered);
     for (h, &cap) in program.host_capacity().iter().enumerate() {
-        let used: f64 = sol.alloc.iter().map(|row| row[h]).sum();
+        let used: f64 = alloc.iter().map(|row| row[h]).sum();
         assert!(used <= cap.max(0.0) + 1e-9, "host {h} over capacity: {used} > {cap}");
     }
-    for (row, &d) in sol.alloc.iter().zip(&sol.delivered) {
+    for (row, &d) in alloc.iter().zip(&sol.delivered) {
         assert!((row.iter().sum::<f64>() - d).abs() <= 1e-9 * d.max(1.0));
     }
 }
@@ -510,5 +512,28 @@ fn vcg_prices_benchmark_shaped_windows_bit_identically_to_the_reference() {
                 "app {a}: (value, W_-a, payment) {got:?} vs {want:?}"
             );
         }
+    });
+}
+
+/// `vcg`'s solution against [`WelfareProgram::solve`]'s, bit for bit:
+/// welfare, every delivery and value, and every host price.
+fn assert_vcg_solves_like_solve(program: &WelfareProgram) {
+    let got = vcg(program).expect("finite window prices").solution;
+    let want = program.solve().expect("finite window solves");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(got.welfare.to_bits(), want.welfare.to_bits(), "welfare in {program:?}");
+    assert_eq!(bits(&got.delivered), bits(&want.delivered), "delivered in {program:?}");
+    assert_eq!(bits(&got.values), bits(&want.values), "values in {program:?}");
+    assert_eq!(bits(&got.host_prices), bits(&want.host_prices), "host prices in {program:?}");
+}
+
+#[test]
+fn vcg_solves_every_window_bit_identically_to_solve() {
+    check("vcg-solution-vs-solve", 2000, |g| assert_vcg_solves_like_solve(&random_edge_window(g)));
+    check("vcg-solution-vs-solve-wide", 500, |g| {
+        assert_vcg_solves_like_solve(&random_wide_program(g))
+    });
+    check("vcg-solution-vs-solve-priced-window", 400, |g| {
+        assert_vcg_solves_like_solve(&random_priced_window(g))
     });
 }
