@@ -25,14 +25,14 @@ use gm_bench::{tick_us, Overhead};
 use gm_crypto::Keypair;
 use gm_des::SimTime;
 use gm_experiments::ext_gray::nospec_agent;
-use gm_experiments::mc::{chaos_driver, job_stream, tycoon_policy};
+use gm_experiments::mc::{chaos_driver, job_stream};
 use gm_grid::AgentConfig;
 use gm_telemetry::{Registry, WallClock};
 use gm_tycoon::{
     BreakerConfig, Credits, GuardConfig, HostId, HostSpec, LiveMarket, Market, NetConfig,
     NetInstruments, QueueConfig, ShedPolicy, UserId,
 };
-use gridmarket::ChaosConfig;
+use gridmarket::{tycoon_policy, ChaosConfig};
 
 // ------------------------------------------------------------ telemetry
 
@@ -130,7 +130,7 @@ const GRAY_SEED: u64 = 0x617A_717E;
 fn sample_guarded_run_ms(guard: GuardConfig) -> f64 {
     let cfg = ChaosConfig::default();
     let mut driver = chaos_driver(ATTACK_SEED, &cfg);
-    let mut policy = tycoon_policy(ATTACK_SEED, driver.host_specs(), |market| {
+    let mut policy = tycoon_policy(ATTACK_SEED, driver.host_specs(), AgentConfig::default(), None, |market| {
         market.set_guard(guard)
     });
     // The honest stream of the default world (the Monte-Carlo suite's).

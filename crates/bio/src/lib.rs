@@ -13,4 +13,4 @@
 
 pub mod workload;
 
-pub use workload::{bio_job_xrsl, BioWorkload, CHUNK_MINUTES_AT_FULL_CPU};
+pub use workload::{BioWorkload, CHUNK_MINUTES_AT_FULL_CPU};

@@ -41,16 +41,16 @@ impl BioWorkload {
     pub fn work_mhz_secs_per_subjob(&self) -> f64 {
         self.chunk_minutes * 60.0 * REFERENCE_VCPU_MHZ
     }
-
-    /// Total CPU-hours of the whole workload at full share.
-    pub fn total_cpu_hours(&self) -> f64 {
-        self.subjobs as f64 * self.chunk_minutes / 60.0
-    }
 }
 
-/// Render the bio application's xRSL with an attached transfer token.
-pub fn bio_job_xrsl(job_name: &str, workload: &BioWorkload, token: &TransferToken) -> String {
-    format!(
+/// The bio application's xRSL around `token`, as a ready-to-submit
+/// [`JobSpec`] named `job_name` with the workload's calibrated work.
+pub fn bio_job_spec(
+    workload: &BioWorkload,
+    token: &TransferToken,
+    job_name: &str,
+) -> Result<JobSpec, gm_grid::GridError> {
+    let text = format!(
         concat!(
             "&(executable=\"proteome_scan.sh\")\n",
             "(jobName=\"{name}\")\n",
@@ -66,18 +66,7 @@ pub fn bio_job_xrsl(job_name: &str, workload: &BioWorkload, token: &TransferToke
         count = workload.subjobs,
         deadline = workload.deadline_minutes,
         token = token.to_hex(),
-    )
-}
-
-/// Build a ready-to-submit [`JobSpec`] for `identity`, funding it with a
-/// fresh token of `funding` drawn on `receipt` (the caller performs the
-/// actual bank transfer and passes the resulting token).
-pub fn bio_job_spec(
-    workload: &BioWorkload,
-    token: &TransferToken,
-    job_name: &str,
-) -> Result<JobSpec, gm_grid::GridError> {
-    let text = bio_job_xrsl(job_name, workload, token);
+    );
     JobSpec::parse(&text, workload.work_mhz_secs_per_subjob())
 }
 
@@ -106,7 +95,6 @@ mod tests {
         assert_eq!(w.subjobs, 15);
         // 212 min × 60 s × 2910 MHz
         assert!((w.work_mhz_secs_per_subjob() - 37_015_200.0).abs() < 1.0);
-        assert!((w.total_cpu_hours() - 53.0).abs() < 0.1);
     }
 
     #[test]

@@ -31,7 +31,10 @@ pub struct ChaosConfig {
     pub users: u32,
     /// Per-user token funding in credits.
     pub funding: f64,
-    /// Sub-jobs per user.
+    /// Sub-jobs per job in the job stream the baselines, the VCG tier
+    /// and the attack cells run (`gm_experiments::mc::job_stream`). The
+    /// Tycoon world of [`ChaosConfig::scenario`] does not read it: its
+    /// users keep the `UserSetup` default of 15 sub-jobs.
     pub subjobs: u32,
     /// Minutes per chunk at a full vCPU.
     pub chunk_minutes: f64,
@@ -146,7 +149,10 @@ impl ChaosConfig {
         }
     }
 
-    /// Build the fully assembled (but not yet run) scenario for `seed`.
+    /// The scenario for `seed`: the seed's jittered hosts and generated
+    /// fault plan, and `users` equally funded users, each with the
+    /// `UserSetup` default of 15 sub-jobs (not [`ChaosConfig::subjobs`]).
+    /// [`Scenario::build`] assembles it; [`Scenario::run`] runs it.
     pub fn scenario(&self, seed: u64) -> Scenario {
         Scenario::builder()
             .seed(seed)

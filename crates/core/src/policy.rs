@@ -14,7 +14,7 @@
 //! |--------------|-----------------------------------------------------|
 //! | `begin_tick` | sync the telemetry `ManualClock` to sim time        |
 //! | `apply_fault`| crash/recover hosts, fail VMs, bank outage/restore/restart |
-//! | `admit`      | fund a transfer token, render xRSL, `JobManager::submit` |
+//! | `admit`      | [`submit_funded`]: token, xRSL, `JobManager::submit` |
 //! | `place`      | `JobManager::pre_tick` (bids, escrows, dispatch)    |
 //! | `advance`    | `Market::tick` + `JobManager::post_tick`            |
 //! | `settle`     | hourly online conservation audit (`ledger.audits`)  |
@@ -23,12 +23,12 @@
 
 use std::collections::BTreeMap;
 
-use gm_bio::workload::{bio_job_xrsl, fund_token, BioWorkload, REFERENCE_VCPU_MHZ};
+use gm_bio::workload::{bio_job_spec, fund_token, BioWorkload, REFERENCE_VCPU_MHZ};
 use gm_core::{AllocationPolicy, JobOutcome, JobRequest, PolicyError, TickCtx};
 use gm_des::{FaultEvent, FaultKind, SimTime};
-use gm_grid::{GridError, GridIdentity, JobId, JobManager, JobSpec};
-use gm_telemetry::{ManualClock, Tracer};
-use gm_tycoon::{AccountId, Credits, HostId, Market};
+use gm_grid::{AgentConfig, GridError, GridIdentity, JobId, JobManager, VmConfig};
+use gm_telemetry::{ManualClock, Registry, Tracer};
+use gm_tycoon::{AccountId, Credits, HostId, HostSpec, Market};
 
 /// A prepared Tycoon submission for one [`JobRequest`] id: the grid
 /// identity that signs the transfer token, its funded bank account, the
@@ -47,6 +47,45 @@ pub struct TycoonJobSetup {
     pub label: String,
     /// Workload shape rendered into the xRSL.
     pub workload: BioWorkload,
+}
+
+/// The one way a funded job reaches the market (PAPER.md §1): draw a
+/// transfer token of `funding` from the setup's account to the broker,
+/// render the bio xRSL around it, and submit it to the job manager.
+pub fn submit_funded(
+    market: &mut Market,
+    jm: &mut JobManager,
+    now: SimTime,
+    setup: &TycoonJobSetup,
+    funding: Credits,
+) -> Result<JobId, GridError> {
+    let broker = jm.broker_account();
+    let token = fund_token(market.bank_mut(), &setup.identity, setup.account, broker, funding)?;
+    let spec = bio_job_spec(&setup.workload, &token, &setup.label)?;
+    jm.submit(market, now, &spec)
+}
+
+/// The one constructor of a Tycoon world from a seed and a host
+/// inventory: a market keyed by `seed` ticking every 10 s, adjusted by
+/// `tune` (interval, guard, telemetry, ledger) before `hosts` join, and
+/// a job manager with `agent` and the default VM model, recording its
+/// `grid.*` metrics into `registry` when one is given.
+pub fn tycoon_policy(
+    seed: u64,
+    hosts: &[HostSpec],
+    agent: AgentConfig,
+    registry: Option<&Registry>,
+    tune: impl FnOnce(&mut Market),
+) -> TycoonPolicy {
+    let mut market = Market::new(&seed.to_be_bytes());
+    market.set_interval_secs(10.0);
+    tune(&mut market);
+    for h in hosts {
+        market.add_host(h.clone());
+    }
+    let registry = registry.cloned().unwrap_or_default();
+    let jm = JobManager::with_registry(&mut market, agent, VmConfig::default(), &registry);
+    TycoonPolicy::new(market, jm)
 }
 
 /// The Tycoon grid stack behind the [`AllocationPolicy`] hooks.
@@ -70,7 +109,8 @@ const AUDIT_EVERY_TICKS: u64 = 360;
 
 impl TycoonPolicy {
     /// Wrap an assembled market and job manager. The market must already
-    /// hold the host inventory the driver is constructed with.
+    /// hold the host inventory the driver is constructed with; build
+    /// both with [`tycoon_policy`].
     pub fn new(market: Market, jm: JobManager) -> TycoonPolicy {
         TycoonPolicy {
             market,
@@ -126,18 +166,22 @@ impl TycoonPolicy {
         (self.market, self.jm)
     }
 
+    /// Open the bank account of grid user `n` (identity
+    /// `swegrid_user(n)`, account `user{n}`) and endow it generously:
+    /// the token carries the `funding`, the endowment just covers it.
+    pub fn open_user(&mut self, n: u32, funding: f64) -> (GridIdentity, AccountId) {
+        let identity = GridIdentity::swegrid_user(n);
+        let bank = self.market.bank_mut();
+        let account = bank.open_account(identity.public_key(), &format!("user{n}"));
+        bank.mint(account, Credits::from_f64(funding * 10.0 + 1.0))
+            .expect("endowment");
+        (identity, account)
+    }
+
     /// Identity, account and workload for a request nobody prepared:
     /// deterministic per-id identity, endowment covering the budget.
     fn auto_setup(&mut self, req: &JobRequest) -> TycoonJobSetup {
-        let identity = GridIdentity::swegrid_user(req.id + 1);
-        let account = self
-            .market
-            .bank_mut()
-            .open_account(identity.public_key(), &format!("user{}", req.id + 1));
-        self.market
-            .bank_mut()
-            .mint(account, Credits::from_f64(req.budget * 10.0 + 1.0))
-            .expect("endowment");
+        let (identity, account) = self.open_user(req.id + 1, req.budget);
         let workload = BioWorkload {
             subjobs: req.subjobs,
             chunk_minutes: req.work_per_subjob / (60.0 * REFERENCE_VCPU_MHZ),
@@ -282,20 +326,8 @@ impl AllocationPolicy for TycoonPolicy {
             Some(s) => s,
             None => self.auto_setup(req),
         };
-        let broker = self.jm.broker_account();
-        let submitted = (|| -> Result<JobId, GridError> {
-            let token = fund_token(
-                self.market.bank_mut(),
-                &setup.identity,
-                setup.account,
-                broker,
-                Credits::from_f64(req.budget),
-            )?;
-            let text = bio_job_xrsl(&setup.label, &setup.workload, &token);
-            let spec = JobSpec::parse(&text, setup.workload.work_mhz_secs_per_subjob())?;
-            self.jm.submit(&mut self.market, ctx.now, &spec)
-        })();
-        match submitted {
+        let funding = Credits::from_f64(req.budget);
+        match submit_funded(&mut self.market, &mut self.jm, ctx.now, &setup, funding) {
             Ok(id) => {
                 self.jobs.insert(req.id, id);
                 self.value_terms

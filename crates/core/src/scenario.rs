@@ -7,21 +7,24 @@
 //! job funding into account" (§5.2), the market reallocates every 10 s,
 //! and the result carries exactly the metrics of Tables 1–2: **Time** (h),
 //! **Cost** ($/h), **Latency** (min/job) and **Nodes**.
+//!
+//! Building is apart from driving: [`Scenario::build`] assembles a
+//! [`World`], [`World::run_with`] drives it with the caller's drive step
+//! (the plain `driver.run`, or the policy behind a timing or per-tick
+//! wrapper) and reports, and [`Scenario::run`] does both.
 
 use std::sync::Arc;
 
 use gm_bio::workload::BioWorkload;
 use gm_bio::CHUNK_MINUTES_AT_FULL_CPU;
-use gm_core::{JobRequest, PolicyDriver};
+use gm_core::{JobRequest, PolicyDriver, PolicyError, RunResult};
 use gm_des::{FaultPlan, SimDuration, SimTime, Trace};
-use gm_grid::{
-    AgentConfig, FaultCounters, GridError, GridIdentity, JobId, JobManager, JobPhase, VmConfig,
-};
+use gm_grid::{AgentConfig, FaultCounters, GridError, JobId, JobPhase};
 use gm_ledger::SharedJournal;
 use gm_telemetry::{metrics_jsonl, trace_jsonl, Clock, ManualClock, MetricsSnapshot, Registry, Tracer};
-use gm_tycoon::{Credits, GuardConfig, HostSpec, Market, UserId};
+use gm_tycoon::{GuardConfig, HostSpec, UserId};
 
-use crate::policy::{TycoonJobSetup, TycoonPolicy};
+use crate::policy::{tycoon_policy, TycoonJobSetup, TycoonPolicy};
 
 /// Capacity of the scenario's fault-event trace ring. Fault plans are
 /// hand-written schedules, so this is far more than any run produces.
@@ -219,7 +222,7 @@ impl Scenario {
     /// crash-test arbitrary prefixes afterwards (DESIGN.md §11). The bank
     /// checkpoints into it every [`LEDGER_SNAPSHOT_EVERY`] events, so
     /// the WAL it ends with holds only the events since the last
-    /// checkpoint. When not set, `run` attaches a fresh private journal
+    /// checkpoint. When not set, `build` attaches a fresh private journal
     /// so restarts work in randomly generated fault schedules too.
     pub fn ledger(mut self, journal: SharedJournal) -> Self {
         self.ledger = Some(journal);
@@ -249,8 +252,14 @@ impl Scenario {
         self
     }
 
-    /// Run the scenario to completion (or the horizon).
-    pub fn run(self) -> Result<ScenarioResult, GridError> {
+    /// Build the world [`Scenario::run`] drives, without driving it: the
+    /// market with its hosts, guard, telemetry and checkpointed ledger
+    /// (every [`LEDGER_SNAPSHOT_EVERY`] events), the endowed users and
+    /// their job requests, and the driver with the horizon and faults.
+    ///
+    /// # Panics
+    /// Panics if the scenario has no user.
+    pub fn build(self) -> World {
         assert!(!self.users.is_empty(), "scenario needs at least one user");
         // Telemetry rides the simulation clock: `sim_clock` is advanced in
         // lockstep with the driver's `now` (via `TycoonPolicy::begin_tick`),
@@ -260,44 +269,27 @@ impl Scenario {
         let sim_clock = ManualClock::new();
         let clock: Arc<dyn Clock> = Arc::new(sim_clock.clone());
         let tracer = Tracer::new(TRACE_CAPACITY, Arc::clone(&clock));
-        let seed_bytes = self.seed.to_be_bytes();
-        let mut market = Market::new(&seed_bytes);
-        market.set_interval_secs(self.interval_secs);
-        market.set_sharding(self.sharding);
-        if let Some(cfg) = self.guard {
-            market.set_guard(cfg);
-        }
-        market.attach_telemetry(&registry, Arc::clone(&clock));
-        market.attach_ledger(self.ledger.clone().unwrap_or_default());
-        market.bank_mut().set_snapshot_every(LEDGER_SNAPSHOT_EVERY);
         let host_specs = jittered_hosts(self.seed, self.hosts, self.heterogeneity);
-        for spec in &host_specs {
-            market.add_host(spec.clone());
-        }
-        let jm = JobManager::with_registry(&mut market, self.agent, VmConfig::default(), &registry);
+        let mut policy = tycoon_policy(self.seed, &host_specs, self.agent, Some(&registry), |market| {
+            market.set_interval_secs(self.interval_secs);
+            market.set_sharding(self.sharding);
+            if let Some(cfg) = self.guard {
+                market.set_guard(cfg);
+            }
+            market.attach_telemetry(&registry, clock);
+            market.attach_ledger(self.ledger.clone().unwrap_or_default());
+            market.bank_mut().set_snapshot_every(LEDGER_SNAPSHOT_EVERY);
+        })
+        .with_clock(sim_clock.clone())
+        .with_tracer(tracer.clone());
 
         // Users, accounts, endowments and submission times. The driver
         // owns the arrival stream; the policy owns the funded identities.
-        struct UserMeta {
-            label: String,
-            dn: String,
-            funding: f64,
-        }
-        let mut meta: Vec<UserMeta> = Vec::with_capacity(self.users.len());
-        let mut requests: Vec<JobRequest> = Vec::with_capacity(self.users.len());
-        let mut setups: Vec<TycoonJobSetup> = Vec::with_capacity(self.users.len());
+        let mut meta = Vec::with_capacity(self.users.len());
+        let mut requests = Vec::with_capacity(self.users.len());
         let mut t = SimTime::ZERO;
         for (i, setup) in self.users.iter().enumerate() {
-            let identity = GridIdentity::swegrid_user(i as u32 + 1);
-            let account = market
-                .bank_mut()
-                .open_account(identity.public_key(), &format!("user{}", i + 1));
-            // Endow generously; the *token* carries the experiment's
-            // funding, the endowment just needs to cover it.
-            market
-                .bank_mut()
-                .mint(account, Credits::from_f64(setup.funding * 10.0 + 1.0))
-                .expect("endowment");
+            let (identity, account) = policy.open_user(i as u32 + 1, setup.funding);
             t += SimDuration::from_secs(setup.stagger_secs);
             let workload = BioWorkload {
                 subjobs: setup.subjobs,
@@ -323,27 +315,84 @@ impl Scenario {
             } else {
                 setup.label.clone()
             };
-            setups.push(TycoonJobSetup {
-                identity,
-                account,
-                label,
-                workload,
-            });
+            policy.prepare(
+                i as u32,
+                TycoonJobSetup {
+                    identity,
+                    account,
+                    label,
+                    workload,
+                },
+            );
         }
 
         // The unified driver runs the market exactly like every baseline:
         // faults, then arrivals, then place/advance — tick for tick.
-        let mut policy = TycoonPolicy::new(market, jm)
-            .with_clock(sim_clock.clone())
-            .with_tracer(tracer.clone());
-        for (i, setup) in setups.into_iter().enumerate() {
-            policy.prepare(i as u32, setup);
-        }
-        let mut driver = PolicyDriver::new(host_specs, self.interval_secs)
+        let driver = PolicyDriver::new(host_specs, self.interval_secs)
             .horizon(SimTime::ZERO + SimDuration::from_hours(self.horizon_hours))
-            .faults(self.faults.clone())
+            .faults(self.faults)
             .with_registry(&registry);
-        if let Err(e) = driver.run(&mut policy, &requests) {
+        World {
+            policy,
+            driver,
+            requests,
+            meta,
+            registry,
+            sim_clock,
+            tracer,
+        }
+    }
+
+    /// Run the scenario to completion (or the horizon).
+    pub fn run(self) -> Result<ScenarioResult, GridError> {
+        self.build().run_with(|driver, policy, jobs| driver.run(policy, jobs))
+    }
+}
+
+/// A user's report labels, kept from build to report.
+struct UserMeta {
+    label: String,
+    dn: String,
+    funding: f64,
+}
+
+/// A built, not yet driven [`Scenario`] ([`Scenario::build`]).
+pub struct World {
+    policy: TycoonPolicy,
+    driver: PolicyDriver,
+    requests: Vec<JobRequest>,
+    meta: Vec<UserMeta>,
+    registry: Registry,
+    sim_clock: ManualClock,
+    tracer: Tracer,
+}
+
+impl World {
+    /// The telemetry registry every layer of the world records into, for
+    /// a drive step whose wrapper reads counters (such as
+    /// `ledger.audits`) while the world runs.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Drive the world with `drive`, which is handed the driver, the
+    /// policy and the job requests and must run them, e.g.
+    /// `|driver, policy, jobs| driver.run(policy, jobs)` — or with the
+    /// policy behind a wrapper of the caller's. Then assemble the report.
+    pub fn run_with(
+        self,
+        drive: impl FnOnce(&mut PolicyDriver, &mut TycoonPolicy, &[JobRequest]) -> Result<RunResult, PolicyError>,
+    ) -> Result<ScenarioResult, GridError> {
+        let World {
+            mut policy,
+            mut driver,
+            requests,
+            meta,
+            registry,
+            sim_clock,
+            tracer,
+        } = self;
+        if let Err(e) = drive(&mut driver, &mut policy, &requests) {
             // Submission failures carry a typed `GridError`; anything
             // else (request validation) is a bad job description.
             return Err(policy

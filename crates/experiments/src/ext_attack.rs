@@ -25,11 +25,12 @@ use gm_des::{FaultPlan, SimDuration, SimTime};
 use gm_tycoon::GuardConfig;
 use gridmarket::sched::{jain_fairness, JobRequest, RunResult};
 use gridmarket::telemetry::{ManualClock, Registry};
-use gridmarket::ChaosConfig;
+use gridmarket::grid::AgentConfig;
+use gridmarket::{tycoon_policy, ChaosConfig};
 
 use crate::matrix::{Column, Layout, Matrix, MatrixReport, Rows};
 use crate::mc::{
-    baseline_policy, baseline_run, chaos_driver, job_stream, tycoon_policy, work_per_subjob, McArgs,
+    baseline_policy, baseline_run, chaos_driver, job_stream, work_per_subjob, McArgs,
 };
 
 /// Domain-separation salt for the strategy RNG: the cohort's random
@@ -150,7 +151,7 @@ fn tycoon_cell(kind: AttackKind, guard: GuardConfig, seed: u64, cfg: &ChaosConfi
     let registry = Registry::new();
     let clock = ManualClock::new();
     let mut driver = chaos_driver(seed, cfg).with_registry(&registry);
-    let mut policy = tycoon_policy(seed, driver.host_specs(), |market| {
+    let mut policy = tycoon_policy(seed, driver.host_specs(), AgentConfig::default(), None, |market| {
         market.set_guard(guard);
         market.attach_telemetry(&registry, std::sync::Arc::new(clock.clone()));
     })

@@ -25,7 +25,9 @@
 use gm_des::{SimDuration, SimTime};
 use gm_optimal::{SlaCurve, VcgSlaPolicy};
 use gm_tycoon::{HostSpec, UserId};
+use gridmarket::grid::AgentConfig;
 use gridmarket::sched::{jain_fairness, AllocationPolicy, JobRequest, PolicyDriver, RunResult};
+use gridmarket::tycoon_policy;
 
 use crate::Scale;
 
@@ -100,6 +102,14 @@ fn sweep_curve(jobs: &[JobRequest]) -> SlaCurve {
     SlaCurve::front_loaded(big.total_work(), big.budget, 1.0 / 3.0, 0.8)
 }
 
+/// Drive `policy` over `jobs` on `hosts` for the comparison's 3 h.
+fn drive(hosts: &[HostSpec], jobs: &[JobRequest], policy: &mut dyn AllocationPolicy) -> RunResult {
+    PolicyDriver::new(hosts.to_vec(), 10.0)
+        .horizon(SimTime::ZERO + SimDuration::from_secs(3 * 3600))
+        .run(policy, jobs)
+        .expect("valid SLA job stream")
+}
+
 fn score(policy: &'static str, r: &RunResult) -> PolicyWelfare {
     let nodes: Vec<f64> = r.outcomes.iter().map(|o| o.avg_nodes).collect();
     PolicyWelfare {
@@ -126,22 +136,14 @@ pub fn run_seeded(scale: Scale, seed: u64) -> VcgComparison {
     };
     let hosts: Vec<HostSpec> = (0..n_hosts).map(HostSpec::testbed).collect();
     let jobs = sla_stream(n_hosts);
-    let horizon = SimTime::ZERO + SimDuration::from_secs(3 * 3600);
-    let drive = |policy: &mut dyn AllocationPolicy| -> RunResult {
-        PolicyDriver::new(hosts.clone(), 10.0)
-            .horizon(horizon)
-            .run(policy, &jobs)
-            .expect("valid SLA job stream")
-    };
-
-    let mut rows = Vec::new();
-    {
-        let mut vcg = VcgSlaPolicy::new(seed).with_curve(SWEEP_JOB, sweep_curve(&jobs));
-        rows.push(score("vcg", &drive(&mut vcg)));
-    }
-    rows.push(score("tycoon", &drive(&mut crate::mc::tycoon_policy(seed, &hosts, |_| {}))));
+    let mut vcg = VcgSlaPolicy::new(seed).with_curve(SWEEP_JOB, sweep_curve(&jobs));
+    let mut tycoon = tycoon_policy(seed, &hosts, AgentConfig::default(), None, |_| {});
+    let mut rows = vec![
+        score("vcg", &drive(&hosts, &jobs, &mut vcg)),
+        score("tycoon", &drive(&hosts, &jobs, &mut tycoon)),
+    ];
     for name in ["fifo", "share", "gcommerce", "wta"] {
-        rows.push(score(name, &drive(crate::mc::baseline_policy(name, seed).as_mut())));
+        rows.push(score(name, &drive(&hosts, &jobs, crate::mc::baseline_policy(name, seed).as_mut())));
     }
 
     let mut rendered = String::from(
@@ -195,5 +197,29 @@ mod tests {
             assert_eq!(a.welfare.to_bits(), b.welfare.to_bits(), "{}", a.policy);
             assert_eq!(a.revenue.to_bits(), b.revenue.to_bits(), "{}", a.policy);
         }
+    }
+
+    /// Pins the deadline-pacing finding at the scale `--bin vcg` prints:
+    /// the Tycoon agent paces each of the six feasible jobs to finish
+    /// 30–150 s past its 1,800 s deadline, so none earns on-time value
+    /// and the row's welfare is 0. A pacing fix moves these on purpose.
+    #[test]
+    fn tycoon_finishes_every_feasible_job_just_past_its_deadline() {
+        let hosts: Vec<HostSpec> = (0..4).map(HostSpec::testbed).collect();
+        let jobs = sla_stream(4);
+        let mut tycoon = tycoon_policy(0x5C6, &hosts, AgentConfig::default(), None, |_| {});
+        let r = drive(&hosts, &jobs, &mut tycoon);
+        // Outcomes come back in job order; the sweep job (id 6) is last.
+        let late: Vec<f64> = jobs[..6]
+            .iter()
+            .zip(&r.outcomes)
+            .map(|(job, o)| {
+                let at = o.finished_at.expect("every feasible job finishes");
+                at.since(job.arrival).as_secs_f64() - job.deadline_secs
+            })
+            .collect();
+        assert_eq!(late, [30.0, 40.0, 70.0, 100.0, 150.0, 120.0]);
+        assert_eq!(r.welfare(), 0.0);
+        assert_eq!(run(Scale::Quick).row("tycoon").expect("tycoon row").welfare, 0.0);
     }
 }

@@ -14,7 +14,9 @@ use gm_baselines::{GCommercePolicy, Pricing, WtaPolicy};
 use gm_des::SimTime;
 use gm_numeric::stats::Moments;
 use gm_tycoon::{HostSpec, UserId, DEFAULT_INTERVAL_SECS};
+use gridmarket::grid::AgentConfig;
 use gridmarket::sched::{AllocationPolicy, JobRequest, PolicyDriver, RunResult};
+use gridmarket::tycoon_policy;
 
 use crate::Scale;
 
@@ -101,7 +103,7 @@ pub fn run_seeded(scale: Scale, seed: u64) -> Volatility {
     };
 
     // (a) Tycoon spot prices (host 0) through the shared driver.
-    let mut ty = crate::mc::tycoon_policy(seed, &hosts, |_| {});
+    let mut ty = tycoon_policy(seed, &hosts, AgentConfig::default(), None, |_| {});
     drive(&mut ty);
     let tycoon_prices: Vec<f64> = ty
         .market()

@@ -22,10 +22,9 @@
 use gm_baselines::{FifoPolicy, GCommercePolicy, Placement, Pricing, SharePolicy, WtaPolicy};
 use gm_bio::workload::BioWorkload;
 use gm_des::{FaultPlan, SimDuration, SimTime};
-use gm_grid::{AgentConfig, JobManager, VmConfig};
-use gm_tycoon::{HostSpec, Market, UserId};
+use gm_tycoon::UserId;
 use gridmarket::sched::{seed_stream, AllocationPolicy, JobRequest, McReport, PolicyDriver, RunResult};
-use gridmarket::{chaos_runner, chaos_scenario, ChaosConfig, TycoonPolicy};
+use gridmarket::{chaos_runner, chaos_scenario, ChaosConfig};
 
 use crate::matrix::{Layout, Matrix, MatrixReport, Rows};
 use crate::Scale;
@@ -178,20 +177,6 @@ pub fn chaos_driver(seed: u64, cfg: &ChaosConfig) -> PolicyDriver {
     PolicyDriver::new(hosts, 10.0)
         .horizon(SimTime::ZERO + SimDuration::from_hours(cfg.horizon_hours))
         .faults(FaultPlan::generate(seed, cfg.fault_gen()))
-}
-
-/// A Tycoon market keyed by `seed`, ticking every 10 s over `hosts`,
-/// as a driver policy with the default agent and VM model. `tune`
-/// adjusts the market (guard, telemetry) before the hosts join.
-pub fn tycoon_policy(seed: u64, hosts: &[HostSpec], tune: impl FnOnce(&mut Market)) -> TycoonPolicy {
-    let mut market = Market::new(&seed.to_be_bytes());
-    market.set_interval_secs(10.0);
-    tune(&mut market);
-    for h in hosts {
-        market.add_host(h.clone());
-    }
-    let jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
-    TycoonPolicy::new(market, jm)
 }
 
 /// A bankless baseline or the VCG tier, by roster name.

@@ -6,11 +6,16 @@
 //! such traces by actually running the grid market under a stochastic
 //! arrival process (Poisson arrivals, uniformly drawn funding, chunk
 //! sizes and widths) — the same end-to-end stack as Tables 1–2, not a
-//! synthetic price formula.
+//! synthetic price formula. The world is built with the shared
+//! [`tycoon_policy`] and jobs enter through [`submit_funded`], but the
+//! ticks are stepped here: a trace must span the configured hours, while
+//! the `PolicyDriver` stops once all work has settled.
 
+use gm_bio::workload::BioWorkload;
 use gm_des::{Pcg32, Rng64, SimDuration, SimTime, Trace};
-use gm_grid::{AgentConfig, GridIdentity, JobManager, JobSpec, TransferToken, VmConfig};
-use gm_tycoon::{AccountId, Credits, HostSpec, Market};
+use gm_grid::AgentConfig;
+use gm_tycoon::{Credits, HostSpec};
+use gridmarket::{submit_funded, tycoon_policy, TycoonJobSetup};
 
 /// Configuration of the arrival-driven price generator.
 #[derive(Clone, Debug)]
@@ -53,28 +58,20 @@ impl PriceGenConfig {
 /// Generate the spot-price trace of every host under the configured
 /// arrival process.
 pub fn generate(cfg: &PriceGenConfig) -> Trace {
-    let mut market = Market::new(&cfg.seed.to_be_bytes());
-    market.set_interval_secs(cfg.interval_secs);
-    for i in 0..cfg.hosts {
-        market.add_host(HostSpec::testbed(i));
-    }
-    let mut jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
-
+    let hosts: Vec<HostSpec> = (0..cfg.hosts).map(HostSpec::testbed).collect();
+    let mut policy = tycoon_policy(cfg.seed, &hosts, AgentConfig::default(), None, |market| {
+        market.set_interval_secs(cfg.interval_secs)
+    });
     // A pool of rotating grid users with deep pockets.
     let n_users = 8usize;
-    let users: Vec<(GridIdentity, AccountId)> = (0..n_users)
-        .map(|i| {
-            let id = GridIdentity::swegrid_user(i as u32 + 1);
-            let acct = market
-                .bank_mut()
-                .open_account(id.public_key(), &format!("pricegen-user{i}"));
-            market
-                .bank_mut()
-                .mint(acct, Credits::from_whole(10_000_000))
-                .expect("endowment");
-            (id, acct)
+    let mut users: Vec<TycoonJobSetup> = (1..=n_users as u32)
+        .map(|n| {
+            let (identity, account) = policy.open_user(n, 1_000_000.0);
+            let workload = BioWorkload::paper_default();
+            TycoonJobSetup { identity, account, label: String::new(), workload }
         })
         .collect();
+    let (mut market, mut jm) = policy.into_parts();
 
     let mut rng = Pcg32::new(cfg.seed, 0x9e47);
     // Pre-draw exponential inter-arrival times.
@@ -96,7 +93,7 @@ pub fn generate(cfg: &PriceGenConfig) -> Trace {
     let mut user_rr = 0usize;
     while now.as_secs_f64() < horizon_secs {
         while next_arrival < arrivals.len() && arrivals[next_arrival] <= now.as_secs_f64() {
-            let (identity, acct) = &users[user_rr % n_users];
+            let user = &mut users[user_rr % n_users];
             user_rr += 1;
             next_arrival += 1;
 
@@ -104,25 +101,14 @@ pub fn generate(cfg: &PriceGenConfig) -> Trace {
             let funding = rng.next_range_f64(cfg.funding.0, cfg.funding.1);
             let subjobs = cfg.subjobs.0
                 + rng.next_bounded((cfg.subjobs.1 - cfg.subjobs.0 + 1) as u64) as u32;
-            let deadline_min = (chunk_min * 2.0).ceil() as u64 + 10;
-
-            let receipt = match market.bank_mut().transfer(
-                *acct,
-                jm.broker_account(),
-                Credits::from_f64(funding),
-            ) {
-                Ok(r) => r,
-                Err(_) => continue,
+            user.label = format!("arrival{next_arrival}");
+            user.workload = BioWorkload {
+                subjobs,
+                chunk_minutes: chunk_min,
+                deadline_minutes: (chunk_min * 2.0).ceil() as u64 + 10,
             };
-            let token = TransferToken::create(identity, receipt, identity.dn());
-            let text = format!(
-                "&(executable=\"scan.sh\")(jobName=\"arrival{next_arrival}\")(count={subjobs})(cpuTime=\"{deadline_min} minutes\")(transferToken=\"{}\")",
-                token.to_hex()
-            );
-            let work = chunk_min * 60.0 * 2910.0;
-            if let Ok(spec) = JobSpec::parse(&text, work) {
-                let _ = jm.submit(&mut market, now, &spec);
-            }
+            // A rejected or unfundable arrival is simply not submitted.
+            let _ = submit_funded(&mut market, &mut jm, now, user, Credits::from_f64(funding));
         }
         jm.step(&mut market, now);
         now += dt;

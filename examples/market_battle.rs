@@ -12,10 +12,10 @@ use gridmarket::baselines::{
     FifoPolicy, GCommercePolicy, Placement, Pricing, SharePolicy, WtaPolicy,
 };
 use gridmarket::des::SimTime;
-use gridmarket::grid::{AgentConfig, JobManager, VmConfig};
+use gridmarket::grid::AgentConfig;
 use gridmarket::sched::{jain_fairness, AllocationPolicy, JobRequest, RunResult};
-use gridmarket::tycoon::{HostSpec, Market, UserId, DEFAULT_INTERVAL_SECS};
-use gridmarket::{PolicyDriver, TycoonPolicy};
+use gridmarket::tycoon::{HostSpec, UserId, DEFAULT_INTERVAL_SECS};
+use gridmarket::{tycoon_policy, PolicyDriver};
 
 fn main() {
     let hosts: Vec<HostSpec> = (0..6).map(HostSpec::testbed).collect();
@@ -50,13 +50,8 @@ fn main() {
 
     // The Tycoon grid market — the same jobs, hosts and driver as every
     // baseline above.
-    let mut market = Market::new(&7u64.to_be_bytes());
-    market.set_interval_secs(10.0);
-    for h in &hosts {
-        market.add_host(h.clone());
-    }
-    let jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
-    report("tycoon-market", &drive(&mut TycoonPolicy::new(market, jm)));
+    let mut tycoon = tycoon_policy(7, &hosts, AgentConfig::default(), None, |_| {});
+    report("tycoon-market", &drive(&mut tycoon));
 
     println!("\n(fairness = Jain index over finished jobs; CoV = price coefficient of variation)");
 }

@@ -38,12 +38,12 @@ soak:
     cargo run --release --example overload_run -- 2006 25
 
 # Policy matrix: run every allocator (Tycoon + all baselines) through the
-# shared PolicyDriver test suites and the market_battle example, then gate
-# the decomposed JobManager modules against regrowing into a god-file
-# (≤ 600 lines each).
+# shared PolicyDriver test suites and the market_battle example (three
+# runs, byte-identical), then gate the decomposed JobManager modules
+# against regrowing into a god-file (≤ 600 lines each).
 policy-matrix:
     cargo test -q --test market_vs_baselines --test policy_driver
-    cargo run --release --example market_battle
+    for i in 1 2 3; do cargo run --release --quiet --example market_battle > /tmp/market_battle.$i.txt || exit 1; done; cmp /tmp/market_battle.1.txt /tmp/market_battle.2.txt && cmp /tmp/market_battle.1.txt /tmp/market_battle.3.txt
     wc -l crates/grid/src/manager/*.rs | awk '$2 != "total" && $1 > 600 {print $2" has "$1" lines (limit 600)"; bad=1} END {exit bad+0}'
 
 # Monte-Carlo chaos sweep (DESIGN.md §13): 1000 random-fault seeds for

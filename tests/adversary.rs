@@ -14,73 +14,19 @@
 //!    telemetry exports stay byte-identical to a guard-less build.
 
 use gm_adversary::{AttackContext, AttackKind};
-use gm_bio::workload::BioWorkload;
+use gm_experiments::ext_attack::{attack_cfg, hostile_stream};
+use gm_experiments::mc::{chaos_driver, job_stream};
 use gridmarket::des::check::{check, Gen};
-use gridmarket::des::rng::Pcg32;
 use gridmarket::des::{FaultPlan, SimDuration, SimTime};
-use gridmarket::grid::{AgentConfig, JobManager, VmConfig};
-use gridmarket::sched::{JobRequest, PolicyDriver, RunResult};
+use gridmarket::grid::AgentConfig;
+use gridmarket::sched::RunResult;
 use gridmarket::telemetry::{metrics_jsonl, ManualClock, Registry};
-use gridmarket::tycoon::{GuardConfig, HostSpec, Market, UserId};
-use gridmarket::{ChaosConfig, TycoonPolicy};
+use gridmarket::tycoon::GuardConfig;
+use gridmarket::{tycoon_policy, ChaosConfig, TycoonPolicy};
 
-/// The chaos world the attacks run in: the default chaos distribution
-/// plus two seeded cohort arrivals, mirroring the attack matrix.
-fn attack_cfg() -> ChaosConfig {
-    ChaosConfig {
-        adversary_arrivals: 2,
-        ..ChaosConfig::default()
-    }
-}
-
-/// The honest stream the matrix uses (same stagger, work, budgets).
-fn honest_stream(cfg: &ChaosConfig) -> Vec<JobRequest> {
-    let workload = BioWorkload {
-        subjobs: cfg.subjobs,
-        chunk_minutes: cfg.chunk_minutes,
-        deadline_minutes: cfg.deadline_minutes,
-    };
-    (0..cfg.users)
-        .map(|i| JobRequest {
-            id: i,
-            user: UserId(i + 1),
-            subjobs: cfg.subjobs,
-            work_per_subjob: workload.work_mhz_secs_per_subjob(),
-            arrival: SimTime::ZERO + SimDuration::from_secs(30 * (u64::from(i) + 1)),
-            budget: cfg.funding,
-            deadline_secs: cfg.deadline_minutes as f64 * 60.0,
-        })
-        .collect()
-}
-
-/// The strategic cohort for `(kind, seed)`, timed against the honest
-/// busy window exactly as the attack matrix times it.
-fn hostile_stream(kind: AttackKind, seed: u64, cfg: &ChaosConfig, aggression: f64) -> Vec<JobRequest> {
-    let plan = FaultPlan::generate(seed, cfg.fault_gen());
-    let workload = BioWorkload {
-        subjobs: cfg.subjobs,
-        chunk_minutes: cfg.chunk_minutes,
-        deadline_minutes: cfg.deadline_minutes,
-    };
-    let waves = (cfg.users * cfg.subjobs).div_ceil(cfg.hosts.max(1));
-    let ctx = AttackContext {
-        hosts: cfg.hosts,
-        honest_users: cfg.users,
-        honest_funding: cfg.funding,
-        honest_deadline_secs: cfg.deadline_minutes as f64 * 60.0,
-        honest_makespan_secs: f64::from(waves) * cfg.chunk_minutes * 60.0,
-        work_per_subjob: workload.work_mhz_secs_per_subjob(),
-        subjobs: cfg.subjobs,
-        horizon: SimTime::ZERO + SimDuration::from_hours(cfg.horizon_hours),
-        arrivals: AttackContext::arrivals_from(&plan),
-        job_id_base: cfg.users,
-        aggression,
-    };
-    kind.strategy().requests(&ctx, &mut Pcg32::seed_from_u64(seed ^ 0xA77A_C0DE))
-}
-
-/// Drive the tycoon market (with `guard`) through the honest stream plus
-/// one hostile cohort under `plan`, returning the policy for inspection.
+/// Drive the tycoon market (with `guard`) through the attack matrix's
+/// honest stream plus one hostile cohort (two seeded arrivals at 8x
+/// aggression) under `plan`, returning the policy for inspection.
 fn attacked_run(
     kind: AttackKind,
     guard: GuardConfig,
@@ -89,30 +35,20 @@ fn attacked_run(
     plan: FaultPlan,
     registry: &Registry,
 ) -> (TycoonPolicy, RunResult) {
-    let hosts: Vec<HostSpec> =
-        gridmarket::scenario::jittered_hosts(seed, cfg.hosts, cfg.heterogeneity);
+    let mut driver = chaos_driver(seed, cfg).faults(plan).with_registry(registry);
     let clock = ManualClock::new();
-    let mut market = Market::new(&seed.to_be_bytes());
-    market.set_interval_secs(10.0);
-    market.set_guard(guard);
-    market.attach_telemetry(registry, std::sync::Arc::new(clock.clone()));
-    // A durable WAL so `BankRestart` faults do a real kill + journal
-    // recovery instead of degrading to a bank-restore.
-    market.attach_ledger(gm_ledger::SharedJournal::default());
-    for h in &hosts {
-        market.add_host(h.clone());
-    }
-    let jm = JobManager::new(&mut market, AgentConfig::default(), VmConfig::default());
-    let mut policy = TycoonPolicy::new(market, jm).with_clock(clock);
+    let mut policy = tycoon_policy(seed, driver.host_specs(), AgentConfig::default(), None, |market| {
+        market.set_guard(guard);
+        market.attach_telemetry(registry, std::sync::Arc::new(clock.clone()));
+        // A durable WAL so `BankRestart` faults do a real kill + journal
+        // recovery instead of degrading to a bank-restore.
+        market.attach_ledger(gm_ledger::SharedJournal::default());
+    })
+    .with_clock(clock);
 
-    let mut jobs = honest_stream(cfg);
-    jobs.extend(hostile_stream(kind, seed, cfg, 8.0));
-    let r = PolicyDriver::new(hosts, 10.0)
-        .horizon(SimTime::ZERO + SimDuration::from_hours(cfg.horizon_hours))
-        .faults(plan)
-        .with_registry(registry)
-        .run(&mut policy, &jobs)
-        .expect("valid attack job stream");
+    let mut jobs = job_stream(cfg);
+    jobs.extend(hostile_stream(kind, seed, cfg));
+    let r = driver.run(&mut policy, &jobs).expect("valid attack job stream");
     (policy, r)
 }
 

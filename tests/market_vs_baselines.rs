@@ -10,9 +10,10 @@ mod common;
 
 use common::{drive, hosts, workload};
 use gm_baselines::{FifoPolicy, GCommercePolicy, Placement, Pricing, SharePolicy, WtaPolicy};
-use gm_experiments::mc::tycoon_policy;
 use gridmarket::des::SimTime;
+use gridmarket::grid::AgentConfig;
 use gridmarket::sched::{jain_fairness, JobRequest};
+use gridmarket::tycoon_policy;
 use gridmarket::tycoon::UserId;
 
 /// Budgets are meaningless to administrative schedulers but decisive in
@@ -36,7 +37,7 @@ fn only_markets_differentiate_by_budget() {
 
     // The Tycoon market under the *same driver and workload*: richer
     // users pay real credits and obtain better latency.
-    let mut ty = tycoon_policy(5, &hosts, |_| {});
+    let mut ty = tycoon_policy(5, &hosts, AgentConfig::default(), None, |_| {});
     let market = drive(&mut ty, &hosts, &jobs, horizon);
     assert!(market.all_finished());
     for o in &market.outcomes {
@@ -95,7 +96,7 @@ fn proportional_share_beats_wta_on_fairness() {
             deadline_secs: 3600.0,
         })
         .collect();
-    let mut ty = tycoon_policy(11, &hosts, |_| {});
+    let mut ty = tycoon_policy(11, &hosts, AgentConfig::default(), None, |_| {});
     let market = drive(&mut ty, &hosts, &jobs_ty, SimTime::from_secs(3600));
     let caps_market: Vec<f64> = market
         .outcomes
@@ -142,7 +143,7 @@ fn market_is_work_conserving_under_load() {
             deadline_secs: 90.0 * 60.0,
         })
         .collect();
-    let mut ty = tycoon_policy(13, &hosts, |_| {});
+    let mut ty = tycoon_policy(13, &hosts, AgentConfig::default(), None, |_| {});
     let r = drive(&mut ty, &hosts, &jobs, SimTime::from_secs(8 * 3600));
     assert!(r.all_finished());
     // 8 subjobs × 15 min = 2 CPU-hours on 4 vCPUs ⇒ ≥ 0.5 h lower bound;

@@ -18,11 +18,12 @@ use std::fmt::Write as _;
 
 use common::{drive, hosts, workload};
 use gm_baselines::{FifoPolicy, GCommercePolicy, Placement, Pricing, SharePolicy, WtaPolicy};
-use gm_experiments::mc::tycoon_policy;
 use gm_optimal::VcgSlaPolicy;
 use gridmarket::des::check::{check, Gen};
 use gridmarket::des::{FaultGenConfig, FaultPlan, SimDuration, SimTime};
+use gridmarket::grid::AgentConfig;
 use gridmarket::sched::{AllocationPolicy, JobRequest, PolicyDriver, RunResult, TickCtx};
+use gridmarket::tycoon_policy;
 use gridmarket::tycoon::{UserId, DEFAULT_INTERVAL_SECS};
 
 /// Work conservation under *every* policy: no allocator invents
@@ -42,7 +43,7 @@ fn no_policy_invents_capacity() {
     let mut share = SharePolicy::new(Placement::LeastLoaded);
     let mut gc = GCommercePolicy::default();
     let mut wta = WtaPolicy::new(Pricing::FirstPrice);
-    let mut ty = tycoon_policy(5, &inventory, |_| {});
+    let mut ty = tycoon_policy(5, &inventory, AgentConfig::default(), None, |_| {});
     let policies: Vec<(&str, &mut dyn AllocationPolicy)> = vec![
         ("fifo", &mut fifo),
         ("share", &mut share),
@@ -84,7 +85,7 @@ fn no_policy_invents_capacity() {
 fn tycoon_conserves_money_through_the_driver() {
     let inventory = hosts(3);
     let jobs = workload();
-    let mut ty = tycoon_policy(5, &inventory, |_| {});
+    let mut ty = tycoon_policy(5, &inventory, AgentConfig::default(), None, |_| {});
     let r = drive(&mut ty, &inventory, &jobs, SimTime::from_secs(6 * 3600));
     assert!(r.all_finished());
 
@@ -248,7 +249,7 @@ fn every_policy_outcome_matches_the_golden_bits() {
         ("gcommerce", Box::new(GCommercePolicy::default())),
         ("wta first-price", Box::new(WtaPolicy::new(Pricing::FirstPrice))),
         ("wta second-price", Box::new(WtaPolicy::new(Pricing::SecondPrice))),
-        ("tycoon seed 5", Box::new(tycoon_policy(5, &inventory, |_| {}))),
+        ("tycoon seed 5", Box::new(tycoon_policy(5, &inventory, AgentConfig::default(), None, |_| {}))),
         ("vcg seed 7", Box::new(VcgSlaPolicy::new(7))),
     ];
     let mut out = String::new();

@@ -15,6 +15,11 @@
 //! the attack cohorts under the armed guard (whose circuit breaker cools
 //! down over ticks with no bids), and widely staggered arrivals with
 //! horizons that can cut the run off inside a quiet span.
+//!
+//! The last case drives `Scenario` worlds through the build/drive seam:
+//! a world from `Scenario::build`, driven through [`PerTick`] or plainly,
+//! must report exactly what `Scenario::run` reports, and its bank must
+//! checkpoint on the `LEDGER_SNAPSHOT_EVERY` cadence.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -22,18 +27,16 @@ use std::sync::Arc;
 use gm_adversary::AttackKind;
 use gm_experiments::ext_attack::{attack_cfg, hostile_stream};
 use gm_experiments::ext_gray::gray_cfg;
-use gm_experiments::mc::job_stream;
+use gm_experiments::mc::{chaos_driver, job_stream};
 use gm_ledger::SharedJournal;
 use gridmarket::des::check::{check, Gen};
 use gridmarket::des::{FaultEvent, FaultPlan, SimDuration, SimTime};
-use gridmarket::grid::{AgentConfig, JobManager, VmConfig};
-use gridmarket::scenario::jittered_hosts;
-use gridmarket::sched::{
-    AllocationPolicy, JobOutcome, JobRequest, PolicyDriver, PolicyError, TickCtx,
-};
+use gridmarket::grid::AgentConfig;
+use gridmarket::scenario::LEDGER_SNAPSHOT_EVERY;
+use gridmarket::sched::{AllocationPolicy, JobOutcome, JobRequest, PolicyError, TickCtx};
 use gridmarket::telemetry::{metrics_jsonl, trace_jsonl, Clock, ManualClock, Registry, Tracer};
-use gridmarket::tycoon::{GuardConfig, Market};
-use gridmarket::{ChaosConfig, TycoonPolicy};
+use gridmarket::tycoon::GuardConfig;
+use gridmarket::{tycoon_policy, ChaosConfig, TycoonPolicy};
 
 /// Steps every tick: forwards every hook except `skip_quiet`.
 struct PerTick<'a>(&'a mut TycoonPolicy);
@@ -114,28 +117,18 @@ fn run(w: &World, per_tick: bool) -> Observed {
     let clock = ManualClock::new();
     let shared: Arc<dyn Clock> = Arc::new(clock.clone());
     let tracer = Tracer::new(4096, Arc::clone(&shared));
-    let hosts = jittered_hosts(w.seed, w.cfg.hosts, w.cfg.heterogeneity);
-    let mut market = Market::new(&w.seed.to_be_bytes());
-    market.set_interval_secs(10.0);
-    market.set_guard(w.guard);
-    market.attach_telemetry(&registry, shared);
-    market.attach_ledger(SharedJournal::default());
-    for h in &hosts {
-        market.add_host(h.clone());
-    }
-    let jm = JobManager::with_registry(
-        &mut market,
-        AgentConfig::default(),
-        VmConfig::default(),
-        &registry,
-    );
-    let mut policy = TycoonPolicy::new(market, jm)
-        .with_clock(clock.clone())
-        .with_tracer(tracer.clone());
-    let mut driver = PolicyDriver::new(hosts, 10.0)
+    let mut driver = chaos_driver(w.seed, &w.cfg)
         .horizon(w.horizon)
         .faults(w.plan.clone())
         .with_registry(&registry);
+    let hosts = driver.host_specs();
+    let mut policy = tycoon_policy(w.seed, hosts, AgentConfig::default(), Some(&registry), |market| {
+        market.set_guard(w.guard);
+        market.attach_telemetry(&registry, shared);
+        market.attach_ledger(SharedJournal::default());
+    })
+    .with_clock(clock.clone())
+    .with_tracer(tracer.clone());
     let r = if per_tick {
         driver.run(&mut PerTick(&mut policy), &w.jobs)
     } else {
@@ -311,4 +304,41 @@ fn staggered_arrival_skips_match_per_tick_stepping() {
         quiet += assert_skip_matches_per_tick("staggered", &w).quiet_ticks;
     });
     assert!(quiet > 0, "no staggered case skipped a tick");
+}
+
+#[test]
+fn built_scenario_worlds_match_scenario_run_driven_either_way() {
+    let mut quiet = 0;
+    check("quiet_spans_scenario", 4, |g: &mut Gen| {
+        let seed = g.u64();
+        let scenario = ChaosConfig::default().scenario(seed);
+        // Every field of the result, one per line; `f64`'s `Debug`
+        // round-trips, so equal text is equal bits.
+        let reference = format!("{:#?}", scenario.clone().run().expect("scenario runs"));
+        for per_tick in [false, true] {
+            let r = scenario
+                .clone()
+                .build()
+                .run_with(|driver, policy, jobs| {
+                    let cadence = policy.market().bank().snapshot_every();
+                    assert_eq!(cadence, LEDGER_SNAPSHOT_EVERY, "built bank's checkpoint cadence");
+                    let r = if per_tick {
+                        driver.run(&mut PerTick(policy), jobs)
+                    } else {
+                        driver.run(policy, jobs)
+                    };
+                    quiet += driver.stats().quiet_ticks;
+                    r
+                })
+                .expect("built world runs");
+            let what = if per_tick { "per tick" } else { "plainly" };
+            let got = format!("{r:#?}");
+            assert!(
+                got == reference,
+                "seed {seed:#x}: the built world driven {what} differs from Scenario::run, {}",
+                first_difference(&reference, &got)
+            );
+        }
+    });
+    assert!(quiet > 0, "no built scenario skipped a tick");
 }

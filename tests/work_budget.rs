@@ -27,9 +27,9 @@
 //! every event in its WAL and fails the same bound.
 
 use gm_des::{FaultPlan, SimTime};
-use gm_experiments::mc::{chaos_driver, job_stream, tycoon_policy};
 use gm_ledger::SharedJournal;
 use gridmarket::scenario::{Scenario, ScenarioResult, LEDGER_SNAPSHOT_EVERY};
+use gridmarket::sched::DriverStats;
 use gridmarket::ChaosConfig;
 
 /// Signed transfers per placed bid, at most. The worlds below reach 28.0
@@ -87,20 +87,18 @@ const MAX_STEPPED_SHARE: f64 = 0.19;
 
 #[test]
 fn chaos_runs_step_only_a_bounded_share_of_their_ticks() {
-    // The default chaos hosts and fault plans, with the 15 sub-jobs per
-    // user that `ChaosConfig::scenario` runs. `Scenario` does not expose
-    // its driver's counters, so the world comes from the matrix helpers.
-    let cfg = ChaosConfig {
-        subjobs: 15,
-        ..ChaosConfig::default()
-    };
+    // The default chaos worlds, driven through the build/drive seam so
+    // the driver's counters can be read.
     for seed in 0..4u64 {
-        let mut driver = chaos_driver(seed, &cfg);
-        let mut policy = tycoon_policy(seed, driver.host_specs(), |m| {
-            m.attach_ledger(SharedJournal::new())
-        });
-        driver.run(&mut policy, &job_stream(&cfg)).expect("chaos run");
-        let s = driver.stats();
+        let mut s = DriverStats::default();
+        let world = ChaosConfig::default().scenario(seed).build();
+        world
+            .run_with(|driver, policy, jobs| {
+                let r = driver.run(policy, jobs);
+                s = *driver.stats();
+                r
+            })
+            .expect("chaos run");
         let stepped = s.ticks - s.quiet_ticks;
         let share = stepped as f64 / s.ticks as f64;
         assert!(
