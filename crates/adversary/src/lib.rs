@@ -154,7 +154,7 @@ impl AdversaryInstruments {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gm_des::{FaultGenConfig, SimDuration};
+    use gm_des::{FaultGenConfig, FaultMix, SimDuration};
 
     fn ctx() -> AttackContext {
         AttackContext {
@@ -177,10 +177,12 @@ mod tests {
         let cfg = FaultGenConfig {
             hosts: 6,
             horizon: SimTime::from_secs(6 * 3600),
-            crashes: 1,
-            mean_downtime: SimDuration::from_minutes(10),
-            adversary_arrivals: 3,
-            ..FaultGenConfig::default()
+            mix: FaultMix {
+                crashes: 1,
+                mean_downtime: SimDuration::from_minutes(10),
+                adversary_arrivals: 3,
+                ..FaultMix::default()
+            },
         };
         let plan = FaultPlan::generate(0xA77AC4, cfg);
         let arrivals = AttackContext::arrivals_from(&plan);

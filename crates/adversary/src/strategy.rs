@@ -172,7 +172,7 @@ impl BidderStrategy for HonestBaseline {
 
 /// The strategic bidder of Feldman–Lai–Zhang, armed with full knowledge:
 /// it models every honest user's steady-state bid rate, runs the *same*
-/// [`best_response`] optimizer the honest agents use, and then sizes a
+/// [`best_response`](fn@best_response) optimizer the honest agents use, and then sizes a
 /// concentrated war chest (`aggression × honest_funding` per arrival)
 /// over a deadline just long enough to dominate the optimizer's chosen
 /// support. The implied bid rate — budget over deadline — lands far above

@@ -15,7 +15,7 @@
 //! replay key `examples/crash_matrix.rs` and `just mc-chaos` print.
 
 use gm_core::{jain_fairness, price_volatility, MonteCarlo};
-use gm_des::{FaultGenConfig, FaultPlan, SimDuration, SimTime};
+use gm_des::{FaultGenConfig, FaultMix, FaultPlan, SimDuration, SimTime};
 
 use crate::grid::AgentConfig;
 use crate::scenario::{Scenario, ScenarioResult};
@@ -44,50 +44,15 @@ pub struct ChaosConfig {
     pub horizon_hours: u64,
     /// Per-host capacity jitter in `[0, 1)`.
     pub heterogeneity: f64,
-    /// Host crash/recovery pairs per run.
-    pub crashes: u32,
-    /// Mean host downtime in seconds.
-    pub mean_downtime_secs: u64,
-    /// Standalone VM failures per run.
-    pub vm_failures: u32,
-    /// Bank unavailability windows per run.
-    pub bank_outages: u32,
-    /// Length of each bank outage in seconds.
-    pub outage_secs: u64,
-    /// Bank kill + journal-recovery events per run.
-    pub bank_restarts: u32,
-    /// Network partitions (lost fault deliveries) per run.
-    pub link_outages: u32,
-    /// Length of each link outage in seconds.
-    pub link_outage_secs: u64,
-    /// Strategic-adversary cohort arrivals per run (`gm-adversary`
-    /// materialises the hostile job streams at these seeded times;
-    /// `0` keeps the schedule byte-identical to pre-adversary plans).
-    pub adversary_arrivals: u32,
-    /// Gray slowdown/restore pairs per run (`0` keeps the schedule
-    /// byte-identical to pre-gray plans; `DESIGN.md` §17).
-    pub slowdowns: u32,
-    /// Length of each slowdown window in seconds.
-    pub slowdown_secs: u64,
-    /// Delivered-rate bounds of a slowdown, in permille of nominal.
-    pub slowdown_min_permille: u16,
-    /// Upper delivered-rate bound (inclusive), permille of nominal.
-    pub slowdown_max_permille: u16,
-    /// Self-expiring full-stall windows per run.
-    pub stalls: u32,
-    /// Length of each stall window in seconds.
-    pub stall_secs: u16,
-    /// Hosts that flap between degraded and nominal rate per run.
-    pub flapping_hosts: u32,
-    /// Slowdown/restore cycles per flapping host.
-    pub flap_cycles: u32,
-    /// Period of one flap cycle in seconds.
-    pub flap_period_secs: u64,
+    /// The fault classes each seed's plan draws, their counts and
+    /// lengths ([`ChaosConfig::fault_gen`] adds the hosts and horizon).
+    pub mix: FaultMix,
 }
 
 impl Default for ChaosConfig {
-    /// A small-but-real world: every fault class fires, runs stay under
-    /// ~50 ms each so thousand-seed sweeps finish in seconds.
+    /// A small-but-real world: every binary fault class fires (crashes,
+    /// VM failures, a bank outage and restart, a link outage), and runs
+    /// stay under ~50 ms each so thousand-seed sweeps finish in seconds.
     fn default() -> ChaosConfig {
         ChaosConfig {
             hosts: 6,
@@ -98,24 +63,13 @@ impl Default for ChaosConfig {
             deadline_minutes: 180,
             horizon_hours: 12,
             heterogeneity: 0.1,
-            crashes: 2,
-            mean_downtime_secs: 1_200,
-            vm_failures: 1,
-            bank_outages: 1,
-            outage_secs: 300,
-            bank_restarts: 1,
-            link_outages: 1,
-            link_outage_secs: 300,
-            adversary_arrivals: 0,
-            slowdowns: 0,
-            slowdown_secs: 1_800,
-            slowdown_min_permille: 150,
-            slowdown_max_permille: 500,
-            stalls: 0,
-            stall_secs: 600,
-            flapping_hosts: 0,
-            flap_cycles: 4,
-            flap_period_secs: 1_200,
+            mix: FaultMix {
+                mean_downtime: SimDuration::from_minutes(20),
+                vm_failures: 1,
+                bank_restarts: 1,
+                link_outages: 1,
+                ..FaultMix::default()
+            },
         }
     }
 }
@@ -128,24 +82,7 @@ impl ChaosConfig {
         FaultGenConfig {
             hosts: self.hosts,
             horizon: SimTime::ZERO + SimDuration::from_hours(self.horizon_hours) / 2,
-            crashes: self.crashes,
-            mean_downtime: SimDuration::from_secs(self.mean_downtime_secs),
-            vm_failures: self.vm_failures,
-            bank_outages: self.bank_outages,
-            outage_len: SimDuration::from_secs(self.outage_secs),
-            bank_restarts: self.bank_restarts,
-            link_outages: self.link_outages,
-            link_outage_len: SimDuration::from_secs(self.link_outage_secs),
-            adversary_arrivals: self.adversary_arrivals,
-            slowdowns: self.slowdowns,
-            slowdown_len: SimDuration::from_secs(self.slowdown_secs),
-            slowdown_min_permille: self.slowdown_min_permille,
-            slowdown_max_permille: self.slowdown_max_permille,
-            stalls: self.stalls,
-            stall_secs: self.stall_secs,
-            flapping_hosts: self.flapping_hosts,
-            flap_cycles: self.flap_cycles,
-            flap_period: SimDuration::from_secs(self.flap_period_secs),
+            mix: self.mix,
         }
     }
 

@@ -116,13 +116,33 @@ pub struct FaultEvent {
     pub target: u32,
 }
 
-/// Parameters for seeded fault-schedule generation.
+/// Parameters for seeded fault-schedule generation: the targets and the
+/// window a plan is drawn over, and the mix of faults drawn into it.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultGenConfig {
     /// Number of hosts fault targets are drawn from (indices `0..hosts`).
     pub hosts: u32,
     /// Faults are scheduled strictly before this time.
     pub horizon: SimTime,
+    /// How many faults of each class, and how long each lasts.
+    pub mix: FaultMix,
+}
+
+impl Default for FaultGenConfig {
+    fn default() -> Self {
+        FaultGenConfig {
+            hosts: 4,
+            horizon: SimTime::from_secs(4 * 3600),
+            mix: FaultMix::default(),
+        }
+    }
+}
+
+/// The fault classes a generated plan draws, their counts and their
+/// lengths — the part of a [`FaultGenConfig`] a chaos world configures
+/// (`gridmarket::ChaosConfig` holds one and adds the hosts and horizon).
+#[derive(Debug, Clone, Copy)]
+pub struct FaultMix {
     /// Number of host crash events (each paired with a recovery).
     pub crashes: u32,
     /// Mean downtime between a crash and its recovery; actual downtimes are
@@ -158,9 +178,9 @@ pub struct FaultGenConfig {
     pub slowdown_max_permille: u16,
     /// Number of complete-stall windows (progress zero, host stays up).
     pub stalls: u32,
-    /// Length of each stall window in whole seconds (packed into the
-    /// event target, so at most `u16::MAX`).
-    pub stall_secs: u16,
+    /// Length of each stall window. Packed into the event target in whole
+    /// seconds, so it saturates at `u16::MAX` seconds.
+    pub stall_len: SimDuration,
     /// Number of flapping hosts: each gets a seeded schedule of
     /// `flap_cycles` slowdown/restore cycles spaced `flap_period` apart.
     pub flapping_hosts: u32,
@@ -171,11 +191,12 @@ pub struct FaultGenConfig {
     pub flap_period: SimDuration,
 }
 
-impl Default for FaultGenConfig {
+impl Default for FaultMix {
+    /// Two crashes, two VM failures and one bank outage. Every other
+    /// class is off (count 0); its length is what a caller that only
+    /// sets the count gets.
     fn default() -> Self {
-        FaultGenConfig {
-            hosts: 4,
-            horizon: SimTime::from_secs(4 * 3600),
+        FaultMix {
             crashes: 2,
             mean_downtime: SimDuration::from_minutes(30),
             vm_failures: 2,
@@ -190,7 +211,7 @@ impl Default for FaultGenConfig {
             slowdown_min_permille: 150,
             slowdown_max_permille: 500,
             stalls: 0,
-            stall_secs: 600,
+            stall_len: SimDuration::from_secs(600),
             flapping_hosts: 0,
             flap_cycles: 4,
             flap_period: SimDuration::from_minutes(20),
@@ -228,10 +249,11 @@ impl FaultPlan {
             return plan;
         }
         let horizon_us = cfg.horizon.as_micros();
+        let mix = cfg.mix;
 
         // Host crash + recovery pairs, non-overlapping per host.
         let mut busy: Vec<Vec<(u64, u64)>> = vec![Vec::new(); cfg.hosts as usize];
-        for _ in 0..cfg.crashes {
+        for _ in 0..mix.crashes {
             if cfg.hosts == 0 {
                 break;
             }
@@ -239,7 +261,7 @@ impl FaultPlan {
                 let host = rng.next_bounded(cfg.hosts as u64) as u32;
                 let at = rng.next_bounded(horizon_us);
                 let jitter = 0.5 + rng.next_f64();
-                let down = cfg.mean_downtime.mul_f64(jitter).as_micros().max(1);
+                let down = mix.mean_downtime.mul_f64(jitter).as_micros().max(1);
                 let until = at.saturating_add(down);
                 let lanes = &mut busy[host as usize];
                 if lanes.iter().all(|&(s, e)| until < s || at > e) {
@@ -254,7 +276,7 @@ impl FaultPlan {
         }
 
         // Standalone VM failures on any host.
-        for _ in 0..cfg.vm_failures {
+        for _ in 0..mix.vm_failures {
             if cfg.hosts == 0 {
                 break;
             }
@@ -264,9 +286,9 @@ impl FaultPlan {
         }
 
         // Bank outage windows.
-        for _ in 0..cfg.bank_outages {
+        for _ in 0..mix.bank_outages {
             let at = rng.next_bounded(horizon_us);
-            let until = at.saturating_add(cfg.outage_len.as_micros().max(1));
+            let until = at.saturating_add(mix.outage_len.as_micros().max(1));
             plan.push(SimTime::from_micros(at), FaultKind::BankOutage, 0);
             if until < horizon_us {
                 plan.push(SimTime::from_micros(until), FaultKind::BankRestore, 0);
@@ -275,16 +297,16 @@ impl FaultPlan {
 
         // Bank restarts (drawn last, so pre-restart seeds keep their
         // schedules byte-identical).
-        for _ in 0..cfg.bank_restarts {
+        for _ in 0..mix.bank_restarts {
             let at = rng.next_bounded(horizon_us);
             plan.push(SimTime::from_micros(at), FaultKind::BankRestart, 0);
         }
 
         // Degraded-link windows (drawn after every earlier stream, same
         // seed-stability contract as bank restarts).
-        for _ in 0..cfg.link_outages {
+        for _ in 0..mix.link_outages {
             let at = rng.next_bounded(horizon_us);
-            let until = at.saturating_add(cfg.link_outage_len.as_micros().max(1));
+            let until = at.saturating_add(mix.link_outage_len.as_micros().max(1));
             plan.push(SimTime::from_micros(at), FaultKind::LinkDown, 0);
             if until < horizon_us {
                 plan.push(SimTime::from_micros(until), FaultKind::LinkUp, 0);
@@ -293,7 +315,7 @@ impl FaultPlan {
 
         // Adversary arrivals (drawn after every earlier stream — the same
         // seed-stability contract as bank restarts and link outages).
-        for i in 0..cfg.adversary_arrivals {
+        for i in 0..mix.adversary_arrivals {
             let at = rng.next_bounded(horizon_us);
             plan.push(SimTime::from_micros(at), FaultKind::AdversaryArrival, i);
         }
@@ -302,16 +324,16 @@ impl FaultPlan {
         // append-last contract). The host keeps accepting bids but only
         // delivers `permille`/1000 of nominal progress until the restore.
         let gray_hosts = u64::from(cfg.hosts.min(MAX_GRAY_HOSTS));
-        let lo = u64::from(cfg.slowdown_min_permille.clamp(1, 1000));
-        let hi = u64::from(cfg.slowdown_max_permille.clamp(1, 1000)).max(lo);
-        for _ in 0..cfg.slowdowns {
+        let lo = u64::from(mix.slowdown_min_permille.clamp(1, 1000));
+        let hi = u64::from(mix.slowdown_max_permille.clamp(1, 1000)).max(lo);
+        for _ in 0..mix.slowdowns {
             if gray_hosts == 0 {
                 break;
             }
             let host = rng.next_bounded(gray_hosts) as u32;
             let at = rng.next_bounded(horizon_us);
             let permille = (lo + rng.next_bounded(hi - lo + 1)) as u16;
-            let until = at.saturating_add(cfg.slowdown_len.as_micros().max(1));
+            let until = at.saturating_add(mix.slowdown_len.as_micros().max(1));
             plan.push(
                 SimTime::from_micros(at),
                 FaultKind::HostSlowdown,
@@ -323,7 +345,8 @@ impl FaultPlan {
         }
 
         // Complete-stall windows (self-expiring; drawn after slowdowns).
-        for _ in 0..cfg.stalls {
+        let stall_secs = u16::try_from(mix.stall_len.as_micros() / 1_000_000).unwrap_or(u16::MAX);
+        for _ in 0..mix.stalls {
             if gray_hosts == 0 {
                 break;
             }
@@ -332,21 +355,21 @@ impl FaultPlan {
             plan.push(
                 SimTime::from_micros(at),
                 FaultKind::HostStall,
-                gray_target(host, cfg.stall_secs.max(1)),
+                gray_target(host, stall_secs.max(1)),
             );
         }
 
         // Flapping hosts: a seeded schedule of repeated slowdown/restore
         // cycles per drawn host (drawn after every earlier stream).
-        for _ in 0..cfg.flapping_hosts {
-            if gray_hosts == 0 || cfg.flap_cycles == 0 {
+        for _ in 0..mix.flapping_hosts {
+            if gray_hosts == 0 || mix.flap_cycles == 0 {
                 break;
             }
             let host = rng.next_bounded(gray_hosts) as u32;
             let start = rng.next_bounded(horizon_us);
             let permille = (lo + rng.next_bounded(hi - lo + 1)) as u16;
-            let period = cfg.flap_period.as_micros().max(2);
-            for c in 0..cfg.flap_cycles {
+            let period = mix.flap_period.as_micros().max(2);
+            for c in 0..mix.flap_cycles {
                 let down = start.saturating_add(period.saturating_mul(u64::from(c)));
                 if down >= horizon_us {
                     break;
@@ -488,9 +511,12 @@ mod tests {
     fn generated_events_are_sorted_and_in_horizon() {
         let cfg = FaultGenConfig {
             hosts: 8,
-            crashes: 10,
-            vm_failures: 10,
-            bank_outages: 3,
+            mix: FaultMix {
+                crashes: 10,
+                vm_failures: 10,
+                bank_outages: 3,
+                ..FaultMix::default()
+            },
             ..FaultGenConfig::default()
         };
         let plan = FaultPlan::generate(7, cfg);
@@ -514,8 +540,11 @@ mod tests {
     fn crash_windows_do_not_overlap_per_host() {
         let cfg = FaultGenConfig {
             hosts: 2,
-            crashes: 12,
-            mean_downtime: SimDuration::from_minutes(60),
+            mix: FaultMix {
+                crashes: 12,
+                mean_downtime: SimDuration::from_minutes(60),
+                ..FaultMix::default()
+            },
             ..FaultGenConfig::default()
         };
         let plan = FaultPlan::generate(99, cfg);
@@ -566,7 +595,10 @@ mod tests {
     fn bank_restarts_generate_in_horizon_without_disturbing_other_draws() {
         let base = FaultGenConfig::default();
         let with_restarts = FaultGenConfig {
-            bank_restarts: 3,
+            mix: FaultMix {
+                bank_restarts: 3,
+                ..base.mix
+            },
             ..base
         };
         let a = FaultPlan::generate(0xabcd, base);
@@ -597,11 +629,17 @@ mod tests {
     #[test]
     fn link_outages_generate_in_horizon_without_disturbing_other_draws() {
         let base = FaultGenConfig {
-            bank_restarts: 2,
+            mix: FaultMix {
+                bank_restarts: 2,
+                ..FaultMix::default()
+            },
             ..FaultGenConfig::default()
         };
         let with_links = FaultGenConfig {
-            link_outages: 3,
+            mix: FaultMix {
+                link_outages: 3,
+                ..base.mix
+            },
             ..base
         };
         let a = FaultPlan::generate(0xabcd, base);
@@ -636,12 +674,18 @@ mod tests {
         // outages, restarts AND link outages, so the non-adversary prefix
         // of a schedule is byte-identical for the same seed.
         let base = FaultGenConfig {
-            bank_restarts: 2,
-            link_outages: 2,
+            mix: FaultMix {
+                bank_restarts: 2,
+                link_outages: 2,
+                ..FaultMix::default()
+            },
             ..FaultGenConfig::default()
         };
         let with_adversaries = FaultGenConfig {
-            adversary_arrivals: 4,
+            mix: FaultMix {
+                adversary_arrivals: 4,
+                ..base.mix
+            },
             ..base
         };
         let a = FaultPlan::generate(0xabcd, base);
@@ -677,15 +721,21 @@ mod tests {
         // adversary arrivals, so the non-gray prefix of a schedule is
         // byte-identical for the same seed.
         let base = FaultGenConfig {
-            bank_restarts: 2,
-            link_outages: 2,
-            adversary_arrivals: 2,
+            mix: FaultMix {
+                bank_restarts: 2,
+                link_outages: 2,
+                adversary_arrivals: 2,
+                ..FaultMix::default()
+            },
             ..FaultGenConfig::default()
         };
         let with_gray = FaultGenConfig {
-            slowdowns: 3,
-            stalls: 2,
-            flapping_hosts: 2,
+            mix: FaultMix {
+                slowdowns: 3,
+                stalls: 2,
+                flapping_hosts: 2,
+                ..base.mix
+            },
             ..base
         };
         let a = FaultPlan::generate(0xabcd, base);
@@ -717,7 +767,8 @@ mod tests {
                     assert!((1..=1000).contains(&p), "permille out of range: {p}");
                 }
                 FaultKind::HostStall => {
-                    assert_eq!(gray_payload(e.target), with_gray.stall_secs);
+                    let secs = u64::from(gray_payload(e.target));
+                    assert_eq!(SimDuration::from_secs(secs), with_gray.mix.stall_len);
                 }
                 _ => assert_eq!(gray_payload(e.target), 0, "restore carries no payload"),
             }
@@ -728,12 +779,15 @@ mod tests {
     fn flapping_schedules_alternate_slowdown_and_restore() {
         let cfg = FaultGenConfig {
             hosts: 4,
-            crashes: 0,
-            vm_failures: 0,
-            bank_outages: 0,
-            flapping_hosts: 1,
-            flap_cycles: 6,
-            flap_period: SimDuration::from_minutes(10),
+            mix: FaultMix {
+                crashes: 0,
+                vm_failures: 0,
+                bank_outages: 0,
+                flapping_hosts: 1,
+                flap_cycles: 6,
+                flap_period: SimDuration::from_minutes(10),
+                ..FaultMix::default()
+            },
             ..FaultGenConfig::default()
         };
         let plan = FaultPlan::generate(0x5107, cfg);
@@ -820,21 +874,26 @@ mod tests {
         let cfg = FaultGenConfig {
             hosts: 30,
             horizon: SimTime::from_secs(8 * 3600),
-            crashes: 2,
-            vm_failures: 1,
-            bank_outages: 1,
-            bank_restarts: 1,
-            link_outages: 1,
-            adversary_arrivals: 2,
-            ..FaultGenConfig::default()
+            mix: FaultMix {
+                crashes: 2,
+                vm_failures: 1,
+                bank_outages: 1,
+                bank_restarts: 1,
+                link_outages: 1,
+                adversary_arrivals: 2,
+                ..FaultMix::default()
+            },
         };
         let a = FaultPlan::generate(2006, cfg);
         let b = FaultPlan::generate(
             2006,
             FaultGenConfig {
-                slowdowns: 0,
-                stalls: 0,
-                flapping_hosts: 0,
+                mix: FaultMix {
+                    slowdowns: 0,
+                    stalls: 0,
+                    flapping_hosts: 0,
+                    ..cfg.mix
+                },
                 ..cfg
             },
         );
@@ -851,12 +910,14 @@ mod tests {
         let cfg = FaultGenConfig {
             hosts: 30,
             horizon: SimTime::from_secs(8 * 3600),
-            crashes: 2,
-            vm_failures: 1,
-            bank_outages: 1,
-            bank_restarts: 1,
-            link_outages: 1,
-            ..FaultGenConfig::default()
+            mix: FaultMix {
+                crashes: 2,
+                vm_failures: 1,
+                bank_outages: 1,
+                bank_restarts: 1,
+                link_outages: 1,
+                ..FaultMix::default()
+            },
         };
         let plan = FaultPlan::generate(2006, cfg);
         // FNV-1a over the (at, kind-ordinal, target) stream.

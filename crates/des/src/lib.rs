@@ -29,8 +29,8 @@ pub mod time;
 pub mod trace;
 
 pub use fault::{
-    gray_host, gray_payload, gray_target, FaultEvent, FaultGenConfig, FaultKind, FaultPlan,
-    MAX_GRAY_HOSTS,
+    gray_host, gray_payload, gray_target, FaultEvent, FaultGenConfig, FaultKind, FaultMix,
+    FaultPlan, MAX_GRAY_HOSTS,
 };
 pub use rng::{Pcg32, Rng64, SplitMix64};
 pub use stat::NodeStat;

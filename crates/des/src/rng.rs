@@ -115,7 +115,7 @@ impl Rng64 for SplitMix64 {
 
 /// Seeded back-off jitter: a factor uniform in `[1 − w/2, 1 + w/2)` for
 /// `w = jitter.min(1)`, hashed from `(salt, attempt)`. A pure function, so
-/// same-seed runs stay byte-identical while distinct salts (clients, jobs)
+/// same-seed runs stay byte-identical while distinct salts (clients)
 /// de-synchronise their retries instead of thundering back together.
 pub fn jitter_factor(jitter: f64, salt: u64, attempt: u32) -> f64 {
     let mut rng = SplitMix64::new(salt ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15));

@@ -3,7 +3,8 @@
 //! Every cell of the matrix is a Monte-Carlo batch over seeds of one
 //! *(policy × strategy)* pair: the honest chaos job stream plus one
 //! strategic cohort from `gm-adversary`, both driven through the
-//! unchanged [`PolicyDriver`] so the allocator is the only variable.
+//! unchanged [`PolicyDriver`](gridmarket::sched::PolicyDriver) so the
+//! allocator is the only variable.
 //! Tycoon appears twice — `tycoon` with the default guard layer
 //! (rate limiter, price-band circuit breaker, quarantine) and
 //! `tycoon_open` with the guard disabled — so the matrix separates what
@@ -17,11 +18,11 @@
 //! *published* price trace — the external signal the circuit breaker
 //! actually defends; charging and allocation always see the raw spot.
 //! All volatility rows use absolute σ, not relative CoV (see
-//! [`abs_sigma`]).
+//! `abs_sigma`).
 
 use gm_adversary::{AdversaryInstruments, AttackContext, AttackKind};
 use gm_des::rng::Pcg32;
-use gm_des::{FaultPlan, SimDuration, SimTime};
+use gm_des::{FaultMix, FaultPlan, SimDuration, SimTime};
 use gm_tycoon::GuardConfig;
 use gridmarket::sched::{jain_fairness, JobRequest, RunResult};
 use gridmarket::telemetry::{ManualClock, Registry};
@@ -52,9 +53,13 @@ pub const ATTACK_POLICIES: [&str; 7] =
 /// The chaos world the matrix runs in: the default chaos distribution
 /// plus two seeded adversary-cohort arrivals per run.
 pub fn attack_cfg() -> ChaosConfig {
+    let base = ChaosConfig::default();
     ChaosConfig {
-        adversary_arrivals: 2,
-        ..ChaosConfig::default()
+        mix: FaultMix {
+            adversary_arrivals: 2,
+            ..base.mix
+        },
+        ..base
     }
 }
 

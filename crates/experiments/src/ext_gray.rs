@@ -18,6 +18,7 @@
 //! gray-free runs), and speculation strictly reducing the honest
 //! on-time miss rate on at least two gray scenarios.
 
+use gm_des::{FaultMix, SimDuration};
 use gm_grid::{AgentConfig, SpeculationConfig};
 use gm_tycoon::HealthConfig;
 use gridmarket::{chaos_scenario_with, ChaosConfig};
@@ -45,37 +46,41 @@ pub const GRAY_SCENARIOS: [&str; 4] = ["none", "slowdown", "stall", "flapping"];
 /// from a no-op.
 pub fn gray_cfg(scenario: &str) -> ChaosConfig {
     let base = ChaosConfig {
-        crashes: 0,
-        vm_failures: 0,
-        link_outages: 0,
         deadline_minutes: 75,
         horizon_hours: 2,
         ..ChaosConfig::default()
     };
-    match scenario {
-        "none" => base,
-        "slowdown" => ChaosConfig {
+    let none = FaultMix {
+        crashes: 0,
+        vm_failures: 0,
+        link_outages: 0,
+        ..base.mix
+    };
+    let mix = match scenario {
+        "none" => none,
+        "slowdown" => FaultMix {
             slowdowns: 3,
-            slowdown_secs: 3_600,
+            slowdown_len: SimDuration::from_minutes(60),
             slowdown_min_permille: 10,
             slowdown_max_permille: 80,
-            ..base
+            ..none
         },
-        "stall" => ChaosConfig {
+        "stall" => FaultMix {
             stalls: 3,
-            stall_secs: 3_600,
-            ..base
+            stall_len: SimDuration::from_minutes(60),
+            ..none
         },
-        "flapping" => ChaosConfig {
+        "flapping" => FaultMix {
             flapping_hosts: 3,
             flap_cycles: 3,
-            flap_period_secs: 1_800,
+            flap_period: SimDuration::from_minutes(30),
             slowdown_min_permille: 10,
             slowdown_max_permille: 80,
-            ..base
+            ..none
         },
         other => unreachable!("unknown gray scenario {other}"),
-    }
+    };
+    ChaosConfig { mix, ..base }
 }
 
 /// The `tycoon_nospec` agent: health scoring and speculation off,
@@ -86,10 +91,7 @@ pub fn nospec_agent() -> AgentConfig {
             enabled: false,
             ..HealthConfig::default()
         },
-        speculation: SpeculationConfig {
-            enabled: false,
-            ..SpeculationConfig::default()
-        },
+        speculation: SpeculationConfig { enabled: false },
         ..AgentConfig::default()
     }
 }

@@ -10,7 +10,7 @@
 //!   [`job_stream`]), then reports per-policy Student-t confidence
 //!   intervals plus the quarantined failing seeds with replay hints. It
 //!   is a one-column [`Matrix`]; the attack and gray matrices reuse its
-//!   world ([`chaos_driver`]) and policy roster ([`chaos_cell`]).
+//!   world ([`chaos_driver`]) and policy roster (`chaos_cell`).
 //! * [`report`] — `just mc-report`: re-expresses the paper's figure
 //!   experiments (Fig. 3–7, the funding sweep, the volatility
 //!   comparison) as seeded Monte-Carlo batches, so each headline scalar
@@ -487,5 +487,71 @@ mod tests {
             assert_eq!(f.report.completed, 2, "figure {}", f.name);
         }
         assert!(r.rendered.contains("== fig4 =="));
+    }
+
+    /// FNV-1a over a plan's `(at, kind ordinal, target)` stream, the
+    /// construction of `gm-des`'s golden schedule test.
+    fn plan_fingerprint(plan: &FaultPlan) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fnv = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for e in plan.events() {
+            fnv(&e.at.as_micros().to_le_bytes());
+            fnv(&[e.kind as u8]);
+            fnv(&e.target.to_le_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn every_fault_config_draws_its_recorded_plans() {
+        // Plans at seeds 1, 7 and 2006 of every chaos world the program
+        // builds, recorded before the fault knobs moved into `FaultMix`: a
+        // knob dropped on the way to `FaultGenConfig`, or given in the
+        // wrong unit, changes a plan.
+        use crate::ext_attack::attack_cfg;
+        use crate::ext_gray::gray_cfg;
+        let table: [(&str, ChaosConfig, [u64; 3]); 6] = [
+            (
+                "default",
+                ChaosConfig::default(),
+                [0x70e3cb063ae7eeb4, 0xef0ea5af37a3ff92, 0x0ae2955d2cd812c9],
+            ),
+            (
+                "attack",
+                attack_cfg(),
+                [0xaf463a1de3faff64, 0x1eed574d4d04b735, 0xf3acd630b05cd6cc],
+            ),
+            (
+                "gray/none",
+                gray_cfg("none"),
+                [0x2b537f56dccd2777, 0xd8cc2efbbffb4742, 0xa6003e78a0a1430d],
+            ),
+            (
+                "gray/slowdown",
+                gray_cfg("slowdown"),
+                [0x540aa38a9bd7656f, 0xb91dc24b0f027d6b, 0x307361c3de626aa6],
+            ),
+            (
+                "gray/stall",
+                gray_cfg("stall"),
+                [0x5172afa25e7b80db, 0x80f999a66f211a57, 0xa214de03694f71b9],
+            ),
+            (
+                "gray/flapping",
+                gray_cfg("flapping"),
+                [0x1a8d46b3f33585a3, 0x9956f2da30b5b126, 0x73e67e4a16a84ac1],
+            ),
+        ];
+        for (name, cfg, want) in table {
+            for (seed, want) in [1, 7, 2006].into_iter().zip(want) {
+                let got = plan_fingerprint(&FaultPlan::generate(seed, cfg.fault_gen()));
+                assert_eq!(got, want, "{name} at seed {seed}: {got:#018x}");
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@ pub mod xrsl;
 pub use identity::GridIdentity;
 pub use manager::{
     AgentConfig, FaultCounters, GridError, Job, JobId, JobKind, JobManager, JobPhase, JobSpec,
-    RetryPolicy, SpeculationConfig, SubJob,
+    SpeculationConfig, SubJob,
 };
 pub use telemetry::GridInstruments;
 pub use token::{TokenError, TransferToken};

@@ -9,7 +9,7 @@ use gm_tycoon::{Credits, HostId, Market, MarketError, UserId};
 
 use super::gray;
 use super::jobs::{GridError, JobId, JobKind, JobPhase};
-use super::JobManager;
+use super::{JobManager, STAGE_OUT};
 use crate::token::{TokenError, TransferToken};
 
 impl JobManager {
@@ -148,7 +148,7 @@ impl JobManager {
                         self.telemetry.spec_twin_wins().inc();
                     }
                     gray::clear_twin(sj);
-                    sj.stage_out_until = Some(t_done + job.stage_out);
+                    sj.stage_out_until = Some(t_done + STAGE_OUT);
                     wins.push((sj_idx, slot_i));
                 } else if is_twin {
                     sj.twin_work_done += progress;

@@ -5,7 +5,7 @@ use gm_des::SimTime;
 use gm_tycoon::{Credits, Market, MarketError};
 
 use super::jobs::{Job, JobKind, JobPhase};
-use super::JobManager;
+use super::{JobManager, STAGE_IN};
 use crate::telemetry::GridInstruments;
 use crate::vm::VmManager;
 
@@ -27,7 +27,7 @@ impl JobManager {
         };
         let host = job.slots[slot_idx].host;
         let ready = vms.acquire(host, job.user, &job.envs, now);
-        let compute_ready = ready.max(now) + job.stage_in;
+        let compute_ready = ready.max(now) + STAGE_IN;
         let sj = &mut job.subjobs[sj_idx];
         debug_assert!(!sj.is_finished(), "finished sub-job must never be dispatched");
         telemetry.dispatches.inc();

@@ -6,8 +6,9 @@
 use gm_des::SimTime;
 use gm_tycoon::{best_response, Credits, HostId, Market};
 
+use super::gray;
 use super::jobs::{GridError, Job, JobId, JobPhase, Slot};
-use super::JobManager;
+use super::{JobManager, MAX_NODES};
 use crate::token::TransferToken;
 
 /// Low-water mark of a bid's escrow, in reallocation intervals of its
@@ -89,7 +90,7 @@ impl JobManager {
         let budget = market.bank().balance(job.sub_account)?;
         let horizon = job.deadline.since(now).as_secs_f64().max(market.interval_secs());
         let rate = budget.as_f64() / horizon;
-        let max_hosts = self.config.max_nodes.min(job.subjobs.len());
+        let max_hosts = MAX_NODES.min(job.subjobs.len());
 
         // Probated (chronically slow) hosts are drained from new
         // placements; their standing bids elsewhere are still honored.
@@ -245,7 +246,6 @@ impl JobManager {
             .filter(|(_, s)| s.twin_host.is_some())
             .map(|(i, _)| i)
             .collect();
-        let demote = self.config.speculation.demote.clamp(0.0, 1.0);
         let quotes = self.quotes_or_degraded(market, job.user, active_hosts);
         let new_bids = capped_bids(&quotes, total_rate, usize::MAX, self.config.max_share_premium);
         for (host, rate) in new_bids {
@@ -255,7 +255,7 @@ impl JobManager {
                 .find(|s| s.host == host && !s.retiring && !s.twin)
             {
                 let rate = if slot.subjob.is_some_and(|i| racing.contains(&i)) {
-                    rate * demote
+                    rate * gray::DEMOTE
                 } else {
                     rate
                 };

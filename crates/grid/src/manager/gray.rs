@@ -35,38 +35,36 @@ use gm_tycoon::{Credits, HealthConfig, HealthScore, HostId, Market, MarketError}
 
 use super::funding::escrow_fill;
 use super::jobs::{Job, JobKind, Slot, SubJob};
-use super::JobManager;
+use super::{JobManager, STAGE_IN, STAGE_OUT};
 use crate::telemetry::GridInstruments;
 
-/// Tuning knobs of speculative re-dispatch.
+/// Speculative re-dispatch's switch.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpeculationConfig {
     /// Master switch (the gray-matrix `tycoon_nospec` arm turns it off).
     pub enabled: bool,
-    /// Speculate only when the primary host's health score is below this
-    /// bound. Must sit below `1.0`: fault-free hosts score exactly `1.0`,
-    /// so honest runs never speculate.
-    pub health_threshold: f64,
-    /// Budget cap: concurrent twin replicas per job.
-    pub max_twins: usize,
-    /// While a twin races, the sick primary's bid is demoted to this
-    /// fraction of its rebalanced rate: the hedge is financed mostly by
-    /// no longer paying full price for a host delivering a sliver of
-    /// what it charges for. The primary keeps a small stake so it can
-    /// still win the race if the gray fault clears.
-    pub demote: f64,
 }
 
 impl Default for SpeculationConfig {
     fn default() -> Self {
-        SpeculationConfig {
-            enabled: true,
-            health_threshold: 0.8,
-            max_twins: 3,
-            demote: 0.25,
-        }
+        SpeculationConfig { enabled: true }
     }
 }
+
+/// Speculate only when the primary host's health score is below this
+/// bound. Must sit below `1.0`: fault-free hosts score exactly `1.0`,
+/// so honest runs never speculate.
+const HEALTH_THRESHOLD: f64 = 0.8;
+
+/// Budget cap: concurrent twin replicas per job.
+const MAX_TWINS: usize = 3;
+
+/// While a twin races, the sick primary's bid is demoted to this
+/// fraction of its rebalanced rate: the hedge is financed mostly by no
+/// longer paying full price for a host delivering a sliver of what it
+/// charges for. The primary keeps a small stake so it can still win the
+/// race if the gray fault clears.
+pub(super) const DEMOTE: f64 = 0.25;
 
 /// Gray-fault state of one afflicted host.
 #[derive(Clone, Copy, Debug)]
@@ -353,16 +351,14 @@ impl JobManager {
     /// their host's health score sits below the speculation threshold.
     /// The health gate means fault-free runs never enter this path.
     pub(super) fn speculate(&mut self, market: &mut Market, job: &mut Job, now: SimTime) {
-        let cfg = self.config.speculation;
-        if !cfg.enabled || !self.config.health.enabled || self.health.is_empty() {
+        let armed = self.config.speculation.enabled && self.config.health.enabled;
+        if !armed || self.health.is_empty() {
             return;
         }
         if !matches!(job.kind, JobKind::Batch) {
             return; // service instances never finish by doing work
         }
-        let mut budget = cfg
-            .max_twins
-            .saturating_sub(job.slots.iter().filter(|s| s.twin).count());
+        let mut budget = MAX_TWINS.saturating_sub(job.slots.iter().filter(|s| s.twin).count());
         let interval = market.interval_secs();
         for sj_idx in 0..job.subjobs.len() {
             if budget == 0 {
@@ -374,7 +370,7 @@ impl JobManager {
             }
             let Some(host) = sj.host else { continue };
             let score = self.host_health_score(host);
-            if score >= cfg.health_threshold {
+            if score >= HEALTH_THRESHOLD {
                 continue;
             }
             let nominal = sj.last_rate_mhz;
@@ -383,7 +379,7 @@ impl JobManager {
             }
             let remaining = sj.work_total - sj.work_done;
             let rate = nominal * score;
-            let stage_out = job.stage_out.as_secs_f64();
+            let stage_out = STAGE_OUT.as_secs_f64();
             // Float seconds, not SimTime addition: a near-zero health
             // score projects an ETA far past any representable time.
             let slack = job.deadline.since(now).as_secs_f64();
@@ -399,8 +395,7 @@ impl JobManager {
             // host. Launch only when that is projected to both beat the
             // primary and land inside the deadline — a hedge that can't
             // win is pure duplicate spend.
-            let twin_eta =
-                job.stage_in.as_secs_f64() + sj.work_total / nominal + stage_out;
+            let twin_eta = STAGE_IN.as_secs_f64() + sj.work_total / nominal + stage_out;
             if twin_eta > slack || twin_eta >= primary_eta {
                 continue;
             }
@@ -408,7 +403,7 @@ impl JobManager {
             // is not already on, but on a small testbed fall back to
             // any healthy host other than the sick primary.
             let taken: Vec<HostId> = job.slots.iter().map(|s| s.host).collect();
-            let healthy = |h: &HostId| self.host_health_score(*h) >= cfg.health_threshold;
+            let healthy = |h: &HostId| self.host_health_score(*h) >= HEALTH_THRESHOLD;
             let target = self
                 .rank_dispatch_candidates(market, &taken)
                 .into_iter()
@@ -469,7 +464,7 @@ impl JobManager {
         let ready = self.vms.acquire(target, job.user, &job.envs, now);
         let sj = &mut job.subjobs[sj_idx];
         sj.twin_host = Some(target);
-        sj.twin_compute_ready = Some(ready.max(now) + job.stage_in);
+        sj.twin_compute_ready = Some(ready.max(now) + STAGE_IN);
         sj.twin_work_done = 0.0;
         job.slots.push(Slot {
             host: target,
@@ -484,7 +479,7 @@ impl JobManager {
             .iter_mut()
             .find(|s| s.subjob == Some(sj_idx) && !s.twin)
         {
-            let demoted = pslot.rate * self.config.speculation.demote.clamp(0.0, 1.0);
+            let demoted = pslot.rate * DEMOTE;
             pslot.rate = demoted;
             if let Some(pbid) = pslot.bid {
                 let _ = market.update_bid_rate(pslot.host, pbid, demoted);

@@ -4,7 +4,6 @@
 use gm_des::{NodeStat, SimDuration, SimTime};
 use gm_tycoon::{AccountId, BidHandle, Credits, HostId, UserId};
 
-use super::AgentConfig;
 use crate::token::{TokenError, TransferToken};
 use crate::xrsl::{parse_duration_secs, ParseError, Xrsl};
 
@@ -191,10 +190,6 @@ pub struct Job {
     /// Concurrency, sampled every pre-tick while the job is `Running`.
     pub(super) nodes: NodeStat,
     pub(super) initial_funding: Credits,
-    /// Per-sub-job stage-in duration.
-    pub(super) stage_in: SimDuration,
-    /// Per-sub-job stage-out duration.
-    pub(super) stage_out: SimDuration,
     /// Workload kind (batch vs continuous service).
     pub kind: JobKind,
     /// Service QoS counters: (instance-intervals meeting the floor,
@@ -299,7 +294,6 @@ impl Job {
         parsed: ParsedSubmission,
         now: SimTime,
         sub_account: AccountId,
-        config: &AgentConfig,
     ) -> Job {
         let per_subjob_work = match parsed.kind {
             JobKind::Batch => parsed.work_mhz_secs_per_subjob,
@@ -341,8 +335,6 @@ impl Job {
             slots: Vec::new(),
             nodes: NodeStat::default(),
             initial_funding: token.amount(),
-            stage_in: config.stage_in,
-            stage_out: config.stage_out,
             kind: parsed.kind,
             qos: (0, 0),
             needs_redispatch: false,

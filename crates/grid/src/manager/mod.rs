@@ -17,10 +17,10 @@
 //! * [`JobManager::post_tick`] — account the allocations into sub-job
 //!   progress and detect completions.
 //!
-//! The implementation is split by concern: [`jobs`] (job/sub-job state and
-//! xRSL submission parsing), [`funding`] (budget/deadline bid planning and
-//! boosts), [`dispatch`] (slot placement and VM binding), [`recovery`]
-//! (failure handling, retry/backoff), [`accounts`] (token redemption and
+//! The implementation is split by concern: `jobs` (job/sub-job state and
+//! xRSL submission parsing), `funding` (budget/deadline bid planning and
+//! boosts), `dispatch` (slot placement and VM binding), `recovery`
+//! (failure handling, retry/backoff), `accounts` (token redemption and
 //! allocation/refund accounting). `JobManager` itself is a thin
 //! orchestrator over those parts.
 
@@ -53,17 +53,17 @@ use crate::vm::{VmConfig, VmManager};
 pub use crate::telemetry::FaultCounters;
 pub use gray::SpeculationConfig;
 pub use jobs::{GridError, Job, JobId, JobKind, JobPhase, JobSpec, SubJob};
-pub use recovery::RetryPolicy;
+
+/// Hard cap on concurrent nodes per job (the experiments use 15).
+const MAX_NODES: usize = 15;
+/// Stage-in duration per sub-job.
+const STAGE_IN: SimDuration = SimDuration::from_secs(30);
+/// Stage-out duration per sub-job.
+const STAGE_OUT: SimDuration = SimDuration::from_secs(15);
 
 /// Tuning knobs of the scheduling agent.
 #[derive(Clone, Copy, Debug)]
 pub struct AgentConfig {
-    /// Hard cap on concurrent nodes per job (the experiments use 15).
-    pub max_nodes: usize,
-    /// Stage-in duration per sub-job.
-    pub stage_in: SimDuration,
-    /// Stage-out duration per sub-job.
-    pub stage_out: SimDuration,
     /// Re-balance bid rates across a job's hosts every interval.
     pub rebid: bool,
     /// Cap each bid rate at `max_share_premium × (others' bids)`: bidding
@@ -73,8 +73,6 @@ pub struct AgentConfig {
     /// spend more than roughly $60/day"). Unspent budget stays in the
     /// sub-account and is refunded.
     pub max_share_premium: f64,
-    /// Re-dispatch policy for failure recovery.
-    pub retry: RetryPolicy,
     /// Per-host gray-failure health scoring (`DESIGN.md` §17).
     pub health: HealthConfig,
     /// Speculative re-dispatch of deadline-missing sub-jobs (§17).
@@ -84,12 +82,8 @@ pub struct AgentConfig {
 impl Default for AgentConfig {
     fn default() -> Self {
         AgentConfig {
-            max_nodes: 15,
-            stage_in: SimDuration::from_secs(30),
-            stage_out: SimDuration::from_secs(15),
             rebid: true,
             max_share_premium: 9.0,
-            retry: RetryPolicy::default(),
             health: HealthConfig::default(),
             speculation: SpeculationConfig::default(),
         }
@@ -220,7 +214,7 @@ impl JobManager {
         let id = JobId(self.next_job);
         self.next_job += 1;
 
-        let mut job = jobs::Job::build(id, user, &token, parsed, now, sub_account, &self.config);
+        let mut job = jobs::Job::build(id, user, &token, parsed, now, sub_account);
 
         self.place_initial_bids(market, now, &mut job)?;
         self.jobs.insert(id, job);

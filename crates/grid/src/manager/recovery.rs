@@ -8,70 +8,27 @@ use gm_tycoon::{Credits, HostId, Market, UserId};
 use super::funding::{capped_bids, escrow_fill};
 use super::gray;
 use super::jobs::{Job, JobPhase, Slot};
-use super::JobManager;
+use super::{JobManager, MAX_NODES};
 
-/// Capped-retry / exponential-backoff policy for re-dispatching subjobs
-/// interrupted by host or VM failures.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Consecutive failed re-dispatch rounds a job tolerates before it is
-    /// marked `Stalled` (a boost revives it, like fund exhaustion).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles each consecutive failure.
-    pub backoff_base: SimDuration,
-    /// Upper bound on the backoff delay.
-    pub backoff_cap: SimDuration,
-    /// Relative jitter width in `[0, 1]`: each delay is scaled by a
-    /// deterministic factor in `[1 − jitter/2, 1 + jitter/2)` derived
-    /// from the job id and failure count, so a fleet of jobs knocked
-    /// back by the same bank restart does not thunder-herd the
-    /// recovered service on the same tick. `0.0` (the default)
-    /// reproduces the exact pre-jitter schedule.
-    pub jitter: f64,
-}
+/// Consecutive failed re-dispatch rounds a job tolerates before it is
+/// marked `Stalled` (a boost revives it, like fund exhaustion).
+const MAX_RETRIES: u32 = 8;
+/// Backoff before the first retry; doubles each consecutive failure.
+const BACKOFF_BASE: SimDuration = SimDuration::from_secs(10);
+/// Upper bound on the backoff delay.
+const BACKOFF_CAP: SimDuration = SimDuration::from_minutes(10);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            backoff_base: SimDuration::from_secs(10),
-            backoff_cap: SimDuration::from_minutes(10),
-            jitter: 0.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff delay after `failures` consecutive failed rounds
-    /// (`failures >= 1`): `base × 2^(failures−1)`, capped at
-    /// [`RetryPolicy::backoff_cap`]. `failures == 0` is treated as the
-    /// first failure. Saturates instead of overflowing: the shift exponent
-    /// is clamped below the u64 width and the multiply saturates, so even
-    /// `u32::MAX` consecutive failures yield the cap, never a wrapped
-    /// (tiny) delay.
-    pub fn delay_after(&self, failures: u32) -> SimDuration {
-        let exp = failures.saturating_sub(1).min(63);
-        let factor = 1u64.checked_shl(exp).unwrap_or(u64::MAX);
-        let us = self.backoff_base.as_micros().saturating_mul(factor);
-        SimDuration::from_micros(us.min(self.backoff_cap.as_micros()))
-    }
-
-    /// [`RetryPolicy::delay_after`] with deterministic per-caller jitter.
-    ///
-    /// `salt` identifies the retrying client (the job id here); the
-    /// jitter factor is [`gm_des::rng::jitter_factor`] of
-    /// `(salt, failures)`, so same-seed runs stay byte-identical while distinct
-    /// jobs spread across `[1 − jitter/2, 1 + jitter/2)` of the base
-    /// delay. The result never exceeds [`RetryPolicy::backoff_cap`].
-    pub fn delay_for(&self, failures: u32, salt: u64) -> SimDuration {
-        let base = self.delay_after(failures);
-        if self.jitter <= 0.0 {
-            return base;
-        }
-        let factor = gm_des::rng::jitter_factor(self.jitter, salt, failures);
-        let us = (base.as_micros() as f64 * factor).round() as u64;
-        SimDuration::from_micros(us.min(self.backoff_cap.as_micros()))
-    }
+/// Backoff delay after `failures` consecutive failed rounds
+/// (`failures >= 1`): `BACKOFF_BASE × 2^(failures−1)`, capped at
+/// [`BACKOFF_CAP`]. `failures == 0` is treated as the first failure.
+/// Saturates instead of overflowing: the shift exponent is clamped below
+/// the u64 width and the multiply saturates, so even `u32::MAX`
+/// consecutive failures yield the cap, never a wrapped (tiny) delay.
+fn backoff_delay(failures: u32) -> SimDuration {
+    let exp = failures.saturating_sub(1).min(63);
+    let factor = 1u64.checked_shl(exp).unwrap_or(u64::MAX);
+    let us = BACKOFF_BASE.as_micros().saturating_mul(factor);
+    SimDuration::from_micros(us.min(BACKOFF_CAP.as_micros()))
 }
 
 impl JobManager {
@@ -92,7 +49,7 @@ impl JobManager {
     /// One failure-recovery round for `job`: fill idle slots from the
     /// pending queue, then open new slots on surviving hosts for sub-jobs
     /// a fault sent back to the queue. Rounds are gated by the job's
-    /// exponential backoff; after [`RetryPolicy::max_retries`] consecutive
+    /// exponential backoff; after [`MAX_RETRIES`] consecutive
     /// rounds with no progress possible at all the job is stalled (a boost
     /// revives it, like fund exhaustion).
     pub(super) fn redispatch(&mut self, market: &mut Market, job: &mut Job, now: SimTime) {
@@ -136,7 +93,7 @@ impl JobManager {
         }
         // Open new slots on surviving hosts for what is left.
         let left = pending(job);
-        let room = self.config.max_nodes.saturating_sub(job.slots.len());
+        let room = MAX_NODES.saturating_sub(job.slots.len());
         if left > 0 && room > 0 {
             let taken: Vec<HostId> = job.slots.iter().map(|s| s.host).collect();
             // Online survivors, probated hosts drained, healthiest first
@@ -191,15 +148,14 @@ impl JobManager {
         } else {
             self.telemetry.retry_rounds_failed.inc();
             job.retry_failures += 1;
-            if job.retry_failures > self.config.retry.max_retries {
+            if job.retry_failures > MAX_RETRIES {
                 self.telemetry.jobs_stalled.inc();
                 job.phase = JobPhase::Stalled;
                 job.finished_at = Some(now);
                 job.retry_after = None;
             } else {
                 self.telemetry.backoffs.inc();
-                job.retry_after =
-                    Some(now + self.config.retry.delay_for(job.retry_failures, job.id.0));
+                job.retry_after = Some(now + backoff_delay(job.retry_failures));
             }
         }
     }
@@ -374,87 +330,35 @@ mod tests {
 
     #[test]
     fn backoff_doubles_from_base_and_caps() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.delay_after(1), SimDuration::from_secs(10));
-        assert_eq!(p.delay_after(2), SimDuration::from_secs(20));
-        assert_eq!(p.delay_after(3), SimDuration::from_secs(40));
-        assert_eq!(p.delay_after(6), SimDuration::from_secs(320));
+        assert_eq!(backoff_delay(1), SimDuration::from_secs(10));
+        assert_eq!(backoff_delay(2), SimDuration::from_secs(20));
+        assert_eq!(backoff_delay(3), SimDuration::from_secs(40));
+        assert_eq!(backoff_delay(6), SimDuration::from_secs(320));
         // 10 × 2^6 = 640 s exceeds the 10-minute cap.
-        assert_eq!(p.delay_after(7), SimDuration::from_minutes(10));
+        assert_eq!(backoff_delay(7), SimDuration::from_minutes(10));
     }
 
     #[test]
     fn backoff_zero_failures_is_base() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.delay_after(0), p.delay_after(1));
+        assert_eq!(backoff_delay(0), backoff_delay(1));
     }
 
     #[test]
     fn backoff_never_overflows_and_saturates_at_cap() {
-        let p = RetryPolicy::default();
-        let cap = p.backoff_cap;
         // Regression: huge failure counts used to risk a wrapped shift
         // producing a tiny delay. They must pin to the cap instead.
         for failures in [8, 32, 33, 34, 63, 64, 65, 1_000, u32::MAX] {
-            assert_eq!(p.delay_after(failures), cap, "failures={failures}");
+            assert_eq!(backoff_delay(failures), BACKOFF_CAP, "failures={failures}");
         }
     }
 
     #[test]
     fn backoff_is_monotone_nondecreasing() {
-        let p = RetryPolicy {
-            max_retries: 8,
-            backoff_base: SimDuration::from_micros(3),
-            backoff_cap: SimDuration::from_hours(100_000),
-            jitter: 0.0,
-        };
         let mut last = SimDuration::from_micros(0);
         for failures in 0..200 {
-            let d = p.delay_after(failures);
+            let d = backoff_delay(failures);
             assert!(d >= last, "delay shrank at failures={failures}");
             last = d;
-        }
-    }
-
-    #[test]
-    fn zero_jitter_reproduces_exact_schedule() {
-        let p = RetryPolicy::default();
-        for failures in 0..20 {
-            for salt in [0u64, 1, 17, u64::MAX] {
-                assert_eq!(p.delay_for(failures, salt), p.delay_after(failures));
-            }
-        }
-    }
-
-    #[test]
-    fn jitter_is_deterministic_bounded_and_spreads_salts() {
-        let p = RetryPolicy {
-            jitter: 0.5,
-            ..RetryPolicy::default()
-        };
-        let mut distinct = std::collections::BTreeSet::new();
-        for salt in 0..32u64 {
-            let d = p.delay_for(3, salt);
-            // Deterministic: same (failures, salt) → same delay.
-            assert_eq!(d, p.delay_for(3, salt));
-            // Bounded: within ±jitter/2 of the base and under the cap.
-            let base = p.delay_after(3).as_micros() as f64;
-            let us = d.as_micros() as f64;
-            assert!(us >= base * 0.75 - 1.0 && us <= base * 1.25 + 1.0, "salt={salt}");
-            assert!(d <= p.backoff_cap);
-            distinct.insert(d.as_micros());
-        }
-        // Spread: the 32 salts must not all collapse onto one delay.
-        assert!(distinct.len() > 16, "only {} distinct delays", distinct.len());
-        // Delays recorded before the factor moved to `gm_des::rng`.
-        for (failures, salt, us) in [
-            (1, 0, 9_657_640),
-            (3, 7, 33_188_084),
-            (3, 8, 39_742_484),
-            (5, 12_345, 181_638_357),
-            (9, u64::MAX, 600_000_000),
-        ] {
-            assert_eq!(p.delay_for(failures, salt).as_micros(), us, "failures {failures} salt {salt}");
         }
     }
 }

@@ -14,7 +14,7 @@
 //! * [`stats`] — running and exponentially-smoothed windowed moments
 //!   (mean, std, skewness, kurtosis; §4.5).
 //! * [`student`] — Student's t distribution (ln-gamma, incomplete beta,
-//!   CDF/quantile) and [`Summary`](student::Summary): the
+//!   CDF/quantile) and [`Summary`]: the
 //!   confidence-interval math behind the Monte-Carlo robustness reports
 //!   (DESIGN.md §13).
 //! * [`samplers`] — uniform / normal / exponential / gamma / beta

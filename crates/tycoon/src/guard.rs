@@ -6,14 +6,15 @@
 //! before any money moves):
 //!
 //! 1. **Per-account bid-rate limiting.** A single account may not command
-//!    more than [`GuardConfig::max_bid_rate`] credits/second on one bid.
+//!    more than `MAX_BID_RATE` (1 credit/second) on one bid.
 //!    Over-limit bids are rejected with
 //!    [`crate::market::MarketError::RateLimited`] carrying *backoff
 //!    advice*: a deterministic, seeded-jitter retry-after horizon that
 //!    grows exponentially with the account's strike count (the same
-//!    anti-thundering-herd shape as the grid agent's retry jitter).
+//!    anti-thundering-herd shape as the live service clients' back-off
+//!    jitter).
 //! 2. **Account quarantine.** An account that keeps hammering past the
-//!    limit ([`GuardConfig::quarantine_strikes`] rejected bids) is
+//!    limit (`QUARANTINE_STRIKES`, 3 rejected bids) is
 //!    quarantined: its live bids across every host are evicted and the
 //!    unspent escrows refunded to it — the same conservation-preserving
 //!    internal book transfer as a host crash — and all further bid
@@ -45,6 +46,26 @@ use gm_des::{Rng64, SplitMix64};
 
 use crate::bank::AccountId;
 
+/// Maximum bid rate (credits/second) a single account may put on one bid
+/// (placement or re-bid). Honest agents derive rates of order
+/// `budget / deadline` — fractions of a credit per second — so this cap
+/// only bites concentrated hostile budgets.
+const MAX_BID_RATE: f64 = 1.0;
+
+/// Rejected over-limit bids before the account is quarantined.
+const QUARANTINE_STRIKES: u32 = 3;
+
+/// Base of the exponential backoff advice returned with
+/// [`crate::market::MarketError::RateLimited`], in seconds.
+const BACKOFF_BASE_SECS: u32 = 20;
+
+/// Ticks the breaker keeps damping after a trip (the cooldown during
+/// which re-pricing slews geometrically instead of jumping).
+const BREAKER_COOLDOWN_TICKS: u32 = 6;
+
+/// Seed of the deterministic backoff jitter.
+const JITTER_SEED: u64 = 0x6A7D;
+
 /// Knobs of the market guard layer. [`GuardConfig::default`] is **armed**
 /// with never-fires-when-honest thresholds; [`GuardConfig::disabled`]
 /// turns every check off (the pre-guard market).
@@ -52,40 +73,20 @@ use crate::bank::AccountId;
 pub struct GuardConfig {
     /// Master switch; `false` bypasses every check and damp.
     pub enabled: bool,
-    /// Maximum bid rate (credits/second) a single account may put on one
-    /// bid (placement or re-bid). Honest agents derive rates of order
-    /// `budget / deadline` — fractions of a credit per second — so the
-    /// default (1.0) only bites concentrated hostile budgets.
-    pub max_bid_rate: f64,
-    /// Rejected over-limit bids before the account is quarantined.
-    pub quarantine_strikes: u32,
-    /// Base of the exponential backoff advice returned with
-    /// [`crate::market::MarketError::RateLimited`], in seconds.
-    pub backoff_base_secs: u32,
     /// Maximum factor the published epoch price may grow by in one tick
     /// once it is above [`GuardConfig::breaker_floor`].
     pub breaker_band: f64,
     /// Published prices at or below this level (credits/second) are never
     /// damped — the honest trading range moves freely.
     pub breaker_floor: f64,
-    /// Ticks the breaker keeps damping after a trip (the cooldown during
-    /// which re-pricing slews geometrically instead of jumping).
-    pub breaker_cooldown_ticks: u32,
-    /// Seed of the deterministic backoff jitter.
-    pub jitter_seed: u64,
 }
 
 impl Default for GuardConfig {
     fn default() -> GuardConfig {
         GuardConfig {
             enabled: true,
-            max_bid_rate: 1.0,
-            quarantine_strikes: 3,
-            backoff_base_secs: 20,
             breaker_band: 4.0,
             breaker_floor: 1.0,
-            breaker_cooldown_ticks: 6,
-            jitter_seed: 0x6A7D,
         }
     }
 }
@@ -103,8 +104,9 @@ impl GuardConfig {
 /// Why the guard rejected a bid placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GuardVerdict {
-    /// Bid rate over [`GuardConfig::max_bid_rate`]; retry no sooner than
-    /// the advised number of seconds (seeded-jitter exponential backoff).
+    /// Bid rate over the per-bid cap (`MAX_BID_RATE`, 1 credit/second);
+    /// retry no sooner than the advised number of seconds (seeded-jitter
+    /// exponential backoff).
     RateLimited {
         /// Backoff advice in seconds.
         retry_after_secs: u32,
@@ -175,17 +177,17 @@ impl MarketGuard {
         if self.quarantined.contains(&payer) {
             return Err(GuardVerdict::AlreadyQuarantined);
         }
-        if rate <= self.cfg.max_bid_rate {
+        if rate <= MAX_BID_RATE {
             return Ok(());
         }
         let strikes = self.strikes.entry(payer).or_insert(0);
         *strikes += 1;
-        if *strikes >= self.cfg.quarantine_strikes {
+        if *strikes >= QUARANTINE_STRIKES {
             self.quarantined.insert(payer);
             return Err(GuardVerdict::Quarantined);
         }
         Err(GuardVerdict::RateLimited {
-            retry_after_secs: backoff_secs(&self.cfg, payer, *strikes),
+            retry_after_secs: backoff_secs(payer, *strikes),
         })
     }
 
@@ -239,7 +241,7 @@ impl MarketGuard {
                 // Honest range: publish the raw spot, bit-for-bit.
                 return (spot, 0, false);
             }
-            return (ceiling, self.cfg.breaker_cooldown_ticks, true);
+            return (ceiling, BREAKER_COOLDOWN_TICKS, true);
         }
         // Cooling down: slew geometrically toward the raw spot.
         let floor_down = prev / band;
@@ -248,7 +250,7 @@ impl MarketGuard {
             // Converged: publish raw and disengage next tick.
             (spot, cooldown - 1, false)
         } else {
-            (published, self.cfg.breaker_cooldown_ticks, false)
+            (published, BREAKER_COOLDOWN_TICKS, false)
         }
     }
 }
@@ -257,11 +259,10 @@ impl MarketGuard {
 /// seconds plus a jitter in `[0, base)` hashed from
 /// `(seed, account, strike)` — two hammering accounts never synchronize
 /// their retries, and the same run always advises the same horizons.
-fn backoff_secs(cfg: &GuardConfig, account: AccountId, strike: u32) -> u32 {
-    let base = cfg.backoff_base_secs.max(1);
-    let exp = base.saturating_mul(1u32 << (strike - 1).min(10));
-    let hash = SplitMix64::new(cfg.jitter_seed ^ account.0 ^ (u64::from(strike) << 32)).next_u64();
-    exp.saturating_add((hash % u64::from(base)) as u32)
+fn backoff_secs(account: AccountId, strike: u32) -> u32 {
+    let exp = BACKOFF_BASE_SECS.saturating_mul(1u32 << (strike - 1).min(10));
+    let hash = SplitMix64::new(JITTER_SEED ^ account.0 ^ (u64::from(strike) << 32)).next_u64();
+    exp.saturating_add((hash % u64::from(BACKOFF_BASE_SECS)) as u32)
 }
 
 #[cfg(test)]
@@ -306,17 +307,16 @@ mod tests {
 
     #[test]
     fn backoff_advice_is_deterministic_and_jittered() {
-        let cfg = GuardConfig::default();
-        let a = backoff_secs(&cfg, AccountId(3), 1);
-        let b = backoff_secs(&cfg, AccountId(3), 1);
+        let a = backoff_secs(AccountId(3), 1);
+        let b = backoff_secs(AccountId(3), 1);
         assert_eq!(a, b, "same (seed, account, strike) → same advice");
-        let other = backoff_secs(&cfg, AccountId(4), 1);
+        let other = backoff_secs(AccountId(4), 1);
         assert_ne!(a, other, "different accounts must desynchronize");
-        assert!(a >= cfg.backoff_base_secs);
-        assert!(a < cfg.backoff_base_secs * 2);
+        assert!(a >= BACKOFF_BASE_SECS);
+        assert!(a < BACKOFF_BASE_SECS * 2);
         // Advice recorded before the hash moved to `gm_des::SplitMix64`.
         for (acct, strike, secs) in [(3, 1, 38), (4, 1, 29), (7, 2, 59), (7, 3, 94), (u64::MAX, 11, 20_482)] {
-            assert_eq!(backoff_secs(&cfg, AccountId(acct), strike), secs, "account {acct} strike {strike}");
+            assert_eq!(backoff_secs(AccountId(acct), strike), secs, "account {acct} strike {strike}");
         }
     }
 
@@ -352,13 +352,13 @@ mod tests {
         let (p1, cd1, tripped) = g.damp_republish(0.2, 40.0, 0);
         assert!(tripped);
         assert_eq!(p1, cfg.breaker_floor * cfg.breaker_band);
-        assert_eq!(cd1, cfg.breaker_cooldown_ticks);
+        assert_eq!(cd1, BREAKER_COOLDOWN_TICKS);
         // Next tick the spot is still 40: the published price slews by at
         // most band× per tick instead of jumping.
         let (p2, cd2, _) = g.damp_republish(p1, 40.0, cd1);
         assert!(p2 <= p1 * cfg.breaker_band + 1e-12);
         assert!(p2 > p1);
-        assert_eq!(cd2, cfg.breaker_cooldown_ticks);
+        assert_eq!(cd2, BREAKER_COOLDOWN_TICKS);
         // Convergence: once the slewed price reaches the raw spot the
         // breaker publishes raw and cools down.
         let mut prev = p2;
@@ -381,7 +381,7 @@ mod tests {
         let g = MarketGuard::new(cfg);
         // Bubble burst: spot collapses from 30 to 0.01 while cooling
         // down. The published price falls by at most band× per tick.
-        let (p, _, _) = g.damp_republish(30.0, 0.01, cfg.breaker_cooldown_ticks);
+        let (p, _, _) = g.damp_republish(30.0, 0.01, BREAKER_COOLDOWN_TICKS);
         assert!((p - 30.0 / cfg.breaker_band).abs() < 1e-12);
     }
 }

@@ -8,7 +8,7 @@
 //! integration suite).
 //!
 //! Since the scale refactor (DESIGN.md §15) the hot state lives in a
-//! dense struct-of-arrays [`HostArena`](crate::arena::HostArena) instead
+//! dense struct-of-arrays [`HostArena`] instead
 //! of per-host `BTreeMap`s: host lookup is an O(1) intern, the tick sweep
 //! is a linear scan over slots (optionally sharded across scoped workers
 //! via [`Market::set_sharding`] — byte-identical at any shard count), and
@@ -251,17 +251,6 @@ impl Market {
     /// All host ids in deterministic order.
     pub fn host_ids(&self) -> Vec<HostId> {
         self.arena.ids_in_order().collect()
-    }
-
-    /// Number of registered hosts.
-    pub fn host_count(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Arena slots ever allocated (registered + free-listed); bounded by
-    /// the peak host count, not by retire/add churn.
-    pub fn host_slot_capacity(&self) -> usize {
-        self.arena.capacity_slots()
     }
 
     /// Auctioneer of a host.
@@ -683,16 +672,12 @@ impl Market {
         std::mem::take(&mut self.price_trace)
     }
 
-    /// Income earned by a host so far.
-    pub fn host_income(&self, id: HostId) -> Option<Credits> {
-        self.arena.slot_of(id).map(|s| self.arena.auctioneer(s).earned())
-    }
-
     /// Total payer records across all hosts — the size of the (virtual)
     /// payer index. Payers live in the bid lanes, so this is structurally
     /// bounded by the number of live funded bids: evicted, exhausted and
     /// cancelled bids shed their payer record in the same pass.
-    pub fn payer_index_len(&self) -> usize {
+    #[cfg(test)]
+    fn payer_index_len(&self) -> usize {
         self.arena
             .ordered_slots()
             .iter()
@@ -753,7 +738,8 @@ impl Market {
     /// with [`MarketError::AccountQuarantined`]. Returns the number of
     /// bids evicted. No-op returning 0 when the guard is disabled or the
     /// account is already quarantined.
-    pub fn quarantine_account(&mut self, account: AccountId) -> usize {
+    #[cfg(test)]
+    fn quarantine_account(&mut self, account: AccountId) -> usize {
         if !self.guard.quarantine(account) {
             return 0;
         }
@@ -761,7 +747,8 @@ impl Market {
     }
 
     /// Lift a quarantine (operator action); the strike count is cleared.
-    pub fn release_account(&mut self, account: AccountId) -> bool {
+    #[cfg(test)]
+    fn release_account(&mut self, account: AccountId) -> bool {
         self.guard.release(account)
     }
 
@@ -832,16 +819,6 @@ impl Market {
         }
     }
 
-    /// Ids of all online hosts, deterministic order.
-    pub fn online_host_ids(&self) -> Vec<HostId> {
-        self.arena
-            .ordered_slots()
-            .iter()
-            .filter(|&&s| self.arena.is_live(s as usize))
-            .map(|&s| self.arena.id(s as usize))
-            .collect()
-    }
-
     /// Ids of all crashed hosts, deterministic order.
     pub fn crashed_host_ids(&self) -> Vec<HostId> {
         self.arena
@@ -894,8 +871,8 @@ pub enum MarketError {
     HostOffline(HostId),
     /// The bank is in an injected outage window; retry after it lifts.
     BankUnavailable,
-    /// The guard layer rejected the bid's rate (over
-    /// [`crate::guard::GuardConfig::max_bid_rate`]); retry no sooner than
+    /// The guard layer rejected the bid's rate (over its per-bid cap of
+    /// 1 credit/second, see [`crate::guard`]); retry no sooner than
     /// the advised seconds (deterministic seeded-jitter backoff,
     /// DESIGN.md §16).
     RateLimited {
@@ -993,7 +970,10 @@ mod tests {
         assert_eq!(refund, Credits::from_whole(40));
         assert_eq!(m.bank().balance(acct).unwrap(), Credits::from_whole(90));
         // Host keeps its earnings.
-        assert_eq!(m.host_income(HostId(0)).unwrap(), Credits::from_whole(10));
+        assert_eq!(
+            m.auctioneer(HostId(0)).unwrap().earned(),
+            Credits::from_whole(10)
+        );
     }
 
     #[test]
@@ -1078,7 +1058,7 @@ mod tests {
 
         // Crashed host takes no bids, gives no quotes, skips ticks.
         assert!(!m.is_host_online(HostId(0)));
-        assert_eq!(m.online_host_ids(), vec![HostId(1)]);
+        assert!(m.is_host_online(HostId(1)));
         assert_eq!(m.crashed_host_ids(), vec![HostId(0)]);
         assert_eq!(
             m.place_funded_bid(UserId(1), acct, HostId(0), 1.0, Credits::from_whole(1)),
@@ -1291,7 +1271,10 @@ mod tests {
             m.tick(SimTime::from_secs(10 * k));
         }
         assert_eq!(m.auctioneer(HostId(0)).unwrap().live_bids(), 0);
-        assert_eq!(m.host_income(HostId(0)).unwrap(), Credits::from_whole(10));
+        assert_eq!(
+            m.auctioneer(HostId(0)).unwrap().earned(),
+            Credits::from_whole(10)
+        );
         assert_eq!(m.bank().total_money(), Credits::from_whole(10));
     }
 
@@ -1636,8 +1619,8 @@ mod tests {
             m.add_host(HostSpec::testbed(id));
             m.retire_host(HostId(id)).unwrap();
         }
-        assert_eq!(m.host_count(), 2);
-        assert_eq!(m.host_slot_capacity(), 3, "free-list bounds arena growth");
+        assert_eq!(m.host_ids().len(), 2);
+        assert_eq!(m.arena.capacity_slots(), 3, "free-list bounds arena growth");
         // The market still works end to end after the churn.
         m.add_host(HostSpec::testbed(1000));
         m.place_funded_bid(UserId(1), acct, HostId(1000), 0.5, Credits::from_whole(10))

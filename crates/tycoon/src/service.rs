@@ -81,8 +81,8 @@ pub const DEFAULT_CALL_RETRIES: u32 = 3;
 /// tick before the host is declared crashed.
 pub const DEFAULT_TICK_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Jitter fraction applied to `retry_after` back-off sleeps (same ±25 %
-/// spread the grid's `RetryPolicy` uses at `jitter = 0.5`).
+/// Jitter fraction applied to `retry_after` back-off sleeps: a ±25 %
+/// spread around the advised delay.
 const OVERLOAD_BACKOFF_JITTER: f64 = 0.5;
 
 /// RNG stream salt for the bank service's link faults.

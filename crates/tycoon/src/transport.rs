@@ -600,8 +600,7 @@ impl<V> ReplayCache<V> {
 // ---------------------------------------------------------------- jitter
 
 /// Seeded back-off jitter: scales `base` by
-/// [`gm_des::rng::jitter_factor`] of `(salt, attempt)` — the factor the
-/// grid's `RetryPolicy::delay_for` uses — so overloaded clients
+/// [`gm_des::rng::jitter_factor`] of `(salt, attempt)`, so overloaded clients
 /// de-synchronise deterministically instead of thundering back together.
 pub fn jittered_backoff(base: Duration, jitter: f64, salt: u64, attempt: u32) -> Duration {
     if jitter <= 0.0 {

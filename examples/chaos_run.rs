@@ -7,7 +7,7 @@
 //! cargo run --release --example chaos_run [seed]
 //! ```
 
-use gridmarket::des::{FaultGenConfig, FaultPlan, SimDuration, SimTime};
+use gridmarket::des::{FaultGenConfig, FaultMix, FaultPlan, SimDuration, SimTime};
 use gridmarket::scenario::{Scenario, ScenarioResult};
 
 const HOSTS: u32 = 8;
@@ -18,16 +18,18 @@ fn run(seed: u64) -> ScenarioResult {
         FaultGenConfig {
             hosts: HOSTS,
             horizon: SimTime::from_secs(3 * 3600),
-            crashes: 3,
-            mean_downtime: SimDuration::from_minutes(20),
-            vm_failures: 3,
-            bank_outages: 1,
-            outage_len: SimDuration::from_minutes(5),
-            bank_restarts: 1,
-            link_outages: 1,
-            link_outage_len: SimDuration::from_minutes(5),
-            adversary_arrivals: 0,
-            ..FaultGenConfig::default()
+            mix: FaultMix {
+                crashes: 3,
+                mean_downtime: SimDuration::from_minutes(20),
+                vm_failures: 3,
+                bank_outages: 1,
+                outage_len: SimDuration::from_minutes(5),
+                bank_restarts: 1,
+                link_outages: 1,
+                link_outage_len: SimDuration::from_minutes(5),
+                adversary_arrivals: 0,
+                ..FaultMix::default()
+            },
         },
     );
     Scenario::builder()

@@ -1,11 +1,13 @@
 # Task runner for the gridmarket reproduction. Each recipe is plain
 # shell, so the commands also work copy-pasted without `just`.
 
-# Tier-1 verification: build, tests, and lint-as-error.
+# Tier-1 verification: build, tests, lint-as-error and docs-as-error
+# (a doc link to a deleted item fails the build instead of dangling).
 verify:
     cargo build --release
     cargo test -q
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Fast feedback loop.
 test:

@@ -20,7 +20,7 @@ use common::{drive, hosts, workload};
 use gm_baselines::{FifoPolicy, GCommercePolicy, Placement, Pricing, SharePolicy, WtaPolicy};
 use gm_optimal::VcgSlaPolicy;
 use gridmarket::des::check::{check, Gen};
-use gridmarket::des::{FaultGenConfig, FaultPlan, SimDuration, SimTime};
+use gridmarket::des::{FaultGenConfig, FaultMix, FaultPlan, SimDuration, SimTime};
 use gridmarket::grid::AgentConfig;
 use gridmarket::sched::{AllocationPolicy, JobRequest, PolicyDriver, RunResult, TickCtx};
 use gridmarket::tycoon_policy;
@@ -195,16 +195,18 @@ fn vcg_chaos(seed: u64) -> RunResult {
         FaultGenConfig {
             hosts: 4,
             horizon: SimTime::ZERO + SimDuration::from_secs(3600),
-            crashes: 2,
-            mean_downtime: SimDuration::from_secs(600),
-            vm_failures: 1,
-            bank_outages: 1,
-            outage_len: SimDuration::from_secs(300),
-            bank_restarts: 1,
-            link_outages: 1,
-            link_outage_len: SimDuration::from_secs(300),
-            adversary_arrivals: 0,
-            ..FaultGenConfig::default()
+            mix: FaultMix {
+                crashes: 2,
+                mean_downtime: SimDuration::from_secs(600),
+                vm_failures: 1,
+                bank_outages: 1,
+                outage_len: SimDuration::from_secs(300),
+                bank_restarts: 1,
+                link_outages: 1,
+                link_outage_len: SimDuration::from_secs(300),
+                adversary_arrivals: 0,
+                ..FaultMix::default()
+            },
         },
     );
     PolicyDriver::new(hosts(4), DEFAULT_INTERVAL_SECS)

@@ -6,7 +6,7 @@
 //! on the shared SLA workload.
 
 use gm_core::{JobRequest, PolicyDriver, RunResult};
-use gm_des::{FaultGenConfig, FaultPlan, SimDuration, SimTime};
+use gm_des::{FaultGenConfig, FaultMix, FaultPlan, SimDuration, SimTime};
 use gm_optimal::VcgSlaPolicy;
 use gm_tycoon::{HostSpec, UserId};
 
@@ -34,16 +34,18 @@ fn chaos_plan(seed: u64, n_hosts: u32) -> FaultPlan {
         FaultGenConfig {
             hosts: n_hosts,
             horizon: SimTime::ZERO + SimDuration::from_secs(3600),
-            crashes: 2,
-            mean_downtime: SimDuration::from_secs(600),
-            vm_failures: 1,
-            bank_outages: 1,
-            outage_len: SimDuration::from_secs(300),
-            bank_restarts: 1,
-            link_outages: 1,
-            link_outage_len: SimDuration::from_secs(300),
-            adversary_arrivals: 0,
-            ..FaultGenConfig::default()
+            mix: FaultMix {
+                crashes: 2,
+                mean_downtime: SimDuration::from_secs(600),
+                vm_failures: 1,
+                bank_outages: 1,
+                outage_len: SimDuration::from_secs(300),
+                bank_restarts: 1,
+                link_outages: 1,
+                link_outage_len: SimDuration::from_secs(300),
+                adversary_arrivals: 0,
+                ..FaultMix::default()
+            },
         },
     )
 }
