@@ -27,7 +27,7 @@ const EFFICIENCY_BUDGET: f64 = 0.60;
 /// One thread-count measurement: wall time and the rendered report.
 fn run_at(threads: usize, seeds: &[u64]) -> (f64, String) {
     let cfg = ChaosConfig::default();
-    let mc = chaos_runner(threads).batch(16);
+    let mc = chaos_runner(threads);
     let t0 = Instant::now();
     let batch = mc.run(seeds, move |s| chaos_scenario(s, &cfg));
     let secs = t0.elapsed().as_secs_f64();

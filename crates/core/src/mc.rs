@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn chaos_batch_conserves_money_across_seeds() {
         let cfg = ChaosConfig::default();
-        let mc = chaos_runner(2).batch(4);
+        let mc = chaos_runner(2);
         let seeds = gm_core::seed_stream(0xBEEF, 6);
         let batch = mc.run(&seeds, move |s| chaos_scenario(s, &cfg));
         assert_eq!(batch.completed().count(), 6, "no quarantines expected");

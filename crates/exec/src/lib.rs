@@ -1,25 +1,25 @@
-//! # gm-exec — thread pool
+//! # gm-exec — scoped parallel map
 //!
-//! The parallel substrate. Experiments run on the deterministic simulator,
-//! and a Monte-Carlo sweep is a trivially parallel bag-of-tasks — one
-//! seeded scenario per task, the workload shape the paper targets. This
-//! crate provides the pool that runs it (a fixed set of workers draining a
-//! shared FIFO run queue) and the scoped chunk map that shards the market
-//! tick, built entirely on `std::sync` so the workspace carries no external
+//! The parallel substrate: one fan-out, [`par_chunks_mut`], that hands
+//! disjoint `&mut` chunks of a slice to scoped workers and gathers the
+//! per-chunk results in chunk order, so any result derived only from the
+//! chunk contents is byte-identical at every thread count. The sharded
+//! market tick runs on it (DESIGN.md §15), and so does the Monte-Carlo
+//! runner (§13): a sweep is a bag of independent seeded scenarios, one
+//! result slot per scenario, one slot per chunk. Built on
+//! [`std::thread::scope`] alone, so the workspace carries no external
 //! runtime dependencies.
 //!
 //! ```
-//! use gm_exec::ThreadPool;
-//!
-//! let pool = ThreadPool::new(4);
-//! let squares = pool.try_par_map((0..100).collect::<Vec<u64>>(), |x| x * x);
-//! assert_eq!(squares[9], Ok(81));
+//! let mut slots: Vec<u64> = (0..100).collect();
+//! let sums = gm_exec::par_chunks_mut(4, &mut slots, 10, |_, _, chunk| {
+//!     chunk.iter_mut().for_each(|x| *x *= *x);
+//!     chunk.iter().sum::<u64>()
+//! });
+//! assert_eq!(slots[9], 81);
+//! assert_eq!(sums.len(), 10);
 //! ```
 
-pub mod pool;
-pub mod scoped;
-pub mod wait_group;
+mod scoped;
 
-pub use pool::{panic_message, ThreadPool};
 pub use scoped::par_chunks_mut;
-pub use wait_group::WaitGroup;

@@ -1,11 +1,12 @@
 //! Scoped, order-preserving parallel execution over mutable slices.
 //!
-//! [`ThreadPool`](crate::ThreadPool) requires `'static` closures, which
-//! rules out borrowing a long-lived arena for the duration of one tick.
-//! The sharded market sweep (DESIGN.md §15) needs exactly that: hand each
-//! worker a *disjoint* `&mut` chunk of the auctioneer arena, run the
-//! per-host sweeps, and gather the per-chunk results **in chunk-index
-//! order** so the outcome is identical at any thread count.
+//! Scoped workers may borrow from the caller — a long-lived arena for the
+//! duration of one tick, or a sweep's seed list and scenario closure. The
+//! sharded market sweep (DESIGN.md §15) hands each worker a *disjoint*
+//! `&mut` chunk of the auctioneer arena, runs the per-host sweeps, and
+//! gathers the per-chunk results **in chunk-index order** so the outcome
+//! is identical at any thread count; the Monte-Carlo runner (§13) does
+//! the same with one result slot per scenario.
 //!
 //! `par_chunks_mut` is built on [`std::thread::scope`] — no `unsafe`, no
 //! allocation beyond the result slots — and degrades to a plain

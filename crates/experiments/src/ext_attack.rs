@@ -292,7 +292,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> McArgs {
-        McArgs { seeds: 3, base_seed: 0xA77AC, threads: 4, ..McArgs::default() }
+        McArgs { seeds: 3, base_seed: 0xA77AC, threads: 4 }
     }
 
     /// The tycoon-only duel behind the acceptance criterion, small

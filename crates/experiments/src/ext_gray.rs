@@ -193,7 +193,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> McArgs {
-        McArgs { seeds: 4, base_seed: 0x6EA7, threads: 4, ..McArgs::default() }
+        McArgs { seeds: 4, base_seed: 0x6EA7, threads: 4 }
     }
 
     /// The armed-vs-off duel behind the acceptance criterion, small

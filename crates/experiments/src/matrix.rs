@@ -6,7 +6,7 @@
 //! stream. Each is a [`Matrix`] declaration: its roster, its columns,
 //! a pure cell function `(row, col, seed) → metric row`, and its report
 //! layout. [`Matrix::run`] pushes every *(seed × row × column)* triple
-//! through the pool as one flat tagged batch
+//! through the Monte-Carlo runner as one flat tagged batch
 //! ([`MonteCarlo::run_tagged`](gridmarket::sched::MonteCarlo::run_tagged))
 //! — a slow cell on one seed no longer serializes the others — then
 //! regroups the outcomes per cell, byte-identical at any thread count.
@@ -125,13 +125,11 @@ impl Matrix<'_> {
             .collect();
         let cell = self.cell;
         let batch = chaos_runner(args.threads)
-            .confidence(args.confidence)
             .run_tagged(&items, move |seed, &(row, col)| cell(row, col, seed));
 
         // Item `i` is seed `i / n` of cell `i % n`; rewrite indices back
         // to seed positions so replay hints read as in a per-cell run.
         let n = tags.len();
-        let confidence = batch.confidence();
         let mut grouped: Vec<Vec<McOutcome<Rows>>> = (0..n).map(|_| Vec::new()).collect();
         for o in batch.outcomes {
             let index = o.index / n;
@@ -145,7 +143,7 @@ impl Matrix<'_> {
             .into_iter()
             .zip(tags)
             .map(|(outcomes, (row, col))| {
-                let b = McBatch::from_outcomes(outcomes, confidence);
+                let b = McBatch::from_outcomes(outcomes);
                 Cell { row, col, report: b.report(Clone::clone), failures: b.failures().cloned().collect() }
             })
             .collect();
@@ -278,7 +276,7 @@ mod tests {
             cell: toy,
             layout: Layout::Table { head: "col", width: 4, metrics: &[Column::fixed("v", "v", 6, 2)] },
         };
-        m.run(McArgs { seeds: 8, base_seed: 0x70, threads, confidence: 0.95 })
+        m.run(McArgs { seeds: 8, base_seed: 0x70, threads })
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub struct McArgs {
     pub base_seed: u64,
     /// Worker threads.
     pub threads: usize,
-    /// Confidence level of the reported intervals.
-    pub confidence: f64,
 }
 
 impl Default for McArgs {
@@ -48,7 +46,6 @@ impl Default for McArgs {
             seeds: 64,
             base_seed: 0xC4A05,
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            confidence: 0.95,
         }
     }
 }
@@ -391,7 +388,7 @@ const FIGURES: [(&str, Headline); 7] = [
 /// seeds through the Monte-Carlo runner.
 pub fn report(scale: Scale, args: McArgs) -> McFigs {
     let seeds = seed_stream(args.base_seed, args.seeds);
-    let mc = chaos_runner(args.threads).confidence(args.confidence);
+    let mc = chaos_runner(args.threads);
     let figs: Vec<FigMc> = FIGURES
         .iter()
         .map(|&(name, headline)| FigMc {
@@ -415,7 +412,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> McArgs {
-        McArgs { seeds: 4, base_seed: 0xABCD, threads: 2, ..McArgs::default() }
+        McArgs { seeds: 4, base_seed: 0xABCD, threads: 2 }
     }
 
     #[test]

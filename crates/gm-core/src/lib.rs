@@ -17,9 +17,9 @@
 //!   streams, fault plans, and telemetry, so A/B results are
 //!   byte-reproducible.
 //! - [`montecarlo`] — the deterministic parallel scenario runner
-//!   ([`MonteCarlo`]): fans seeded scenarios across a `gm-exec` pool in
-//!   bounded batches, quarantines panicking seeds as
-//!   [`ScenarioFailure`] data points, and aggregates Student-t
+//!   ([`MonteCarlo`]): fans seeded scenarios over `gm-exec`'s scoped
+//!   chunk map, one result slot per scenario, quarantines panicking
+//!   seeds as [`ScenarioFailure`] data points, and aggregates Student-t
 //!   confidence-interval reports ([`McReport`]) over robustness
 //!   metrics.
 //!

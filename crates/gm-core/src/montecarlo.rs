@@ -4,9 +4,8 @@
 //! The paper validates its market claims with a handful of fixed-seed
 //! runs; this module is the throughput multiplier that turns each of
 //! those anecdotes into a population. A [`MonteCarlo`] runner fans N
-//! seeded scenarios across the in-repo [`gm_exec::ThreadPool`] in
-//! bounded-memory batches and guarantees three properties (DESIGN.md
-//! §13):
+//! seeded scenarios over scoped workers ([`gm_exec::par_chunks_mut`],
+//! one item per chunk) and guarantees three properties (DESIGN.md §13):
 //!
 //! 1. **Byte determinism** — per-seed results are assembled by *seed
 //!    index*, never by completion order, so the same seed list yields
@@ -22,24 +21,17 @@
 //!    fault schedules" ships with a sample size and an interval, not a
 //!    seed triple.
 //!
-//! Telemetry (`mc.*` scenario counters, per-batch wall-time histogram,
-//! and the `exec.*` pool counters) is registered lazily via
+//! Telemetry (the `mc.*` scenario counters) is registered lazily via
 //! [`MonteCarlo::with_registry`], mirroring the `net.*` convention:
 //! default runs keep the historical metric set byte-identical.
 
-use std::sync::Arc;
-use std::time::Instant;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use gm_des::{Rng64, SplitMix64};
-use gm_exec::ThreadPool;
 use gm_numeric::Summary;
-use gm_telemetry::{Counter, Gauge, Histogram, Registry};
+use gm_telemetry::{Counter, Registry};
 
-/// Default scenarios in flight per batch (bounds peak memory: at most
-/// this many un-aggregated results exist at once).
-pub const DEFAULT_BATCH: usize = 256;
-
-/// Default confidence level of the aggregate report intervals.
+/// Confidence level of every aggregate report interval.
 pub const DEFAULT_CONFIDENCE: f64 = 0.95;
 
 /// A quarantined scenario: the panic became a data point, not a dead
@@ -84,23 +76,14 @@ pub struct McOutcome<T> {
 pub struct McBatch<T> {
     /// Per-seed outcomes in seed-index order.
     pub outcomes: Vec<McOutcome<T>>,
-    confidence: f64,
 }
 
 impl<T> McBatch<T> {
     /// Reassemble a batch from outcomes (used by callers that fan one
     /// tagged run out over several logical batches — e.g. the per-policy
     /// chaos sweep regrouping one `(seed × policy)` run by policy).
-    pub fn from_outcomes(outcomes: Vec<McOutcome<T>>, confidence: f64) -> McBatch<T> {
-        McBatch {
-            outcomes,
-            confidence,
-        }
-    }
-
-    /// Confidence level of [`McBatch::report`] intervals.
-    pub fn confidence(&self) -> f64 {
-        self.confidence
+    pub fn from_outcomes(outcomes: Vec<McOutcome<T>>) -> McBatch<T> {
+        McBatch { outcomes }
     }
 
     /// Number of submitted scenarios.
@@ -161,13 +144,12 @@ impl<T> McBatch<T> {
             .iter()
             .zip(&columns)
             .filter_map(|(&name, col)| {
-                Summary::of(col, self.confidence).map(|summary| MetricSummary { name, summary })
+                Summary::of(col, DEFAULT_CONFIDENCE).map(|summary| MetricSummary { name, summary })
             })
             .collect();
         McReport {
             requested: self.outcomes.len(),
             completed: self.completed().count(),
-            confidence: self.confidence,
             metrics,
             quarantined: self
                 .failures()
@@ -193,8 +175,6 @@ pub struct McReport {
     pub requested: usize,
     /// Scenarios that completed (requested − quarantined).
     pub completed: usize,
-    /// Confidence level of every interval below.
-    pub confidence: f64,
     /// Per-metric summaries, in extractor order.
     pub metrics: Vec<MetricSummary>,
     /// `(seed, panic message)` of every quarantined scenario.
@@ -221,7 +201,7 @@ impl McReport {
             self.requested,
             self.completed,
             self.quarantined.len(),
-            self.confidence * 100.0
+            DEFAULT_CONFIDENCE * 100.0
         )
         .unwrap();
         writeln!(
@@ -257,7 +237,7 @@ impl McReport {
 }
 
 /// Telemetry handles, resolved once at attach time (lazy surface: only
-/// runs that call [`MonteCarlo::with_registry`] export `mc.*`/`exec.*`).
+/// runs that call [`MonteCarlo::with_registry`] export `mc.*`).
 struct McInstruments {
     /// `mc.scenarios_started`
     started: Counter,
@@ -265,77 +245,30 @@ struct McInstruments {
     completed: Counter,
     /// `mc.scenarios_panicked`
     panicked: Counter,
-    /// `mc.batch_ms` — wall time per bounded batch.
-    batch_ms: Histogram,
-    /// `exec.tasks_executed` — pool-lifetime task count.
-    exec_executed: Gauge,
-    /// `exec.tasks_panicked` — pool-lifetime caught panics.
-    exec_panicked: Gauge,
 }
 
 /// The deterministic parallel scenario runner. See the module docs for
 /// the determinism and quarantine contract.
 pub struct MonteCarlo {
-    pool: ThreadPool,
-    batch: usize,
-    confidence: f64,
+    threads: usize,
     replay_template: String,
     instruments: Option<McInstruments>,
 }
 
 impl MonteCarlo {
-    /// Runner over a fresh pool of `threads` workers.
+    /// Runner that fans scenarios over up to `threads` scoped workers per
+    /// run; with one, every scenario runs on the caller's thread.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> MonteCarlo {
+        assert!(threads > 0, "Monte-Carlo runner needs a thread");
         MonteCarlo {
-            pool: ThreadPool::new(threads),
-            batch: DEFAULT_BATCH,
-            confidence: DEFAULT_CONFIDENCE,
+            threads,
             replay_template: "replay: re-run this scenario with seed {seed} (any thread count)"
                 .to_owned(),
             instruments: None,
         }
-    }
-
-    /// Runner sized to the available CPUs (min 1).
-    pub fn with_default_parallelism() -> MonteCarlo {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        MonteCarlo::new(n)
-    }
-
-    /// Worker thread count.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// The underlying pool (diagnostics: `tasks_executed`/`tasks_panicked`).
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
-    }
-
-    /// Scenarios in flight per batch — the memory bound. Results of a
-    /// batch are drained into the output before the next batch starts.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn batch(mut self, n: usize) -> Self {
-        assert!(n > 0, "batch size must be >= 1");
-        self.batch = n;
-        self
-    }
-
-    /// Confidence level for [`McBatch::report`] intervals (default 0.95).
-    ///
-    /// # Panics
-    /// Panics unless `0 < c < 1`.
-    pub fn confidence(mut self, c: f64) -> Self {
-        assert!(c > 0.0 && c < 1.0, "confidence in (0,1), got {c}");
-        self.confidence = c;
-        self
     }
 
     /// Template for [`ScenarioFailure::replay_hint`]; every `{seed}` is
@@ -346,102 +279,94 @@ impl MonteCarlo {
     }
 
     /// Attach telemetry: `mc.scenarios_started` / `mc.scenarios_completed`
-    /// / `mc.scenarios_panicked` counters, the `mc.batch_ms` wall-time
-    /// histogram, and `exec.tasks_executed` / `exec.tasks_panicked`
-    /// gauges sampled from the pool after each run.
+    /// / `mc.scenarios_panicked` counters.
     pub fn with_registry(mut self, registry: &Registry) -> Self {
         self.instruments = Some(McInstruments {
             started: registry.counter("mc.scenarios_started"),
             completed: registry.counter("mc.scenarios_completed"),
             panicked: registry.counter("mc.scenarios_panicked"),
-            batch_ms: registry.histogram("mc.batch_ms"),
-            exec_executed: registry.gauge("exec.tasks_executed"),
-            exec_panicked: registry.gauge("exec.tasks_panicked"),
         });
         self
     }
 
-    /// Run `scenario(seed)` for every seed, in bounded parallel batches.
+    /// Run `scenario(seed)` for every seed in parallel.
     ///
     /// The returned batch holds one outcome per seed **in seed-index
     /// order**; a panicking scenario is quarantined as a
     /// [`ScenarioFailure`] while the rest complete. The scenario function
     /// must be a pure function of its seed for the determinism contract
     /// to mean anything (every in-repo scenario is).
-    pub fn run<T: Send + 'static>(
-        &self,
-        seeds: &[u64],
-        scenario: impl Fn(u64) -> T + Send + Sync + 'static,
-    ) -> McBatch<T> {
+    pub fn run<T: Send>(&self, seeds: &[u64], scenario: impl Fn(u64) -> T + Sync) -> McBatch<T> {
         let items: Vec<(u64, ())> = seeds.iter().map(|&s| (s, ())).collect();
-        self.run_tagged(&items, move |seed, ()| scenario(seed))
+        self.run_tagged(&items, |seed, ()| scenario(seed))
     }
 
     /// Like [`MonteCarlo::run`], but every scenario carries an arbitrary
     /// tag alongside its seed — the fan-out axis for sweeps that vary
     /// more than the seed (e.g. the chaos sweep running every *(seed ×
-    /// policy)* pair through one pool). The determinism and quarantine
+    /// policy)* pair through one run). The determinism and quarantine
     /// contract is identical: outcomes come back in submission order,
     /// and a panicking `(seed, tag)` pair is quarantined on its own.
-    pub fn run_tagged<K, T>(
+    pub fn run_tagged<K: Sync, T: Send>(
         &self,
         items: &[(u64, K)],
-        scenario: impl Fn(u64, &K) -> T + Send + Sync + 'static,
-    ) -> McBatch<T>
-    where
-        K: Clone + Send + Sync + 'static,
-        T: Send + 'static,
-    {
-        let scenario = Arc::new(scenario);
-        let mut outcomes: Vec<McOutcome<T>> = Vec::with_capacity(items.len());
+        scenario: impl Fn(u64, &K) -> T + Sync,
+    ) -> McBatch<T> {
         if let Some(ins) = &self.instruments {
             ins.started.add(items.len() as u64);
         }
-        for chunk in items.chunks(self.batch) {
-            let t0 = Instant::now();
-            let scenario = Arc::clone(&scenario);
-            // `try_par_map` fills result slots by item index and turns a
-            // task panic into an `Err(message)` slot, so this batch comes
-            // back in submission order no matter which worker ran what —
-            // and a detonating scenario cannot take the sweep down with it.
-            let results: Vec<Result<T, String>> = self
-                .pool
-                .try_par_map(chunk.to_vec(), move |(seed, tag)| scenario(seed, &tag));
-            let base = outcomes.len();
-            for (offset, ((seed, _), result)) in chunk.iter().zip(results).enumerate() {
-                let index = base + offset;
-                let result = result.map_err(|panic_message| ScenarioFailure {
-                    seed: *seed,
-                    index,
-                    replay_hint: self
-                        .replay_template
-                        .replace("{seed}", &format!("{seed:#x}")),
-                    panic_message,
-                });
+        // One slot per item, filled by item index on whichever worker
+        // claims it; each scenario's unwind is caught into its own slot,
+        // so a detonating scenario cannot take the sweep down with it.
+        let mut slots: Vec<Option<Result<T, String>>> = items.iter().map(|_| None).collect();
+        gm_exec::par_chunks_mut(self.threads, &mut slots, 1, |index, _, slot| {
+            let (seed, tag) = &items[index];
+            slot[0] = Some(
+                catch_unwind(AssertUnwindSafe(|| scenario(*seed, tag)))
+                    .map_err(|payload| panic_message(payload.as_ref())),
+            );
+        });
+        let outcomes = items
+            .iter()
+            .zip(slots)
+            .enumerate()
+            .map(|(index, (&(seed, _), slot))| {
+                let result = slot
+                    .expect("every slot is filled")
+                    .map_err(|panic_message| ScenarioFailure {
+                        seed,
+                        index,
+                        replay_hint: self
+                            .replay_template
+                            .replace("{seed}", &format!("{seed:#x}")),
+                        panic_message,
+                    });
                 if let Some(ins) = &self.instruments {
                     match &result {
                         Ok(_) => ins.completed.inc(),
                         Err(_) => ins.panicked.inc(),
                     }
                 }
-                outcomes.push(McOutcome {
-                    seed: *seed,
+                McOutcome {
+                    seed,
                     index,
                     result,
-                });
-            }
-            if let Some(ins) = &self.instruments {
-                ins.batch_ms.record(t0.elapsed().as_secs_f64() * 1e3);
-            }
-        }
-        if let Some(ins) = &self.instruments {
-            ins.exec_executed.set(self.pool.tasks_executed() as f64);
-            ins.exec_panicked.set(self.pool.tasks_panicked() as f64);
-        }
-        McBatch {
-            outcomes,
-            confidence: self.confidence,
-        }
+                }
+            })
+            .collect();
+        McBatch { outcomes }
+    }
+}
+
+/// Render a caught panic payload as the human-readable message
+/// (`panic!("…")` produces `&str` or `String`; anything else is opaque).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
     }
 }
 
@@ -496,7 +421,7 @@ mod tests {
         let seeds = seed_stream(0xC0FFEE, 40);
         let baseline = MonteCarlo::new(1).run(&seeds, walk);
         for threads in [2, 8] {
-            let batch = MonteCarlo::new(threads).batch(7).run(&seeds, walk);
+            let batch = MonteCarlo::new(threads).run(&seeds, walk);
             assert_eq!(fingerprint(&baseline), fingerprint(&batch), "threads={threads}");
             assert_eq!(
                 baseline.report(|r| walk_metrics(r)).render(),
@@ -510,37 +435,46 @@ mod tests {
     fn panicking_seed_is_quarantined_with_the_right_seed() {
         let seeds = seed_stream(7, 16);
         let bad = seeds[5];
-        let mc = MonteCarlo::new(4).replay_hint("re-run --seed {seed}");
-        let batch = mc.run(&seeds, move |s| {
-            if s == bad {
-                panic!("scenario exploded on purpose");
-            }
-            walk(s)
-        });
-        assert_eq!(batch.quarantined_seeds(), vec![bad]);
-        let failure = batch.failures().next().unwrap();
-        assert_eq!(failure.seed, bad);
-        assert_eq!(failure.index, 5);
-        assert_eq!(failure.panic_message, "scenario exploded on purpose");
-        assert_eq!(failure.replay_hint, format!("re-run --seed {bad:#x}"));
-        // The other 15 completed, in order.
-        assert_eq!(batch.completed().count(), 15);
-        assert_eq!(mc.pool().tasks_panicked(), 1);
-        // Aggregates exclude the quarantined seed but report it.
-        let report = batch.report(|r| walk_metrics(r));
-        assert_eq!(report.requested, 16);
-        assert_eq!(report.completed, 15);
-        assert_eq!(report.metric("endpoint").unwrap().count, 15);
-        assert_eq!(report.quarantined, vec![(bad, "scenario exploded on purpose".into())]);
-        assert!(report.render().contains("quarantined seeds:"));
+        // One worker runs every scenario on the caller's thread; four
+        // spread them over scoped workers. Both quarantine the same seed.
+        for threads in [1, 4] {
+            let mc = MonteCarlo::new(threads).replay_hint("re-run --seed {seed}");
+            let batch = mc.run(&seeds, move |s| {
+                if s == bad {
+                    panic!("scenario exploded on purpose");
+                }
+                walk(s)
+            });
+            assert_eq!(batch.quarantined_seeds(), vec![bad], "threads={threads}");
+            let failure = batch.failures().next().unwrap();
+            assert_eq!(failure.seed, bad);
+            assert_eq!(failure.index, 5);
+            assert_eq!(failure.panic_message, "scenario exploded on purpose");
+            assert_eq!(failure.replay_hint, format!("re-run --seed {bad:#x}"));
+            // The other 15 completed, in order.
+            assert_eq!(batch.completed().count(), 15);
+            // Aggregates exclude the quarantined seed but report it.
+            let report = batch.report(|r| walk_metrics(r));
+            assert_eq!(report.requested, 16);
+            assert_eq!(report.completed, 15);
+            assert_eq!(report.metric("endpoint").unwrap().count, 15);
+            assert_eq!(report.quarantined, vec![(bad, "scenario exploded on purpose".into())]);
+            assert!(report.render().contains("quarantined seeds:"));
+            // The caught panic left the runner usable.
+            let again = mc.run(&seeds, walk);
+            assert_eq!(again.completed().count(), 16, "threads={threads}");
+            assert_eq!(fingerprint(&again), fingerprint(&MonteCarlo::new(1).run(&seeds, walk)));
+        }
     }
 
     #[test]
-    fn batching_bounds_do_not_change_results() {
-        let seeds = seed_stream(99, 23);
-        let whole = MonteCarlo::new(3).batch(1000).run(&seeds, walk);
-        let tiny = MonteCarlo::new(3).batch(2).run(&seeds, walk);
-        assert_eq!(fingerprint(&whole), fingerprint(&tiny));
+    fn panic_message_extraction() {
+        let str_payload: Box<dyn std::any::Any + Send> = Box::new("literal");
+        assert_eq!(panic_message(str_payload.as_ref()), "literal");
+        let string_payload: Box<dyn std::any::Any + Send> = Box::new(format!("value {}", 42));
+        assert_eq!(panic_message(string_payload.as_ref()), "value 42");
+        let opaque: Box<dyn std::any::Any + Send> = Box::new(7u32);
+        assert_eq!(panic_message(opaque.as_ref()), "non-string panic payload");
     }
 
     #[test]
@@ -550,7 +484,7 @@ mod tests {
         MonteCarlo::new(2).run(&seed_stream(1, 4), walk);
         assert!(silent.snapshot().counters.is_empty());
 
-        // Attached: scenario counters and the exec surface appear.
+        // Attached: the scenario counters appear, and nothing else.
         let registry = Registry::new();
         let mc = MonteCarlo::new(2).with_registry(&registry);
         let bad = seed_stream(1, 6)[2];
@@ -564,9 +498,8 @@ mod tests {
         assert_eq!(snap.counters["mc.scenarios_started"], 6);
         assert_eq!(snap.counters["mc.scenarios_completed"], 5);
         assert_eq!(snap.counters["mc.scenarios_panicked"], 1);
-        assert_eq!(snap.gauges["exec.tasks_panicked"], 1.0);
-        assert!(snap.gauges["exec.tasks_executed"] >= 6.0);
-        assert!(snap.histograms.contains_key("mc.batch_ms"));
+        assert_eq!(snap.counters.len(), 3);
+        assert!(snap.gauges.is_empty() && snap.histograms.is_empty());
     }
 
     #[test]

@@ -202,6 +202,7 @@ impl MarketGuard {
 
     /// Quarantine `account` directly (operator action). Returns `true` if
     /// it was not already quarantined. The caller evicts and refunds.
+    #[cfg(test)]
     pub fn quarantine(&mut self, account: AccountId) -> bool {
         if !self.cfg.enabled {
             return false;
@@ -210,6 +211,7 @@ impl MarketGuard {
     }
 
     /// Lift a quarantine (operator action). The strike count is cleared.
+    #[cfg(test)]
     pub fn release(&mut self, account: AccountId) -> bool {
         self.strikes.remove(&account);
         self.quarantined.remove(&account)

@@ -16,9 +16,9 @@
 //! counts over the whole batch, and the exit code is non-zero if any
 //! seed failed.
 
-use gm_core::MonteCarlo;
 use gm_ledger::SharedJournal;
 use gm_tycoon::{Bank, ConservationAuditor};
+use gridmarket::chaos_runner;
 use gridmarket::scenario::Scenario;
 
 /// One seed's sweep statistics (the Monte-Carlo metric row).
@@ -99,8 +99,8 @@ fn main() {
     // Fan the per-seed sweeps across the scenario runner: a failing seed
     // panics inside its task, gets quarantined with its seed as the
     // replay key, and the other seeds still finish.
-    let mc = MonteCarlo::with_default_parallelism()
-        .replay_hint("cargo run --release --example crash_matrix -- {seed}");
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mc = chaos_runner(threads);
     let batch = mc.run(&seeds, |seed| match sweep(seed) {
         Ok(stats) => stats,
         Err(msg) => panic!("{msg}"),

@@ -76,11 +76,6 @@ vcg-matrix:
 mc-report *ARGS:
     cargo run --release -p gm-experiments --bin mc -- report {{ARGS}}
 
-# Small demo of the harness: 32 chaos seeds plus one rigged-to-panic
-# seed, showing quarantine, replay hints, and the lazy mc.* telemetry.
-mc-demo:
-    cargo run --release --example mc_chaos
-
 # Regenerate the paper's tables and figures (quick scale).
 experiments:
     cargo run --release --example quickstart

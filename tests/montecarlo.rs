@@ -10,7 +10,7 @@
 //!    every other seed completes.
 //! 3. **The invariant sweep** — a random-fault batch completes with
 //!    zero quarantined seeds and a conservation residual of exactly 0.
-//! 4. **Lazy telemetry** — `mc.*` / `exec.*` appear only when a
+//! 4. **Lazy telemetry** — the `mc.*` counters appear only when a
 //!    registry is attached.
 
 use gm_telemetry::Registry;
@@ -29,9 +29,9 @@ fn fingerprint(outcomes: &[(u64, MetricRow)]) -> Vec<(u64, Vec<u64>)> {
         .collect()
 }
 
-fn run_batch(threads: usize, batch_size: usize, seeds: &[u64]) -> (Vec<(u64, MetricRow)>, String) {
+fn run_batch(threads: usize, seeds: &[u64]) -> (Vec<(u64, MetricRow)>, String) {
     let cfg = ChaosConfig::default();
-    let mc = chaos_runner(threads).batch(batch_size);
+    let mc = chaos_runner(threads);
     let batch = mc.run(seeds, move |s| chaos_scenario(s, &cfg));
     let rows: Vec<(u64, MetricRow)> = batch
         .completed()
@@ -44,10 +44,10 @@ fn run_batch(threads: usize, batch_size: usize, seeds: &[u64]) -> (Vec<(u64, Met
 #[test]
 fn chaos_batches_are_byte_identical_across_thread_counts() {
     let seeds = seed_stream(0x9_0006, 6);
-    let (rows1, report1) = run_batch(1, 64, &seeds);
+    let (rows1, report1) = run_batch(1, &seeds);
     assert_eq!(rows1.len(), 6, "all seeds complete");
-    for (threads, batch_size) in [(2, 2), (8, 3)] {
-        let (rows_n, report_n) = run_batch(threads, batch_size, &seeds);
+    for threads in [2, 8] {
+        let (rows_n, report_n) = run_batch(threads, &seeds);
         assert_eq!(
             fingerprint(&rows1),
             fingerprint(&rows_n),
@@ -90,7 +90,7 @@ fn random_fault_sweep_holds_the_invariants() {
     // mid-run bank restarts — completes every seed and conserves money
     // exactly.
     let cfg = ChaosConfig::default();
-    let mc = chaos_runner(2).batch(8);
+    let mc = chaos_runner(2);
     let batch = mc.run(&seed_stream(0x51EE9, 16), move |s| chaos_scenario(s, &cfg));
     let report = batch.report(ChaosMetrics::rows);
     assert_eq!(report.completed, 16, "quarantined: {:?}", report.quarantined);
@@ -104,7 +104,7 @@ fn random_fault_sweep_holds_the_invariants() {
 }
 
 #[test]
-fn telemetry_is_lazy_and_mirrors_the_pool() {
+fn telemetry_is_lazy_and_counts_scenarios() {
     let cfg = ChaosConfig::default();
     let registry = Registry::new();
     let mc = chaos_runner(2).with_registry(&registry);
@@ -113,6 +113,5 @@ fn telemetry_is_lazy_and_mirrors_the_pool() {
     assert_eq!(snap.counters["mc.scenarios_started"], 3);
     assert_eq!(snap.counters["mc.scenarios_completed"], 3);
     assert_eq!(snap.counters["mc.scenarios_panicked"], 0);
-    assert!(snap.gauges["exec.tasks_executed"] >= 3.0);
-    assert!(snap.histograms["mc.batch_ms"].count >= 1);
+    assert!(snap.gauges.is_empty() && snap.histograms.is_empty());
 }
