@@ -82,7 +82,7 @@ impl AttackContext {
     pub fn arrivals_from(plan: &FaultPlan) -> Vec<SimTime> {
         plan.events()
             .iter()
-            .filter(|e| e.kind == FaultKind::AdversaryArrival)
+            .filter(|e| matches!(e.kind, FaultKind::AdversaryArrival { .. }))
             .map(|e| e.at)
             .collect()
     }

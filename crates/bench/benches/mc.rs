@@ -4,8 +4,12 @@
 //! stack under random `FaultPlan`s — through `gm_core::MonteCarlo` at
 //! 1, 2, 4 and 8 worker threads and reports scenarios/sec plus the
 //! parallel efficiency `speedup(n) / n` relative to the single-thread
-//! run. The budget requires ≥ 60 % efficiency at every thread count
-//! that the machine can actually parallelise (thread counts above
+//! run. Each thread count is timed as the fastest of `ROUNDS` rounds,
+//! and every round runs all four counts in turn, so a cold first run
+//! or a burst of load from a neighbour on a shared machine lands in
+//! one sample of every row instead of deciding one row. The budget
+//! requires ≥ 60 % efficiency at every thread count that the machine
+//! can actually parallelise (thread counts above
 //! `available_parallelism` are reported but not gated — oversubscribing
 //! a small CI box is not a harness regression).
 //!
@@ -22,6 +26,7 @@ use gridmarket::{chaos_runner, chaos_scenario, ChaosConfig, ChaosMetrics};
 
 const SEEDS: usize = 48;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+const ROUNDS: usize = 5;
 const EFFICIENCY_BUDGET: f64 = 0.60;
 
 /// One thread-count measurement: wall time and the rendered report.
@@ -44,27 +49,28 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let seeds = seed_stream(0xBE7C4, SEEDS);
 
-    // Warm-up so first-touch allocation noise stays out of the 1-thread
-    // baseline every other row is scored against.
-    let _ = run_at(1, &seeds[..8]);
-
-    let (base_secs, base_report) = run_at(1, &seeds);
-    let base_rate = SEEDS as f64 / base_secs;
+    let mut best = [f64::INFINITY; THREADS.len()];
+    let mut base_report: Option<String> = None;
+    for _ in 0..ROUNDS {
+        for (i, &n) in THREADS.iter().enumerate() {
+            let (secs, report) = run_at(n, &seeds);
+            match &base_report {
+                None => base_report = Some(report),
+                Some(base) => assert_eq!(
+                    &report, base,
+                    "determinism broken: {n}-thread report differs from 1-thread"
+                ),
+            }
+            best[i] = best[i].min(secs);
+        }
+    }
+    let base_rate = SEEDS as f64 / best[0];
 
     let mut pass = true;
     let mut rows = Vec::new();
-    for &n in &THREADS {
-        let (secs, rate, efficiency) = if n == 1 {
-            (base_secs, base_rate, 1.0)
-        } else {
-            let (secs, report) = run_at(n, &seeds);
-            assert_eq!(
-                report, base_report,
-                "determinism broken: {n}-thread report differs from 1-thread"
-            );
-            let rate = SEEDS as f64 / secs;
-            (secs, rate, (rate / base_rate) / n as f64)
-        };
+    for (&n, &secs) in THREADS.iter().zip(&best) {
+        let rate = SEEDS as f64 / secs;
+        let efficiency = (rate / base_rate) / n as f64;
         // Only gate thread counts the hardware can actually run in
         // parallel; beyond that, efficiency is informational.
         let gated = n <= cores;
@@ -84,7 +90,7 @@ fn main() {
         rows.push((n, rate, efficiency, gated));
     }
     println!(
-        "budget: efficiency >= {:.0} % for threads <= {cores} available cores   {}",
+        "budget: efficiency >= {:.0} % for threads <= {cores} available cores (fastest of {ROUNDS} rounds)   {}",
         EFFICIENCY_BUDGET * 100.0,
         if pass { "PASS" } else { "FAIL" }
     );

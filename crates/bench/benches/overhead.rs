@@ -30,7 +30,7 @@ use gm_grid::AgentConfig;
 use gm_telemetry::{Registry, WallClock};
 use gm_tycoon::{
     BreakerConfig, Credits, GuardConfig, HostId, HostSpec, LiveMarket, Market, NetConfig,
-    NetInstruments, QueueConfig, ShedPolicy, UserId,
+    NetInstruments, QueueConfig, UserId,
 };
 use gridmarket::{tycoon_policy, ChaosConfig};
 
@@ -88,7 +88,7 @@ fn armed_net() -> NetConfig {
     // Everything on, nothing firing: perfect links, a mailbox bound far
     // above the single-client depth, default breakers, live telemetry.
     NetConfig {
-        queue: QueueConfig::bounded(64, ShedPolicy::RejectNew),
+        queue: QueueConfig::bounded(64),
         breaker: Some(BreakerConfig::default()),
         telemetry: Some(NetInstruments::new(&Registry::new())),
         ..NetConfig::default()

@@ -208,46 +208,41 @@ impl AllocationPolicy for TycoonPolicy {
     }
 
     fn apply_fault(&mut self, ctx: &TickCtx, ev: &FaultEvent) {
-        // Fault targets are interpreted modulo the host count.
-        let host = HostId(ev.target % (ctx.hosts.len() as u32).max(1));
-        let host_field = [("host", host.0.to_string())];
+        // Fault hosts are interpreted modulo the host count.
+        let on = |host: u32| HostId(host % (ctx.hosts.len() as u32).max(1));
+        let trace = |name: &str, fields: &[(&str, String)]| {
+            if let Some(t) = &self.tracer {
+                t.event_with(name, fields);
+            }
+        };
         match ev.kind {
-            FaultKind::HostCrash => {
-                if let Some(t) = &self.tracer {
-                    t.event_with("fault.host_crash", &host_field);
-                }
+            FaultKind::HostCrash { host } => {
+                let host = on(host);
+                trace("fault.host_crash", &[("host", host.0.to_string())]);
                 if self.market.crash_host(host).is_ok() {
                     self.jm.handle_host_crash(host, ctx.now);
                 }
             }
-            FaultKind::HostRecover => {
-                if let Some(t) = &self.tracer {
-                    t.event_with("fault.host_recover", &host_field);
-                }
+            FaultKind::HostRecover { host } => {
+                let host = on(host);
+                trace("fault.host_recover", &[("host", host.0.to_string())]);
                 let _ = self.market.recover_host(host);
             }
-            FaultKind::VmFailure => {
-                if let Some(t) = &self.tracer {
-                    t.event_with("fault.vm_fail", &host_field);
-                }
+            FaultKind::VmFailure { host } => {
+                let host = on(host);
+                trace("fault.vm_fail", &[("host", host.0.to_string())]);
                 let _ = self.jm.handle_vm_failure_any(host, ctx.now);
             }
             FaultKind::BankOutage => {
-                if let Some(t) = &self.tracer {
-                    t.event("fault.bank_outage");
-                }
+                trace("fault.bank_outage", &[]);
                 self.market.set_bank_online(false);
             }
             FaultKind::BankRestore => {
-                if let Some(t) = &self.tracer {
-                    t.event("fault.bank_restore");
-                }
+                trace("fault.bank_restore", &[]);
                 self.market.set_bank_online(true);
             }
             FaultKind::BankRestart => {
-                if let Some(t) = &self.tracer {
-                    t.event("fault.bank_restart");
-                }
+                trace("fault.bank_restart", &[]);
                 // Kill the bank and bring it back from its durable
                 // ledger (DESIGN.md §11); without an attached ledger
                 // this degrades to a bank-restore. The recovered bank's
@@ -256,67 +251,50 @@ impl AllocationPolicy for TycoonPolicy {
                 let _ = self.market.restart_bank();
             }
             FaultKind::LinkDown => {
-                if let Some(t) = &self.tracer {
-                    t.event("fault.link_down");
-                }
+                trace("fault.link_down", &[]);
                 // Quotes become unreachable: the manager falls back to
                 // last-known/predicted prices and defers re-dispatch
                 // (DESIGN.md §12).
                 self.market.set_links_degraded(true);
             }
             FaultKind::LinkUp => {
-                if let Some(t) = &self.tracer {
-                    t.event("fault.link_up");
-                }
+                trace("fault.link_up", &[]);
                 self.market.set_links_degraded(false);
             }
-            FaultKind::AdversaryArrival => {
+            FaultKind::AdversaryArrival { index } => {
                 // The adversary library materialises the hostile job
                 // requests for these seeded times (`gm-adversary`); the
                 // policy only traces that a cohort went live so the
                 // telemetry timeline lines up with the attack.
-                if let Some(t) = &self.tracer {
-                    t.event_with(
-                        "fault.adversary_arrival",
-                        &[("adversary", ev.target.to_string())],
-                    );
-                }
+                trace("fault.adversary_arrival", &[("adversary", index.to_string())]);
             }
-            FaultKind::HostSlowdown => {
-                // Gray targets pack `(host, payload)`; unpack before the
-                // host-count modulo so the delivered-permille payload
-                // never bleeds into host selection.
-                let host = HostId(gm_des::gray_host(ev.target) % (ctx.hosts.len() as u32).max(1));
-                let permille = gm_des::gray_payload(ev.target).clamp(1, 1000);
-                if let Some(t) = &self.tracer {
-                    t.event_with(
-                        "fault.host_slowdown",
-                        &[
-                            ("host", host.0.to_string()),
-                            ("permille", permille.to_string()),
-                        ],
-                    );
-                }
+            FaultKind::HostSlowdown { host, permille } => {
+                let host = on(host);
+                let permille = permille.clamp(1, 1000);
+                trace(
+                    "fault.host_slowdown",
+                    &[
+                        ("host", host.0.to_string()),
+                        ("permille", permille.to_string()),
+                    ],
+                );
                 self.jm.apply_host_slowdown(host, permille);
             }
-            FaultKind::HostRestore => {
-                let host = HostId(gm_des::gray_host(ev.target) % (ctx.hosts.len() as u32).max(1));
-                if let Some(t) = &self.tracer {
-                    t.event_with("fault.host_restore", &[("host", host.0.to_string())]);
-                }
+            FaultKind::HostRestore { host } => {
+                let host = on(host);
+                trace("fault.host_restore", &[("host", host.0.to_string())]);
                 self.jm.clear_host_gray(host);
             }
-            FaultKind::HostStall => {
-                let host = HostId(gm_des::gray_host(ev.target) % (ctx.hosts.len() as u32).max(1));
-                let secs = u64::from(gm_des::gray_payload(ev.target));
-                if let Some(t) = &self.tracer {
-                    t.event_with(
-                        "fault.host_stall",
-                        &[("host", host.0.to_string()), ("secs", secs.to_string())],
-                    );
-                }
-                self.jm
-                    .apply_host_stall(host, ctx.now + gm_des::SimDuration::from_secs(secs));
+            FaultKind::HostStall { host, len } => {
+                let host = on(host);
+                trace(
+                    "fault.host_stall",
+                    &[
+                        ("host", host.0.to_string()),
+                        ("secs", len.as_secs_f64().to_string()),
+                    ],
+                );
+                self.jm.apply_host_stall(host, ctx.now + len);
             }
         }
     }

@@ -538,6 +538,7 @@ impl ScenarioResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gm_des::FaultKind;
 
     fn small_scenario() -> Scenario {
         Scenario::builder()
@@ -657,9 +658,9 @@ mod tests {
     fn faulty_scenario_completes_conserves_and_is_deterministic() {
         let run = || {
             let mut plan = FaultPlan::new();
-            plan.host_crash(SimTime::from_secs(300), 0)
-                .host_recover(SimTime::from_secs(2_400), 0)
-                .vm_failure(SimTime::from_secs(500), 1)
+            plan.push(SimTime::from_secs(300), FaultKind::HostCrash { host: 0 })
+                .push(SimTime::from_secs(2_400), FaultKind::HostRecover { host: 0 })
+                .push(SimTime::from_secs(500), FaultKind::VmFailure { host: 1 })
                 .bank_outage(SimTime::from_secs(700), SimTime::from_secs(900));
             small_scenario()
                 .user(UserSetup::new(60.0).subjobs(4))

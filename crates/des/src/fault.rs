@@ -9,97 +9,108 @@
 //! the consumers downstream (market, grid, scenario driver) are themselves
 //! deterministic.
 //!
-//! The kernel crate knows nothing about hosts or banks; targets are plain
-//! `u32` indices that the layer applying the plan maps onto its own IDs.
+//! The kernel crate knows nothing about hosts or banks; a [`FaultKind`]
+//! names its host or adversary as a plain `u32` index that the layer
+//! applying the plan maps onto its own IDs.
 
 use crate::rng::{Rng64, SplitMix64};
 use crate::time::{SimDuration, SimTime};
 
-/// The kind of a scheduled fault.
+/// What a scheduled fault does, and to which host or adversary.
 ///
-/// The discriminants are fixed: they order events at the same instant
-/// (the derived `Ord` and the `(at, kind, target)` plan sort) and feed the
-/// golden schedule fingerprints below. Ordinals 3 and 4 belonged to two
-/// message faults no plan ever scheduled and stay unused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Events at the same instant apply by variant in declaration order, then
+/// by payload (a slowdown's permille, a stall's length), then by host or
+/// adversary index — the one rank table is `FaultKind::rank` below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// A host fails abruptly: its bids are evicted, its VMs die, and any
     /// subjob running on it is interrupted.
-    HostCrash = 0,
+    HostCrash {
+        /// The failing host.
+        host: u32,
+    },
     /// A previously crashed host rejoins the market (empty, no VMs).
-    HostRecover = 1,
+    HostRecover {
+        /// The rejoining host.
+        host: u32,
+    },
     /// A single VM on an otherwise healthy host dies.
-    VmFailure = 2,
+    VmFailure {
+        /// The host whose VM dies.
+        host: u32,
+    },
     /// The bank becomes unreachable; money movement fails until the paired
     /// [`FaultKind::BankRestore`].
-    BankOutage = 5,
+    BankOutage,
     /// The bank comes back online.
-    BankRestore = 6,
+    BankRestore,
     /// The bank process dies and is brought back from its durable journal
     /// (snapshot + WAL replay). Unlike [`FaultKind::BankOutage`], the
     /// in-memory bank state is discarded — only journaled state survives.
-    ///
-    /// Appended last so the `(at, kind, target)` sort order of plans that
-    /// never schedule restarts is unchanged.
-    BankRestart = 7,
+    BankRestart,
     /// The service links degrade: quotes and transfers become lossy until
     /// the paired [`FaultKind::LinkUp`], and consumers fall back to
     /// degraded-mode pricing (`DESIGN.md` §12).
-    ///
-    /// Appended after [`FaultKind::BankRestart`] so existing plans keep
-    /// their `(at, kind, target)` sort order.
-    LinkDown = 8,
+    LinkDown,
     /// The degraded service links recover.
-    LinkUp = 9,
+    LinkUp,
     /// A strategic adversary cohort arrives (the `gm-adversary` attack
     /// library materialises the actual hostile job requests at these
-    /// times; policies themselves only trace the event). `target` is the
-    /// adversary index within the cohort.
-    ///
-    /// Appended after [`FaultKind::LinkUp`] so existing plans keep their
-    /// `(at, kind, target)` sort order.
-    AdversaryArrival = 10,
+    /// times; policies themselves only trace the event).
+    AdversaryArrival {
+        /// The adversary's index within the cohort.
+        index: u32,
+    },
     /// A host degrades *gray*: it stays online, keeps its VMs and keeps
     /// accepting bids, but delivers only a fraction of its nominal
-    /// compute rate until the paired [`FaultKind::HostRestore`]. The
-    /// target packs the host index in the low 16 bits and the delivered
-    /// rate in permille (1..=1000) in the high 16 bits — see
-    /// [`gray_target`].
-    ///
-    /// Appended after [`FaultKind::AdversaryArrival`] so existing plans
-    /// keep their `(at, kind, target)` sort order.
-    HostSlowdown = 11,
+    /// compute rate until the paired [`FaultKind::HostRestore`].
+    HostSlowdown {
+        /// The degraded host.
+        host: u32,
+        /// Delivered rate in permille of nominal (1..=1000).
+        permille: u16,
+    },
     /// A gray-degraded host returns to nominal rate (clears any active
-    /// slowdown or stall). Target is the plain host index.
-    HostRestore = 12,
+    /// slowdown or stall).
+    HostRestore {
+        /// The restored host.
+        host: u32,
+    },
     /// A host stalls completely for a bounded window: progress is zero
-    /// but the host never leaves the market. The target packs the host
-    /// index in the low 16 bits and the stall window in whole seconds
-    /// in the high 16 bits — see [`gray_target`]. Self-expiring; no
-    /// paired restore event is required.
-    HostStall = 13,
+    /// but the host never leaves the market. Self-expiring; no paired
+    /// restore event is required.
+    HostStall {
+        /// The stalled host.
+        host: u32,
+        /// How long the stall lasts.
+        len: SimDuration,
+    },
 }
 
-/// Maximum host index addressable by packed gray-fault targets (the low
-/// 16 bits of [`FaultEvent::target`]).
-pub const MAX_GRAY_HOSTS: u32 = 1 << 16;
-
-/// Pack a gray-fault target: host index in the low 16 bits, payload in
-/// the high 16 bits (delivered rate in permille for
-/// [`FaultKind::HostSlowdown`], stall window in seconds for
-/// [`FaultKind::HostStall`]).
-pub fn gray_target(host: u32, payload: u16) -> u32 {
-    (host & (MAX_GRAY_HOSTS - 1)) | (u32::from(payload) << 16)
-}
-
-/// Host index of a packed gray-fault target.
-pub fn gray_host(target: u32) -> u32 {
-    target & (MAX_GRAY_HOSTS - 1)
-}
-
-/// Payload of a packed gray-fault target (permille or seconds).
-pub fn gray_payload(target: u32) -> u16 {
-    (target >> 16) as u16
+impl FaultKind {
+    /// The same-instant sort key: `(variant, payload, host or index)`.
+    /// A slowdown ranks by its permille and a stall by its length before
+    /// the host, so two faults of one kind at one instant apply in
+    /// payload order. This is the order of the `(kind, host | payload
+    /// << 16)` key plans had when gray faults packed their host into 16
+    /// bits, for every host below 65,536 and every whole-second stall.
+    fn rank(self) -> (u8, u64, u32) {
+        use FaultKind::*;
+        match self {
+            HostCrash { host } => (0, 0, host),
+            HostRecover { host } => (1, 0, host),
+            VmFailure { host } => (2, 0, host),
+            BankOutage => (3, 0, 0),
+            BankRestore => (4, 0, 0),
+            BankRestart => (5, 0, 0),
+            LinkDown => (6, 0, 0),
+            LinkUp => (7, 0, 0),
+            AdversaryArrival { index } => (8, 0, index),
+            HostSlowdown { host, permille } => (9, u64::from(permille), host),
+            HostRestore { host } => (10, 0, host),
+            HostStall { host, len } => (11, len.as_micros(), host),
+        }
+    }
 }
 
 /// One scheduled fault event.
@@ -107,13 +118,8 @@ pub fn gray_payload(target: u32) -> u16 {
 pub struct FaultEvent {
     /// Simulation time at which the fault fires.
     pub at: SimTime,
-    /// What happens.
+    /// What happens, and to whom.
     pub kind: FaultKind,
-    /// Target index: host index for host/VM faults, a packed host and
-    /// payload for gray faults (see [`gray_target`]), the adversary index
-    /// for [`FaultKind::AdversaryArrival`], unused (0) for bank and link
-    /// faults.
-    pub target: u32,
 }
 
 /// Parameters for seeded fault-schedule generation: the targets and the
@@ -161,13 +167,10 @@ pub struct FaultMix {
     /// Length of each degraded-link window.
     pub link_outage_len: SimDuration,
     /// Number of adversary arrival events (strategic-bidder cohorts;
-    /// `gm-adversary` turns them into hostile job requests). Drawn after
-    /// every other stream so pre-adversary seeds keep their schedules
-    /// byte-identical.
+    /// `gm-adversary` turns them into hostile job requests).
     pub adversary_arrivals: u32,
     /// Number of gray slowdown windows (each paired with a restore when
-    /// the window ends inside the horizon). Drawn after every earlier
-    /// stream — the append-last seed-stability contract.
+    /// the window ends inside the horizon).
     pub slowdowns: u32,
     /// Length of each gray slowdown window.
     pub slowdown_len: SimDuration,
@@ -178,8 +181,7 @@ pub struct FaultMix {
     pub slowdown_max_permille: u16,
     /// Number of complete-stall windows (progress zero, host stays up).
     pub stalls: u32,
-    /// Length of each stall window. Packed into the event target in whole
-    /// seconds, so it saturates at `u16::MAX` seconds.
+    /// Length of each stall window.
     pub stall_len: SimDuration,
     /// Number of flapping hosts: each gets a seeded schedule of
     /// `flap_cycles` slowdown/restore cycles spaced `flap_period` apart.
@@ -242,6 +244,11 @@ impl FaultPlan {
     /// cannot crash again until after it has recovered. Draws that cannot
     /// be placed without overlap after a bounded number of retries are
     /// dropped (the plan then simply contains fewer crashes).
+    ///
+    /// The fault classes draw from the seed's one stream in field order,
+    /// each after every class above it in [`FaultMix`], so a class at
+    /// count 0 consumes no draws and leaves the other classes' events
+    /// unchanged.
     pub fn generate(seed: u64, cfg: FaultGenConfig) -> Self {
         let mut rng = SplitMix64::new(seed);
         let mut plan = FaultPlan::new();
@@ -266,9 +273,9 @@ impl FaultPlan {
                 let lanes = &mut busy[host as usize];
                 if lanes.iter().all(|&(s, e)| until < s || at > e) {
                     lanes.push((at, until));
-                    plan.push(SimTime::from_micros(at), FaultKind::HostCrash, host);
+                    plan.push(SimTime::from_micros(at), FaultKind::HostCrash { host });
                     if until < horizon_us {
-                        plan.push(SimTime::from_micros(until), FaultKind::HostRecover, host);
+                        plan.push(SimTime::from_micros(until), FaultKind::HostRecover { host });
                     }
                     break;
                 }
@@ -282,90 +289,77 @@ impl FaultPlan {
             }
             let host = rng.next_bounded(cfg.hosts as u64) as u32;
             let at = rng.next_bounded(horizon_us);
-            plan.push(SimTime::from_micros(at), FaultKind::VmFailure, host);
+            plan.push(SimTime::from_micros(at), FaultKind::VmFailure { host });
         }
 
         // Bank outage windows.
         for _ in 0..mix.bank_outages {
             let at = rng.next_bounded(horizon_us);
             let until = at.saturating_add(mix.outage_len.as_micros().max(1));
-            plan.push(SimTime::from_micros(at), FaultKind::BankOutage, 0);
+            plan.push(SimTime::from_micros(at), FaultKind::BankOutage);
             if until < horizon_us {
-                plan.push(SimTime::from_micros(until), FaultKind::BankRestore, 0);
+                plan.push(SimTime::from_micros(until), FaultKind::BankRestore);
             }
         }
 
-        // Bank restarts (drawn last, so pre-restart seeds keep their
-        // schedules byte-identical).
+        // Bank restarts.
         for _ in 0..mix.bank_restarts {
             let at = rng.next_bounded(horizon_us);
-            plan.push(SimTime::from_micros(at), FaultKind::BankRestart, 0);
+            plan.push(SimTime::from_micros(at), FaultKind::BankRestart);
         }
 
-        // Degraded-link windows (drawn after every earlier stream, same
-        // seed-stability contract as bank restarts).
+        // Degraded-link windows.
         for _ in 0..mix.link_outages {
             let at = rng.next_bounded(horizon_us);
             let until = at.saturating_add(mix.link_outage_len.as_micros().max(1));
-            plan.push(SimTime::from_micros(at), FaultKind::LinkDown, 0);
+            plan.push(SimTime::from_micros(at), FaultKind::LinkDown);
             if until < horizon_us {
-                plan.push(SimTime::from_micros(until), FaultKind::LinkUp, 0);
+                plan.push(SimTime::from_micros(until), FaultKind::LinkUp);
             }
         }
 
-        // Adversary arrivals (drawn after every earlier stream — the same
-        // seed-stability contract as bank restarts and link outages).
-        for i in 0..mix.adversary_arrivals {
+        // Adversary arrivals.
+        for index in 0..mix.adversary_arrivals {
             let at = rng.next_bounded(horizon_us);
-            plan.push(SimTime::from_micros(at), FaultKind::AdversaryArrival, i);
+            plan.push(SimTime::from_micros(at), FaultKind::AdversaryArrival { index });
         }
 
-        // Gray slowdown windows (drawn after every binary stream — same
-        // append-last contract). The host keeps accepting bids but only
+        // Gray slowdown windows. The host keeps accepting bids but only
         // delivers `permille`/1000 of nominal progress until the restore.
-        let gray_hosts = u64::from(cfg.hosts.min(MAX_GRAY_HOSTS));
+        let hosts = u64::from(cfg.hosts);
         let lo = u64::from(mix.slowdown_min_permille.clamp(1, 1000));
         let hi = u64::from(mix.slowdown_max_permille.clamp(1, 1000)).max(lo);
         for _ in 0..mix.slowdowns {
-            if gray_hosts == 0 {
+            if hosts == 0 {
                 break;
             }
-            let host = rng.next_bounded(gray_hosts) as u32;
+            let host = rng.next_bounded(hosts) as u32;
             let at = rng.next_bounded(horizon_us);
             let permille = (lo + rng.next_bounded(hi - lo + 1)) as u16;
             let until = at.saturating_add(mix.slowdown_len.as_micros().max(1));
-            plan.push(
-                SimTime::from_micros(at),
-                FaultKind::HostSlowdown,
-                gray_target(host, permille),
-            );
+            plan.push(SimTime::from_micros(at), FaultKind::HostSlowdown { host, permille });
             if until < horizon_us {
-                plan.push(SimTime::from_micros(until), FaultKind::HostRestore, host);
+                plan.push(SimTime::from_micros(until), FaultKind::HostRestore { host });
             }
         }
 
-        // Complete-stall windows (self-expiring; drawn after slowdowns).
-        let stall_secs = u16::try_from(mix.stall_len.as_micros() / 1_000_000).unwrap_or(u16::MAX);
+        // Complete-stall windows (self-expiring).
         for _ in 0..mix.stalls {
-            if gray_hosts == 0 {
+            if hosts == 0 {
                 break;
             }
-            let host = rng.next_bounded(gray_hosts) as u32;
+            let host = rng.next_bounded(hosts) as u32;
             let at = rng.next_bounded(horizon_us);
-            plan.push(
-                SimTime::from_micros(at),
-                FaultKind::HostStall,
-                gray_target(host, stall_secs.max(1)),
-            );
+            plan.push(SimTime::from_micros(at), FaultKind::HostStall { host, len: mix.stall_len });
         }
 
         // Flapping hosts: a seeded schedule of repeated slowdown/restore
-        // cycles per drawn host (drawn after every earlier stream).
+        // cycles per drawn host.
         for _ in 0..mix.flapping_hosts {
-            if gray_hosts == 0 || mix.flap_cycles == 0 {
+            if hosts == 0 || mix.flap_cycles == 0 {
                 break;
             }
-            let host = rng.next_bounded(gray_hosts) as u32;
+            let host = rng.next_bounded(hosts) as u32;
             let start = rng.next_bounded(horizon_us);
             let permille = (lo + rng.next_bounded(hi - lo + 1)) as u16;
             let period = mix.flap_period.as_micros().max(2);
@@ -374,14 +368,10 @@ impl FaultPlan {
                 if down >= horizon_us {
                     break;
                 }
-                plan.push(
-                    SimTime::from_micros(down),
-                    FaultKind::HostSlowdown,
-                    gray_target(host, permille),
-                );
+                plan.push(SimTime::from_micros(down), FaultKind::HostSlowdown { host, permille });
                 let up = down.saturating_add(period / 2);
                 if up < horizon_us {
-                    plan.push(SimTime::from_micros(up), FaultKind::HostRestore, host);
+                    plan.push(SimTime::from_micros(up), FaultKind::HostRestore { host });
                 }
             }
         }
@@ -389,76 +379,31 @@ impl FaultPlan {
         plan
     }
 
-    /// Schedule an event. The plan stays sorted by `(at, kind, target)`:
-    /// the event goes after every event with an equal or smaller key, so
-    /// equal keys keep their insertion order, as a stable sort would.
-    pub fn push(&mut self, at: SimTime, kind: FaultKind, target: u32) -> &mut Self {
+    /// Schedule an event. The plan stays sorted by time, then by
+    /// [`FaultKind`] rank: the event goes after every event with an equal
+    /// or smaller key, so equal keys keep their insertion order, as a
+    /// stable sort would.
+    pub fn push(&mut self, at: SimTime, kind: FaultKind) -> &mut Self {
         assert_eq!(self.cursor, 0, "cannot extend a plan already being consumed");
-        let key = (at, kind, target);
-        let i = self.events.partition_point(|e| (e.at, e.kind, e.target) <= key);
-        self.events.insert(i, FaultEvent { at, kind, target });
+        let key = (at, kind.rank());
+        let i = self.events.partition_point(|e| (e.at, e.kind.rank()) <= key);
+        self.events.insert(i, FaultEvent { at, kind });
         self
-    }
-
-    /// Schedule a host crash at `at`.
-    pub fn host_crash(&mut self, at: SimTime, host: u32) -> &mut Self {
-        self.push(at, FaultKind::HostCrash, host)
-    }
-
-    /// Schedule a host recovery at `at`.
-    pub fn host_recover(&mut self, at: SimTime, host: u32) -> &mut Self {
-        self.push(at, FaultKind::HostRecover, host)
-    }
-
-    /// Schedule a single-VM failure at `at`.
-    pub fn vm_failure(&mut self, at: SimTime, host: u32) -> &mut Self {
-        self.push(at, FaultKind::VmFailure, host)
     }
 
     /// Schedule a bank outage over `[from, until)`.
     pub fn bank_outage(&mut self, from: SimTime, until: SimTime) -> &mut Self {
-        self.push(from, FaultKind::BankOutage, 0);
-        self.push(until, FaultKind::BankRestore, 0)
-    }
-
-    /// Schedule a bank restart (kill + journal recovery) at `at`.
-    pub fn bank_restart(&mut self, at: SimTime) -> &mut Self {
-        self.push(at, FaultKind::BankRestart, 0)
+        self.push(from, FaultKind::BankOutage);
+        self.push(until, FaultKind::BankRestore)
     }
 
     /// Schedule a degraded-link window over `[from, until)`.
     pub fn link_outage(&mut self, from: SimTime, until: SimTime) -> &mut Self {
-        self.push(from, FaultKind::LinkDown, 0);
-        self.push(until, FaultKind::LinkUp, 0)
+        self.push(from, FaultKind::LinkDown);
+        self.push(until, FaultKind::LinkUp)
     }
 
-    /// Schedule an adversary-cohort arrival at `at` (adversary index
-    /// `idx` within the cohort).
-    pub fn adversary_arrival(&mut self, at: SimTime, idx: u32) -> &mut Self {
-        self.push(at, FaultKind::AdversaryArrival, idx)
-    }
-
-    /// Schedule a gray slowdown at `at`: the host delivers
-    /// `delivered_permille`/1000 of nominal rate until restored.
-    pub fn host_slowdown(&mut self, at: SimTime, host: u32, delivered_permille: u16) -> &mut Self {
-        self.push(
-            at,
-            FaultKind::HostSlowdown,
-            gray_target(host, delivered_permille),
-        )
-    }
-
-    /// Schedule a gray restore at `at` (clears any slowdown or stall).
-    pub fn host_restore(&mut self, at: SimTime, host: u32) -> &mut Self {
-        self.push(at, FaultKind::HostRestore, host)
-    }
-
-    /// Schedule a complete stall at `at` lasting `window_secs` seconds.
-    pub fn host_stall(&mut self, at: SimTime, host: u32, window_secs: u16) -> &mut Self {
-        self.push(at, FaultKind::HostStall, gray_target(host, window_secs))
-    }
-
-    /// All scheduled events in `(at, kind, target)` order.
+    /// All scheduled events in time, then rank, order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
@@ -527,11 +472,11 @@ mod tests {
         }
         for e in evs {
             assert!(e.at < cfg.horizon);
-            match e.kind {
-                FaultKind::HostCrash | FaultKind::HostRecover | FaultKind::VmFailure => {
-                    assert!(e.target < cfg.hosts)
-                }
-                _ => {}
+            if let FaultKind::HostCrash { host }
+            | FaultKind::HostRecover { host }
+            | FaultKind::VmFailure { host } = e.kind
+            {
+                assert!(host < cfg.hosts);
             }
         }
     }
@@ -553,13 +498,13 @@ mod tests {
         let mut down = [false; 2];
         for e in plan.events() {
             match e.kind {
-                FaultKind::HostCrash => {
-                    assert!(!down[e.target as usize], "host {} crashed twice", e.target);
-                    down[e.target as usize] = true;
+                FaultKind::HostCrash { host } => {
+                    assert!(!down[host as usize], "host {host} crashed twice");
+                    down[host as usize] = true;
                 }
-                FaultKind::HostRecover => {
-                    assert!(down[e.target as usize]);
-                    down[e.target as usize] = false;
+                FaultKind::HostRecover { host } => {
+                    assert!(down[host as usize]);
+                    down[host as usize] = false;
                 }
                 _ => {}
             }
@@ -569,13 +514,13 @@ mod tests {
     #[test]
     fn take_due_consumes_in_order_exactly_once() {
         let mut plan = FaultPlan::new();
-        plan.host_crash(SimTime::from_secs(50), 1)
-            .vm_failure(SimTime::from_secs(10), 0)
+        plan.push(SimTime::from_secs(50), FaultKind::HostCrash { host: 1 })
+            .push(SimTime::from_secs(10), FaultKind::VmFailure { host: 0 })
             .bank_outage(SimTime::from_secs(20), SimTime::from_secs(30));
 
         let first = plan.take_due(SimTime::from_secs(25));
         assert_eq!(first.len(), 2);
-        assert_eq!(first[0].kind, FaultKind::VmFailure);
+        assert_eq!(first[0].kind, FaultKind::VmFailure { host: 0 });
         assert_eq!(first[1].kind, FaultKind::BankOutage);
 
         let second = plan.take_due(SimTime::from_secs(25));
@@ -584,7 +529,7 @@ mod tests {
         let third = plan.take_due(SimTime::from_secs(100));
         assert_eq!(third.len(), 2);
         assert_eq!(third[0].kind, FaultKind::BankRestore);
-        assert_eq!(third[1].kind, FaultKind::HostCrash);
+        assert_eq!(third[1].kind, FaultKind::HostCrash { host: 1 });
         assert!(plan.is_exhausted());
 
         plan.reset();
@@ -622,7 +567,6 @@ mod tests {
         assert_eq!(restarts.len(), 3);
         for e in restarts {
             assert!(e.at < with_restarts.horizon);
-            assert_eq!(e.target, 0);
         }
     }
 
@@ -663,16 +607,14 @@ mod tests {
         assert_eq!(downs, 3);
         for e in b.events().iter().filter(|e| is_link(e)) {
             assert!(e.at < with_links.horizon);
-            assert_eq!(e.target, 0);
         }
     }
 
     #[test]
     fn adversary_arrivals_generate_in_horizon_without_disturbing_other_draws() {
-        // The PR 4/5 append-last contract, extended to the adversary
-        // stream: arrivals are drawn after crashes, VM failures, bank
-        // outages, restarts AND link outages, so the non-adversary prefix
-        // of a schedule is byte-identical for the same seed.
+        // Arrivals are drawn after crashes, VM failures, bank outages,
+        // restarts and link outages, so the non-adversary prefix of a
+        // schedule is byte-identical for the same seed.
         let base = FaultGenConfig {
             mix: FaultMix {
                 bank_restarts: 2,
@@ -690,34 +632,28 @@ mod tests {
         };
         let a = FaultPlan::generate(0xabcd, base);
         let b = FaultPlan::generate(0xabcd, with_adversaries);
-        let non_adv: Vec<&FaultEvent> = b
-            .events()
-            .iter()
-            .filter(|e| e.kind != FaultKind::AdversaryArrival)
-            .collect();
+        let arrival = |e: &FaultEvent| match e.kind {
+            FaultKind::AdversaryArrival { index } => Some(index),
+            _ => None,
+        };
+        let non_adv: Vec<&FaultEvent> =
+            b.events().iter().filter(|e| arrival(e).is_none()).collect();
         assert_eq!(non_adv.len(), a.events().len());
         for (x, y) in non_adv.iter().zip(a.events()) {
             assert_eq!(**x, *y);
         }
-        let arrivals: Vec<&FaultEvent> = b
-            .events()
-            .iter()
-            .filter(|e| e.kind == FaultKind::AdversaryArrival)
-            .collect();
-        assert_eq!(arrivals.len(), 4);
-        let mut indices: Vec<u32> = arrivals.iter().map(|e| e.target).collect();
+        let mut indices: Vec<u32> = b.events().iter().filter_map(arrival).collect();
         indices.sort_unstable();
-        assert_eq!(indices, vec![0, 1, 2, 3], "targets are adversary indices");
-        for e in arrivals {
+        assert_eq!(indices, vec![0, 1, 2, 3], "one arrival per adversary index");
+        for e in b.events().iter().filter(|e| arrival(e).is_some()) {
             assert!(e.at < with_adversaries.horizon);
         }
     }
 
     #[test]
     fn gray_faults_generate_in_horizon_without_disturbing_other_draws() {
-        // The append-last contract, extended to the gray streams:
-        // slowdowns, stalls and flapping schedules are all drawn after
-        // crashes, VM failures, bank outages, restarts, link outages AND
+        // Slowdowns, stalls and flapping schedules are all drawn after
+        // crashes, VM failures, bank outages, restarts, link outages and
         // adversary arrivals, so the non-gray prefix of a schedule is
         // byte-identical for the same seed.
         let base = FaultGenConfig {
@@ -740,13 +676,14 @@ mod tests {
         };
         let a = FaultPlan::generate(0xabcd, base);
         let b = FaultPlan::generate(0xabcd, with_gray);
-        let is_gray = |e: &&FaultEvent| {
-            matches!(
-                e.kind,
-                FaultKind::HostSlowdown | FaultKind::HostRestore | FaultKind::HostStall
-            )
+        let host_of = |e: &FaultEvent| match e.kind {
+            FaultKind::HostSlowdown { host, .. }
+            | FaultKind::HostRestore { host }
+            | FaultKind::HostStall { host, .. } => Some(host),
+            _ => None,
         };
-        let non_gray: Vec<&FaultEvent> = b.events().iter().filter(|e| !is_gray(e)).collect();
+        let non_gray: Vec<&FaultEvent> =
+            b.events().iter().filter(|e| host_of(e).is_none()).collect();
         assert_eq!(non_gray.len(), a.events().len());
         for (x, y) in non_gray.iter().zip(a.events()) {
             assert_eq!(**x, *y);
@@ -754,23 +691,19 @@ mod tests {
         let slowdowns = b
             .events()
             .iter()
-            .filter(|e| e.kind == FaultKind::HostSlowdown)
+            .filter(|e| matches!(e.kind, FaultKind::HostSlowdown { .. }))
             .count();
         // 3 standalone slowdowns plus up to 2×flap_cycles flapping ones.
         assert!(slowdowns >= 3, "slowdown draws missing: {slowdowns}");
-        for e in b.events().iter().filter(|e| is_gray(e)) {
+        for e in b.events().iter().filter(|e| host_of(e).is_some()) {
             assert!(e.at < with_gray.horizon);
-            assert!(gray_host(e.target) < with_gray.hosts);
+            assert!(host_of(e).unwrap() < with_gray.hosts);
             match e.kind {
-                FaultKind::HostSlowdown => {
-                    let p = gray_payload(e.target);
-                    assert!((1..=1000).contains(&p), "permille out of range: {p}");
+                FaultKind::HostSlowdown { permille, .. } => {
+                    assert!((1..=1000).contains(&permille), "permille out of range: {permille}");
                 }
-                FaultKind::HostStall => {
-                    let secs = u64::from(gray_payload(e.target));
-                    assert_eq!(SimDuration::from_secs(secs), with_gray.mix.stall_len);
-                }
-                _ => assert_eq!(gray_payload(e.target), 0, "restore carries no payload"),
+                FaultKind::HostStall { len, .. } => assert_eq!(len, with_gray.mix.stall_len),
+                _ => {}
             }
         }
     }
@@ -795,42 +728,70 @@ mod tests {
         assert!(!evs.is_empty(), "flapping host produced no events");
         // All events hit the same drawn host with the same drawn permille,
         // and the sequence alternates starting with a slowdown.
-        let host = gray_host(evs[0].target);
-        let permille = gray_payload(evs[0].target);
+        let FaultKind::HostSlowdown { host, permille } = evs[0].kind else {
+            panic!("flapping starts with a slowdown, got {:?}", evs[0].kind);
+        };
         for (i, e) in evs.iter().enumerate() {
-            assert_eq!(gray_host(e.target), host);
             if i % 2 == 0 {
-                assert_eq!(e.kind, FaultKind::HostSlowdown);
-                assert_eq!(gray_payload(e.target), permille);
+                assert_eq!(e.kind, FaultKind::HostSlowdown { host, permille });
             } else {
-                assert_eq!(e.kind, FaultKind::HostRestore);
+                assert_eq!(e.kind, FaultKind::HostRestore { host });
             }
         }
     }
 
     #[test]
-    fn gray_builders_pack_and_unpack_targets() {
-        let mut plan = FaultPlan::new();
-        plan.host_slowdown(SimTime::from_secs(10), 3, 250)
-            .host_stall(SimTime::from_secs(20), 3, 900)
-            .host_restore(SimTime::from_secs(30), 3);
-        let due = plan.take_due(SimTime::from_secs(60));
-        assert_eq!(due.len(), 3);
-        assert_eq!(due[0].kind, FaultKind::HostSlowdown);
-        assert_eq!(gray_host(due[0].target), 3);
-        assert_eq!(gray_payload(due[0].target), 250);
-        assert_eq!(due[1].kind, FaultKind::HostStall);
-        assert_eq!(gray_payload(due[1].target), 900);
-        assert_eq!(due[2].kind, FaultKind::HostRestore);
-        assert_eq!(due[2].target, 3);
+    fn gray_hosts_are_drawn_from_every_host() {
+        // Gray faults once packed their host into 16 bits, and no plan
+        // drew a gray host above 65,535; a typed host spans `0..hosts`.
+        let cfg = FaultGenConfig {
+            hosts: 100_000,
+            mix: FaultMix {
+                crashes: 0,
+                vm_failures: 0,
+                bank_outages: 0,
+                slowdowns: 32,
+                stalls: 32,
+                ..FaultMix::default()
+            },
+            ..FaultGenConfig::default()
+        };
+        let plan = FaultPlan::generate(7, cfg);
+        let hosts: Vec<u32> = plan
+            .events()
+            .iter()
+            .map(|e| match e.kind {
+                FaultKind::HostSlowdown { host, .. }
+                | FaultKind::HostRestore { host }
+                | FaultKind::HostStall { host, .. } => host,
+                k => panic!("not a gray fault: {k:?}"),
+            })
+            .collect();
+        assert!(hosts.iter().all(|&h| h < cfg.hosts));
+        assert!(hosts.iter().any(|&h| h >= 1 << 16), "no gray host above 65,535");
+
+        // Up to 65,536 hosts the cap never bound, so plans keep their
+        // bytes: the fingerprint was recorded while it was in place.
+        let at_cap = FaultGenConfig {
+            hosts: 65_536,
+            horizon: SimTime::from_secs(8 * 3600),
+            mix: FaultMix {
+                slowdowns: 16,
+                stalls: 8,
+                flapping_hosts: 4,
+                ..FaultMix::default()
+            },
+        };
+        let h = fingerprint(&FaultPlan::generate(2006, at_cap));
+        assert_eq!(h, 0x95d4_266a_a7e1_8623, "65,536-host plan changed: {h:#018x}");
     }
 
     #[test]
     fn next_at_is_sorted_before_the_first_take() {
         let mut plan = FaultPlan::new();
         assert_eq!(plan.next_at(), None);
-        plan.host_crash(SimTime::from_secs(50), 1)
-            .vm_failure(SimTime::from_secs(10), 0);
+        plan.push(SimTime::from_secs(50), FaultKind::HostCrash { host: 1 })
+            .push(SimTime::from_secs(10), FaultKind::VmFailure { host: 0 });
         assert_eq!(plan.next_at(), Some(SimTime::from_secs(10)));
         plan.take_due(SimTime::from_secs(10));
         assert_eq!(plan.next_at(), Some(SimTime::from_secs(50)));
@@ -838,27 +799,85 @@ mod tests {
         assert_eq!(plan.next_at(), None);
     }
 
+    /// The `(kind ordinal, target)` key of an event from when a plain
+    /// `u32` target carried every payload, gray faults packing theirs as
+    /// `host | payload << 16` (a slowdown's permille, a stall's whole
+    /// seconds). The push order must reproduce it below 65,536 hosts,
+    /// and the recorded plan fingerprints hash it.
+    fn legacy_key(kind: FaultKind) -> (u8, u32) {
+        let packed = |host: u32, payload: u64| host | (payload as u32) << 16;
+        match kind {
+            FaultKind::HostCrash { host } => (0, host),
+            FaultKind::HostRecover { host } => (1, host),
+            FaultKind::VmFailure { host } => (2, host),
+            FaultKind::BankOutage => (5, 0),
+            FaultKind::BankRestore => (6, 0),
+            FaultKind::BankRestart => (7, 0),
+            FaultKind::LinkDown => (8, 0),
+            FaultKind::LinkUp => (9, 0),
+            FaultKind::AdversaryArrival { index } => (10, index),
+            FaultKind::HostSlowdown { host, permille } => (11, packed(host, permille.into())),
+            FaultKind::HostRestore { host } => (12, host),
+            FaultKind::HostStall { host, len } => (13, packed(host, len.as_micros() / 1_000_000)),
+        }
+    }
+
+    /// FNV-1a over a plan's `(at, legacy key)` stream.
+    fn fingerprint(plan: &FaultPlan) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fnv = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for e in plan.events() {
+            let (ordinal, target) = legacy_key(e.kind);
+            fnv(&e.at.as_micros().to_le_bytes());
+            fnv(&[ordinal]);
+            fnv(&target.to_le_bytes());
+        }
+        h
+    }
+
     #[test]
     fn pushes_match_a_stable_sort_of_the_push_order() {
         crate::check::check("fault_plan_push_order", 200, |g| {
-            let kinds = [
-                FaultKind::HostCrash,
-                FaultKind::VmFailure,
-                FaultKind::BankOutage,
-                FaultKind::HostSlowdown,
-            ];
             let mut plan = FaultPlan::new();
             let mut pushed = Vec::new();
-            for _ in 0..g.usize_in(0, 24) {
-                let e = FaultEvent {
-                    at: SimTime::from_secs(g.u64_in(0, 6)),
-                    kind: kinds[g.usize_in(0, kinds.len() - 1)],
-                    target: g.u64_in(0, 2) as u32,
-                };
-                plan.push(e.at, e.kind, e.target);
+            let mut push = |e: FaultEvent| {
+                plan.push(e.at, e.kind);
                 pushed.push(e);
+            };
+            // Two slowdowns of one host at one instant that differ only
+            // in permille, pushed larger first.
+            let (at, host) = (SimTime::from_secs(g.u64_in(0, 6)), g.u64_in(0, 2) as u32);
+            for permille in [500, 2] {
+                push(FaultEvent { at, kind: FaultKind::HostSlowdown { host, permille } });
             }
-            pushed.sort_by_key(|e| (e.at, e.kind, e.target));
+            for _ in 0..g.usize_in(0, 24) {
+                // Few distinct values, so same-instant ties are common;
+                // hosts span the 16 bits the legacy key held them in.
+                let host = *g.choose(&[0, 1, 2, 40_000, 65_535]);
+                let permille = *g.choose(&[1, 2, 500, 1000]);
+                let len = SimDuration::from_secs(*g.choose(&[1, 2, 600, 65_535]));
+                let kind = match g.usize_in(0, 11) {
+                    0 => FaultKind::HostCrash { host },
+                    1 => FaultKind::HostRecover { host },
+                    2 => FaultKind::VmFailure { host },
+                    3 => FaultKind::BankOutage,
+                    4 => FaultKind::BankRestore,
+                    5 => FaultKind::BankRestart,
+                    6 => FaultKind::LinkDown,
+                    7 => FaultKind::LinkUp,
+                    8 => FaultKind::AdversaryArrival { index: host % 3 },
+                    9 => FaultKind::HostSlowdown { host, permille },
+                    10 => FaultKind::HostRestore { host },
+                    _ => FaultKind::HostStall { host, len },
+                };
+                push(FaultEvent { at: SimTime::from_secs(g.u64_in(0, 6)), kind });
+            }
+            pushed.sort_by_key(|e| (e.at, legacy_key(e.kind)));
             assert_eq!(plan.events(), &pushed[..]);
         });
     }
@@ -919,35 +938,12 @@ mod tests {
                 ..FaultMix::default()
             },
         };
-        let plan = FaultPlan::generate(2006, cfg);
-        // FNV-1a over the (at, kind-ordinal, target) stream.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fnv = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for e in plan.events() {
-            fnv(&e.at.as_micros().to_le_bytes());
-            fnv(&(e.kind as u8).to_le_bytes());
-            fnv(&e.target.to_le_bytes());
-        }
+        let h = fingerprint(&FaultPlan::generate(2006, cfg));
         assert_eq!(
             h, 0x7055_145c_c2cc_4c80,
             "seed-2006 schedule fingerprint changed — the adversary stream \
              must be drawn last (see the PR 4/5 append-last pattern)"
         );
-    }
-
-    #[test]
-    fn explicit_adversary_arrival_builder_schedules_event() {
-        let mut plan = FaultPlan::new();
-        plan.adversary_arrival(SimTime::from_secs(42), 7);
-        let due = plan.take_due(SimTime::from_secs(60));
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].kind, FaultKind::AdversaryArrival);
-        assert_eq!(due[0].target, 7);
     }
 
     #[test]
@@ -958,15 +954,6 @@ mod tests {
         assert_eq!(due.len(), 2);
         assert_eq!(due[0].kind, FaultKind::LinkDown);
         assert_eq!(due[1].kind, FaultKind::LinkUp);
-    }
-
-    #[test]
-    fn explicit_bank_restart_builder_schedules_event() {
-        let mut plan = FaultPlan::new();
-        plan.bank_restart(SimTime::from_secs(42));
-        let due = plan.take_due(SimTime::from_secs(60));
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].kind, FaultKind::BankRestart);
     }
 
     #[test]

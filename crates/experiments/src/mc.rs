@@ -410,6 +410,7 @@ pub fn report(scale: Scale, args: McArgs) -> McFigs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gm_des::FaultKind;
 
     fn tiny() -> McArgs {
         McArgs { seeds: 4, base_seed: 0xABCD, threads: 2 }
@@ -487,7 +488,10 @@ mod tests {
     }
 
     /// FNV-1a over a plan's `(at, kind ordinal, target)` stream, the
-    /// construction of `gm-des`'s golden schedule test.
+    /// construction of `gm-des`'s golden schedule test. The ordinal and
+    /// `u32` target are an event's bytes from before events were typed
+    /// (gray faults packed `host | payload << 16`, a stall's payload in
+    /// whole seconds), so the fingerprints recorded then still hold.
     fn plan_fingerprint(plan: &FaultPlan) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut fnv = |bytes: &[u8]| {
@@ -496,10 +500,27 @@ mod tests {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
+        let packed = |host: u32, payload: u64| host | (payload as u32) << 16;
         for e in plan.events() {
+            let (ordinal, target) = match e.kind {
+                FaultKind::HostCrash { host } => (0, host),
+                FaultKind::HostRecover { host } => (1, host),
+                FaultKind::VmFailure { host } => (2, host),
+                FaultKind::BankOutage => (5, 0),
+                FaultKind::BankRestore => (6, 0),
+                FaultKind::BankRestart => (7, 0),
+                FaultKind::LinkDown => (8, 0),
+                FaultKind::LinkUp => (9, 0),
+                FaultKind::AdversaryArrival { index } => (10, index),
+                FaultKind::HostSlowdown { host, permille } => (11, packed(host, permille.into())),
+                FaultKind::HostRestore { host } => (12, host),
+                FaultKind::HostStall { host, len } => {
+                    (13, packed(host, len.as_micros() / 1_000_000))
+                }
+            };
             fnv(&e.at.as_micros().to_le_bytes());
-            fnv(&[e.kind as u8]);
-            fnv(&e.target.to_le_bytes());
+            fnv(&[ordinal]);
+            fnv(&target.to_le_bytes());
         }
         h
     }

@@ -402,16 +402,16 @@ impl AllocationPolicy for VcgSlaPolicy {
     }
 
     fn apply_fault(&mut self, ctx: &TickCtx, ev: &FaultEvent) {
-        let host = (ev.target as usize) % ctx.hosts.len().max(1);
+        let on = |host: u32| host as usize % ctx.hosts.len().max(1);
         match ev.kind {
-            FaultKind::HostCrash => {
-                self.crashed.insert(host);
+            FaultKind::HostCrash { host } => {
+                self.crashed.insert(on(host));
             }
-            FaultKind::HostRecover => {
-                self.crashed.remove(&host);
+            FaultKind::HostRecover { host } => {
+                self.crashed.remove(&on(host));
             }
-            FaultKind::VmFailure => {
-                self.vm_failed.insert(host);
+            FaultKind::VmFailure { host } => {
+                self.vm_failed.insert(on(host));
             }
             FaultKind::BankOutage => {
                 self.bank_online = false;
@@ -434,29 +434,22 @@ impl AllocationPolicy for VcgSlaPolicy {
             // Gray faults degrade a host's delivered rate without taking
             // it out of the plan (the LP keeps allocating it at nominal
             // capacity — the failure is silent, exactly as in the Tycoon
-            // tier). Targets pack `(host, payload)`.
-            FaultKind::HostSlowdown => {
-                let h = gm_des::gray_host(ev.target) as usize % ctx.hosts.len().max(1);
-                self.gray
-                    .insert(h, gm_des::gray_payload(ev.target).clamp(1, 1000));
+            // tier).
+            FaultKind::HostSlowdown { host, permille } => {
+                self.gray.insert(on(host), permille.clamp(1, 1000));
             }
-            FaultKind::HostRestore => {
-                let h = gm_des::gray_host(ev.target) as usize % ctx.hosts.len().max(1);
-                self.gray.remove(&h);
-                self.stalled_until.remove(&h);
+            FaultKind::HostRestore { host } => {
+                self.gray.remove(&on(host));
+                self.stalled_until.remove(&on(host));
             }
-            FaultKind::HostStall => {
-                let h = gm_des::gray_host(ev.target) as usize % ctx.hosts.len().max(1);
-                let until = ctx.now
-                    + gm_des::SimDuration::from_secs(u64::from(gm_des::gray_payload(ev.target)));
-                let entry = self.stalled_until.entry(h).or_insert(until);
+            FaultKind::HostStall { host, len } => {
+                let until = ctx.now + len;
+                let entry = self.stalled_until.entry(on(host)).or_insert(until);
                 *entry = (*entry).max(until);
             }
             // Adversary cohorts arrive as extra job requests through the
             // shared driver; the fault event itself needs no VCG action.
-            FaultKind::LinkDown
-            | FaultKind::LinkUp
-            | FaultKind::AdversaryArrival => {}
+            FaultKind::LinkDown | FaultKind::LinkUp | FaultKind::AdversaryArrival { .. } => {}
         }
     }
 
@@ -698,20 +691,35 @@ mod tests {
     }
 
     #[test]
+    fn gray_faults_reach_hosts_above_65535() {
+        // Gray faults once packed their host into 16 bits, so a slowdown
+        // addressed to host 70,000 of a 100,000-host world slowed host
+        // 4,464 (70,000 mod 65,536).
+        let hosts = hosts(100_000);
+        let ctx = TickCtx {
+            now: SimTime::ZERO,
+            interval_secs: 10.0,
+            hosts: &hosts,
+        };
+        let mut p = VcgSlaPolicy::new(5);
+        let len = SimDuration::from_secs(600);
+        for kind in [
+            FaultKind::HostSlowdown { host: 70_000, permille: 250 },
+            FaultKind::HostStall { host: 70_001, len },
+        ] {
+            p.apply_fault(&ctx, &FaultEvent { at: SimTime::ZERO, kind });
+        }
+        assert_eq!(p.gray.get(&70_000), Some(&250));
+        assert_eq!(p.stalled_until.get(&70_001), Some(&(SimTime::ZERO + len)));
+        assert!(!p.gray.contains_key(&4_464) && !p.stalled_until.contains_key(&4_465));
+    }
+
+    #[test]
     fn bank_queue_defers_settlement_through_an_outage() {
         use gm_des::FaultPlan;
         let mut plan = FaultPlan::new();
-        plan.push(SimTime::ZERO, FaultKind::BankOutage, 0)
-            .push(
-                SimTime::ZERO + SimDuration::from_secs(600),
-                FaultKind::BankRestore,
-                0,
-            )
-            .push(
-                SimTime::ZERO + SimDuration::from_secs(900),
-                FaultKind::BankRestart,
-                0,
-            );
+        plan.bank_outage(SimTime::ZERO, SimTime::ZERO + SimDuration::from_secs(600))
+            .push(SimTime::ZERO + SimDuration::from_secs(900), FaultKind::BankRestart);
         let jobs = [
             job(0, 8, 400.0, 100.0, 2400.0),
             job(1, 8, 400.0, 40.0, 2400.0),

@@ -23,8 +23,8 @@
 //! * [`telemetry`] — pre-resolved `gm_telemetry` instrument handles for
 //!   the market hot path (tick duration, spot gauges, bid/refund/outage
 //!   counters).
-//! * [`transport`] — deterministic lossy links, bounded mailboxes with
-//!   load shedding, and per-endpoint circuit breakers for the live
+//! * [`transport`] — deterministic lossy links, bounded mailboxes that
+//!   shed at the sender, and per-endpoint circuit breakers for the live
 //!   runtime (`DESIGN.md` §12).
 //! * [`guard`] — market defenses against strategic bidders: per-account
 //!   bid-rate limiting with seeded-jitter backoff, account quarantine
@@ -64,7 +64,4 @@ pub use service::{AuctioneerClient, BankClient, LiveMarket, NetConfig, ServiceEr
 pub use telemetry::{
     GuardInstruments, LedgerInstruments, MarketInstruments, NetInstruments, ServiceInstruments,
 };
-pub use transport::{
-    BreakerConfig, CircuitBreaker, LinkProfile, QueueConfig, QueueGate, ReplayCache,
-    ServiceTransport, ShedPolicy,
-};
+pub use transport::{BreakerConfig, LinkProfile, QueueConfig};

@@ -35,10 +35,11 @@
 //!
 //! Overload & loss (`DESIGN.md` §12): every client→service link runs
 //! through a [`crate::transport`] shim — a seedable [`LinkProfile`] of
-//! drop/delay/duplicate/reorder faults (perfect by default), a bounded
-//! mailbox with a [`ShedPolicy`], and an optional per-endpoint
-//! [`CircuitBreaker`]. Transfer idempotency is two-layered: a bounded
-//! [`ReplayCache`] replays recent outcomes byte-for-byte, and the bank's
+//! drop/duplicate/reorder faults (perfect by default), a mailbox whose
+//! [`QueueConfig`] bound sheds new requests at the sender, and an optional
+//! per-endpoint circuit breaker ([`BreakerConfig`]). Transfer idempotency
+//! is two-layered: a bounded replay cache replays recent outcomes
+//! byte-for-byte, and the bank's
 //! durable applied-request-id set refuses to re-execute anything older —
 //! so a duplicate can never double-debit, before or after eviction, even
 //! across a bank crash and recovery.
@@ -67,7 +68,7 @@ use crate::money::Credits;
 use crate::telemetry::{NetInstruments, ServiceInstruments};
 use crate::transport::{
     jittered_backoff, BreakerConfig, CircuitBreaker, LinkProfile, QueueConfig, QueueGate,
-    ReplayCache, ServiceTransport, ShedPolicy, DEFAULT_REPLAY_CACHE,
+    ReplayCache, ServiceTransport, DEFAULT_REPLAY_CACHE,
 };
 
 /// Default per-request reply deadline. Healthy in-process services reply
@@ -103,7 +104,7 @@ pub struct NetConfig {
     /// Fault profile of every client→service link (bank and auctioneers;
     /// each endpoint draws from its own seeded stream).
     pub link: LinkProfile,
-    /// Mailbox bound and shed policy applied to every service.
+    /// Mailbox bound applied to every service.
     pub queue: QueueConfig,
     /// Per-endpoint circuit breaker; `None` disables breaking.
     pub breaker: Option<BreakerConfig>,
@@ -135,10 +136,10 @@ impl Default for NetConfig {
 impl NetConfig {
     /// A chaos-suite configuration: uniformly lossy links at probability
     /// `p`, a small bounded mailbox, and default breakers.
-    pub fn chaos(p: f64, fault_seed: u64, capacity: usize, policy: ShedPolicy) -> NetConfig {
+    pub fn chaos(p: f64, fault_seed: u64, capacity: usize) -> NetConfig {
         NetConfig {
             link: LinkProfile::lossy(p),
-            queue: QueueConfig::bounded(capacity, policy),
+            queue: QueueConfig::bounded(capacity),
             breaker: Some(BreakerConfig::default()),
             fault_seed,
             ..NetConfig::default()
@@ -306,7 +307,7 @@ impl<R> Client<R> {
     ///
     /// The overload layer wraps this: an open circuit breaker fast-fails
     /// with [`ServiceError::CircuitOpen`] before anything is sent, a full
-    /// mailbox under `RejectNew` sheds the attempt and backs off with
+    /// mailbox sheds the attempt and backs off with
     /// seeded jitter, and every transport-level outcome feeds the
     /// breaker's failure window.
     fn call<T>(&self, make: impl FnMut(Sender<T>) -> R) -> Result<T, ServiceError> {

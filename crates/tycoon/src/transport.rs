@@ -5,23 +5,26 @@
 //! best-effort networks under open-ended load. This module gives the
 //! in-process service runtime the same failure surface, deterministically:
 //!
-//! * [`LinkProfile`] — per-link drop / delay / duplicate / reorder
+//! * [`LinkProfile`] — per-link drop / duplicate / reorder
 //!   probabilities, drawn from the service's own seeded [`SplitMix64`]
 //!   stream. The [`LinkProfile::PERFECT`] default performs **zero** RNG
 //!   draws, so runs with faults disabled are bit-identical to runs built
 //!   before this module existed.
-//! * [`QueueGate`] — a bounded-mailbox view over the unbounded `mpsc`
-//!   channel: a shared depth counter gated by a capacity and a
-//!   [`ShedPolicy`]. `RejectNew` sheds at the sender (the client sees
-//!   `Overloaded { retry_after }` and backs off with seeded jitter);
-//!   `DropOldest` sheds at the receiver (the oldest queued request is
-//!   discarded, which the caller observes as a lost reply and retries).
-//! * [`CircuitBreaker`] — a per-endpoint closed / open / half-open
-//!   breaker over transport-level failures, driven by an injected
-//!   [`Clock`] so DES runs using a `ManualClock` stay reproducible.
-//! * [`ReplayCache`] — the bounded replacement for the bank's previously
+//! * `QueueGate` — a bounded-mailbox view over the unbounded `mpsc`
+//!   channel: a shared depth counter gated by the [`QueueConfig`]
+//!   capacity. A full mailbox sheds at the sender (the client sees
+//!   `Overloaded { retry_after }` and backs off with seeded jitter).
+//! * `CircuitBreaker` — a per-endpoint closed / open / half-open
+//!   breaker over transport-level failures (tuned by [`BreakerConfig`]),
+//!   driven by an injected [`Clock`] so DES runs using a `ManualClock`
+//!   stay reproducible.
+//! * `ReplayCache` — the bounded replacement for the bank's previously
 //!   unbounded transfer dedup map (insertion-order eviction; see
 //!   `crate::service` for the durability half of the contract).
+//!
+//! Only [`LinkProfile`], [`QueueConfig`] and [`BreakerConfig`] are
+//! public: they are the settings of `crate::service::NetConfig`; the
+//! machinery behind them is private to the service runtime.
 //!
 //! Control messages (shutdown, fault injection) are exempt from every
 //! fault and shed decision: a lossy link must never be able to wedge a
@@ -66,22 +69,16 @@ pub struct LinkProfile {
     /// Probability a request is held back and delivered after the next
     /// message (adjacent-pair reordering).
     pub reorder: f64,
-    /// Probability a request is delayed by [`LinkProfile::delay`].
-    pub delay_p: f64,
-    /// Added latency when a delay fires (real sleep on the live path).
-    pub delay: Duration,
 }
 
 impl LinkProfile {
     /// The default loss-free link: no drops, no duplicates, no reorders,
-    /// no delays, and — crucially — **no RNG draws at all**.
+    /// and — crucially — **no RNG draws at all**.
     pub const PERFECT: LinkProfile = LinkProfile {
         drop_request: 0.0,
         drop_reply: 0.0,
         duplicate: 0.0,
         reorder: 0.0,
-        delay_p: 0.0,
-        delay: Duration::ZERO,
     };
 
     /// `true` when every fault probability is zero (the transport then
@@ -91,7 +88,6 @@ impl LinkProfile {
             && self.drop_reply == 0.0
             && self.duplicate == 0.0
             && self.reorder == 0.0
-            && self.delay_p == 0.0
     }
 
     /// A uniformly lossy profile (drop/dup/reorder all at `p`, replies
@@ -102,7 +98,6 @@ impl LinkProfile {
             drop_reply: p,
             duplicate: p,
             reorder: p,
-            ..LinkProfile::PERFECT
         }
     }
 }
@@ -115,37 +110,24 @@ impl Default for LinkProfile {
 
 // --------------------------------------------------------- bounded queue
 
-/// What to do when a service mailbox is at capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedPolicy {
-    /// Refuse new requests at the sender: the client gets
-    /// `ServiceError::Overloaded { retry_after }` and backs off.
-    #[default]
-    RejectNew,
-    /// Accept the new request and discard the oldest queued one at the
-    /// receiver; the displaced caller observes a lost reply and retries.
-    DropOldest,
-}
-
-/// Mailbox bound for one service.
+/// Mailbox bound for one service. A full mailbox refuses new requests at
+/// the sender: the client gets `ServiceError::Overloaded { retry_after }`
+/// and backs off.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueueConfig {
     /// Maximum queued (sent but not yet received) requests; `None` keeps
     /// the historical unbounded mailbox.
     pub capacity: Option<usize>,
-    /// Shed policy once the mailbox is full.
-    pub policy: ShedPolicy,
     /// Back-off hint returned with `Overloaded` rejections.
     pub retry_after: Duration,
 }
 
 impl QueueConfig {
-    /// A bounded mailbox of `capacity` requests with the given policy and
-    /// the default retry hint.
-    pub fn bounded(capacity: usize, policy: ShedPolicy) -> QueueConfig {
+    /// A bounded mailbox of `capacity` requests with the default retry
+    /// hint.
+    pub fn bounded(capacity: usize) -> QueueConfig {
         QueueConfig {
             capacity: Some(capacity),
-            policy,
             retry_after: DEFAULT_RETRY_AFTER,
         }
     }
@@ -154,7 +136,7 @@ impl QueueConfig {
 /// Shared depth accounting for one service mailbox. Clones share the
 /// counter: clients increment on send, the service decrements on receive.
 #[derive(Clone)]
-pub struct QueueGate {
+pub(crate) struct QueueGate {
     depth: Arc<AtomicUsize>,
     config: QueueConfig,
     gauge: Option<Gauge>,
@@ -176,18 +158,11 @@ impl QueueGate {
         self.depth.load(Ordering::Relaxed)
     }
 
-    /// The configured bound.
-    pub fn config(&self) -> QueueConfig {
-        self.config
-    }
-
     /// Client-side admission: count one send, or refuse it with the
-    /// retry-after hint when the mailbox is full under `RejectNew`.
+    /// retry-after hint when the mailbox is full.
     pub fn try_enqueue(&self) -> Result<(), Duration> {
         if let Some(cap) = self.config.capacity {
-            if self.config.policy == ShedPolicy::RejectNew
-                && self.depth.load(Ordering::Relaxed) >= cap
-            {
+            if self.depth.load(Ordering::Relaxed) >= cap {
                 return Err(self.config.retry_after);
             }
         }
@@ -213,23 +188,16 @@ impl QueueGate {
             });
     }
 
-    /// Service-side: count one receive. Returns `true` when the popped
-    /// (oldest) message should be shed because the backlog is still over
-    /// capacity under `DropOldest`.
-    pub fn on_recv(&self) -> bool {
+    /// Service-side: count one receive.
+    pub fn on_recv(&self) {
         let before = self
             .depth
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
                 Some(d.saturating_sub(1))
             })
             .unwrap_or(0);
-        let after = before.saturating_sub(1);
         if let Some(g) = &self.gauge {
-            g.set(after as f64);
-        }
-        match self.config.capacity {
-            Some(cap) => self.config.policy == ShedPolicy::DropOldest && after >= cap,
-            None => false,
+            g.set(before.saturating_sub(1) as f64);
         }
     }
 }
@@ -237,9 +205,10 @@ impl QueueGate {
 // ------------------------------------------------------ service transport
 
 /// The service-side end of one lossy, bounded link: wraps the raw
-/// `mpsc::Receiver` and applies, deterministically, the configured fault
-/// profile and shed policy to every delivered message.
-pub struct ServiceTransport<R> {
+/// `mpsc::Receiver`, counts every receive against the mailbox gate, and
+/// applies, deterministically, the configured fault profile to every
+/// delivered message.
+pub(crate) struct ServiceTransport<R> {
     rx: Receiver<R>,
     /// Fault state; `None` for a perfect link (plain `recv`, zero draws).
     faults: Option<LinkFaults<R>>,
@@ -262,7 +231,7 @@ struct LinkFaults<R> {
 
 impl<R: Clone> ServiceTransport<R> {
     /// Transport for one service. `is_control` marks messages exempt from
-    /// faults and shedding (shutdown must always get through).
+    /// faults (shutdown must always get through).
     pub fn new(
         rx: Receiver<R>,
         profile: LinkProfile,
@@ -307,18 +276,10 @@ impl<R: Clone> ServiceTransport<R> {
                     return self.faults.as_mut().and_then(|f| f.held.take());
                 }
             };
-            let control = (self.is_control)(&msg);
             if let Some(gate) = &self.gate {
-                let shed_oldest = gate.on_recv();
-                if shed_oldest && !control {
-                    if let Some(net) = &self.telemetry {
-                        net.shed.inc();
-                        net.shed_depth.record(gate.depth() as f64);
-                    }
-                    continue;
-                }
+                gate.on_recv();
             }
-            if control {
+            if (self.is_control)(&msg) {
                 return Some(msg);
             }
             let Some(f) = &mut self.faults else {
@@ -329,9 +290,6 @@ impl<R: Clone> ServiceTransport<R> {
                     net.drops.inc();
                 }
                 continue;
-            }
-            if f.profile.delay_p > 0.0 && f.rng.next_f64() < f.profile.delay_p {
-                std::thread::sleep(f.profile.delay);
             }
             if f.profile.duplicate > 0.0 && f.rng.next_f64() < f.profile.duplicate {
                 f.pending.push_back(msg.clone());
@@ -414,7 +372,7 @@ enum BreakerState {
 /// failures for one endpoint. Clones share state, so every client of the
 /// endpoint sees the same circuit.
 #[derive(Clone)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     state: Arc<Mutex<BreakerState>>,
     config: BreakerConfig,
     clock: Arc<dyn Clock>,
@@ -506,7 +464,8 @@ impl CircuitBreaker {
     }
 
     /// `true` while the breaker is open or probing (degraded mode).
-    pub fn is_open(&self) -> bool {
+    #[cfg(test)]
+    fn is_open(&self) -> bool {
         !matches!(*self.state.lock().unwrap(), BreakerState::Closed { .. })
     }
 
@@ -553,7 +512,7 @@ impl CircuitBreaker {
 /// Before eviction a duplicate request id replays the recorded outcome
 /// byte-for-byte; after eviction the durable set still refuses to
 /// re-execute it, so money never moves twice either way.
-pub struct ReplayCache<V> {
+pub(crate) struct ReplayCache<V> {
     map: HashMap<u64, V>,
     order: VecDeque<u64>,
     capacity: usize,
@@ -585,16 +544,6 @@ impl<V> ReplayCache<V> {
             }
         }
     }
-
-    /// Live (non-evicted) entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 // ---------------------------------------------------------------- jitter
@@ -602,10 +551,7 @@ impl<V> ReplayCache<V> {
 /// Seeded back-off jitter: scales `base` by
 /// [`gm_des::rng::jitter_factor`] of `(salt, attempt)`, so overloaded clients
 /// de-synchronise deterministically instead of thundering back together.
-pub fn jittered_backoff(base: Duration, jitter: f64, salt: u64, attempt: u32) -> Duration {
-    if jitter <= 0.0 {
-        return base;
-    }
+pub(crate) fn jittered_backoff(base: Duration, jitter: f64, salt: u64, attempt: u32) -> Duration {
     Duration::from_secs_f64(base.as_secs_f64() * gm_des::rng::jitter_factor(jitter, salt, attempt))
 }
 
@@ -687,16 +633,13 @@ mod tests {
     }
 
     #[test]
-    fn control_messages_bypass_faults_and_shedding() {
+    fn control_messages_bypass_faults() {
         let black_hole = LinkProfile {
             drop_request: 1.0,
             ..LinkProfile::PERFECT
         };
-        let gate = QueueGate::new(QueueConfig::bounded(1, ShedPolicy::DropOldest), None);
-        let (tx, mut t) = transport(black_hole, 5, Some(gate.clone()));
-        gate.count_send();
-        tx.send(2).unwrap(); // shed by the gate (backlog over capacity)
-        gate.count_send();
+        let (tx, mut t) = transport(black_hole, 5, None);
+        tx.send(2).unwrap(); // dropped by the link
         tx.send(1).unwrap(); // control: must get through
         drop(tx);
         assert_eq!(t.recv(), Some(1));
@@ -705,28 +648,13 @@ mod tests {
 
     #[test]
     fn reject_new_gate_refuses_at_capacity_and_drains() {
-        let gate = QueueGate::new(QueueConfig::bounded(2, ShedPolicy::RejectNew), None);
+        let gate = QueueGate::new(QueueConfig::bounded(2), None);
         assert!(gate.try_enqueue().is_ok());
         assert!(gate.try_enqueue().is_ok());
         let err = gate.try_enqueue().unwrap_err();
         assert_eq!(err, DEFAULT_RETRY_AFTER);
-        assert!(!gate.on_recv(), "RejectNew never sheds at the receiver");
+        gate.on_recv();
         assert!(gate.try_enqueue().is_ok(), "a drain frees a slot");
-    }
-
-    #[test]
-    fn drop_oldest_sheds_backlog_down_to_capacity() {
-        let gate = QueueGate::new(QueueConfig::bounded(2, ShedPolicy::DropOldest), None);
-        let (tx, mut t) = transport(LinkProfile::PERFECT, 0, Some(gate.clone()));
-        for i in 0..5u32 {
-            gate.count_send();
-            tx.send(i * 2).unwrap();
-        }
-        drop(tx);
-        // Backlog 5, capacity 2: the three oldest shed, the last two land.
-        let got: Vec<u32> = std::iter::from_fn(|| t.recv()).collect();
-        assert_eq!(got, vec![6, 8]);
-        assert_eq!(gate.depth(), 0);
     }
 
     #[test]
@@ -793,7 +721,6 @@ mod tests {
         assert_eq!(c.get(1), None, "oldest evicted");
         assert_eq!(c.get(2), Some(&"b"));
         assert_eq!(c.get(3), Some(&"c"));
-        assert_eq!(c.len(), 2);
         // Re-inserting an existing id must not double-count it.
         c.insert(3, "c2");
         assert_eq!(c.get(2), Some(&"b"));
@@ -811,7 +738,6 @@ mod tests {
             let d = jittered_backoff(base, 0.5, 1234, attempt);
             assert!(d >= Duration::from_millis(75) && d < Duration::from_millis(125));
         }
-        assert_eq!(jittered_backoff(base, 0.0, 9, 1), base);
         // Delays recorded before the factor moved to `gm_des::rng`.
         for (salt, attempt, ns) in [
             (9, 1, 75_839_415),

@@ -16,7 +16,7 @@ use gm_telemetry::{Registry, WallClock};
 use gridmarket::telemetry::render_top;
 use gridmarket::tycoon::{
     BankError, ConservationAuditor, Credits, HostSpec, LiveMarket, NetConfig, NetInstruments,
-    ServiceError, ServiceInstruments, ShedPolicy,
+    ServiceError, ServiceInstruments,
 };
 
 const WORKERS: u64 = 8;
@@ -29,7 +29,7 @@ fn main() {
     let p = (loss_pct / 100.0).clamp(0.0, 0.9);
 
     let registry = Registry::new();
-    let mut net = NetConfig::chaos(p, seed, 8, ShedPolicy::RejectNew);
+    let mut net = NetConfig::chaos(p, seed, 8);
     net.telemetry = Some(NetInstruments::new(&registry));
 
     let journal = SharedJournal::new();

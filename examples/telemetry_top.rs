@@ -7,7 +7,7 @@
 //! cargo run --release --example telemetry_top [seed]
 //! ```
 
-use gridmarket::des::{FaultPlan, SimTime};
+use gridmarket::des::{FaultKind, FaultPlan, SimTime};
 use gridmarket::scenario::Scenario;
 use gridmarket::telemetry::render_top;
 
@@ -18,10 +18,10 @@ fn main() {
         .unwrap_or(2006);
 
     let mut plan = FaultPlan::new();
-    plan.host_crash(SimTime::from_secs(20 * 60), 0)
-        .host_recover(SimTime::from_secs(80 * 60), 0)
-        .host_crash(SimTime::from_secs(35 * 60), 3)
-        .vm_failure(SimTime::from_secs(30 * 60), 1)
+    plan.push(SimTime::from_secs(20 * 60), FaultKind::HostCrash { host: 0 })
+        .push(SimTime::from_secs(80 * 60), FaultKind::HostRecover { host: 0 })
+        .push(SimTime::from_secs(35 * 60), FaultKind::HostCrash { host: 3 })
+        .push(SimTime::from_secs(30 * 60), FaultKind::VmFailure { host: 1 })
         .bank_outage(SimTime::from_secs(45 * 60), SimTime::from_secs(50 * 60));
 
     let result = Scenario::builder()

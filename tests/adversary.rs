@@ -17,7 +17,7 @@ use gm_adversary::{AttackContext, AttackKind};
 use gm_experiments::ext_attack::{attack_cfg, hostile_stream};
 use gm_experiments::mc::{chaos_driver, job_stream};
 use gridmarket::des::check::{check, Gen};
-use gridmarket::des::{FaultPlan, SimDuration, SimTime};
+use gridmarket::des::{FaultKind, FaultPlan, SimDuration, SimTime};
 use gridmarket::grid::AgentConfig;
 use gridmarket::sched::RunResult;
 use gridmarket::telemetry::{metrics_jsonl, ManualClock, Registry};
@@ -76,7 +76,7 @@ fn every_attack_strategy_conserves_money_even_through_a_mid_attack_bank_restart(
                 .copied()
                 .unwrap_or(SimTime::from_secs(600));
             let offset = SimDuration::from_secs(g.usize_in(60, 1200) as u64);
-            plan.bank_restart(strike + offset);
+            plan.push(strike + offset, FaultKind::BankRestart);
 
             let registry = Registry::new();
             let (policy, _) = attacked_run(kind, guard, seed, &cfg, plan, &registry);

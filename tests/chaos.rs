@@ -13,11 +13,18 @@
 //!    transfer whose first reply is lost still mints exactly one receipt,
 //!    and redeeming the resulting token twice fails.
 
-use gm_grid::{GridIdentity, TransferToken};
+use std::sync::Arc;
+
+use gm_grid::{AgentConfig, GridIdentity, TransferToken};
 use gridmarket::des::check::{check, Gen};
-use gridmarket::des::{FaultGenConfig, FaultMix, FaultPlan, SimDuration, SimTime};
+use gridmarket::des::{
+    FaultEvent, FaultGenConfig, FaultKind, FaultMix, FaultPlan, SimDuration, SimTime,
+};
+use gridmarket::sched::TickCtx;
 use gridmarket::scenario::{Scenario, ScenarioResult};
+use gridmarket::telemetry::{ManualClock, Tracer};
 use gridmarket::tycoon::{Credits, HostSpec, LiveMarket};
+use gridmarket::{tycoon_policy, AllocationPolicy};
 
 /// The Table-1 workload (equal funding) over 6 hosts with two hosts
 /// crashing at fixed times mid-run; one recovers, one stays down.
@@ -29,9 +36,9 @@ fn table1_with_crashes(seed: u64) -> ScenarioResult {
 /// auctioneer shards (DESIGN.md §15).
 fn table1_with_crashes_sharded(seed: u64, shards: usize) -> ScenarioResult {
     let mut plan = FaultPlan::new();
-    plan.host_crash(SimTime::from_secs(20 * 60), 0)
-        .host_recover(SimTime::from_secs(80 * 60), 0)
-        .host_crash(SimTime::from_secs(35 * 60), 3);
+    plan.push(SimTime::from_secs(20 * 60), FaultKind::HostCrash { host: 0 })
+        .push(SimTime::from_secs(80 * 60), FaultKind::HostRecover { host: 0 })
+        .push(SimTime::from_secs(35 * 60), FaultKind::HostCrash { host: 3 });
     Scenario::builder()
         .seed(seed)
         .hosts(6)
@@ -243,10 +250,10 @@ fn twin_cancellation_refunds_escrow_exactly_once_through_bank_outage() {
     // re-cancelled (double refund) — and a later bank restart must
     // replay the same books. The residual is exactly zero, not epsilon.
     let mut plan = FaultPlan::new();
-    plan.host_slowdown(SimTime::from_secs(10 * 60), 0, 20)
-        .host_slowdown(SimTime::from_secs(12 * 60), 1, 20)
+    plan.push(SimTime::from_secs(10 * 60), FaultKind::HostSlowdown { host: 0, permille: 20 })
+        .push(SimTime::from_secs(12 * 60), FaultKind::HostSlowdown { host: 1, permille: 20 })
         .bank_outage(SimTime::from_secs(16 * 60), SimTime::from_secs(30 * 60))
-        .bank_restart(SimTime::from_secs(45 * 60));
+        .push(SimTime::from_secs(45 * 60), FaultKind::BankRestart);
     let r = Scenario::builder()
         .seed(0x717)
         .hosts(6)
@@ -301,6 +308,32 @@ fn honest_runs_never_register_gray_instruments() {
     assert!(r.all_done());
     assert!(!r.telemetry_jsonl.contains("grid.health"));
     assert!(!r.telemetry_jsonl.contains("grid.spec"));
+}
+
+#[test]
+fn gray_faults_reach_hosts_above_65535() {
+    // Gray faults once packed their host into 16 bits, so a slowdown
+    // addressed to host 70,000 of a 100,000-host world slowed host 4,464
+    // (70,000 mod 65,536). The policy traces the host it hands each
+    // fault to the job manager.
+    let hosts: Vec<HostSpec> = (0..100_000).map(HostSpec::testbed).collect();
+    let tracer = Tracer::new(16, Arc::new(ManualClock::new()));
+    let mut policy =
+        tycoon_policy(1, &[], AgentConfig::default(), None, |_| {}).with_tracer(tracer.clone());
+    let ctx = TickCtx {
+        now: SimTime::ZERO,
+        interval_secs: 10.0,
+        hosts: &hosts,
+    };
+    for kind in [
+        FaultKind::HostSlowdown { host: 70_000, permille: 250 },
+        FaultKind::HostStall { host: 70_001, len: SimDuration::from_secs(600) },
+        FaultKind::HostRestore { host: 70_002 },
+    ] {
+        policy.apply_fault(&ctx, &FaultEvent { at: SimTime::ZERO, kind });
+    }
+    let traced: Vec<String> = tracer.events().iter().map(|e| e.fields["host"].clone()).collect();
+    assert_eq!(traced, ["70000", "70001", "70002"]);
 }
 
 #[test]
@@ -445,9 +478,9 @@ fn bank_restart_mid_run_recovers_ledger_and_conserves_money() {
     // scenario: the bank is killed and rebuilt from its WAL while jobs
     // are running; the run completes and the books balance.
     let mut plan = FaultPlan::new();
-    plan.host_crash(SimTime::from_secs(20 * 60), 0)
-        .host_recover(SimTime::from_secs(80 * 60), 0)
-        .bank_restart(SimTime::from_secs(50 * 60));
+    plan.push(SimTime::from_secs(20 * 60), FaultKind::HostCrash { host: 0 })
+        .push(SimTime::from_secs(80 * 60), FaultKind::HostRecover { host: 0 })
+        .push(SimTime::from_secs(50 * 60), FaultKind::BankRestart);
     let r = Scenario::builder()
         .seed(7)
         .hosts(6)

@@ -31,11 +31,11 @@ use std::time::Duration;
 use gm_ledger::SharedJournal;
 use gm_telemetry::{ManualClock, Registry};
 use gridmarket::des::check::{check, Gen};
-use gridmarket::des::{FaultPlan, SimTime};
+use gridmarket::des::{FaultKind, FaultPlan, SimTime};
 use gridmarket::scenario::{Scenario, ScenarioResult};
 use gridmarket::tycoon::{
     BankError, BreakerConfig, ConservationAuditor, Credits, HostId, HostSpec, LiveMarket,
-    NetConfig, NetInstruments, QueueConfig, ServiceError, ShedPolicy, UserId,
+    NetConfig, NetInstruments, QueueConfig, ServiceError, UserId,
 };
 
 fn specs(n: u32) -> Vec<HostSpec> {
@@ -57,7 +57,7 @@ fn lossy_overloaded_soak_applies_each_transfer_at_most_once() {
     const MINT: i64 = 10_000;
 
     let journal = SharedJournal::new();
-    let net = NetConfig::chaos(0.10, 0xC0FFEE, 4, ShedPolicy::RejectNew);
+    let net = NetConfig::chaos(0.10, 0xC0FFEE, 4);
     let mut live = LiveMarket::spawn_with(b"soak", specs(2), net, Some(journal.clone()));
 
     let admin = live.bank();
@@ -184,8 +184,8 @@ fn lossy_overloaded_soak_applies_each_transfer_at_most_once() {
 fn link_chaos(seed: u64) -> ScenarioResult {
     let mut plan = FaultPlan::new();
     plan.link_outage(SimTime::from_secs(20 * 60), SimTime::from_secs(70 * 60))
-        .host_crash(SimTime::from_secs(30 * 60), 0)
-        .host_recover(SimTime::from_secs(90 * 60), 0);
+        .push(SimTime::from_secs(30 * 60), FaultKind::HostCrash { host: 0 })
+        .push(SimTime::from_secs(90 * 60), FaultKind::HostRecover { host: 0 });
     Scenario::builder()
         .seed(seed)
         .hosts(4)
@@ -253,12 +253,7 @@ fn random_loss_schedules_apply_transfers_exactly_once() {
         const IDS: u64 = 15;
         let p = g.usize_in(5, 25) as f64 / 100.0;
         let capacity = g.usize_in(2, 8);
-        let policy = if g.usize_in(0, 1) == 0 {
-            ShedPolicy::RejectNew
-        } else {
-            ShedPolicy::DropOldest
-        };
-        let net = NetConfig::chaos(p, g.u64(), capacity, policy);
+        let net = NetConfig::chaos(p, g.u64(), capacity);
 
         // Setup calls must survive the lossy link too: retry until they
         // land (sleeping through any open-breaker cooldown). A mint retry
@@ -365,7 +360,7 @@ fn replay_cache_eviction_falls_back_to_durable_duplicate_rejection() {
 
 #[test]
 fn auctioneer_endpoint_sheds_then_breaks_but_the_tick_still_sweeps() {
-    // A zero-capacity `RejectNew` mailbox sheds every client request, so
+    // A zero-capacity mailbox sheds every client request, so
     // each call fails `Overloaded` and feeds the endpoint's breaker; once
     // a full window has failed the breaker opens and calls fast-fail
     // without touching the mailbox (the manual clock never reaches the
@@ -373,7 +368,7 @@ fn auctioneer_endpoint_sheds_then_breaks_but_the_tick_still_sweeps() {
     // both, so every host is still swept and none is declared dead.
     let registry = Registry::new();
     let net = NetConfig {
-        queue: QueueConfig::bounded(0, ShedPolicy::RejectNew),
+        queue: QueueConfig::bounded(0),
         breaker: Some(BreakerConfig::default()),
         clock: Arc::new(ManualClock::new()),
         telemetry: Some(NetInstruments::new(&registry)),

@@ -20,7 +20,7 @@ use common::{drive, hosts, workload};
 use gm_baselines::{FifoPolicy, GCommercePolicy, Placement, Pricing, SharePolicy, WtaPolicy};
 use gm_optimal::VcgSlaPolicy;
 use gridmarket::des::check::{check, Gen};
-use gridmarket::des::{FaultGenConfig, FaultMix, FaultPlan, SimDuration, SimTime};
+use gridmarket::des::{FaultGenConfig, FaultKind, FaultMix, FaultPlan, SimDuration, SimTime};
 use gridmarket::grid::AgentConfig;
 use gridmarket::sched::{AllocationPolicy, JobRequest, PolicyDriver, RunResult, TickCtx};
 use gridmarket::tycoon_policy;
@@ -313,7 +313,13 @@ impl AllocationPolicy for Toy {
     }
     fn apply_fault(&mut self, ctx: &TickCtx, ev: &gridmarket::des::FaultEvent) {
         self.faults_seen += 1;
-        self.repair += 1 + u64::from(ev.target % 3);
+        let host = match ev.kind {
+            FaultKind::HostCrash { host }
+            | FaultKind::HostRecover { host }
+            | FaultKind::VmFailure { host } => host,
+            _ => 0,
+        };
+        self.repair += 1 + u64::from(host % 3);
         self.log.push(format!("fault {} {:?}", ctx.now.as_micros(), ev.kind));
     }
     fn admit(&mut self, ctx: &TickCtx, req: &JobRequest) -> Result<(), gridmarket::PolicyError> {
@@ -398,7 +404,7 @@ fn skipping_quiet_spans_matches_stepping_every_tick() {
         let mut plan = FaultPlan::new();
         for _ in 0..g.u64_in(0, 6) {
             let at = SimTime::from_micros(g.u64_in(0, 5 * 3600 * 1_000_000));
-            plan.host_crash(at, g.u64_in(0, 5) as u32);
+            plan.push(at, FaultKind::HostCrash { host: g.u64_in(0, 5) as u32 });
         }
         let mut arrivals: Vec<(SimTime, u32)> = jobs.iter().map(|j| (j.arrival, j.id)).collect();
         arrivals.sort();

@@ -26,7 +26,7 @@
 //! cadence (`Market::restart_bank` hands it over) ends that run with
 //! every event in its WAL and fails the same bound.
 
-use gm_des::{FaultPlan, SimTime};
+use gm_des::{FaultKind, FaultPlan, SimTime};
 use gm_ledger::SharedJournal;
 use gridmarket::scenario::{Scenario, ScenarioResult, LEDGER_SNAPSHOT_EVERY};
 use gridmarket::sched::DriverStats;
@@ -122,7 +122,7 @@ const EARLY_RESTART_SECS: u64 = 60;
 fn bank_restarts_replay_fewer_records_than_the_checkpoint_cadence() {
     let cfg = ChaosConfig::default();
     let mut early_restart = FaultPlan::new();
-    early_restart.bank_restart(SimTime::from_secs(EARLY_RESTART_SECS));
+    early_restart.push(SimTime::from_secs(EARLY_RESTART_SECS), FaultKind::BankRestart);
     let worlds = [
         ("table1".to_owned(), table1_world(), false),
         (
