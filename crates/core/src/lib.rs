@@ -48,7 +48,7 @@ pub mod scenario;
 pub use gm_core::{AllocationPolicy, PolicyDriver, PolicyError};
 pub use mc::{chaos_runner, chaos_scenario, chaos_scenario_with, ChaosConfig, ChaosMetrics};
 pub use policy::{submit_funded, tycoon_policy, TycoonJobSetup, TycoonPolicy};
-pub use report::{group_rows, render_table, GroupRow};
+pub use report::GroupRow;
 pub use scenario::{Scenario, ScenarioResult, UserReport, UserSetup, World};
 
 pub use gm_baselines as baselines;

@@ -263,7 +263,7 @@ impl AllocationPolicy for TycoonPolicy {
             }
             FaultKind::AdversaryArrival { index } => {
                 // The adversary library materialises the hostile job
-                // requests for these seeded times (`gm-adversary`); the
+                // requests for these seeded times (`gm_experiments::adversary`); the
                 // policy only traces that a cohort went live so the
                 // telemetry timeline lines up with the attack.
                 trace("fault.adversary_arrival", &[("adversary", index.to_string())]);

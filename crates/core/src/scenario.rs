@@ -368,13 +368,6 @@ pub struct World {
 }
 
 impl World {
-    /// The telemetry registry every layer of the world records into, for
-    /// a drive step whose wrapper reads counters (such as
-    /// `ledger.audits`) while the world runs.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Drive the world with `drive`, which is handed the driver, the
     /// policy and the job requests and must run them, e.g.
     /// `|driver, policy, jobs| driver.run(policy, jobs)` — or with the

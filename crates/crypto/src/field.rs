@@ -171,11 +171,6 @@ fn reduce_once(x: u128, m: u128) -> u128 {
     }
 }
 
-/// Addition in `Z_{p−1}`.
-pub fn scalar_add(a: u128, b: u128) -> u128 {
-    addmod(a % GROUP_ORDER, b % GROUP_ORDER, GROUP_ORDER)
-}
-
 /// Subtraction in `Z_{p−1}`.
 pub fn scalar_sub(a: u128, b: u128) -> u128 {
     let (a, b) = (a % GROUP_ORDER, b % GROUP_ORDER);
@@ -332,7 +327,6 @@ mod tests {
 
     #[test]
     fn scalar_ring_ops() {
-        assert_eq!(scalar_add(GROUP_ORDER - 1, 2), 1);
         assert_eq!(scalar_sub(1, 2), GROUP_ORDER - 1);
         assert_eq!(scalar_mul(3, 5), 15);
         // (m−1)² mod m = 1

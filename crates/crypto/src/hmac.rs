@@ -51,16 +51,6 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     HmacKey::new(key).mac(message)
 }
 
-/// Constant-time-ish comparison of two MACs. (Best effort; good enough for
-/// the simulator, see the crate-level caveat.)
-pub fn verify_mac(expected: &[u8; 32], actual: &[u8; 32]) -> bool {
-    let mut diff = 0u8;
-    for (a, b) in expected.iter().zip(actual) {
-        diff |= a ^ b;
-    }
-    diff == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,15 +114,6 @@ mod tests {
             hex(&mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
-    }
-
-    #[test]
-    fn verify_mac_accepts_equal_rejects_diff() {
-        let a = hmac_sha256(b"k", b"m");
-        let mut b = a;
-        assert!(verify_mac(&a, &b));
-        b[31] ^= 1;
-        assert!(!verify_mac(&a, &b));
     }
 
     #[test]

@@ -37,4 +37,4 @@ pub mod sig;
 
 pub use hmac::hmac_sha256;
 pub use sha256::{sha256, Sha256};
-pub use sig::{Keypair, PreparedKey, PublicKey, SecretKey, Signature};
+pub use sig::{Keypair, PreparedKey, PublicKey, Signature};

@@ -150,12 +150,6 @@ impl PublicKey {
         }
         Some(PublicKey { y })
     }
-
-    /// A short hex fingerprint (first 8 bytes of SHA-256 of the key).
-    pub fn fingerprint(&self) -> String {
-        let d = sha256(&self.to_bytes());
-        crate::sha256::hex(&d[..8])
-    }
 }
 
 impl PreparedKey {
@@ -296,13 +290,6 @@ mod tests {
         let sig = a.sign(msg);
         assert!(a.public.verify(msg, &sig));
         assert!(!b.public.verify(msg, &sig));
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_short() {
-        let f = kp(b"grace").public.fingerprint();
-        assert_eq!(f.len(), 16);
-        assert_eq!(f, kp(b"grace").public.fingerprint());
     }
 
     #[test]

@@ -54,9 +54,9 @@ pub enum FaultKind {
     LinkDown,
     /// The degraded service links recover.
     LinkUp,
-    /// A strategic adversary cohort arrives (the `gm-adversary` attack
-    /// library materialises the actual hostile job requests at these
-    /// times; policies themselves only trace the event).
+    /// A strategic adversary cohort arrives (the attack library,
+    /// `gm_experiments::adversary`, materialises the actual hostile job
+    /// requests at these times; policies themselves only trace the event).
     AdversaryArrival {
         /// The adversary's index within the cohort.
         index: u32,
@@ -167,7 +167,7 @@ pub struct FaultMix {
     /// Length of each degraded-link window.
     pub link_outage_len: SimDuration,
     /// Number of adversary arrival events (strategic-bidder cohorts;
-    /// `gm-adversary` turns them into hostile job requests).
+    /// `gm_experiments::adversary` turns them into hostile job requests).
     pub adversary_arrivals: u32,
     /// Number of gray slowdown windows (each paired with a restore when
     /// the window ends inside the horizon).
@@ -408,14 +408,9 @@ impl FaultPlan {
         &self.events
     }
 
-    /// Number of events not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
-    }
-
     /// True if every event has been consumed (or none were scheduled).
     pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
+        self.cursor == self.events.len()
     }
 
     /// Time of the next not-yet-consumed event (`None` once exhausted).
@@ -430,11 +425,6 @@ impl FaultPlan {
             self.cursor += 1;
         }
         self.events[start..self.cursor].to_vec()
-    }
-
-    /// Rewind the consumption cursor so the plan can be replayed.
-    pub fn reset(&mut self) {
-        self.cursor = 0;
     }
 }
 
@@ -517,6 +507,7 @@ mod tests {
         plan.push(SimTime::from_secs(50), FaultKind::HostCrash { host: 1 })
             .push(SimTime::from_secs(10), FaultKind::VmFailure { host: 0 })
             .bank_outage(SimTime::from_secs(20), SimTime::from_secs(30));
+        let mut replay = plan.clone();
 
         let first = plan.take_due(SimTime::from_secs(25));
         assert_eq!(first.len(), 2);
@@ -532,8 +523,13 @@ mod tests {
         assert_eq!(third[1].kind, FaultKind::HostCrash { host: 1 });
         assert!(plan.is_exhausted());
 
-        plan.reset();
-        assert_eq!(plan.remaining(), 4);
+        // A clone taken before consumption still holds every event.
+        assert!(!replay.is_exhausted());
+        assert_eq!(
+            replay.take_due(SimTime::from_secs(100)),
+            [first, third].concat()
+        );
+        assert!(replay.is_exhausted());
     }
 
     #[test]

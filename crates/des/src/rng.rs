@@ -93,13 +93,6 @@ impl SplitMix64 {
     pub const fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
-
-    /// Derive an independent child seed (hash of the current state and a
-    /// stream index). Used to split one master seed across components.
-    pub fn child_seed(&self, stream: u64) -> u64 {
-        let mut s = SplitMix64::new(self.state ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        s.next_u64()
-    }
 }
 
 impl Rng64 for SplitMix64 {
@@ -260,16 +253,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, (0..100).collect::<Vec<_>>(), "shuffle left identity");
-    }
-
-    #[test]
-    fn child_seeds_differ() {
-        let master = SplitMix64::new(2024);
-        let s1 = master.child_seed(1);
-        let s2 = master.child_seed(2);
-        assert_ne!(s1, s2);
-        // and are stable
-        assert_eq!(s1, SplitMix64::new(2024).child_seed(1));
     }
 
     #[test]

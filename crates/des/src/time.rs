@@ -66,12 +66,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration.
-    #[inline]
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
@@ -82,12 +76,6 @@ impl SimDuration {
     #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimDuration(us)
-    }
-
-    /// Construct from whole milliseconds.
-    #[inline]
-    pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000)
     }
 
     /// Construct from whole seconds.
@@ -139,12 +127,6 @@ impl SimDuration {
     #[inline]
     pub fn as_minutes_f64(self) -> f64 {
         self.as_secs_f64() / 60.0
-    }
-
-    /// True if the duration is zero.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Scale by a non-negative float, rounding to the nearest microsecond.
@@ -274,7 +256,7 @@ mod tests {
         assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimDuration::from_minutes(3).as_secs_f64(), 180.0);
         assert_eq!(SimDuration::from_hours(2).as_minutes_f64(), 120.0);
-        assert_eq!(SimDuration::from_millis(1500).as_secs_f64(), 1.5);
+        assert_eq!(SimDuration::from_micros(1_500_000).as_secs_f64(), 1.5);
     }
 
     #[test]

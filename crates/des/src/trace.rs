@@ -101,11 +101,6 @@ impl Series {
         &self.values
     }
 
-    /// The sample timestamps in time order.
-    pub fn times(&self) -> &[SimTime] {
-        &self.times
-    }
-
     /// Iterate over `(time, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
         self.times.iter().copied().zip(self.values.iter().copied())
@@ -285,7 +280,7 @@ mod tests {
         }
         assert_eq!(samples(&batched), samples(&stepped));
         assert_eq!(batched.get("old").unwrap().len(), 6);
-        assert_eq!(batched.get("new").unwrap().times()[6], t(60));
+        assert_eq!(batched.get("new").unwrap().times[6], t(60));
     }
 
     #[test]

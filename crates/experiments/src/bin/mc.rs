@@ -10,7 +10,7 @@
 //! `chaos` runs the per-policy random-fault sweep (Tycoon, the VCG
 //! optimization tier, and the four baselines); `attack` the
 //! *(policy × strategy)* adversarial matrix (tycoon defended and open
-//! against the six `gm-adversary` bidder strategies); `gray` the
+//! against the six `adversary` bidder strategies); `gray` the
 //! *(policy × gray scenario)* matrix (plus `tycoon_nospec`, the agent
 //! with health scoring and speculation off). Each prints Student-t
 //! results plus every quarantined seed with its replay hint. `--check`

@@ -2,7 +2,7 @@
 //!
 //! Every cell of the matrix is a Monte-Carlo batch over seeds of one
 //! *(policy × strategy)* pair: the honest chaos job stream plus one
-//! strategic cohort from `gm-adversary`, both driven through the
+//! strategic cohort from [`crate::adversary`], both driven through the
 //! unchanged [`PolicyDriver`](gridmarket::sched::PolicyDriver) so the
 //! allocator is the only variable.
 //! Tycoon appears twice — `tycoon` with the default guard layer
@@ -11,7 +11,7 @@
 //! the *market* absorbs from what the *defenses* absorb.
 //!
 //! Metrics are scored from the honest population's side of the run
-//! (user ids below [`gm_adversary::ADVERSARY_USER_BASE`]): an attack that transfers
+//! (user ids below [`crate::adversary::ADVERSARY_USER_BASE`]): an attack that transfers
 //! surplus from honest users to the cohort shows up as lost honest
 //! welfare and degraded honest fairness even when aggregate numbers look
 //! healthy. Volatility for the tycoon rows is computed over the
@@ -20,7 +20,6 @@
 //! All volatility rows use absolute σ, not relative CoV (see
 //! `abs_sigma`).
 
-use gm_adversary::{AdversaryInstruments, AttackContext, AttackKind};
 use gm_des::rng::Pcg32;
 use gm_des::{FaultMix, FaultPlan, SimDuration, SimTime};
 use gm_tycoon::GuardConfig;
@@ -29,6 +28,7 @@ use gridmarket::telemetry::{ManualClock, Registry};
 use gridmarket::grid::AgentConfig;
 use gridmarket::{tycoon_policy, ChaosConfig};
 
+use crate::adversary::{AdversaryInstruments, AttackContext, AttackKind};
 use crate::matrix::{Column, Layout, Matrix, MatrixReport, Rows};
 use crate::mc::{
     baseline_policy, baseline_run, chaos_driver, job_stream, work_per_subjob, McArgs,
@@ -86,7 +86,7 @@ pub fn hostile_stream(kind: AttackKind, seed: u64, cfg: &ChaosConfig) -> Vec<Job
         job_id_base: cfg.users,
         aggression: AGGRESSION,
     };
-    kind.strategy().requests(&ctx, &mut Pcg32::seed_from_u64(seed ^ ATTACK_SALT))
+    kind.requests(&ctx, &mut Pcg32::seed_from_u64(seed ^ ATTACK_SALT))
 }
 
 /// Absolute price volatility: the plain standard deviation of a price
@@ -108,7 +108,7 @@ fn abs_sigma(xs: &[f64]) -> Option<f64> {
 /// Honest-side metric rows shared by every cell. The split keys on the
 /// request id — honest requests occupy ids `0..users`, the cohort ids
 /// start at `job_id_base = users` (the cohort's *user* ids start at
-/// [`gm_adversary::ADVERSARY_USER_BASE`], but some policies renumber users internally
+/// [`crate::adversary::ADVERSARY_USER_BASE`], but some policies renumber users internally
 /// while every policy preserves request ids in its outcomes).
 /// `volatility` is passed in because the tycoon rows score the published
 /// price trace while the baselines score their own posted-price history.

@@ -27,8 +27,6 @@ pub struct Volatility {
     pub tycoon_cov: f64,
     /// CoV of the G-commerce posted price.
     pub gcommerce_cov: f64,
-    /// CoV of winner-takes-all clearing prices.
-    pub wta_cov: Option<f64>,
     /// Mean one-step relative prediction error ("predictability"): Tycoon.
     pub tycoon_step_err: f64,
     /// Mean one-step relative prediction error: G-commerce posted price.
@@ -142,7 +140,6 @@ pub fn run_seeded(scale: Scale, seed: u64) -> Volatility {
     Volatility {
         tycoon_cov,
         gcommerce_cov,
-        wta_cov,
         tycoon_step_err,
         gcommerce_step_err,
         rendered,

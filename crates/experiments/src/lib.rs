@@ -25,7 +25,8 @@
 //! [`mc`] runs all of the above as Monte-Carlo populations: the
 //! per-policy chaos sweep behind `just mc-chaos` and the seeded figure
 //! report behind `just mc-report` (DESIGN.md §13). The chaos sweep, the
-//! attack matrix ([`ext_attack`], DESIGN.md §16) and the gray matrix
+//! attack matrix ([`ext_attack`], over the strategic bidders of
+//! [`adversary`]; DESIGN.md §16) and the gray matrix
 //! ([`ext_gray`], §17) are each one [`matrix::Matrix`] declaration,
 //! run and gated by the `mc` binary. Every figure module
 //! exposes a `run_seeded(scale, seed)` variant for this; the plain
@@ -36,6 +37,7 @@
 //! machines; ours is a simulator) — the *shapes* are asserted in
 //! `tests/experiments.rs` and recorded in `EXPERIMENTS.md`.
 
+pub mod adversary;
 pub mod ext_attack;
 pub mod ext_gray;
 pub mod ext_scaling;

@@ -17,15 +17,15 @@
 //!   streams, fault plans, and telemetry, so A/B results are
 //!   byte-reproducible.
 //! - [`montecarlo`] — the deterministic parallel scenario runner
-//!   ([`MonteCarlo`]): fans seeded scenarios over `gm-exec`'s scoped
+//!   ([`MonteCarlo`]): fans seeded scenarios over `gm-des`'s scoped
 //!   chunk map, one result slot per scenario, quarantines panicking
 //!   seeds as [`ScenarioFailure`] data points, and aggregates Student-t
 //!   confidence-interval reports ([`McReport`]) over robustness
 //!   metrics.
 //!
 //! The crate deliberately depends only on `gm-des`, `gm-tycoon` (for
-//! `HostSpec`/`UserId`), `gm-telemetry`, and the in-repo `gm-exec` /
-//! `gm-numeric` substrates; the grid stack plugs in from above via
+//! `HostSpec`/`UserId`), `gm-telemetry`, and the in-repo `gm-numeric`
+//! substrate; the grid stack plugs in from above via
 //! `gridmarket::policy::TycoonPolicy`.
 #![deny(clippy::too_many_lines)]
 

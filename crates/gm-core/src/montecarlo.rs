@@ -4,7 +4,7 @@
 //! The paper validates its market claims with a handful of fixed-seed
 //! runs; this module is the throughput multiplier that turns each of
 //! those anecdotes into a population. A [`MonteCarlo`] runner fans N
-//! seeded scenarios over scoped workers ([`gm_exec::par_chunks_mut`],
+//! seeded scenarios over scoped workers ([`gm_des::par_chunks_mut`],
 //! one item per chunk) and guarantees three properties (DESIGN.md §13):
 //!
 //! 1. **Byte determinism** — per-seed results are assembled by *seed
@@ -84,16 +84,6 @@ impl<T> McBatch<T> {
     /// chaos sweep regrouping one `(seed × policy)` run by policy).
     pub fn from_outcomes(outcomes: Vec<McOutcome<T>>) -> McBatch<T> {
         McBatch { outcomes }
-    }
-
-    /// Number of submitted scenarios.
-    pub fn len(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// True when no scenarios were submitted.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
     }
 
     /// Completed `(seed, result)` pairs in seed-index order.
@@ -319,7 +309,7 @@ impl MonteCarlo {
         // claims it; each scenario's unwind is caught into its own slot,
         // so a detonating scenario cannot take the sweep down with it.
         let mut slots: Vec<Option<Result<T, String>>> = items.iter().map(|_| None).collect();
-        gm_exec::par_chunks_mut(self.threads, &mut slots, 1, |index, _, slot| {
+        gm_des::par_chunks_mut(self.threads, &mut slots, 1, |index, _, slot| {
             let (seed, tag) = &items[index];
             slot[0] = Some(
                 catch_unwind(AssertUnwindSafe(|| scenario(*seed, tag)))

@@ -37,13 +37,6 @@ impl JobRequest {
         f64::from(self.subjobs) * self.work_per_subjob
     }
 
-    /// Did a job that completed at `finished_at` make its deadline?
-    /// `deadline_secs <= 0` means "no deadline" (always on time).
-    pub fn on_time(&self, finished_at: SimTime) -> bool {
-        self.deadline_secs <= 0.0
-            || finished_at.since(self.arrival).as_secs_f64() <= self.deadline_secs + 1e-9
-    }
-
     /// The shared all-or-nothing value model used by every policy that
     /// has no richer value semantics of its own: the job delivers its
     /// full `budget` as value iff it finished within its deadline, and

@@ -30,10 +30,9 @@ pub mod xrsl;
 
 pub use identity::GridIdentity;
 pub use manager::{
-    AgentConfig, FaultCounters, GridError, Job, JobId, JobKind, JobManager, JobPhase, JobSpec,
+    AgentConfig, FaultCounters, GridError, Job, JobId, JobManager, JobPhase, JobSpec,
     SpeculationConfig, SubJob,
 };
-pub use telemetry::GridInstruments;
 pub use token::{TokenError, TransferToken};
-pub use vm::{Vm, VmConfig, VmId, VmManager};
-pub use xrsl::{ParseError, Value, Xrsl};
+pub use vm::{Vm, VmConfig, VmManager};
+pub use xrsl::{ParseError, Xrsl};

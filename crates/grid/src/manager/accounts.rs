@@ -5,10 +5,10 @@
 use std::collections::BTreeMap;
 
 use gm_des::{SimDuration, SimTime};
-use gm_tycoon::{Credits, HostId, Market, MarketError, UserId};
+use gm_tycoon::{HostId, Market, UserId};
 
 use super::gray;
-use super::jobs::{GridError, JobId, JobKind, JobPhase};
+use super::jobs::{GridError, JobKind, JobPhase};
 use super::{JobManager, STAGE_OUT};
 use crate::token::{TokenError, TransferToken};
 
@@ -158,42 +158,5 @@ impl JobManager {
             }
             gray::collapse_races(job, &wins, &self.telemetry);
         }
-    }
-
-    /// Kill a job (ARC `arckill`): cancel its bids, refund all unspent
-    /// funds to the payer, mark it `Cancelled`.
-    pub fn cancel_job(
-        &mut self,
-        market: &mut Market,
-        job_id: JobId,
-        now: SimTime,
-    ) -> Result<Credits, GridError> {
-        let job = self
-            .jobs
-            .get_mut(&job_id)
-            .ok_or(GridError::NoSuchJob(job_id))?;
-        if job.phase == JobPhase::Done || job.phase == JobPhase::Cancelled {
-            return Ok(Credits::ZERO);
-        }
-        // A kill both cancels bids and refunds; during a bank outage
-        // neither can settle, so refuse rather than half-cancel.
-        if !market.bank_is_online() {
-            return Err(GridError::Market(MarketError::BankUnavailable));
-        }
-        for slot in &mut job.slots {
-            if let Some(bid) = slot.bid.take() {
-                let _ = market.cancel_bid(slot.host, bid, job.sub_account);
-            }
-            slot.subjob = None;
-        }
-        let balance = market.bank().balance(job.sub_account).unwrap_or(Credits::ZERO);
-        if balance.is_positive() {
-            market
-                .bank_mut()
-                .transfer(job.sub_account, job.refund_account, balance)?;
-        }
-        job.phase = JobPhase::Cancelled;
-        job.finished_at = Some(now);
-        Ok(balance)
     }
 }

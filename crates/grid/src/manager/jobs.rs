@@ -20,8 +20,6 @@ pub enum JobPhase {
     Done,
     /// Funds exhausted before completion.
     Stalled,
-    /// Killed by the user; unspent funds refunded.
-    Cancelled,
 }
 
 /// What kind of workload a job is.
@@ -189,7 +187,6 @@ pub struct Job {
     pub(super) slots: Vec<Slot>,
     /// Concurrency, sampled every pre-tick while the job is `Running`.
     pub(super) nodes: NodeStat,
-    pub(super) initial_funding: Credits,
     /// Workload kind (batch vs continuous service).
     pub kind: JobKind,
     /// Service QoS counters: (instance-intervals meeting the floor,
@@ -219,11 +216,6 @@ impl Job {
     /// Makespan so far (or final, when finished).
     pub fn makespan(&self, now: SimTime) -> SimDuration {
         self.finished_at.unwrap_or(now).since(self.submitted_at)
-    }
-
-    /// Funding attached at submission (excluding boosts).
-    pub fn initial_funding(&self) -> Credits {
-        self.initial_funding
     }
 
     /// Completed sub-jobs.
@@ -259,7 +251,6 @@ impl Job {
         match self.phase {
             JobPhase::Done => "FINISHED",
             JobPhase::Stalled => "FAILED",
-            JobPhase::Cancelled => "KILLED",
             JobPhase::Running => {
                 let any_started = self.subjobs.iter().any(|s| s.started_at.is_some());
                 if !any_started {
@@ -334,7 +325,6 @@ impl Job {
             envs: parsed.envs,
             slots: Vec::new(),
             nodes: NodeStat::default(),
-            initial_funding: token.amount(),
             kind: parsed.kind,
             qos: (0, 0),
             needs_redispatch: false,

@@ -156,11 +156,6 @@ impl JobManager {
         self.telemetry.fault_counters()
     }
 
-    /// The manager's telemetry instruments (read access).
-    pub fn instruments(&self) -> &GridInstruments {
-        &self.telemetry
-    }
-
     /// The broker's bank account (transfer tokens must pay into it).
     pub fn broker_account(&self) -> AccountId {
         self.broker_account

@@ -74,37 +74,6 @@ fn count_capped_by_max_nodes() {
 }
 
 #[test]
-fn cancel_job_refunds_and_frees_hosts() {
-    let mut w = world(2, 1000);
-    let spec = make_spec(&mut w, 200, 2, 600);
-    let id = w.jm.submit(&mut w.market, SimTime::ZERO, &spec).unwrap();
-    // Run a few intervals, then kill.
-    let mut now = SimTime::ZERO;
-    for _ in 0..5 {
-        w.jm.step(&mut w.market, now);
-        now += SimDuration::from_secs(10);
-    }
-    let refund = w.jm.cancel_job(&mut w.market, id, now).unwrap();
-    assert!(refund.is_positive());
-    let job = w.jm.job(id).unwrap();
-    assert_eq!(job.phase, JobPhase::Cancelled);
-    assert_eq!(job.arc_state(now), "KILLED");
-    // Hosts carry no bids anymore.
-    for h in w.market.host_ids() {
-        assert_eq!(w.market.auctioneer(h).unwrap().live_bids(), 0);
-    }
-    // User got everything back except what was charged.
-    let balance = w.market.bank().balance(w.user_acct).unwrap();
-    assert_eq!(balance, Credits::from_whole(1000) - job.charged);
-    assert_eq!(w.market.bank().total_money(), Credits::from_whole(1000));
-    // Idempotent.
-    assert_eq!(
-        w.jm.cancel_job(&mut w.market, id, now).unwrap(),
-        Credits::ZERO
-    );
-}
-
-#[test]
 fn service_job_runs_to_contract_end_with_qos() {
     let mut w = world(2, 1000);
     let receipt = w

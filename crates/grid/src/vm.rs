@@ -43,8 +43,6 @@ pub struct Vm {
     pub host: HostId,
     /// Owning market user.
     pub user: UserId,
-    /// When provisioning started.
-    pub created_at: SimTime,
     /// When the VM (including env installs) becomes usable.
     pub ready_at: SimTime,
     /// Installed runtime environments.
@@ -59,7 +57,6 @@ pub struct VmManager {
     vms: BTreeMap<(HostId, UserId), Vm>,
     next_id: u64,
     total_created: u64,
-    total_failed: u64,
 }
 
 impl VmManager {
@@ -70,7 +67,6 @@ impl VmManager {
             vms: BTreeMap::new(),
             next_id: 0,
             total_created: 0,
-            total_failed: 0,
         }
     }
 
@@ -107,7 +103,6 @@ impl VmManager {
                     id: VmId(self.next_id),
                     host,
                     user,
-                    created_at: now,
                     ready_at,
                     envs: envs.iter().cloned().collect(),
                     jobs_served: 1,
@@ -145,23 +140,13 @@ impl VmManager {
         for u in &users {
             self.vms.remove(&(host, *u));
         }
-        self.total_failed += users.len() as u64;
         users
     }
 
     /// Kill a single VM (fault injection: VM-level failure while the host
     /// stays up). Returns `true` if one existed.
     pub fn fail_vm(&mut self, host: HostId, user: UserId) -> bool {
-        let existed = self.vms.remove(&(host, user)).is_some();
-        if existed {
-            self.total_failed += 1;
-        }
-        existed
-    }
-
-    /// Total VMs destroyed by injected failures (host crashes included).
-    pub fn total_failed(&self) -> u64 {
-        self.total_failed
+        self.vms.remove(&(host, user)).is_some()
     }
 
     /// Live VMs on one host.
@@ -172,11 +157,6 @@ impl VmManager {
     /// Total VMs ever created (reuse keeps this low).
     pub fn total_created(&self) -> u64 {
         self.total_created
-    }
-
-    /// Iterate over all live VMs in deterministic order.
-    pub fn iter(&self) -> impl Iterator<Item = &Vm> {
-        self.vms.values()
     }
 }
 
@@ -250,7 +230,6 @@ mod tests {
         assert_eq!(victims, vec![UserId(1), UserId(2)]);
         assert_eq!(m.vms_on_host(HostId(0)), 0);
         assert_eq!(m.vms_on_host(HostId(1)), 1);
-        assert_eq!(m.total_failed(), 2);
         // Recreation after the crash pays a full boot.
         let t = SimTime::from_secs(100);
         let ready = m.acquire(HostId(0), UserId(1), &[], t);
@@ -265,7 +244,6 @@ mod tests {
         assert!(m.fail_vm(HostId(0), UserId(1)));
         assert!(!m.fail_vm(HostId(0), UserId(1)), "already dead");
         assert_eq!(m.live_vms(), 1);
-        assert_eq!(m.total_failed(), 1);
     }
 
     #[test]

@@ -267,11 +267,6 @@ impl Xrsl {
             .unwrap_or(&[])
     }
 
-    /// Does the attribute occur at all?
-    pub fn has(&self, name: &str) -> bool {
-        self.attrs.contains_key(&name.to_ascii_lowercase())
-    }
-
     /// Render back to xRSL text (one relation per line).
     pub fn to_text(&self) -> String {
         let mut out = String::from("&");
@@ -319,7 +314,7 @@ fn render_value(v: &Value, out: &mut String) {
 pub fn parse_duration_secs(s: &str) -> Option<u64> {
     let s = s.trim();
     if let Ok(mins) = s.parse::<u64>() {
-        return Some(mins * 60);
+        return mins.checked_mul(60);
     }
     let mut parts = s.split_whitespace();
     let n: f64 = parts.next()?.parse().ok()?;
@@ -443,7 +438,6 @@ mod tests {
     fn missing_attribute_is_none() {
         let x = Xrsl::parse("&(count=1)").unwrap();
         assert_eq!(x.get_str("nope"), None);
-        assert!(!x.has("nope"));
         assert!(x.get_all("nope").is_empty());
     }
 

@@ -23,8 +23,6 @@
 //! byte strings. `gm-tycoon` layers the bank-event codec on top.
 
 use std::fmt;
-use std::io::{Read, Write};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use gm_crypto::sha256;
@@ -69,8 +67,8 @@ pub struct Replay {
 }
 
 /// An append-only journal: one compacted snapshot plus a write-ahead log,
-/// both as framed byte buffers. In-memory by default; [`Journal::save_dir`]
-/// and [`Journal::load_dir`] move it to and from disk.
+/// both as framed byte buffers held in memory: the simulated disk that
+/// [`Journal::crash_at`] cuts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Journal {
     /// The framed snapshot record (empty = no snapshot).
@@ -118,11 +116,10 @@ impl Journal {
         Journal::default()
     }
 
-    /// Rebuild a journal from raw snapshot and WAL byte buffers (as read
-    /// from disk, or as produced by [`Journal::snapshot_bytes`] /
-    /// [`Journal::wal_bytes`]). The buffers are taken verbatim — torn or
-    /// corrupt content is diagnosed at [`Journal::replay`] time, exactly
-    /// like a post-crash disk image.
+    /// Rebuild a journal from raw snapshot and WAL byte buffers (such as
+    /// [`Journal::snapshot_bytes`] and a cut or crafted WAL). The buffers
+    /// are taken verbatim — torn or corrupt content is diagnosed at
+    /// [`Journal::replay`] time, exactly like a post-crash disk image.
     pub fn from_parts(snapshot: Vec<u8>, wal: Vec<u8>) -> Journal {
         let mut record_ends = Vec::new();
         let mut off = 0usize;
@@ -173,11 +170,6 @@ impl Journal {
     /// Raw framed snapshot bytes (empty when no snapshot exists).
     pub fn snapshot_bytes(&self) -> &[u8] {
         &self.snapshot
-    }
-
-    /// Raw concatenated framed WAL bytes.
-    pub fn wal_bytes(&self) -> &[u8] {
-        &self.wal
     }
 
     /// A copy of this journal as a crash at WAL byte offset `wal_bytes`
@@ -233,45 +225,6 @@ impl Journal {
             corrupt_records,
         })
     }
-
-    /// Persist to `dir` as `snapshot.bin` + `wal.bin`. The snapshot is
-    /// written to a temporary file and renamed into place, so a crash
-    /// during `save_dir` can tear the WAL tail but never the snapshot —
-    /// the invariant [`Journal::crash_at`] models.
-    pub fn save_dir(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let tmp = dir.join("snapshot.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.snapshot)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, dir.join("snapshot.bin"))?;
-        let mut f = std::fs::File::create(dir.join("wal.bin"))?;
-        f.write_all(&self.wal)?;
-        f.sync_all()?;
-        Ok(())
-    }
-
-    /// Load a journal previously saved with [`Journal::save_dir`]. Missing
-    /// files load as empty (a journal that never wrote anything).
-    pub fn load_dir(dir: &Path) -> std::io::Result<Journal> {
-        fn read_opt(path: &Path) -> std::io::Result<Vec<u8>> {
-            match std::fs::File::open(path) {
-                Ok(mut f) => {
-                    let mut buf = Vec::new();
-                    f.read_to_end(&mut buf)?;
-                    Ok(buf)
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-                Err(e) => Err(e),
-            }
-        }
-        Ok(Journal::from_parts(
-            read_opt(&dir.join("snapshot.bin"))?,
-            read_opt(&dir.join("wal.bin"))?,
-        ))
-    }
 }
 
 /// A cheaply clonable, thread-safe handle to one [`Journal`]: the bank
@@ -290,7 +243,8 @@ impl SharedJournal {
         SharedJournal::default()
     }
 
-    /// Wrap an existing journal (e.g. one loaded from disk).
+    /// Wrap an existing journal (e.g. a crash image from
+    /// [`Journal::crash_at`]).
     pub fn from_journal(journal: Journal) -> SharedJournal {
         SharedJournal {
             inner: Arc::new(Mutex::new(journal)),
@@ -331,11 +285,6 @@ impl SharedJournal {
     /// See [`Journal::crash_at`].
     pub fn crash_at(&self, wal_bytes: usize) -> Journal {
         self.inner.lock().expect("journal lock").crash_at(wal_bytes)
-    }
-
-    /// See [`Journal::save_dir`].
-    pub fn save_dir(&self, dir: &Path) -> std::io::Result<()> {
-        self.inner.lock().expect("journal lock").save_dir(dir)
     }
 }
 
@@ -412,7 +361,7 @@ mod tests {
         j.append(b"good");
         j.append(b"evil");
         j.append(b"after");
-        let mut wal = j.wal_bytes().to_vec();
+        let mut wal = j.wal.clone();
         // Flip one payload byte of the middle record.
         let off = j.record_ends()[0] + RECORD_HEADER_BYTES;
         wal[off] ^= 0x40;
@@ -439,7 +388,7 @@ mod tests {
         let mut j = Journal::new();
         j.append(b"x");
         j.append(b"yy");
-        let rebuilt = Journal::from_parts(j.snapshot_bytes().to_vec(), j.wal_bytes().to_vec());
+        let rebuilt = Journal::from_parts(j.snapshot_bytes().to_vec(), j.wal.clone());
         assert_eq!(rebuilt.record_ends(), j.record_ends());
         assert_eq!(rebuilt, j);
     }
@@ -453,21 +402,5 @@ mod tests {
         assert_eq!(a.record_count(), 2);
         let r = b.replay().unwrap();
         assert_eq!(r.records.len(), 2);
-    }
-
-    #[test]
-    fn save_and_load_dir_round_trips() {
-        let mut j = Journal::new();
-        j.compact(b"snapshotted");
-        j.append(b"tail-1");
-        j.append(b"tail-2");
-        let dir = std::env::temp_dir().join(format!("gm-ledger-test-{}", std::process::id()));
-        j.save_dir(&dir).unwrap();
-        let back = Journal::load_dir(&dir).unwrap();
-        assert_eq!(back, j);
-        let _ = std::fs::remove_dir_all(&dir);
-        // A directory that never existed loads as an empty journal.
-        let empty = Journal::load_dir(&dir.join("nope")).unwrap();
-        assert_eq!(empty, Journal::new());
     }
 }

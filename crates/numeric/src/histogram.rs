@@ -57,19 +57,9 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Number of buckets.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Total number of samples recorded.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Raw counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
     }
 
     /// Proportion of samples in each bucket (all zeros when empty).
@@ -81,43 +71,6 @@ impl Histogram {
             .iter()
             .map(|&c| c as f64 / self.total as f64)
             .collect()
-    }
-
-    /// Midpoint value of bucket `b`.
-    pub fn bin_center(&self, b: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (b as f64 + 0.5) * w
-    }
-
-    /// Lower edge of bucket `b`.
-    pub fn bin_left(&self, b: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + b as f64 * w
-    }
-
-    /// Total-variation distance to another histogram over the same shape
-    /// (½·Σ|p_i − q_i|; 0 = identical, 1 = disjoint).
-    ///
-    /// # Panics
-    /// Panics if bucket counts differ.
-    pub fn tv_distance(&self, other: &Histogram) -> f64 {
-        assert_eq!(self.bins(), other.bins(), "histogram shape mismatch");
-        let p = self.proportions();
-        let q = other.proportions();
-        0.5 * p.iter().zip(&q).map(|(a, b)| (a - b).abs()).sum::<f64>()
-    }
-
-    /// Histogram mean estimated from bucket centers.
-    pub fn approx_mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(b, &c)| self.bin_center(b) * c as f64)
-            .sum::<f64>()
-            / self.total as f64
     }
 }
 
@@ -131,7 +84,7 @@ mod tests {
         h.add(0.5);
         h.add(5.5);
         h.add(9.99);
-        assert_eq!(h.counts(), &[1, 0, 0, 0, 0, 1, 0, 0, 0, 1]);
+        assert_eq!(h.counts, &[1, 0, 0, 0, 0, 1, 0, 0, 0, 1]);
         assert_eq!(h.total(), 3);
     }
 
@@ -141,7 +94,7 @@ mod tests {
         h.add(-100.0);
         h.add(100.0);
         h.add(1.0); // exactly hi clamps into last bucket
-        assert_eq!(h.counts(), &[1, 0, 0, 2]);
+        assert_eq!(h.counts, &[1, 0, 0, 2]);
     }
 
     #[test]
@@ -156,31 +109,6 @@ mod tests {
     fn empty_histogram_proportions_are_zero() {
         let h = Histogram::new(0.0, 1.0, 5);
         assert_eq!(h.proportions(), vec![0.0; 5]);
-        assert_eq!(h.approx_mean(), 0.0);
-    }
-
-    #[test]
-    fn bin_centers_and_edges() {
-        let h = Histogram::new(0.0, 10.0, 5);
-        assert_eq!(h.bin_center(0), 1.0);
-        assert_eq!(h.bin_center(4), 9.0);
-        assert_eq!(h.bin_left(1), 2.0);
-    }
-
-    #[test]
-    fn tv_distance_bounds() {
-        let a = Histogram::from_samples(0.0, 1.0, 4, &[0.1, 0.1, 0.1]);
-        let b = Histogram::from_samples(0.0, 1.0, 4, &[0.9, 0.9, 0.9]);
-        assert!((a.tv_distance(&b) - 1.0).abs() < 1e-12);
-        assert_eq!(a.tv_distance(&a), 0.0);
-    }
-
-    #[test]
-    fn approx_mean_close_to_true_mean() {
-        let xs: Vec<f64> = (0..10_000).map(|i| (i % 100) as f64 / 100.0).collect();
-        let h = Histogram::from_samples(0.0, 1.0, 50, &xs);
-        let true_mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!((h.approx_mean() - true_mean).abs() < 0.02);
     }
 
     #[test]

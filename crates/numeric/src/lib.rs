@@ -34,10 +34,10 @@ pub mod student;
 pub mod toeplitz;
 
 pub use histogram::Histogram;
-pub use linalg::{Lu, Matrix};
-pub use probit::{norm_cdf, norm_pdf, norm_quantile};
-pub use samplers::{Beta, Exponential, Normal, Sampler, Uniform};
+pub use linalg::Matrix;
+pub use probit::norm_quantile;
+pub use samplers::{Normal, Sampler};
 pub use spline::smoothing_spline;
-pub use stats::{Moments, RunningStats, SmoothedMoments};
-pub use student::{mean_confidence_interval, t_cdf, t_quantile, Summary};
-pub use toeplitz::{autocorrelation, levinson_durbin, yule_walker};
+pub use stats::Moments;
+pub use student::Summary;
+pub use toeplitz::levinson_durbin;

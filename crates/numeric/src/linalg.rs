@@ -34,33 +34,9 @@ impl Matrix {
         m
     }
 
-    /// Build from row-major data.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "matrix data length mismatch");
-        Matrix { rows, cols, data }
-    }
-
-    /// Build an `n × n` diagonal matrix from `diag`.
-    pub fn diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// A row as a slice.
@@ -107,17 +83,6 @@ impl Matrix {
         out
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
     /// LU decomposition with partial pivoting. Returns `None` if the matrix
     /// is singular (a pivot underflows) or non-square.
     pub fn lu(&self) -> Option<Lu> {
@@ -127,7 +92,6 @@ impl Matrix {
         let n = self.rows;
         let mut lu = self.data.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0f64;
 
         for col in 0..n {
             // Pivot: largest absolute value in this column at/below diagonal.
@@ -148,7 +112,6 @@ impl Matrix {
                     lu.swap(col * n + j, pivot_row * n + j);
                 }
                 perm.swap(col, pivot_row);
-                sign = -sign;
             }
             let pivot = lu[col * n + col];
             for r in (col + 1)..n {
@@ -159,56 +122,12 @@ impl Matrix {
                 }
             }
         }
-        Some(Lu { n, lu, perm, sign })
+        Some(Lu { n, lu, perm })
     }
 
     /// Solve `A·x = b` via LU. `None` when singular.
     pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
         self.lu().map(|lu| lu.solve(b))
-    }
-
-    /// Matrix inverse via LU. `None` when singular.
-    pub fn inverse(&self) -> Option<Matrix> {
-        let lu = self.lu()?;
-        let n = self.rows;
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = lu.solve(&e);
-            e[j] = 0.0;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-        }
-        Some(inv)
-    }
-
-    /// Determinant via LU (0 when singular).
-    pub fn det(&self) -> f64 {
-        match self.lu() {
-            None => 0.0,
-            Some(lu) => {
-                let mut d = lu.sign;
-                for i in 0..lu.n {
-                    d *= lu.lu[i * lu.n + i];
-                }
-                d
-            }
-        }
-    }
-
-    /// Max-abs elementwise difference to another matrix.
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -252,7 +171,6 @@ pub struct Lu {
     /// Combined storage: strictly-lower = L (unit diagonal implied), upper = U.
     lu: Vec<f64>,
     perm: Vec<usize>,
-    sign: f64,
 }
 
 impl Lu {
@@ -302,6 +220,12 @@ mod tests {
         (a - b).abs() <= eps
     }
 
+    /// A `rows × cols` matrix from row-major `data`.
+    fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Matrix {
+        assert_eq!(data.len(), rows * cols);
+        Matrix { rows, cols, data }
+    }
+
     #[test]
     fn identity_solve_is_identity() {
         let a = Matrix::identity(4);
@@ -312,7 +236,7 @@ mod tests {
     #[test]
     fn known_solve() {
         // 2x + y = 5 ; x + 3y = 10  ->  x = 1, y = 3
-        let a = Matrix::from_rows(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
+        let a = from_rows(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
         let x = a.solve(&[5.0, 10.0]).unwrap();
         assert!(approx(x[0], 1.0, 1e-12));
         assert!(approx(x[1], 3.0, 1e-12));
@@ -321,61 +245,27 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // Zero on the leading diagonal forces a row swap.
-        let a = Matrix::from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
+        let a = from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
         let x = a.solve(&[2.0, 3.0]).unwrap();
         assert_eq!(x, vec![3.0, 2.0]);
     }
 
     #[test]
     fn singular_matrix_rejected() {
-        let a = Matrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
+        let a = from_rows(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
         assert!(a.lu().is_none());
         assert!(a.solve(&[1.0, 1.0]).is_none());
-        assert!(a.inverse().is_none());
-        assert_eq!(a.det(), 0.0);
-    }
-
-    #[test]
-    fn inverse_times_original_is_identity() {
-        let a = Matrix::from_rows(
-            3,
-            3,
-            vec![4.0, 2.0, 0.5, 2.0, 5.0, 1.0, 0.5, 1.0, 3.0],
-        );
-        let inv = a.inverse().unwrap();
-        let prod = a.mul(&inv);
-        assert!(prod.max_abs_diff(&Matrix::identity(3)) < 1e-10);
-    }
-
-    #[test]
-    fn determinant_known_values() {
-        let a = Matrix::from_rows(2, 2, vec![3.0, 8.0, 4.0, 6.0]);
-        assert!(approx(a.det(), -14.0, 1e-10));
-        assert!(approx(Matrix::identity(5).det(), 1.0, 1e-12));
-        // det of diagonal = product of entries
-        let d = Matrix::diagonal(&[2.0, 3.0, 4.0]);
-        assert!(approx(d.det(), 24.0, 1e-10));
     }
 
     #[test]
     fn mul_vec_and_mul_agree() {
-        let a = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let a = from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let x = vec![1.0, 0.5, -1.0];
         let via_vec = a.mul_vec(&x);
-        let xm = Matrix::from_rows(3, 1, x);
+        let xm = from_rows(3, 1, x);
         let via_mat = a.mul(&xm);
         assert!(approx(via_vec[0], via_mat[(0, 0)], 1e-12));
         assert!(approx(via_vec[1], via_mat[(1, 0)], 1e-12));
-    }
-
-    #[test]
-    fn transpose_round_trips() {
-        let a = Matrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let t = a.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t[(2, 1)], 6.0);
-        assert_eq!(t.transpose(), a);
     }
 
     #[test]

@@ -9,13 +9,6 @@
 //! fits are overkill here; we use the A&S 7.1.26-style fit with a
 //! correction, accurate to ~1.2e-7, then refine the quantile numerically).
 
-/// Standard normal probability density function.
-#[inline]
-pub fn norm_pdf(x: f64) -> f64 {
-    const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
-    INV_SQRT_2PI * (-0.5 * x * x).exp()
-}
-
 /// Standard normal cumulative distribution function Φ(x).
 ///
 /// Implemented via `erfc` with the rational approximation from Numerical
@@ -156,24 +149,6 @@ mod tests {
             let hi = norm_quantile(1.0 - p);
             assert!((lo + hi).abs() < 1e-8, "asymmetry at {p}: {lo} {hi}");
         }
-    }
-
-    #[test]
-    fn pdf_properties() {
-        assert!((norm_pdf(0.0) - 0.398_942_280).abs() < 1e-8);
-        assert_eq!(norm_pdf(2.0), norm_pdf(-2.0));
-        // integral over [-6,6] via trapezoid ≈ 1
-        let n = 10_000;
-        let h = 12.0 / n as f64;
-        let integral: f64 = (0..=n)
-            .map(|i| {
-                let x = -6.0 + i as f64 * h;
-                let w = if i == 0 || i == n { 0.5 } else { 1.0 };
-                w * norm_pdf(x)
-            })
-            .sum::<f64>()
-            * h;
-        assert!((integral - 1.0).abs() < 1e-6);
     }
 
     #[test]

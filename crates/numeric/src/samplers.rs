@@ -79,11 +79,6 @@ impl Normal {
         Normal { mu, sigma }
     }
 
-    /// Standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Normal { mu: 0.0, sigma: 1.0 }
-    }
-
     /// One standard normal variate.
     pub fn standard_sample<R: Rng64>(rng: &mut R) -> f64 {
         loop {
@@ -321,7 +316,7 @@ mod tests {
     #[test]
     fn normal_skewness_near_zero() {
         let mut rng = Pcg32::seed_from_u64(13);
-        let xs = Normal::standard().sample_n(&mut rng, N);
+        let xs = Normal::new(0.0, 1.0).sample_n(&mut rng, N);
         let mean = xs.iter().sum::<f64>() / N as f64;
         let sd = (xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / N as f64).sqrt();
         let skew = xs.iter().map(|x| ((x - mean) / sd).powi(3)).sum::<f64>() / N as f64;

@@ -6,39 +6,11 @@
 //! solve by the Levinson reformulation — exactly what
 //! [`levinson_durbin`]/[`yule_walker`] implement.
 
-/// Unbiased sample autocovariance of `x` at lag `k`, computed on deviations
-/// from the sample mean:
-///
-/// `R(k) = 1/(N−k) · Σ_{n=0}^{N−k−1} (x[n+k]−μ)(x[n]−μ)`
-///
-/// # Panics
-/// Panics if `k >= x.len()`.
-pub fn autocorrelation(x: &[f64], k: usize) -> f64 {
-    assert!(k < x.len(), "lag {k} >= series length {}", x.len());
-    let n = x.len();
-    let mu = x.iter().sum::<f64>() / n as f64;
-    let mut acc = 0.0;
-    for i in 0..(n - k) {
-        acc += (x[i + k] - mu) * (x[i] - mu);
-    }
-    acc / (n - k) as f64
-}
-
-/// All autocovariances `R(0)..=R(max_lag)` in one pass over the mean,
-/// using the paper's *unbiased* `1/(N−k)` normalization.
-pub fn autocorrelations(x: &[f64], max_lag: usize) -> Vec<f64> {
-    autocovariance_impl(x, max_lag, false)
-}
-
 /// Biased (`1/N`) autocovariances. Unlike the unbiased estimator, this
 /// sequence is always positive semi-definite, so Levinson-Durbin yields a
 /// *stationary* AR model (all reflection coefficients in (−1, 1)) — which
 /// is why [`yule_walker`] fits on it.
 pub fn autocorrelations_biased(x: &[f64], max_lag: usize) -> Vec<f64> {
-    autocovariance_impl(x, max_lag, true)
-}
-
-fn autocovariance_impl(x: &[f64], max_lag: usize, biased: bool) -> Vec<f64> {
     assert!(max_lag < x.len(), "max_lag >= series length");
     let n = x.len();
     let mu = x.iter().sum::<f64>() / n as f64;
@@ -49,7 +21,7 @@ fn autocovariance_impl(x: &[f64], max_lag: usize, biased: bool) -> Vec<f64> {
             for i in 0..(n - k) {
                 acc += dev[i + k] * dev[i];
             }
-            acc / if biased { n as f64 } else { (n - k) as f64 }
+            acc / n as f64
         })
         .collect()
 }
@@ -133,8 +105,7 @@ mod tests {
     #[test]
     fn autocovariance_of_constant_is_zero() {
         let x = vec![3.0; 50];
-        assert_eq!(autocorrelation(&x, 0), 0.0);
-        assert_eq!(autocorrelation(&x, 5), 0.0);
+        assert!(autocorrelations_biased(&x, 5).iter().all(|&r| r == 0.0));
     }
 
     #[test]
@@ -142,16 +113,7 @@ mod tests {
         let x = vec![1.0, 2.0, 3.0, 4.0, 5.0];
         let mu = 3.0;
         let var: f64 = x.iter().map(|v| (v - mu) * (v - mu)).sum::<f64>() / 5.0;
-        assert!((autocorrelation(&x, 0) - var).abs() < 1e-12);
-    }
-
-    #[test]
-    fn autocorrelations_match_single_calls() {
-        let x: Vec<f64> = (0..100).map(|i| ((i * 7) % 13) as f64).collect();
-        let all = autocorrelations(&x, 6);
-        for (k, a) in all.iter().enumerate() {
-            assert!((a - autocorrelation(&x, k)).abs() < 1e-12);
-        }
+        assert!((autocorrelations_biased(&x, 0)[0] - var).abs() < 1e-12);
     }
 
     /// Generate an AR(2) process with known coefficients and check recovery.

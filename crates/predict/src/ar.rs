@@ -31,7 +31,6 @@ pub enum MeanMode {
 pub struct ArModel {
     coeffs: Vec<f64>,
     mean: f64,
-    noise_variance: f64,
     smoothing_lambda: f64,
     mean_mode: MeanMode,
 }
@@ -51,11 +50,10 @@ impl ArModel {
         } else {
             prices.to_vec()
         };
-        let (coeffs, noise_variance, mean) = yule_walker(&series, order)?;
+        let (coeffs, _, mean) = yule_walker(&series, order)?;
         Some(ArModel {
             coeffs,
             mean,
-            noise_variance,
             smoothing_lambda,
             mean_mode: MeanMode::Global,
         })
@@ -76,19 +74,9 @@ impl ArModel {
         self.coeffs.len()
     }
 
-    /// Fitted AR coefficients `α_1..α_k`.
-    pub fn coeffs(&self) -> &[f64] {
-        &self.coeffs
-    }
-
     /// Series mean `μ`.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Final prediction-error (innovation) variance from Levinson-Durbin.
-    pub fn noise_variance(&self) -> f64 {
-        self.noise_variance
     }
 
     fn anchor(&self, history: &[f64]) -> f64 {
@@ -218,10 +206,9 @@ mod tests {
     fn fit_recovers_structure() {
         let series = ar2_series(20_000, 3, 0.5);
         let m = ArModel::fit(&series, 2, 0.0).unwrap();
-        assert!((m.coeffs()[0] - 0.6).abs() < 0.05, "{:?}", m.coeffs());
-        assert!((m.coeffs()[1] + 0.2).abs() < 0.05, "{:?}", m.coeffs());
+        assert!((m.coeffs[0] - 0.6).abs() < 0.05, "{:?}", m.coeffs);
+        assert!((m.coeffs[1] + 0.2).abs() < 0.05, "{:?}", m.coeffs);
         assert!((m.mean() - 10.0).abs() < 0.2);
-        assert!(m.noise_variance() > 0.0);
         assert_eq!(m.order(), 2);
     }
 

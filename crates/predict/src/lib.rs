@@ -26,9 +26,6 @@ pub mod slots;
 pub mod tracker;
 pub mod window;
 
-pub use ar::{naive_epsilon, ArModel, MeanMode};
-pub use normal::NormalPriceModel;
-pub use portfolio::{efficient_frontier, min_variance_portfolio, FrontierPoint, ReturnStats};
 pub use slots::SlotTable;
 pub use tracker::PredictionTracker;
 pub use window::DualWindowDistribution;

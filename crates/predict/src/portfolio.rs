@@ -64,11 +64,6 @@ impl ReturnStats {
     pub fn variance_of(&self, weights: &[f64]) -> f64 {
         dot(weights, &self.cov.mul_vec(weights))
     }
-
-    /// Portfolio expected return `wᵀµ`.
-    pub fn return_of(&self, weights: &[f64]) -> f64 {
-        dot(weights, &self.mean)
-    }
 }
 
 /// A point on the efficient frontier.
@@ -222,7 +217,7 @@ mod tests {
         let stats = synthetic_stats(&[1.0, 2.0], &[1.0, 3.0], 50_000, 5);
         let frontier = efficient_frontier(&stats, 1.0, 3.0, 5).unwrap();
         for p in &frontier {
-            let r = stats.return_of(&p.weights);
+            let r = dot(&p.weights, &stats.mean);
             assert!((r - p.expected_return).abs() < 1e-6, "{r} vs {}", p.expected_return);
         }
     }
@@ -262,7 +257,7 @@ mod tests {
     fn mvp_is_on_the_frontier_at_its_return() {
         let stats = synthetic_stats(&[1.0, 0.5, 2.0], &[1.0, 1.5, 2.5], 50_000, 6);
         let w_mvp = min_variance_portfolio(&stats).unwrap();
-        let r_mvp = stats.return_of(&w_mvp);
+        let r_mvp = dot(&w_mvp, &stats.mean);
         let frontier = efficient_frontier(&stats, r_mvp, r_mvp, 2).unwrap();
         let v_frontier = frontier[0].risk.powi(2);
         let v_mvp = stats.variance_of(&w_mvp);

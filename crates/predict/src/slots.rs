@@ -99,20 +99,6 @@ impl SlotTable {
         self.counts.iter_mut().for_each(|c| *c = 0);
         self.total = 0;
     }
-
-    /// Approximate mean from slot centers.
-    pub fn approx_mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let w = self.range / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (i as f64 + 0.5) * w * c as f64)
-            .sum::<f64>()
-            / self.total as f64
-    }
 }
 
 #[cfg(test)]
@@ -160,15 +146,6 @@ mod tests {
         }
         let p: f64 = t.proportions().iter().sum();
         assert!((p - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn approx_mean_tracks_data() {
-        let mut t = SlotTable::new(64, 1.0);
-        for i in 0..10_000 {
-            t.add(3.0 + (i % 100) as f64 / 100.0);
-        }
-        assert!((t.approx_mean() - 3.5).abs() < 0.1, "{}", t.approx_mean());
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl DualWindowDistribution {
         self.window_n
     }
 
-    /// Total snapshots recorded.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
     /// Record one price snapshot.
     pub fn add(&mut self, price: f64) {
         let n = self.window_n;

@@ -84,19 +84,11 @@ pub fn metrics_jsonl(snap: &MetricsSnapshot) -> String {
 }
 
 fn event_json(ev: &TraceEvent) -> String {
-    let kind = if ev.span_micros.is_some() {
-        "span"
-    } else {
-        "event"
-    };
     let mut line = format!(
-        "{{\"kind\":\"{kind}\",\"at_us\":{},\"name\":\"{}\"",
+        "{{\"kind\":\"event\",\"at_us\":{},\"name\":\"{}\"",
         ev.at_micros,
         json_escape(&ev.name)
     );
-    if let Some(d) = ev.span_micros {
-        let _ = write!(line, ",\"span_us\":{d}");
-    }
     if !ev.fields.is_empty() {
         line.push_str(",\"fields\":{");
         let mut first = true;
@@ -202,20 +194,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_jsonl_includes_spans_fields_and_drop_count() {
+    fn trace_jsonl_includes_fields_and_drop_count() {
         let clock = ManualClock::new();
         let t = Tracer::new(4, Arc::new(clock.clone()));
         t.event_with("fault.host_crash", &[("host", "h\"3".to_owned())]);
-        clock.set_micros(9);
-        let s = t.span("auction.tick");
-        clock.set_micros(11);
-        s.exit();
         let text = trace_jsonl(&t);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\\\"3"), "escaped quote: {}", lines[0]);
-        assert!(lines[1].contains("\"span_us\":2"));
-        assert_eq!(lines[2], "{\"kind\":\"trace_dropped\",\"count\":0}");
+        assert_eq!(lines[1], "{\"kind\":\"trace_dropped\",\"count\":0}");
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //!
 //! * **Metrics** — a [`Registry`] of named [`Counter`]s, [`Gauge`]s and
 //!   log-bucketed [`Histogram`]s with p50/p90/p99 readout. Handles are
-//!   cheap `Arc` clones safe to use from the live-service threads; hot
-//!   threads record into private histogram *shards* merged on
-//!   [`Registry::snapshot`].
-//! * **Tracing** — a [`Tracer`] recording [`TraceEvent`]s and enter/exit
-//!   [`Span`]s into a bounded ring buffer with drop-counting. Timestamps
+//!   cheap `Arc` clones safe to use from the live-service threads, read
+//!   out by [`Registry::snapshot`].
+//! * **Tracing** — a [`Tracer`] recording [`TraceEvent`]s into a bounded
+//!   ring buffer with drop-counting. Timestamps
 //!   come from an injectable [`Clock`]: [`ManualClock`] driven by the DES
 //!   loop keeps runs byte-reproducible, [`WallClock`] serves live runs.
 //! * **Exporters** — [`metrics_jsonl`]/[`trace_jsonl`] dumps and a
@@ -46,4 +45,4 @@ pub mod trace;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use export::{metrics_jsonl, render_top, trace_jsonl};
 pub use metrics::{Counter, Gauge, HistData, HistSummary, Histogram, MetricsSnapshot, Registry};
-pub use trace::{Span, TraceEvent, Tracer};
+pub use trace::{TraceEvent, Tracer};

@@ -4,13 +4,11 @@
 //!
 //! * **Cheap handles.** Recording must be safe to call from the live
 //!   service threads. A [`Counter`]/[`Gauge`] is an `Arc`-shared atomic; a
-//!   [`Histogram`] handle owns one *shard* behind a `std::sync::Mutex`
-//!   that is uncontended as long as each thread records through its own
-//!   handle (use [`Registry::histogram_shard`] per thread). No external
-//!   dependencies, std locks only.
-//! * **Deterministic readout.** [`Registry::snapshot`] merges histogram
-//!   shards in registration order and walks every name in `BTreeMap`
-//!   order, so a deterministic run produces a byte-identical export.
+//!   [`Histogram`] handle shares one buffer behind a `std::sync::Mutex`.
+//!   No external dependencies, std locks only.
+//! * **Deterministic readout.** [`Registry::snapshot`] walks every name
+//!   in `BTreeMap` order, so a deterministic run produces a
+//!   byte-identical export.
 //! * **Log-bucketed histograms.** Values are bucketed by the top
 //!   `11 + 3` bits of their IEEE-754 representation: every power of two is
 //!   split into 8 sub-buckets, giving ≤ 12.5 % relative quantile error for
@@ -253,9 +251,8 @@ impl Gauge {
     }
 }
 
-/// Handle to one shard of a histogram. Recording locks only this shard's
-/// mutex; with one handle per thread ([`Registry::histogram_shard`]) the
-/// lock is never contended. Cloning shares the shard.
+/// Handle to a histogram. Recording locks its buffer's mutex. Cloning
+/// shares the buffer.
 #[derive(Clone, Debug)]
 pub struct Histogram {
     shard: Arc<Mutex<HistData>>,
@@ -284,8 +281,7 @@ impl Histogram {
         self.record(us as f64);
     }
 
-    /// Copy of this shard's data (not the whole histogram — snapshot via
-    /// the [`Registry`] for merged totals).
+    /// Copy of this histogram's data.
     pub fn shard_data(&self) -> HistData {
         self.shard.lock().expect("histogram shard poisoned").clone()
     }
@@ -295,7 +291,7 @@ impl Histogram {
 struct RegistryInner {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
-    hists: Mutex<BTreeMap<String, Vec<Histogram>>>,
+    hists: Mutex<BTreeMap<String, Histogram>>,
 }
 
 /// The metric registry: a name → instrument map shared by every layer of
@@ -327,27 +323,13 @@ impl Registry {
         map.entry(name.to_owned()).or_default().clone()
     }
 
-    /// Get or create histogram `name`, returning a handle to its primary
-    /// shard. All callers of this method share one shard; a thread with a
-    /// hot recording loop should hold its own via
-    /// [`Registry::histogram_shard`].
+    /// Get or create histogram `name`. Every handle to one name shares
+    /// its buffer.
     pub fn histogram(&self, name: &str) -> Histogram {
         let mut map = self.inner.hists.lock().expect("registry poisoned");
-        let shards = map.entry(name.to_owned()).or_default();
-        if shards.is_empty() {
-            shards.push(Histogram::new_shard());
-        }
-        shards[0].clone()
-    }
-
-    /// Create a **new** shard of histogram `name` for the calling thread.
-    /// Shards are merged (in creation order) when a snapshot is taken.
-    pub fn histogram_shard(&self, name: &str) -> Histogram {
-        let mut map = self.inner.hists.lock().expect("registry poisoned");
-        let shards = map.entry(name.to_owned()).or_default();
-        let h = Histogram::new_shard();
-        shards.push(h.clone());
-        h
+        map.entry(name.to_owned())
+            .or_insert_with(Histogram::new_shard)
+            .clone()
     }
 
     /// Merged point-in-time view of every instrument, deterministically
@@ -375,11 +357,9 @@ impl Registry {
             .lock()
             .expect("registry poisoned")
             .iter()
-            .map(|(k, shards)| {
+            .map(|(k, h)| {
                 let mut merged = HistData::new();
-                for s in shards {
-                    merged.merge(&s.shard_data());
-                }
+                merged.merge(&h.shard_data());
                 (k.clone(), merged.summary())
             })
             .collect();
@@ -494,21 +474,6 @@ mod tests {
         // min == max clamps the bucket representative to the exact value.
         assert_eq!(h.quantile(0.5), Some(7.25));
         assert_eq!(h.summary().p99, 7.25);
-    }
-
-    #[test]
-    fn shards_merge_into_one_summary() {
-        let r = Registry::new();
-        let a = r.histogram_shard("x.lat_us");
-        let b = r.histogram_shard("x.lat_us");
-        for i in 0..10 {
-            a.record(i as f64);
-            b.record((i + 10) as f64);
-        }
-        let s = r.snapshot().histograms["x.lat_us"];
-        assert_eq!(s.count, 20);
-        assert_eq!(s.min, 0.0);
-        assert_eq!(s.max, 19.0);
     }
 
     #[test]

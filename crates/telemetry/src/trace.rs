@@ -23,9 +23,6 @@ pub struct TraceEvent {
     pub name: String,
     /// Deterministically ordered key/value annotations.
     pub fields: BTreeMap<String, String>,
-    /// For span-exit records, the span's duration; `None` for point events
-    /// and span entries.
-    pub span_micros: Option<u64>,
 }
 
 struct Ring {
@@ -83,21 +80,8 @@ impl Tracer {
                 .iter()
                 .map(|(k, v)| ((*k).to_owned(), v.clone()))
                 .collect(),
-            span_micros: None,
         };
         self.ring.lock().expect("trace ring poisoned").push(ev);
-    }
-
-    /// Open a span. The span records an exit event (with its duration)
-    /// when dropped or explicitly [`Span::exit`]ed.
-    pub fn span(&self, name: &str) -> Span {
-        Span {
-            tracer: self.clone(),
-            name: name.to_owned(),
-            entered_micros: self.clock.now_micros(),
-            fields: BTreeMap::new(),
-            done: false,
-        }
     }
 
     /// Number of events overwritten (or rejected by a zero-capacity ring)
@@ -120,53 +104,6 @@ impl Tracer {
     /// The tracer's clock, for stamping work outside the tracer itself.
     pub fn clock(&self) -> Arc<dyn Clock> {
         self.clock.clone()
-    }
-}
-
-/// An open span: a named region of work whose duration is recorded when
-/// the span exits (explicitly or on drop).
-pub struct Span {
-    tracer: Tracer,
-    name: String,
-    entered_micros: u64,
-    fields: BTreeMap<String, String>,
-    done: bool,
-}
-
-impl Span {
-    /// Attach an annotation to the exit record.
-    pub fn field(&mut self, key: &str, value: String) {
-        self.fields.insert(key.to_owned(), value);
-    }
-
-    /// Close the span now, recording `<name>` with its duration.
-    pub fn exit(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        if self.done {
-            return;
-        }
-        self.done = true;
-        let now = self.tracer.clock.now_micros();
-        let ev = TraceEvent {
-            at_micros: now,
-            name: self.name.clone(),
-            fields: std::mem::take(&mut self.fields),
-            span_micros: Some(now.saturating_sub(self.entered_micros)),
-        };
-        self.tracer
-            .ring
-            .lock()
-            .expect("trace ring poisoned")
-            .push(ev);
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.finish();
     }
 }
 
@@ -210,24 +147,5 @@ mod tests {
         t.event("a");
         assert_eq!(t.dropped(), 1);
         assert!(t.events().is_empty());
-    }
-
-    #[test]
-    fn span_records_duration_on_exit_and_drop() {
-        let (t, clock) = tracer(8);
-        clock.set_micros(10);
-        let mut s = t.span("work");
-        s.field("host", "h0".to_owned());
-        clock.set_micros(35);
-        s.exit();
-        {
-            let _implicit = t.span("drop");
-            clock.set_micros(40);
-        }
-        let evs = t.events();
-        assert_eq!(evs[0].span_micros, Some(25));
-        assert_eq!(evs[0].fields["host"], "h0");
-        assert_eq!(evs[1].name, "drop");
-        assert_eq!(evs[1].span_micros, Some(5));
     }
 }

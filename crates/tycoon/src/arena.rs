@@ -11,13 +11,14 @@
 //! * `accounts[slot]` — the host's bank account,
 //! * `labels[slot]` — the cached `"host000"` label (so the per-tick
 //!   price trace never formats),
-//! * `occupied[slot]` / `live[slot]` — slot in use / host not crashed,
+//! * `occupied[slot]` / `live[slot]` — slot in use (every slot, since
+//!   hosts are never removed) / host not crashed,
 //! * `published_spot[slot]` — the epoch price: the spot price published
 //!   at the last tick boundary (readers during tick `e` see epoch `e-1`).
 //!
 //! Slots are interned through `lookup[HostId.0] → slot` (dense, `u32::MAX`
-//! sentinel) and recycled through a free-list when a host is retired, so
-//! crash/recover/retire churn never grows the arena. Iteration uses
+//! sentinel); hosts are never removed (a crash only clears `live`), so
+//! crash/recover churn never grows the arena. Iteration uses
 //! `order` — the occupied slots in ascending `HostId` order — which keeps
 //! every sweep, quote and export byte-identical to the old id-ordered
 //! `BTreeMap` walk.
@@ -36,9 +37,7 @@ pub struct HostArena {
     /// Occupied slots in ascending `HostId` order — the deterministic
     /// iteration order of every market operation.
     order: Vec<u32>,
-    /// Recycled slots available for reuse.
-    free: Vec<u32>,
-    /// Host id of each slot (stale in freed slots).
+    /// Host id of each slot.
     ids: Vec<HostId>,
     /// Per-host auction state of each slot.
     auctioneers: Vec<Auctioneer>,
@@ -46,9 +45,10 @@ pub struct HostArena {
     accounts: Vec<AccountId>,
     /// Cached `"host000"` display label of each slot.
     labels: Vec<String>,
-    /// Slot is in use (host registered, possibly crashed).
+    /// Slot is in use (host registered, possibly crashed). Every slot is:
+    /// hosts are never removed. The sharded sweep still masks on it.
     occupied: Vec<bool>,
-    /// Host is online (not crashed). Meaningless when `!occupied`.
+    /// Host is online (not crashed).
     live: Vec<bool>,
     /// Epoch price: spot published at the last tick boundary. Initialised
     /// to the host's reserve rate (the idle spot) on insert.
@@ -71,7 +71,6 @@ impl HostArena {
         HostArena {
             lookup: Vec::new(),
             order: Vec::new(),
-            free: Vec::new(),
             ids: Vec::new(),
             auctioneers: Vec::new(),
             accounts: Vec::new(),
@@ -94,9 +93,7 @@ impl HostArena {
         self.order.is_empty()
     }
 
-    /// Number of slots ever allocated (registered + free-listed). Bounded
-    /// by the peak host count, not by churn — the free-list test depends
-    /// on it.
+    /// Number of slots ever allocated (one per registered host).
     pub fn capacity_slots(&self) -> usize {
         self.ids.len()
     }
@@ -119,8 +116,7 @@ impl HostArena {
         &self.order
     }
 
-    /// Register a host, reusing a free-listed slot when one is available.
-    /// Returns the slot.
+    /// Register a host in the next slot. Returns the slot.
     ///
     /// # Panics
     /// Panics if `id` is already registered.
@@ -129,34 +125,16 @@ impl HostArena {
         let id = spec.id;
         let idle_spot = spec.reserve_rate;
         assert!(!self.contains(id), "duplicate host {id:?}");
-        let slot = match self.free.pop() {
-            Some(s) => {
-                let s = s as usize;
-                self.ids[s] = id;
-                self.auctioneers[s] = auctioneer;
-                self.accounts[s] = account;
-                self.labels[s] = format!("{id}");
-                self.occupied[s] = true;
-                self.live[s] = true;
-                self.published_spot[s] = idle_spot;
-                self.breaker_cooldown[s] = 0;
-                self.health[s] = 1.0;
-                s
-            }
-            None => {
-                let s = self.ids.len();
-                self.ids.push(id);
-                self.auctioneers.push(auctioneer);
-                self.accounts.push(account);
-                self.labels.push(format!("{id}"));
-                self.occupied.push(true);
-                self.live.push(true);
-                self.published_spot.push(idle_spot);
-                self.breaker_cooldown.push(0);
-                self.health.push(1.0);
-                s
-            }
-        };
+        let slot = self.ids.len();
+        self.ids.push(id);
+        self.auctioneers.push(auctioneer);
+        self.accounts.push(account);
+        self.labels.push(format!("{id}"));
+        self.occupied.push(true);
+        self.live.push(true);
+        self.published_spot.push(idle_spot);
+        self.breaker_cooldown.push(0);
+        self.health.push(1.0);
         if self.lookup.len() <= id.0 as usize {
             self.lookup.resize(id.0 as usize + 1, NO_SLOT);
         }
@@ -167,24 +145,6 @@ impl HostArena {
             .expect_err("id cannot already be in order");
         self.order.insert(pos, slot as u32);
         slot
-    }
-
-    /// Retire a host: unregister its id and push the slot onto the
-    /// free-list for reuse. The slot's auctioneer is left in place (it
-    /// should already be evicted by the caller) and is overwritten on
-    /// reuse. Returns the freed slot, or `None` for unknown ids.
-    pub fn remove(&mut self, id: HostId) -> Option<usize> {
-        let slot = self.slot_of(id)?;
-        self.lookup[id.0 as usize] = NO_SLOT;
-        let pos = self
-            .order
-            .binary_search_by_key(&id, |&s| self.ids[s as usize])
-            .expect("registered id must be in order");
-        self.order.remove(pos);
-        self.occupied[slot] = false;
-        self.live[slot] = false;
-        self.free.push(slot as u32);
-        Some(slot)
     }
 
     /// Host id stored in `slot`.
@@ -212,14 +172,13 @@ impl HostArena {
         &mut self.auctioneers[slot]
     }
 
-    /// Whether `slot` is online. Freed slots are never live.
+    /// Whether `slot` is online.
     pub fn is_live(&self, slot: usize) -> bool {
         self.live[slot]
     }
 
     /// Mark `slot` crashed (`false`) or online (`true`).
     pub fn set_live(&mut self, slot: usize, live: bool) {
-        debug_assert!(self.occupied[slot], "freed slot has no liveness");
         self.live[slot] = live;
     }
 
@@ -256,7 +215,7 @@ impl HostArena {
 
     /// The columns the parallel sweep needs, borrowed disjointly: the
     /// mutable auctioneer lane plus the shared occupancy/liveness masks
-    /// (workers skip freed and crashed slots).
+    /// (workers skip crashed slots).
     pub fn sweep_columns(&mut self) -> (&mut [Auctioneer], &[bool], &[bool]) {
         (&mut self.auctioneers, &self.occupied, &self.live)
     }
@@ -299,34 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_frees_slot_and_insert_reuses_it() {
-        let mut a = arena_with(&[0, 1, 2]);
-        let old_slot = a.remove(HostId(1)).unwrap();
-        assert_eq!(a.len(), 2);
-        assert!(!a.contains(HostId(1)));
-        let ids: Vec<u32> = a.ids_in_order().map(|h| h.0).collect();
-        assert_eq!(ids, vec![0, 2]);
-        // Reuse: the next insert lands in the freed slot, even for a new id.
-        let slot = a.insert(Auctioneer::new(HostSpec::testbed(7)), AccountId(7));
-        assert_eq!(slot, old_slot);
-        assert_eq!(a.capacity_slots(), 3, "no growth through churn");
-        let ids: Vec<u32> = a.ids_in_order().map(|h| h.0).collect();
-        assert_eq!(ids, vec![0, 2, 7]);
-    }
-
-    #[test]
-    fn churn_keeps_capacity_bounded() {
-        let mut a = arena_with(&[0, 1, 2, 3]);
-        for round in 0..100u32 {
-            let id = HostId(4 + round);
-            a.insert(Auctioneer::new(HostSpec::testbed(id.0)), AccountId(id.0 as u64));
-            a.remove(id).unwrap();
-        }
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.capacity_slots(), 5, "free-list bounds slot growth");
-    }
-
-    #[test]
     fn liveness_and_epoch_price_per_slot() {
         let mut a = arena_with(&[0, 1]);
         let s = a.slot_of(HostId(0)).unwrap();
@@ -344,39 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn freed_slot_reuse_resets_breaker_cooldown() {
-        let mut a = arena_with(&[0, 1]);
-        let s = a.slot_of(HostId(1)).unwrap();
-        a.set_breaker_cooldown(s, 4);
-        a.remove(HostId(1)).unwrap();
-        let reused = a.insert(Auctioneer::new(HostSpec::testbed(9)), AccountId(9));
-        assert_eq!(reused, s);
-        assert_eq!(a.breaker_cooldown(reused), 0, "stale breaker state must not leak");
-    }
-
-    #[test]
-    fn freed_slot_reuse_resets_health() {
-        let mut a = arena_with(&[0, 1]);
-        let s = a.slot_of(HostId(1)).unwrap();
-        assert_eq!(a.health(s), 1.0, "health starts nominal");
-        a.set_health(s, 0.3);
-        assert_eq!(a.health(s), 0.3);
-        a.remove(HostId(1)).unwrap();
-        let reused = a.insert(Auctioneer::new(HostSpec::testbed(9)), AccountId(9));
-        assert_eq!(reused, s);
-        assert_eq!(a.health(reused), 1.0, "stale health must not leak");
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate host")]
     fn duplicate_insert_rejected() {
         let mut a = arena_with(&[0]);
         a.insert(Auctioneer::new(HostSpec::testbed(0)), AccountId(9));
-    }
-
-    #[test]
-    fn remove_unknown_is_none() {
-        let mut a = arena_with(&[0]);
-        assert_eq!(a.remove(HostId(5)), None);
     }
 }

@@ -214,21 +214,12 @@ impl Auctioneer {
     }
 
     /// Evict every live bid at once, returning `(handle, user, remaining
-    /// escrow)` in deterministic handle order.
+    /// escrow, payer)` in deterministic handle order.
     ///
     /// This is the host-crash path: the auctioneer's state is wiped (as if
     /// the host lost power mid-interval) and the market refunds each
-    /// returned escrow to its payer so no money is stranded on the dead
-    /// host.
-    pub fn evict_all(&mut self) -> Vec<(BidHandle, UserId, Credits)> {
-        self.evict_all_funded()
-            .into_iter()
-            .map(|(h, u, e, _)| (h, u, e))
-            .collect()
-    }
-
-    /// [`Auctioneer::evict_all`] carrying each bid's recorded payer, so
-    /// the market can refund escrows without a side index.
+    /// returned escrow to its recorded payer, without a side index, so no
+    /// money is stranded on the dead host.
     pub fn evict_all_funded(&mut self) -> Vec<EvictedBid> {
         let out = (0..self.lane.len())
             .map(|i| {
@@ -357,14 +348,6 @@ impl Auctioneer {
     /// "index" of this host. Bounded by `live_bids` by construction.
     pub fn funded_bids(&self) -> usize {
         self.lane.payers.iter().filter(|p| p.is_some()).count()
-    }
-
-    /// Distinct users with live bids (= virtual machines on this host).
-    pub fn active_users(&self) -> usize {
-        let mut users: Vec<UserId> = self.lane.users.clone();
-        users.sort_unstable();
-        users.dedup();
-        users.len()
     }
 
     /// Credits earned by the host so far.
@@ -553,16 +536,6 @@ mod tests {
         a.place_bid(UserId(2), 0.7, Credits::from_whole(1));
         assert!((a.others_rate(UserId(1)) - (0.7 + 1e-5)).abs() < 1e-9);
         assert!((a.others_rate(UserId(3)) - (1.0 + 1e-5)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn active_users_counts_distinct() {
-        let mut a = auctioneer();
-        a.place_bid(UserId(1), 0.1, Credits::from_whole(1));
-        a.place_bid(UserId(1), 0.1, Credits::from_whole(1));
-        a.place_bid(UserId(2), 0.1, Credits::from_whole(1));
-        assert_eq!(a.active_users(), 2);
-        assert_eq!(a.live_bids(), 3);
     }
 
     #[test]

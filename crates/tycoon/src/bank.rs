@@ -511,14 +511,6 @@ impl Bank {
             .ok_or(BankError::NoSuchAccount(id))
     }
 
-    /// Parent of a sub-account (None for top-level accounts).
-    pub fn parent(&self, id: AccountId) -> Result<Option<AccountId>, BankError> {
-        self.accounts
-            .get(&id)
-            .map(|a| a.parent)
-            .ok_or(BankError::NoSuchAccount(id))
-    }
-
     /// Human label of an account.
     pub fn label(&self, id: AccountId) -> Result<&str, BankError> {
         self.accounts
@@ -734,7 +726,7 @@ mod tests {
             .unwrap();
         assert_eq!(bank.balance(sub).unwrap(), Credits::from_whole(100));
         assert_eq!(bank.balance(a).unwrap(), Credits::from_whole(900));
-        assert_eq!(bank.parent(sub).unwrap(), Some(a));
+        assert_eq!(bank.accounts[&sub].parent, Some(a));
         assert!(bank.verify_receipt(&receipt));
         assert_eq!(bank.label(sub).unwrap(), "job-42");
     }

@@ -140,29 +140,14 @@ impl MarketGuard {
         }
     }
 
-    /// The active knobs.
-    pub fn config(&self) -> &GuardConfig {
-        &self.cfg
-    }
-
     /// Whether the guard layer is armed.
     pub fn enabled(&self) -> bool {
         self.cfg.enabled
     }
 
-    /// Whether `account` is quarantined.
-    pub fn is_quarantined(&self, account: AccountId) -> bool {
-        self.quarantined.contains(&account)
-    }
-
     /// Every quarantined account, ascending.
     pub fn quarantined_accounts(&self) -> Vec<AccountId> {
         self.quarantined.iter().copied().collect()
-    }
-
-    /// Recorded strikes for `account`.
-    pub fn strikes(&self, account: AccountId) -> u32 {
-        self.strikes.get(&account).copied().unwrap_or(0)
     }
 
     /// Vet a bid placement (or re-bid) of `rate` credits/second funded by
@@ -277,8 +262,8 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(g.vet_bid(AccountId(1), 0.02), Ok(()));
         }
-        assert_eq!(g.strikes(AccountId(1)), 0);
-        assert!(!g.is_quarantined(AccountId(1)));
+        assert!(g.strikes.is_empty());
+        assert!(g.quarantined.is_empty());
     }
 
     #[test]
@@ -299,7 +284,7 @@ mod tests {
         assert!(r2 > r1, "backoff must escalate: {r1} then {r2}");
         // Third strike (the default threshold) quarantines.
         assert_eq!(g.vet_bid(a, 50.0), Err(GuardVerdict::Quarantined));
-        assert!(g.is_quarantined(a));
+        assert!(g.quarantined.contains(&a));
         assert_eq!(g.vet_bid(a, 0.01), Err(GuardVerdict::AlreadyQuarantined));
         assert_eq!(g.vet_funding(a), Err(GuardVerdict::AlreadyQuarantined));
         // Release clears both books.

@@ -124,6 +124,23 @@ fn put_label(out: &mut Vec<u8>, label: &str) {
     out.extend_from_slice(label.as_bytes());
 }
 
+/// An optional parent account: a `0`/`1` flag and the id, written as `0`
+/// when absent.
+fn put_parent(out: &mut Vec<u8>, parent: Option<u64>) {
+    out.push(u8::from(parent.is_some()));
+    out.extend_from_slice(&parent.unwrap_or(0).to_be_bytes());
+}
+
+/// The inverse of [`put_parent`]. Any other flag, or an absent parent
+/// with a nonzero id, is malformed, so every value has one encoding.
+fn get_parent(c: &mut Cursor) -> Option<Option<u64>> {
+    match (c.u8()?, c.u64()?) {
+        (0, 0) => Some(None),
+        (1, id) => Some(Some(id)),
+        _ => None,
+    }
+}
+
 fn get_label(c: &mut Cursor) -> Option<String> {
     let len = c.u32()? as usize;
     // Labels are short human strings; a huge length is a corrupt record.
@@ -147,8 +164,7 @@ impl BankEvent {
                 out.push(TAG_ACCOUNT_OPEN);
                 out.extend_from_slice(&id.to_be_bytes());
                 out.extend_from_slice(&owner.to_bytes());
-                out.push(u8::from(parent.is_some()));
-                out.extend_from_slice(&parent.unwrap_or(0).to_be_bytes());
+                put_parent(&mut out, *parent);
                 put_label(&mut out, label);
             }
             BankEvent::Mint { to, amount } => {
@@ -190,13 +206,12 @@ impl BankEvent {
             TAG_ACCOUNT_OPEN => {
                 let id = c.u64()?;
                 let owner = PublicKey::from_bytes(c.take(16)?.try_into().ok()?)?;
-                let has_parent = c.u8()?;
-                let parent_raw = c.u64()?;
+                let parent = get_parent(&mut c)?;
                 let label = get_label(&mut c)?;
                 BankEvent::AccountOpen {
                     id,
                     owner,
-                    parent: (has_parent != 0).then_some(parent_raw),
+                    parent,
                     label,
                 }
             }
@@ -271,8 +286,7 @@ impl BankSnapshot {
             out.extend_from_slice(&a.id.to_be_bytes());
             out.extend_from_slice(&a.owner.to_bytes());
             out.extend_from_slice(&a.balance.as_micros().to_be_bytes());
-            out.push(u8::from(a.parent.is_some()));
-            out.extend_from_slice(&a.parent.unwrap_or(0).to_be_bytes());
+            put_parent(&mut out, a.parent);
             put_label(&mut out, &a.label);
         }
         out.extend_from_slice(&(self.spent_tokens.len() as u32).to_be_bytes());
@@ -301,14 +315,13 @@ impl BankSnapshot {
             let id = c.u64()?;
             let owner = PublicKey::from_bytes(c.take(16)?.try_into().ok()?)?;
             let balance = Credits::from_micros(c.i64()?);
-            let has_parent = c.u8()?;
-            let parent_raw = c.u64()?;
+            let parent = get_parent(&mut c)?;
             let label = get_label(&mut c)?;
             accounts.push(SnapshotAccount {
                 id,
                 owner,
                 balance,
-                parent: (has_parent != 0).then_some(parent_raw),
+                parent,
                 label,
             });
         }

@@ -3,7 +3,7 @@
 //! Reimplementation of the market substrate the paper builds on (§2.2):
 //! decentralized, continuous, bid-based proportional-share markets, one per
 //! host, with a central bank. Host discovery — the paper's service location
-//! service — is the market's [`HostArena`].
+//! service — is the market's [`arena::HostArena`].
 //!
 //! * [`money`] — exact fixed-point credits (micro-dollar accounting).
 //! * [`bank`] — user accounts, signed transfer receipts, sub-accounts
@@ -48,11 +48,10 @@ pub mod service;
 pub mod telemetry;
 pub mod transport;
 
-pub use arena::HostArena;
-pub use auction::{Allocation, Auctioneer, BidHandle, EvictedBid, UserId};
+pub use auction::{Allocation, Auctioneer, BidHandle, UserId};
 pub use bank::{AccountId, Bank, BankError, Receipt};
 pub use best_response::{best_response, utility, HostQuote};
-pub use guard::{GuardConfig, GuardVerdict, MarketGuard};
+pub use guard::{GuardConfig, MarketGuard};
 pub use health::{HealthConfig, HealthScore};
 pub use host::{HostId, HostSpec};
 pub use ledger::{
@@ -61,7 +60,5 @@ pub use ledger::{
 pub use market::{CrashReport, Market, MarketError, DEFAULT_INTERVAL_SECS};
 pub use money::Credits;
 pub use service::{AuctioneerClient, BankClient, LiveMarket, NetConfig, ServiceError};
-pub use telemetry::{
-    GuardInstruments, LedgerInstruments, MarketInstruments, NetInstruments, ServiceInstruments,
-};
-pub use transport::{BreakerConfig, LinkProfile, QueueConfig};
+pub use telemetry::{NetInstruments, ServiceInstruments};
+pub use transport::{BreakerConfig, QueueConfig};

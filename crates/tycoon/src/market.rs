@@ -15,7 +15,7 @@
 //! each bid carries its payer account in the bid lane itself, so evicting
 //! or exhausting a bid drops the payer record in the same pass. Spot
 //! prices are *published* into an epoch buffer at each tick boundary;
-//! readers of [`Market::published_spots`] during tick `e` see the prices
+//! readers of that epoch price during tick `e` see the prices
 //! of epoch `e-1`, which is what makes the sharded sweep order-free.
 
 use std::sync::Arc;
@@ -197,7 +197,7 @@ impl Market {
     }
 
     /// Split the tick sweep into `shards` contiguous host-range shards
-    /// run on scoped workers (`gm_exec::par_chunks_mut`). Per-host sweeps
+    /// run on scoped workers (`gm_des::par_chunks_mut`). Per-host sweeps
     /// touch only their own host's state and all cross-host reads go
     /// through the epoch price buffer, so results are **byte-identical at
     /// any shard count** (DESIGN.md §15). `1` restores the sequential
@@ -210,15 +210,9 @@ impl Market {
         self.shards = shards;
     }
 
-    /// Current shard count (`1` = sequential sweep).
-    pub fn sharding(&self) -> usize {
-        self.shards
-    }
-
     /// Enable/disable the per-tick spot-price trace (on by default). The
     /// trace stores every host's full price history — at 100k hosts the
-    /// scale bench disables it and reads [`Market::published_spots`]
-    /// instead.
+    /// scale bench disables it.
     pub fn set_price_trace_enabled(&mut self, enabled: bool) {
         self.price_trace_enabled = enabled;
     }
@@ -233,9 +227,7 @@ impl Market {
         &mut self.bank
     }
 
-    /// Add a host to the market; returns its bank account id. Reuses a
-    /// free-listed arena slot if one is available (see
-    /// [`Market::retire_host`]).
+    /// Add a host to the market; returns its bank account id.
     ///
     /// # Panics
     /// Panics on duplicate host ids or invalid specs.
@@ -256,11 +248,6 @@ impl Market {
     /// Auctioneer of a host.
     pub fn auctioneer(&self, id: HostId) -> Option<&Auctioneer> {
         self.arena.slot_of(id).map(|s| self.arena.auctioneer(s))
-    }
-
-    /// The host's bank account.
-    pub fn host_account(&self, id: HostId) -> Option<AccountId> {
-        self.arena.slot_of(id).map(|s| self.arena.account(s))
     }
 
     /// Build Best Response quotes for `user` over `hosts`, weighting each
@@ -482,7 +469,7 @@ impl Market {
     /// depends only on that host's own state, so the outcome is identical
     /// at any shard count. At the end of the tick each swept host's
     /// tick-start spot price is published into the epoch buffer
-    /// ([`Market::published_spots`]).
+    /// ([`HostArena::published_spot`]).
     pub fn tick(&mut self, now: SimTime) -> Vec<(HostId, Vec<Allocation>)> {
         let started_micros = self.telemetry.as_ref().map(|t| t.now_micros());
         let dt = self.interval_secs;
@@ -514,7 +501,7 @@ impl Market {
             let (auctioneers, occupied, live) = self.arena.sweep_columns();
             let chunk = n_slots.div_ceil(shards);
             let mut sweep: Vec<Option<(f64, Vec<Allocation>)>> =
-                gm_exec::par_chunks_mut(shards, auctioneers, chunk, |_ci, base, slice| {
+                gm_des::par_chunks_mut(shards, auctioneers, chunk, |_ci, base, slice| {
                     slice
                         .iter_mut()
                         .enumerate()
@@ -631,7 +618,8 @@ impl Market {
 
     /// Spot prices of all hosts (deterministic order). These are *live*
     /// prices — recomputed from the current bid lanes, reflecting any
-    /// mid-tick mutation — as opposed to [`Market::published_spots`].
+    /// mid-tick mutation — as opposed to the epoch price each host
+    /// published at its last tick boundary.
     pub fn spot_prices(&self) -> Vec<(HostId, f64)> {
         self.arena
             .ordered_slots()
@@ -641,24 +629,6 @@ impl Market {
                 (self.arena.id(s), self.arena.auctioneer(s).spot_price())
             })
             .collect()
-    }
-
-    /// Epoch prices of all hosts (deterministic order): the spot price
-    /// each host published at its last tick boundary (its reserve rate
-    /// before the first tick). Readers during tick `e` see epoch `e-1`,
-    /// which is what lets shards (and external consumers) read prices
-    /// without ordering against the in-flight sweep (DESIGN.md §15).
-    pub fn published_spots(&self) -> Vec<(HostId, f64)> {
-        self.arena
-            .ordered_slots()
-            .iter()
-            .map(|&s| (self.arena.id(s as usize), self.arena.published_spot(s as usize)))
-            .collect()
-    }
-
-    /// Epoch price of one host (see [`Market::published_spots`]).
-    pub fn published_spot(&self, id: HostId) -> Option<f64> {
-        self.arena.slot_of(id).map(|s| self.arena.published_spot(s))
     }
 
     /// The recorded spot-price history.
@@ -792,19 +762,6 @@ impl Market {
         Ok(())
     }
 
-    /// Permanently remove a host from the market: evict and refund its
-    /// bids exactly like [`Market::crash_host`], and free its arena slot
-    /// onto the free-list for reuse by a later [`Market::add_host`]. The
-    /// host's bank account — and the income it earned — survives in the
-    /// bank. Unlike a crash, a retired host cannot be recovered; re-adding
-    /// the same id is a fresh host.
-    pub fn retire_host(&mut self, id: HostId) -> Result<CrashReport, MarketError> {
-        let slot = self.arena.slot_of(id).ok_or(MarketError::NoSuchHost(id))?;
-        let evicted = self.evict_and_refund(slot);
-        self.arena.remove(id);
-        Ok(CrashReport { host: id, evicted })
-    }
-
     /// Whether a host is currently online (unknown hosts are offline).
     pub fn is_host_online(&self, id: HostId) -> bool {
         self.arena.slot_of(id).is_some_and(|s| self.arena.is_live(s))
@@ -839,11 +796,6 @@ impl Market {
             }
         }
         self.bank_online = online;
-    }
-
-    /// Whether the bank is currently reachable.
-    pub fn bank_is_online(&self) -> bool {
-        self.bank_online
     }
 
     /// Fault injection: degrade (`true`) or restore (`false`) the quote
@@ -915,6 +867,21 @@ mod tests {
     use super::*;
     use gm_crypto::Keypair;
 
+    /// The bank account of host `id`.
+    fn host_account(m: &Market, id: HostId) -> AccountId {
+        m.arena.account(m.arena.slot_of(id).expect("registered host"))
+    }
+
+    /// The epoch price of host `id`.
+    fn published_spot(m: &Market, id: HostId) -> Option<f64> {
+        m.arena.slot_of(id).map(|s| m.arena.published_spot(s))
+    }
+
+    /// Every host's epoch price, in host-id order.
+    fn published_spots(m: &Market) -> Vec<(HostId, f64)> {
+        m.host_ids().into_iter().map(|h| (h, published_spot(m, h).unwrap())).collect()
+    }
+
     fn market_with_user(hosts: u32, endowment: i64) -> (Market, AccountId) {
         let mut m = Market::new(b"market-test");
         for i in 0..hosts {
@@ -935,7 +902,7 @@ mod tests {
         m.place_funded_bid(UserId(1), acct, host, 0.1, Credits::from_whole(40))
             .unwrap();
         assert_eq!(m.bank().balance(acct).unwrap(), Credits::from_whole(60));
-        let host_acct = m.host_account(host).unwrap();
+        let host_acct = host_account(&m, host);
         assert_eq!(m.bank().balance(host_acct).unwrap(), Credits::from_whole(40));
     }
 
@@ -1052,7 +1019,7 @@ mod tests {
         assert_eq!(report.evicted, vec![(h, UserId(1), Credits::from_whole(40))]);
         // Unspent escrow came back; host keeps what it earned.
         assert_eq!(m.bank().balance(acct).unwrap(), Credits::from_whole(90));
-        let host_acct = m.host_account(HostId(0)).unwrap();
+        let host_acct = host_account(&m, HostId(0));
         assert_eq!(m.bank().balance(host_acct).unwrap(), Credits::from_whole(10));
         assert_eq!(m.bank().total_money(), Credits::from_whole(100));
 
@@ -1092,7 +1059,7 @@ mod tests {
             .place_funded_bid(UserId(1), acct, HostId(0), 1.0, Credits::from_whole(30))
             .unwrap();
         m.set_bank_online(false);
-        assert!(!m.bank_is_online());
+        assert!(!m.bank_online);
         assert_eq!(
             m.place_funded_bid(UserId(1), acct, HostId(0), 1.0, Credits::from_whole(10)),
             Err(MarketError::BankUnavailable)
@@ -1180,7 +1147,7 @@ mod tests {
 
         let report = m.restart_bank().unwrap();
         assert!(report.snapshot_restored);
-        assert!(m.bank_is_online(), "restart ends the outage");
+        assert!(m.bank_online, "restart ends the outage");
         assert_eq!(m.bank().state_digest(), digest_before, "byte-identical books");
         assert!(m.bank().is_token_spent(999), "spent set survived");
         assert_eq!(m.bank().total_money(), m.bank().total_minted());
@@ -1235,7 +1202,7 @@ mod tests {
         m.set_bank_online(false);
         let report = m.restart_bank().unwrap();
         assert_eq!(report, RecoveryReport::default());
-        assert!(m.bank_is_online());
+        assert!(m.bank_online);
         assert_eq!(m.bank().balance(acct).unwrap(), Credits::from_whole(50));
     }
 
@@ -1296,7 +1263,7 @@ mod tests {
             let spots: Vec<(HostId, u64)> =
                 m.spot_prices().into_iter().map(|(h, p)| (h, p.to_bits())).collect();
             let published: Vec<(HostId, u64)> =
-                m.published_spots().into_iter().map(|(h, p)| (h, p.to_bits())).collect();
+                published_spots(&m).into_iter().map(|(h, p)| (h, p.to_bits())).collect();
             (allocs, spots, published, m.bank().state_digest())
         };
         let seq = run(1);
@@ -1310,15 +1277,15 @@ mod tests {
         let (mut m, acct) = market_with_user(1, 100);
         let reserve = m.auctioneer(HostId(0)).unwrap().spec().reserve_rate;
         // Before the first tick, the epoch buffer holds the idle spot.
-        assert_eq!(m.published_spot(HostId(0)), Some(reserve));
+        assert_eq!(published_spot(&m, HostId(0)), Some(reserve));
         m.place_funded_bid(UserId(1), acct, HostId(0), 0.25, Credits::from_whole(50))
             .unwrap();
         // Live price sees the bid immediately; the epoch price does not.
         assert!((m.spot_prices()[0].1 - (0.25 + reserve)).abs() < 1e-12);
-        assert_eq!(m.published_spot(HostId(0)), Some(reserve));
+        assert_eq!(published_spot(&m, HostId(0)), Some(reserve));
         m.tick(SimTime::from_secs(10));
         // The tick published its tick-start spot (which included the bid).
-        assert!((m.published_spot(HostId(0)).unwrap() - (0.25 + reserve)).abs() < 1e-12);
+        assert!((published_spot(&m, HostId(0)).unwrap() - (0.25 + reserve)).abs() < 1e-12);
     }
 
     #[test]
@@ -1390,7 +1357,7 @@ mod tests {
             .place_funded_bid(UserId(1), acct, HostId(1), 50.0, Credits::from_whole(100))
             .unwrap_err();
         assert_eq!(e3, MarketError::AccountQuarantined(acct));
-        assert!(m.guard().is_quarantined(acct));
+        assert!(m.guard().quarantined_accounts().contains(&acct));
         assert_eq!(m.bank().balance(acct).unwrap(), Credits::from_whole(1000));
         assert_eq!(m.payer_index_len(), 0, "quarantine evicts the account's bids");
         assert_eq!(m.bank().total_money(), Credits::from_whole(1000));
@@ -1431,7 +1398,7 @@ mod tests {
         // Third strike quarantines: the bid is evicted, escrow refunded.
         let e3 = m.update_bid_rate(HostId(0), h, 50.0).unwrap_err();
         assert_eq!(e3, MarketError::AccountQuarantined(acct));
-        assert!(m.guard().is_quarantined(acct));
+        assert!(m.guard().quarantined_accounts().contains(&acct));
         assert_eq!(m.bank().balance(acct).unwrap(), Credits::from_whole(1000));
         assert_eq!(m.payer_index_len(), 0);
         assert_eq!(m.bank().total_money(), Credits::from_whole(1000));
@@ -1475,12 +1442,12 @@ mod tests {
         m.tick(SimTime::from_secs(10));
         let cfg = GuardConfig::default();
         let clamped = cfg.breaker_floor * cfg.breaker_band;
-        assert!((m.published_spot(HostId(0)).unwrap() - clamped).abs() < 1e-12);
+        assert!((published_spot(&m, HostId(0)).unwrap() - clamped).abs() < 1e-12);
         assert!((m.spot_prices()[0].1 - raw).abs() < 1e-12, "live spot stays raw");
         // Cooldown slews the published price toward the raw spot over the
         // following ticks instead of jumping.
         m.tick(SimTime::from_secs(20));
-        let p2 = m.published_spot(HostId(0)).unwrap();
+        let p2 = published_spot(&m, HostId(0)).unwrap();
         assert!(p2 > clamped && p2 <= clamped * cfg.breaker_band + 1e-12);
         // An identical market with the guard disabled publishes raw at once.
         let (mut m2, acct2) = market_with_user(1, 1000);
@@ -1490,7 +1457,7 @@ mod tests {
                 .unwrap();
         }
         m2.tick(SimTime::from_secs(10));
-        assert!((m2.published_spot(HostId(0)).unwrap() - raw).abs() < 1e-12);
+        assert!((published_spot(&m2, HostId(0)).unwrap() - raw).abs() < 1e-12);
     }
 
     #[test]
@@ -1580,7 +1547,7 @@ mod tests {
 
             assert_eq!(trace(&skipped), trace(&stepped), "{case}");
             assert_eq!(skipped.price_trace().is_empty(), !trace_on, "{case}");
-            assert_eq!(skipped.published_spots(), stepped.published_spots(), "{case}");
+            assert_eq!(published_spots(&skipped), published_spots(&stepped), "{case}");
             let (a, b) = (skipped_reg.snapshot(), stepped_reg.snapshot());
             assert_eq!(metrics_jsonl(&a), metrics_jsonl(&b), "{case}");
             assert_eq!(a.counters["market.ticks"], 2 + k, "{case}");
@@ -1599,33 +1566,5 @@ mod tests {
         m.place_funded_bid(UserId(1), acct, HostId(1), 0.5, Credits::from_whole(100))
             .unwrap();
         m.tick_quiet(SimTime::from_secs(10), SimDuration::from_secs(10), 5);
-    }
-
-    #[test]
-    fn retire_host_refunds_frees_slot_and_bounds_arena() {
-        let (mut m, acct) = market_with_user(3, 1000);
-        m.place_funded_bid(UserId(1), acct, HostId(1), 0.1, Credits::from_whole(50))
-            .unwrap();
-        let report = m.retire_host(HostId(1)).unwrap();
-        assert_eq!(report.evicted.len(), 1);
-        assert_eq!(m.bank().balance(acct).unwrap(), Credits::from_whole(1000), "escrow refunded");
-        assert_eq!(m.host_ids(), vec![HostId(0), HostId(2)]);
-        assert!(m.auctioneer(HostId(1)).is_none());
-        assert_eq!(m.retire_host(HostId(1)), Err(MarketError::NoSuchHost(HostId(1))));
-
-        // Churn: retire/add cycles reuse slots — the arena stays bounded.
-        for round in 0..40u32 {
-            let id = 100 + round;
-            m.add_host(HostSpec::testbed(id));
-            m.retire_host(HostId(id)).unwrap();
-        }
-        assert_eq!(m.host_ids().len(), 2);
-        assert_eq!(m.arena.capacity_slots(), 3, "free-list bounds arena growth");
-        // The market still works end to end after the churn.
-        m.add_host(HostSpec::testbed(1000));
-        m.place_funded_bid(UserId(1), acct, HostId(1000), 0.5, Credits::from_whole(10))
-            .unwrap();
-        m.tick(SimTime::from_secs(10));
-        assert_eq!(m.bank().total_money(), Credits::from_whole(1000));
     }
 }

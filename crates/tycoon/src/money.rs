@@ -54,11 +54,6 @@ impl Credits {
         self.0 as f64 / MICROS as f64
     }
 
-    /// True if exactly zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// True if strictly positive.
     pub const fn is_positive(self) -> bool {
         self.0 > 0
@@ -185,7 +180,6 @@ mod tests {
 
     #[test]
     fn predicates() {
-        assert!(Credits::ZERO.is_zero());
         assert!(Credits::from_whole(1).is_positive());
         assert!(Credits::from_whole(-1).is_negative());
     }

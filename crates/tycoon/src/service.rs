@@ -267,13 +267,6 @@ impl<R> Client<R> {
         }
     }
 
-    fn with_telemetry(self, instruments: ServiceInstruments) -> Self {
-        Client {
-            telemetry: Some(instruments),
-            ..self
-        }
-    }
-
     /// Send a message the gate has already counted, rolling the count
     /// back if the service is gone. Returns whether it was sent.
     fn send_counted(&self, req: R) -> bool {
@@ -501,10 +494,6 @@ enum BankRequest {
         id: AccountId,
         reply: Sender<Result<Credits, BankError>>,
     },
-    VerifyReceipt {
-        receipt: Receipt,
-        reply: Sender<bool>,
-    },
     TotalMoney {
         reply: Sender<Credits>,
     },
@@ -598,9 +587,6 @@ fn bank_service(
         BankRequest::Balance { id, reply } => {
             respond.to(reply, bank.balance(id));
         }
-        BankRequest::VerifyReceipt { receipt, reply } => {
-            respond.to(reply, bank.verify_receipt(&receipt));
-        }
         BankRequest::TotalMoney { reply } => {
             respond.to(reply, bank.total_money());
         }
@@ -622,15 +608,6 @@ impl BankClient {
     pub fn with_deadline(self, timeout: Duration, retries: u32) -> Self {
         BankClient {
             client: self.client.with_deadline(timeout, retries),
-            ..self
-        }
-    }
-
-    /// Record request latency, timeout, retry and disconnect telemetry on
-    /// every call made through this client.
-    pub fn with_telemetry(self, instruments: ServiceInstruments) -> Self {
-        BankClient {
-            client: self.client.with_telemetry(instruments),
             ..self
         }
     }
@@ -692,14 +669,6 @@ impl BankClient {
         self.client
             .call(|reply| BankRequest::Balance { id, reply })?
             .map_err(ServiceError::from)
-    }
-
-    /// Verify a receipt signature (see [`Bank::verify_receipt`]).
-    pub fn verify_receipt(&self, receipt: &Receipt) -> Result<bool, ServiceError> {
-        self.client.call(|reply| BankRequest::VerifyReceipt {
-            receipt: receipt.clone(),
-            reply,
-        })
     }
 
     /// Total credits across accounts (see [`Bank::total_money`]).
@@ -827,15 +796,6 @@ impl AuctioneerClient {
     pub fn with_deadline(self, timeout: Duration, retries: u32) -> Self {
         AuctioneerClient {
             client: self.client.with_deadline(timeout, retries),
-            ..self
-        }
-    }
-
-    /// Record request latency, timeout, retry and disconnect telemetry on
-    /// every call made through this client.
-    pub fn with_telemetry(self, instruments: ServiceInstruments) -> Self {
-        AuctioneerClient {
-            client: self.client.with_telemetry(instruments),
             ..self
         }
     }
@@ -1125,7 +1085,7 @@ mod tests {
         let b = bank.open_account(key, "b").unwrap();
         bank.mint(a, Credits::from_whole(100)).unwrap();
         let receipt = bank.transfer(a, b, Credits::from_whole(30)).unwrap();
-        assert!(bank.verify_receipt(&receipt).unwrap());
+        assert!(Bank::new(b"svc").verify_receipt(&receipt));
         assert_eq!(bank.balance(a).unwrap(), Credits::from_whole(70));
         assert_eq!(bank.balance(b).unwrap(), Credits::from_whole(30));
         assert_eq!(bank.total_money().unwrap(), Credits::from_whole(100));
@@ -1296,7 +1256,7 @@ mod tests {
         // reply; the client times out and re-sends the same request id.
         bank.inject_drop_next_reply().unwrap();
         let receipt = bank.transfer(a, b, Credits::from_whole(30)).unwrap();
-        assert!(bank.verify_receipt(&receipt).unwrap());
+        assert!(Bank::new(b"svc8").verify_receipt(&receipt));
 
         // Debited exactly once despite two executions of the request.
         assert_eq!(bank.balance(a).unwrap(), Credits::from_whole(70));
@@ -1340,15 +1300,6 @@ mod tests {
         assert_eq!(snap.counters["service.retries"], 1);
         assert_eq!(snap.counters["service.disconnects"], 1);
         assert_eq!(snap.counters["service.timeouts"], 0);
-
-        // Per-thread shards merge into the same histogram.
-        let hot = live.bank().with_deadline(Duration::from_millis(50), 3);
-        let before = snap.histograms["service.request_us"].count;
-        let per_thread = hot.client.telemetry.as_ref().unwrap().per_thread();
-        let shard_client = hot.with_telemetry(per_thread);
-        shard_client.total_money().unwrap();
-        let after = registry.snapshot().histograms["service.request_us"].count;
-        assert_eq!(after, before + 1);
         live.shutdown();
     }
 
@@ -1381,7 +1332,7 @@ mod tests {
         assert_eq!(bank.total_money().unwrap(), Credits::from_whole(100));
         // ...and the restarted bank still verifies pre-crash receipts
         // (same seed → same key).
-        assert!(bank.verify_receipt(&receipt).unwrap());
+        assert!(Bank::new(b"svc-wal").verify_receipt(&receipt));
         // The restarted service keeps working.
         bank.transfer(a, b, Credits::from_whole(5)).unwrap();
         assert_eq!(bank.total_money().unwrap(), Credits::from_whole(100));

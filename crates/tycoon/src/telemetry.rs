@@ -193,12 +193,9 @@ impl GuardInstruments {
 
 /// Instrument handles for the live-service client path
 /// ([`crate::service`]): request round-trip latency plus timeout, retry
-/// and disconnect counters. Cloning shares every instrument; a hot client
-/// thread can take a private latency shard via
-/// [`ServiceInstruments::per_thread`].
+/// and disconnect counters. Cloning shares every instrument.
 #[derive(Clone)]
 pub struct ServiceInstruments {
-    registry: Registry,
     clock: Arc<dyn Clock>,
     /// `service.request_us`
     pub request_us: Histogram,
@@ -215,7 +212,6 @@ impl ServiceInstruments {
     /// request latencies with `clock` (a `WallClock` for real timing).
     pub fn new(registry: &Registry, clock: Arc<dyn Clock>) -> ServiceInstruments {
         ServiceInstruments {
-            registry: registry.clone(),
             clock,
             request_us: registry.histogram("service.request_us"),
             timeouts: registry.counter("service.timeouts"),
@@ -227,15 +223,6 @@ impl ServiceInstruments {
     /// Current time on the injected clock (microseconds).
     pub fn now_micros(&self) -> u64 {
         self.clock.now_micros()
-    }
-
-    /// A copy whose latency histogram records into a fresh per-thread
-    /// shard, so a hot client loop never contends on the shared shard's
-    /// lock. Counters stay shared (they are lock-free atomics).
-    pub fn per_thread(&self) -> ServiceInstruments {
-        let mut copy = self.clone();
-        copy.request_us = self.registry.histogram_shard("service.request_us");
-        copy
     }
 }
 

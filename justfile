@@ -129,9 +129,10 @@ bench-save-scale:
 
 # Adversarial attack matrix (DESIGN.md §16): every allocation policy
 # (tycoon defended and open, VCG, the four baselines) against every
-# gm-adversary bidder strategy as one Monte-Carlo fan-out; `--check`
-# fails unless zero runs quarantined, the honest cohort is bit-identical
-# with defenses on and off, and the guard wins on >= 2 attack strategies.
+# bidder strategy of the attack library (gm_experiments::adversary) as
+# one Monte-Carlo fan-out; `--check` fails unless zero runs quarantined,
+# the honest cohort is bit-identical with defenses on and off, and the
+# guard wins on >= 2 attack strategies.
 attack-matrix:
     cargo test -q --test adversary
     cargo run --release -p gm-experiments --bin mc -- attack --seeds 16 --check

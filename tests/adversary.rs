@@ -1,7 +1,7 @@
 //! Adversarial economy suite (DESIGN.md §16): the market's books under
 //! strategic attack. Two angles:
 //!
-//! 1. A property over *random* attack worlds — every `gm-adversary`
+//! 1. A property over *random* attack worlds — every attack-library
 //!    bidder strategy, guard on and off, random chaos schedules, and a
 //!    bank kill/recover (`BankRestart`) forced into the middle of the
 //!    attack window — whatever the cohort does, the conservation
@@ -13,7 +13,7 @@
 //!    lazy `market.guard.*` counters never even register, so honest
 //!    telemetry exports stay byte-identical to a guard-less build.
 
-use gm_adversary::{AttackContext, AttackKind};
+use gm_experiments::adversary::{AttackContext, AttackKind};
 use gm_experiments::ext_attack::{attack_cfg, hostile_stream};
 use gm_experiments::mc::{chaos_driver, job_stream};
 use gridmarket::des::check::{check, Gen};

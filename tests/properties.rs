@@ -458,3 +458,125 @@ fn credits_round_trip() {
         assert_eq!(Credits::from_f64(c.as_f64()).as_micros(), micros);
     });
 }
+
+/// A few byte-level edits of `bytes`: bit flips, overwrites, inserts,
+/// deletions, a truncation, or a run of `0xff` (a huge length field).
+fn mutate_bytes(g: &mut Gen, bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for _ in 0..g.usize_in(1, 4) {
+        let at = g.usize_in(0, out.len());
+        match g.u64_in(0, 5) {
+            0 if at < out.len() => out[at] ^= 1 << g.u64_in(0, 7),
+            1 if at < out.len() => out[at] = g.u64_in(0, 255) as u8,
+            2 => out.insert(at, g.u64_in(0, 255) as u8),
+            3 if at < out.len() => {
+                out.remove(at);
+            }
+            4 => out.truncate(at),
+            _ => {
+                for _ in 0..g.usize_in(1, 8) {
+                    out.insert(at, 0xff);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The journal payloads of a live bank: one WAL record of every
+/// `BankEvent` kind, and the bank's snapshot.
+fn bank_payloads() -> (Vec<Vec<u8>>, Vec<u8>) {
+    let journal = gm_ledger::SharedJournal::new();
+    let mut bank = Bank::new(b"codec-fuzz");
+    bank.attach_ledger(journal.clone());
+    let owner = gm_crypto::Keypair::from_seed(b"owner").public;
+    let payer = bank.open_account(owner, "payer");
+    bank.mint(payer, Credits::from_whole(100)).expect("mint");
+    let (job, _) = bank
+        .open_sub_account(payer, owner, "job", Credits::from_whole(40))
+        .expect("sub-account");
+    let receipt = bank
+        .transfer(job, payer, Credits::from_whole(3))
+        .expect("transfer");
+    bank.record_token_spend(receipt.transfer_id);
+    bank.record_request_applied(42);
+    let records = journal.replay().expect("replay").records;
+    (records, bank.snapshot().encode())
+}
+
+/// Journal frames are checksummed, not authenticated, so the bank codecs
+/// see arbitrary bytes on recovery: a mutated valid payload decodes to
+/// `None` or to a value that re-encodes to exactly those bytes (the
+/// encoding is canonical), and never panics.
+#[test]
+fn bank_codecs_survive_mutated_payloads() {
+    use gridmarket::tycoon::{BankEvent, BankSnapshot};
+    let (events, snapshot) = bank_payloads();
+    let kinds: std::collections::BTreeSet<u8> = events.iter().map(|e| e[0]).collect();
+    assert_eq!(kinds.len(), 5, "one record of every event kind");
+    assert!(events.iter().all(|e| BankEvent::decode(e).is_some()));
+    assert!(BankSnapshot::decode(&snapshot).is_some());
+    check("bank_codecs_survive_mutated_payloads", 384, |g| {
+        let base = g.choose(&events).clone();
+        let event = mutate_bytes(g, &base);
+        if let Some(decoded) = BankEvent::decode(&event) {
+            assert_eq!(decoded.encode(), event, "{decoded:?} is not canonical");
+        }
+        let snap = mutate_bytes(g, &snapshot);
+        if let Some(decoded) = BankSnapshot::decode(&snap) {
+            assert_eq!(decoded.encode(), snap, "{decoded:?} is not canonical");
+        }
+    });
+}
+
+/// Character-level edits that keep the text valid UTF-8: deletions, a
+/// truncation, and inserts of xRSL punctuation, units, non-ASCII, runs
+/// of up to 20 digits (numbers past `u64`), or printable characters.
+fn mutate_text(g: &mut Gen, text: &str) -> String {
+    const TOKENS: [&str; 13] = [
+        "(", ")", "&", "|", "=", "\"", "(*", "*)", " ", ".", "-1", " hours", "é∞",
+    ];
+    let mut chars: Vec<char> = text.chars().collect();
+    for _ in 0..g.usize_in(1, 4) {
+        let at = g.usize_in(0, chars.len());
+        let insert: Vec<char> = match g.u64_in(0, 4) {
+            0 if at < chars.len() => {
+                chars.remove(at);
+                continue;
+            }
+            1 => {
+                chars.truncate(at);
+                continue;
+            }
+            2 => g.choose(&TOKENS).chars().collect(),
+            3 => g.vec_with(1, 20, |g| char::from(b'0' + g.u64_in(0, 9) as u8)),
+            _ => vec![g.u64_in(0x20, 0x7e) as u8 as char],
+        };
+        chars.splice(at..at, insert);
+    }
+    chars.into_iter().collect()
+}
+
+/// Job descriptions arrive as user text: the xRSL parser and the
+/// duration parser return `Ok`/`Err` (`Some`/`None`) on any mutation of
+/// a valid document or duration, and never panic.
+#[test]
+fn xrsl_parsers_survive_mutated_text() {
+    use gridmarket::grid::xrsl::parse_duration_secs;
+    use gridmarket::grid::Xrsl;
+    const DOCS: [&str; 3] = [
+        "&(executable=\"blast_scan.sh\")(jobName=\"proteome-chunk-search\")(count=15)\
+         (cpuTime=\"330 minutes\")(runTimeEnvironment=\"APPS/BIO/BLAST-2.2\")",
+        "&(* a comment *)(arguments=\"say \"\"hi\"\"\")(inputFiles=(\"a\" \"b\"))(wallTime=\"2 hours\")",
+        "&(count=3)(cpuTime=\"180\")(runtimeenvironment=\"A\")(runtimeenvironment=\"B\")",
+    ];
+    const DURATIONS: [&str; 5] = ["180", "330 minutes", "2 hours", "1.5 days", "45 s"];
+    assert!(DOCS.iter().all(|d| Xrsl::parse(d).is_ok()));
+    assert!(DURATIONS.iter().all(|d| parse_duration_secs(d).is_some()));
+    check("xrsl_parsers_survive_mutated_text", 384, |g| {
+        let doc = *g.choose(&DOCS);
+        let _ = Xrsl::parse(&mutate_text(g, doc));
+        let duration = *g.choose(&DURATIONS);
+        let _ = parse_duration_secs(&mutate_text(g, duration));
+    });
+}

@@ -24,7 +24,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use gm_adversary::AttackKind;
+use gm_experiments::adversary::AttackKind;
 use gm_experiments::ext_attack::{attack_cfg, hostile_stream};
 use gm_experiments::ext_gray::gray_cfg;
 use gm_experiments::mc::{chaos_driver, job_stream};
@@ -274,7 +274,7 @@ fn guarded_attack_skips_match_per_tick_stepping() {
                 let mut w = World::chaos(seed, attack_cfg());
                 w.jobs.extend(hostile_stream(kind, seed, &w.cfg));
                 w.guard = guard;
-                let r = assert_skip_matches_per_tick(kind.strategy().name(), &w);
+                let r = assert_skip_matches_per_tick(kind.name(), &w);
                 quiet += r.quiet_ticks;
                 trips += r.breaker_trips;
             }
